@@ -55,7 +55,6 @@ from .mixed import (
     ExtendedOp,
     GradedSlice,
     build_slice,
-    phi_map,
     shen_closed_forms,
     shen_embed,
     verify_shen_monomorphism,

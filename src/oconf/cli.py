@@ -230,7 +230,10 @@ def _mu_or_zero(args) -> WeightVec:
     if args.mu is None or args.mu in ("0", ""):
         n = args.n if args.n else 2
         return zero_weight(args.series, n)
-    return parse_weight(args.mu, args.series)
+    mu = parse_weight(args.mu, args.series)
+    if args.n is not None and args.n != mu.n:
+        raise ValueError(f"--mu {args.mu} has {mu.n} entries but --n is {args.n}")
+    return mu
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -243,7 +246,8 @@ def build_parser() -> argparse.ArgumentParser:
     def common(sp, mu=False, b=False, n=False, k=False, degree=False):
         sp.add_argument("--series", choices=["D", "B"], default="D")
         if n:
-            sp.add_argument("--n", type=int, default=2)
+            # with --mu the rank defaults to the weight's length
+            sp.add_argument("--n", type=int, default=None if mu else 2)
         if mu:
             sp.add_argument("--mu", type=str, default=None,
                             help="weight as comma-separated rationals, e.g. 1,0 or 1/2,1/2")

@@ -16,7 +16,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Dict, List, Sequence, Tuple
 
-from .linalg import SparseMat, rank_of_rows, solve_row_combination
+from .linalg import EchelonBasis, SparseMat, rank_of_rows, solve_row_combination
 from .ortho import OrthoBasis, build_ortho, casimir_pairs
 from .weights import WeightVec, casimir_eigenvalue, is_dominant, weyl_dim
 
@@ -260,15 +260,14 @@ class _IrrepBuild:
         words = self.words_for(delta)
         basis: List[int] = []
         kept_rows: List[Dict[int, Fraction]] = []
+        span = EchelonBasis()
         for wi, w in enumerate(words):
             row = {}
             for wj, w2 in enumerate(words):
                 v = self.form_words(w, w2)
                 if v:
                     row[wj] = v
-            if not row:
-                continue
-            if rank_of_rows(kept_rows + [row]) > len(basis):
+            if span.add(row):
                 basis.append(wi)
                 kept_rows.append(row)
         sp = {"words": words, "basis": basis, "rows": kept_rows}

@@ -1,15 +1,18 @@
 """Exact sparse linear algebra over the rationals.
 
 Matrices are dictionaries mapping (row, col) to nonzero Fraction entries; the
-zero matrix is the empty dict.  Everything here is exact: ranks come from
-fraction-free (Bareiss) elimination on denominator-cleared integer rows,
-kernels from rational row reduction, and characteristic polynomials from an
-exact Hessenberg reduction.  No thresholds, no floating point.
+zero matrix is the empty dict.  Everything here is exact.  All elimination
+goes through one incremental engine, `EchelonBasis`, which keeps primitive
+integer rows keyed by their leading column: ranks, span membership, kernels
+(by back-substitution) and linear solves all come from it.  Characteristic
+polynomials come from an exact Hessenberg reduction.  No thresholds, no
+floating point.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 Entry = Tuple[int, int]
@@ -154,171 +157,126 @@ class SparseMat:
 
 
 def _clear_row(row: Dict[int, Fraction]) -> Dict[int, int]:
-    """Scale a rational row to primitive integers (rank-preserving)."""
+    """Scale a rational row to primitive integers (span-preserving)."""
     row = {j: v for j, v in row.items() if v != 0}
     if not row:
         return {}
-    from math import gcd, lcm
-
-    den = 1
-    for v in row.values():
-        den = lcm(den, v.denominator)
+    den = lcm(*(v.denominator for v in row.values()))
     ints = {j: int(v * den) for j, v in row.items()}
-    g = 0
-    for v in ints.values():
-        g = gcd(g, abs(v))
-    if g > 1:
-        ints = {j: v // g for j, v in ints.items()}
-    return ints
+    g = gcd(*ints.values())
+    return {j: v // g for j, v in ints.items()} if g > 1 else ints
+
+
+class EchelonBasis:
+    """Incremental row echelon basis of a growing span over Q.
+
+    Rows are kept as primitive integer vectors keyed by their leading
+    (smallest) column, and no two rows share a leading column.  The set of
+    leading columns (the pivots) depends only on the span, so every question
+    answered here -- rank, membership, kernel vectors -- is independent of
+    the order in which vectors arrive.  `rows` maps each pivot to its row.
+    """
+
+    __slots__ = ("rows",)
+
+    def __init__(self, vectors: Iterable[Dict[int, Fraction]] = ()):
+        self.rows: Dict[int, Dict[int, int]] = {}
+        for v in vectors:
+            self.add(v)
+
+    @property
+    def rank(self) -> int:
+        return len(self.rows)
+
+    def reduce(self, vec: Dict[int, Fraction]) -> Dict[int, int]:
+        """Primitive integer residual of vec whose leading column is no
+        pivot; {} iff vec lies in the span."""
+        # eliminate leading columns until the lead is no pivot (or row is 0);
+        # row is always a private copy, so it may be updated in place
+        row = _clear_row(vec)
+        rows = self.rows
+        while row:
+            p = min(row)
+            prow = rows.get(p)
+            if prow is None:
+                return row
+            a, c = prow[p], row[p]
+            g = gcd(a, c)
+            a, c = a // g, c // g
+            new = row if a == 1 else {j: a * v for j, v in row.items()}
+            del new[p]
+            for j, pv in prow.items():
+                if j != p:
+                    w = new.get(j, 0) - c * pv
+                    if w:
+                        new[j] = w
+                    else:
+                        del new[j]
+            g = gcd(*new.values())
+            row = {j: v // g for j, v in new.items()} if g > 1 else new
+        return row
+
+    def contains(self, vec: Dict[int, Fraction]) -> bool:
+        return not self.reduce(vec)
+
+    def add(self, vec: Dict[int, Fraction]) -> bool:
+        """Extend the span by vec; True iff vec was independent of it."""
+        row = self.reduce(vec)
+        if not row:
+            return False
+        self.rows[min(row)] = row
+        return True
+
+    def kernel_vector(self, free: Dict[int, Fraction]) -> Dict[int, Fraction]:
+        """The x with R x = 0 (R the stored rows) that takes the given values
+        on non-pivot columns, 0 on every other non-pivot column."""
+        x = {j: Fraction(v) for j, v in free.items() if v}
+        for p in sorted(self.rows, reverse=True):
+            prow = self.rows[p]
+            s = sum((pv * x[j] for j, pv in prow.items() if j != p and j in x), Fraction(0))
+            if s:
+                x[p] = -s / prow[p]
+        return x
 
 
 def rank_of_rows(rows: Iterable[Dict[int, Fraction]], stop_at: Optional[int] = None) -> int:
-    """Rank via fraction-free elimination on gcd-normalized integer rows.
-
-    Each eliminated row is rescaled to primitive form, which keeps the
-    arithmetic in (exact) integers without Bareiss' exact-division bookkeeping.
-    `stop_at` allows early exit once the rank reaches a known maximum.
-    """
-    from math import gcd
-
-    work = [_clear_row(r) for r in rows]
-    work = [r for r in work if r]
-    rank = 0
-    while work:
-        # pick the shortest row to pivot on (limits fill-in)
-        work.sort(key=len)
-        pivot_row = work.pop(0)
-        pcol = min(pivot_row)
-        pval = pivot_row[pcol]
-        rank += 1
-        if stop_at is not None and rank >= stop_at:
-            return rank
-        nxt = []
-        for r in work:
-            rv = r.get(pcol)
-            if rv is None:
-                nxt.append(r)
-                continue
-            new: Dict[int, int] = {}
-            for j, v in r.items():
-                if j == pcol:
-                    continue
-                w = v * pval - pivot_row.get(j, 0) * rv
-                if w:
-                    new[j] = w
-            for j, pv in pivot_row.items():
-                if j == pcol or j in r:
-                    continue
-                w = -pv * rv
-                if w:
-                    new[j] = w
-            if new:
-                g = 0
-                for v in new.values():
-                    g = gcd(g, abs(v))
-                if g > 1:
-                    new = {j: v // g for j, v in new.items()}
-                nxt.append(new)
-        work = nxt
-    return rank
-
-
-def rref_of_rows(rows: Sequence[Dict[int, Fraction]]) -> Tuple[List[Dict[int, Fraction]], List[int]]:
-    """Reduced row echelon form over the rationals; returns (rows, pivot cols)."""
-    work = [{j: v for j, v in r.items() if v != 0} for r in rows]
-    work = [r for r in work if r]
-    echelon: List[Dict[int, Fraction]] = []
-    pivots: List[int] = []
-    while work:
-        work.sort(key=lambda r: (min(r), len(r)))
-        row = work.pop(0)
-        pcol = min(row)
-        pval = row[pcol]
-        row = {j: v / pval for j, v in row.items()}
-        nxt = []
-        for r in work:
-            rv = r.get(pcol)
-            if rv is None:
-                nxt.append(r)
-                continue
-            new = {j: v for j, v in r.items() if j != pcol}
-            for j, pv in row.items():
-                if j == pcol:
-                    continue
-                w = new.get(j, Fraction(0)) - rv * pv
-                if w:
-                    new[j] = w
-                elif j in new:
-                    del new[j]
-            if new:
-                nxt.append(new)
-        work = nxt
-        # back-substitute into existing echelon rows
-        for er in echelon:
-            rv = er.get(pcol)
-            if rv is None:
-                continue
-            del er[pcol]
-            for j, pv in row.items():
-                if j == pcol:
-                    continue
-                w = er.get(j, Fraction(0)) - rv * pv
-                if w:
-                    er[j] = w
-                elif j in er:
-                    del er[j]
-        echelon.append(row)
-        pivots.append(pcol)
-    order = sorted(range(len(pivots)), key=lambda t: pivots[t])
-    return [echelon[t] for t in order], sorted(pivots)
+    """Rank of the rational row span; `stop_at` allows early exit once the
+    rank reaches a known maximum."""
+    eb = EchelonBasis()
+    for r in rows:
+        if eb.add(r) and eb.rank == stop_at:
+            break
+    return eb.rank
 
 
 def nullspace_of_rows(rows: Sequence[Dict[int, Fraction]], ncols: int) -> List[Dict[int, Fraction]]:
-    """Basis of {x : R x = 0} for the row list R, as sparse column vectors."""
-    echelon, pivots = rref_of_rows(rows)
-    pivot_set = set(pivots)
-    free = [j for j in range(ncols) if j not in pivot_set]
-    basis = []
-    for f in free:
-        vec = {f: Fraction(1)}
-        for row, p in zip(echelon, pivots):
-            c = row.get(f)
-            if c:
-                vec[p] = -c
-        basis.append(vec)
-    return basis
+    """Basis of {x : R x = 0} for the row list R, as sparse column vectors:
+    one vector per free column f, with x_f = 1 and 0 on the other free columns."""
+    eb = EchelonBasis(rows)
+    return [eb.kernel_vector({f: Fraction(1)}) for f in range(ncols) if f not in eb.rows]
 
 
 def solve_row_combination(rows: Sequence[Dict[int, Fraction]], target: Dict[int, Fraction]) -> Optional[List[Fraction]]:
     """Express `target` as a linear combination of `rows`; None if inconsistent.
 
-    The rows need not be independent; any one solution is returned.
+    The rows need not be independent; the solution with every free
+    coefficient 0 is returned.
     """
-    # Solve (coeffs) . rows = target by eliminating on an augmented system whose
-    # unknowns are the combination coefficients.
+    # Unknowns are the coefficients c_0..c_{n-1} plus column n for the
+    # right-hand side: coordinate j gives sum_i c_i rows[i][j] - target[j] x_n = 0.
     n = len(rows)
-    # Build columns: for each coordinate j, equation sum_i c_i rows[i][j] = target[j]
     eqs: Dict[int, Dict[int, Fraction]] = {}
     for i, r in enumerate(rows):
         for j, v in r.items():
             eqs.setdefault(j, {})[i] = v
-    rhs = dict(target)
-    aug: List[Dict[int, Fraction]] = []
-    keys = sorted(set(eqs) | set(rhs))
-    for j in keys:
-        row = dict(eqs.get(j, {}))
-        t = rhs.get(j, Fraction(0))
+    for j, t in target.items():
         if t:
-            row[n] = t  # augmented column
-        if row:
-            aug.append(row)
-    echelon, pivots = rref_of_rows(aug)
-    if n in pivots:
+            eqs.setdefault(j, {})[n] = t
+    eb = EchelonBasis(eqs.values())
+    if n in eb.rows:
         return None  # inconsistent
-    coeffs = [Fraction(0)] * n
-    for row, p in zip(echelon, pivots):
-        coeffs[p] = row.get(n, Fraction(0))
-    return coeffs
+    x = eb.kernel_vector({n: Fraction(-1)})
+    return [x.get(i, Fraction(0)) for i in range(n)]
 
 
 def _hessenberg(dense: List[List[Fraction]]) -> List[List[Fraction]]:
@@ -455,8 +413,6 @@ def rational_roots(coeffs: Sequence[Fraction]) -> Tuple[List[Tuple[Fraction, int
         return out
 
     while len(work) > 1:
-        from math import lcm
-
         den = 1
         for c in work:
             den = lcm(den, c.denominator)
@@ -487,26 +443,7 @@ def rational_roots(coeffs: Sequence[Fraction]) -> Tuple[List[Tuple[Fraction, int
     return roots, work
 
 
-def stack_rows(mats: Sequence[SparseMat]) -> SparseMat:
-    """Vertical concatenation."""
-    cols = mats[0].cols
-    data = {}
-    off = 0
-    for m in mats:
-        if m.cols != cols:
-            raise ValueError("column mismatch")
-        for (i, j), v in m.data.items():
-            data[(off + i, j)] = v
-        off += m.rows
-    return SparseMat(off, cols, data)
-
-
-def span_rank(vectors: Sequence[Dict[int, Fraction]], stop_at: Optional[int] = None) -> int:
-    return rank_of_rows(vectors, stop_at=stop_at)
-
-
 def vectors_contained_in_span(vectors: Sequence[Dict[int, Fraction]], span: Sequence[Dict[int, Fraction]]) -> bool:
     """True iff every vector lies in the rational span of `span`."""
-    base = rank_of_rows(span)
-    joint = list(span) + list(vectors)
-    return rank_of_rows(joint) == base
+    eb = EchelonBasis(span)
+    return all(eb.contains(v) for v in vectors)

@@ -460,18 +460,7 @@ class ConformalModule:
         self._big_table = table
         return table
 
-    def action_matrix_big(self, big_label: str, k: int) -> SparseMat:
-        """Action of an o(2n+2)/o(2n+3) basis element, by its matrix label."""
-        for lbl, conf_lbl, sign in self.big_action_table():
-            if lbl == big_label:
-                return self.action_matrix(conf_lbl, k).scale(sign)
-        raise KeyError(big_label)
-
 
 def build_slice(mu: WeightVec, b, k: int, slice_cap: int = DEFAULT_SLICE_CAP) -> GradedSlice:
     """Standalone slice constructor (builds a module behind the scenes)."""
     return ConformalModule(mu, b, slice_cap=slice_cap).slice(k)
-
-
-def phi_map(mu: WeightVec, b, k: int, slice_cap: int = DEFAULT_SLICE_CAP) -> SparseMat:
-    return ConformalModule(mu, b, slice_cap=slice_cap).phi_matrix(k)

@@ -149,13 +149,6 @@ class Poly:
             return -1
         return max(sum(e) for e in self.terms)
 
-    def is_homogeneous(self) -> bool:
-        degs = {sum(e) for e in self.terms}
-        return len(degs) <= 1
-
-    def constant_term(self) -> Fraction:
-        return self.terms.get((0,) * self.num_vars, Fraction(0))
-
     def _check(self, other: "Poly"):
         if self.num_vars != other.num_vars:
             raise ValueError("variable-count mismatch")

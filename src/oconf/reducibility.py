@@ -19,6 +19,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
 from .linalg import (
+    EchelonBasis,
     SparseMat,
     nullspace_of_rows,
     rank_of_rows,
@@ -135,6 +136,8 @@ def surjectivity_scan(
     mu: WeightVec, b, max_degree: int, slice_cap: int = DEFAULT_SLICE_CAP
 ) -> ScanResult:
     """Rank of the J-span at every level 1..max_degree, with verdict."""
+    if max_degree < 1:
+        raise ValueError(f"max degree must be at least 1, got {max_degree}")
     b = Fraction(b)
     mod = ConformalModule(mu, b, slice_cap=slice_cap)
     records = []
@@ -184,10 +187,8 @@ def detect_submodule(
         phi = mod.phi_matrix(k)
         cols = [c for c in phi.col_vectors() if c]
         # independent column selection for a clean graded basis
-        chosen: List[Dict[int, Fraction]] = []
-        for c in cols:
-            if rank_of_rows(chosen + [c]) > len(chosen):
-                chosen.append(c)
+        span = EchelonBasis()
+        chosen = [c for c in cols if span.add(c)]
         dims[k] = (len(chosen), mod.slice_dim(k))
         basis[k] = chosen
         if len(chosen) < mod.slice_dim(k):
@@ -239,16 +240,11 @@ def generation_closure_scan(
     b = Fraction(b)
     mod = ConformalModule(mu, b, slice_cap=slice_cap)
     top = max_degree + slack
-    spans: Dict[int, List[Dict[int, Fraction]]] = {k: [] for k in range(top + 1)}
+    spans = {k: EchelonBasis() for k in range(top + 1)}
     dims = {k: mod.slice_dim(k) for k in range(top + 1)}
 
     def add(k: int, vec: Dict[int, Fraction]) -> bool:
-        if not vec or len(spans[k]) == dims[k]:
-            return False
-        if rank_of_rows(spans[k] + [vec]) > len(spans[k]):
-            spans[k].append(vec)
-            return True
-        return False
+        return spans[k].rank < dims[k] and spans[k].add(vec)
 
     for i in range(dims[seed_degree]):
         add(seed_degree, {i: Fraction(1)})
@@ -260,15 +256,16 @@ def generation_closure_scan(
             shift = mod.degree_shift(lbl)
             for k in range(top + 1):
                 kt = k + shift
-                if kt < 0 or kt > top or not spans[k]:
+                if kt < 0 or kt > top or not spans[k].rank:
                     continue
-                if len(spans[kt]) == dims[kt]:
+                if spans[kt].rank == dims[kt]:
                     continue
+                # the span's echelon rows are a basis of it, as good as any
                 M = mod.action_matrix(lbl, k)
-                for v in list(spans[k]):
+                for v in list(spans[k].rows.values()):
                     if add(kt, M.apply(v)):
                         changed = True
-    return {k: (len(spans[k]), dims[k]) for k in range(max_degree + 1)}
+    return {k: (spans[k].rank, dims[k]) for k in range(max_degree + 1)}
 
 
 # ---------------------------------------------------------------------------

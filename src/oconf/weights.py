@@ -269,9 +269,6 @@ class Spectrum:
     def eigenvalues(self) -> List[Fraction]:
         return [e for e, _ in self.entries]
 
-    def as_charpoly_factors(self) -> List[Tuple[Fraction, int]]:
-        return list(self.entries)
-
 
 def split_casimir_eigenvalue(mu: WeightVec, term: PieriTerm) -> Fraction:
     """Closed-form eigenvalue of the split Casimir on one Pieri summand.

@@ -114,3 +114,22 @@ def test_suite_self_check_with_injected_sign_error(capsys, monkeypatch):
     assert not ok_shen and "closed-form" in detail
     ok_brackets, _ = suite_mod.check_bracket_tables()
     assert ok_brackets
+
+
+@pytest.mark.parametrize("degree", ["-1", "0"])
+def test_scan_rejects_nonpositive_max_degree(capsys, degree):
+    rc = main(["scan", "--mu", "1,0", "--b", "1/3", "--max-degree", degree])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert "irreducible-up-to" not in captured.out
+    assert "max degree" in captured.err
+
+
+def test_scan_rejects_mu_length_differing_from_n(capsys):
+    rc = main(["scan", "--n", "3", "--mu", "1,0", "--b", "1/3", "--max-degree", "1"])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "--n is 3" in err and "2 entries" in err
+    # without --n the rank follows the weight
+    rc, out = run(capsys, ["scan", "--mu", "1,0,0", "--b", "1/3", "--max-degree", "1"])
+    assert rc == 0 and "n=3" in out

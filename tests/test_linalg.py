@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from oconf.linalg import (
+    EchelonBasis,
     SparseMat,
     charpoly,
     nullspace_of_rows,
@@ -136,6 +137,75 @@ def test_solve_row_combination():
     c = solve_row_combination(rows, target)
     assert c == [Fraction(3), Fraction(1)]
     assert solve_row_combination([{0: Fraction(1)}], {1: Fraction(1)}) is None
+
+
+# -- sympy as an independent oracle for the echelon engine ---------------------
+
+
+@pytest.fixture
+def sympy():
+    return pytest.importorskip("sympy")
+
+
+def random_rank_deficient(rng, n, m):
+    """Sparse random n x m matrix, often of rank below min(n, m)."""
+    if rng.random() < 0.5:
+        return dense_random(rng, n, m, density=rng.choice([0.3, 0.6]))
+    r = rng.randint(1, min(n, m))
+    return dense_random(rng, n, r) * dense_random(rng, r, m)
+
+
+def to_sympy(sympy, M):
+    return sympy.Matrix(M.rows, M.cols, lambda i, j: sympy.Rational(M.get(i, j).numerator, M.get(i, j).denominator))
+
+
+def oracle_matrices(seed, count=40):
+    rng = random.Random(seed)
+    for _ in range(count):
+        yield random_rank_deficient(rng, rng.randint(1, 6), rng.randint(1, 6))
+
+
+def test_rank_matches_sympy(sympy):
+    for M in oracle_matrices(101):
+        assert rank_of_rows(M.row_vectors()) == to_sympy(sympy, M).rank()
+
+
+def test_nullspace_matches_sympy(sympy):
+    for M in oracle_matrices(102):
+        kern = nullspace_of_rows(M.row_vectors(), M.cols)
+        assert len(kern) == len(to_sympy(sympy, M).nullspace())
+        for vec in kern:
+            assert vec and M.apply(vec) == {}
+
+
+def test_solve_row_combination_matches_sympy(sympy):
+    rng = random.Random(103)
+    for M in oracle_matrices(104):
+        rows = M.row_vectors()
+        if rng.random() < 0.5:  # a target inside the row span
+            coeffs = [Fraction(rng.randint(-3, 3), rng.choice([1, 2])) for _ in rows]
+            target = SparseMat(1, M.rows, {(0, i): c for i, c in enumerate(coeffs) if c}) * M
+        else:
+            target = dense_random(rng, 1, M.cols, density=0.5)
+        tvec = target.row_vectors()[0]
+        sol = solve_row_combination(rows, tvec)
+        S = to_sympy(sympy, M)
+        grows = S.col_join(to_sympy(sympy, target)).rank() > S.rank()
+        assert (sol is None) == grows
+        if sol is not None:
+            combo = SparseMat(1, M.rows, {(0, i): c for i, c in enumerate(sol) if c}) * M
+            assert combo == target
+
+
+def test_echelon_add_matches_sympy_rank_growth(sympy):
+    for M in oracle_matrices(105):
+        eb = EchelonBasis()
+        for i, row in enumerate(M.row_vectors()):
+            prefix = to_sympy(sympy, M)[: i + 1, :]
+            before = prefix[:i, :].rank() if i else 0
+            assert eb.add(row) == (prefix.rank() > before)
+            assert eb.rank == prefix.rank()
+            assert eb.contains(row) and eb.reduce(row) == {}
 
 
 def test_matrix_algebra_roundtrips():
