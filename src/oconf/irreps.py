@@ -1,11 +1,20 @@
 """Finite-dimensional irreducible modules V(mu) as explicit matrices.
 
-Construction: words in the lowering operators are applied to a formal highest
-weight vector inside the Verma module; the contravariant form (transpose
-antiautomorphism) is evaluated weight space by weight space, the radical is
-quotiented away by picking words with independent form rows, and the generator
-matrices are extracted by solving against the surviving pairings.  This is
-uniform over integer and spin (half-integer) weights and fully exact.
+Construction: V(mu) is the quotient of the Verma module by the radical of its
+contravariant form (transpose antiautomorphism tau).  Each weight space of the
+Verma module is spanned by ordered words in the lowering operators; the words
+of a weight drop are the nonnegative integer partitions of that drop into
+lowering roots, enumerated with a per-call (root index, remainder)
+reachability memo so only branches that end in a partition are visited.  The
+form is the recursion on the first letter
+
+    form(a.w1, w2) = sign_a * sum_w act(tau(f_a), w2)[w] * form(w1, w),
+    form((), w2) = [w2 == ()],
+
+memoized on word pairs.  The radical is quotiented away by picking words with
+independent form rows, and the generator matrices are extracted by solving
+against the surviving pairings.  This is uniform over integer and spin
+(half-integer) weights and fully exact.
 """
 
 from __future__ import annotations
@@ -24,6 +33,9 @@ Word = Tuple[int, ...]  # indices into the negative-root list, ascending
 Coords = Tuple[Fraction, ...]
 
 DEFAULT_DIM_CAP = 512
+
+_ZERO = Fraction(0)  # shared by the (mostly zero) form memo entries
+_ONE = Fraction(1)
 
 
 @dataclass
@@ -89,6 +101,14 @@ class _VermaBuilder:
         # positive direction of each lowering root (as plain Fractions)
         self.droot: List[Coords] = [tuple(-c for c in ob.elements[b].root) for b in self.neg]
         self.kind = [e.kind for e in ob.elements]
+        # lowering roots are integral; phi is a linear functional positive on
+        # every one of them, so phi(rem) bounds each multiplicity in a partition
+        if any(c.denominator != 1 for d in self.droot for c in d):
+            raise AssertionError("lowering root with a non-integral coordinate")
+        self._iroot: List[Tuple[int, ...]] = [tuple(int(c) for c in d) for d in self.droot]
+        n = ob.m // 2
+        self._phi_w = tuple(n - i + 1 for i in range(n))
+        self._root_phi = [self._phi(d) for d in self._iroot]
         self._straighten_memo: Dict[Word, Dict[Word, Fraction]] = {}
         self._tau: List[Tuple[int, Fraction]] = []
         for b in self.neg:
@@ -125,6 +145,47 @@ class _VermaBuilder:
             acc(self.straighten(word[:t] + (self.neg_pos[k],) + word[t + 2 :]), c)
         memo[word] = out
         return out
+
+    # -- weight-space words ------------------------------------------------
+
+    def _phi(self, v: Sequence[int]) -> int:
+        return sum(a * b for a, b in zip(v, self._phi_w))
+
+    def _reachable(self, p: int, rem: Tuple[int, ...], memo: Dict[Tuple[int, Tuple[int, ...]], bool]) -> bool:
+        """Is rem a nonnegative integer combination of the roots from p on?"""
+        if p == len(self._iroot):
+            return not any(rem)
+        key = (p, rem)
+        hit = memo.get(key)
+        if hit is None:
+            d = self._iroot[p]
+            hit = any(
+                self._reachable(p + 1, tuple(r - c * x for r, x in zip(rem, d)), memo)
+                for c in range(self._phi(rem) // self._root_phi[p] + 1)
+            )
+            memo[key] = hit
+        return hit
+
+    def _partitions(self, p: int, rem: Tuple[int, ...], counts: Tuple[int, ...], memo, out: List[Tuple[int, ...]]):
+        if p == len(self._iroot):
+            out.append(counts)
+            return
+        d = self._iroot[p]
+        for c in range(self._phi(rem) // self._root_phi[p] + 1):
+            nrem = tuple(r - c * x for r, x in zip(rem, d))
+            if self._reachable(p + 1, nrem, memo):
+                self._partitions(p + 1, nrem, counts + (c,), memo, out)
+
+    def words_for(self, delta: Coords) -> List[Word]:
+        """Canonical lowering words of the integral weight drop delta, ordered
+        by length, then by descending root multiplicities."""
+        rem = tuple(int(c) for c in delta)
+        memo: Dict[Tuple[int, Tuple[int, ...]], bool] = {}
+        found: List[Tuple[int, ...]] = []
+        if self._reachable(0, rem, memo):
+            self._partitions(0, rem, (), memo, found)
+        found.sort(key=lambda counts: (sum(counts), tuple(-c for c in counts)))
+        return [tuple(p for p, c in enumerate(counts) for _ in range(c)) for counts in found]
 
 
 _BUILDERS: Dict[Tuple[str, int], _VermaBuilder] = {}
@@ -185,67 +246,26 @@ class _IrrepBuild:
         self._act_memo[key] = out
         return out
 
-    def act_vec(self, idx: int, vec: Dict[Word, Fraction]) -> Dict[Word, Fraction]:
-        out: Dict[Word, Fraction] = {}
-        for w, c in vec.items():
-            for w2, c2 in self.act(idx, w).items():
-                nv = out.get(w2, Fraction(0)) + c * c2
-                if nv:
-                    out[w2] = nv
-                elif w2 in out:
-                    del out[w2]
-        return out
-
     def form_words(self, w1: Word, w2: Word) -> Fraction:
         """Contravariant pairing of the word vectors f_{w1} v+ and f_{w2} v+."""
+        if not w1:
+            return _ONE if not w2 else _ZERO
         key = (w1, w2)
         hit = self._form_memo.get(key)
         if hit is not None:
             return hit
-        cur: Dict[Word, Fraction] = {w2: Fraction(1)}
-        for p in w1:
-            idx, sign = self.vb._tau[p]
-            cur = self.act_vec(idx, cur)
-            if sign != 1:
-                cur = {w: sign * c for w, c in cur.items()}
-            if not cur:
-                break
-        val = cur.get((), Fraction(0))
+        idx, sign = self.vb._tau[w1[0]]
+        rest = w1[1:]
+        val = _ZERO
+        for w, c in self.act(idx, w2).items():
+            f = self.form_words(rest, w)
+            if f:
+                val += c * f
+        val = sign * val if val else _ZERO
         self._form_memo[key] = val
         return val
 
-    def form(self, w1: Word, vec: Dict[Word, Fraction]) -> Fraction:
-        return sum((c * self.form_words(w1, w) for w, c in vec.items()), Fraction(0))
-
     # -- weight spaces ---------------------------------------------------------
-
-    def words_for(self, delta: Coords) -> List[Word]:
-        """Canonical lowering words of weight drop delta, graded-lex ordered."""
-        droots = self.vb.droot
-        weightfn = tuple(Fraction(self.mu.n - i) + 1 for i in range(self.mu.n))
-
-        def phi(v: Coords) -> Fraction:
-            return sum((a * b for a, b in zip(v, weightfn)), Fraction(0))
-
-        out: List[Tuple[Tuple[int, ...], Word]] = []
-
-        def rec(p: int, rem: Coords, counts: Tuple[int, ...], word: Word):
-            if p == len(droots):
-                if all(x == 0 for x in rem):
-                    out.append((counts, word))
-                return
-            fr = phi(rem)
-            if fr < 0:
-                return
-            step = phi(droots[p])
-            cmax = int(fr / step)
-            for c in range(cmax + 1):
-                nrem = tuple(r - c * d for r, d in zip(rem, droots[p]))
-                rec(p + 1, nrem, counts + (c,), word + (p,) * c)
-
-        rec(0, delta, (), ())
-        out.sort(key=lambda t: (sum(t[0]), tuple(-x for x in t[0])))
-        return [w for _, w in out]
 
     def space(self, nu: Coords) -> dict:
         """Weight space data: words, chosen basis words, pairing rows."""
@@ -257,7 +277,7 @@ class _IrrepBuild:
             sp = {"words": [], "basis": [], "rows": []}
             self._space[nu] = sp
             return sp
-        words = self.words_for(delta)
+        words = self.vb.words_for(delta)
         basis: List[int] = []
         kept_rows: List[Dict[int, Fraction]] = []
         span = EchelonBasis()

@@ -247,7 +247,7 @@ class GradedSlice:
 class ConformalModule:
     """A (x) V(mu) for one series, rank and central charge, built lazily."""
 
-    def __init__(self, mu: WeightVec, b, slice_cap: int = DEFAULT_SLICE_CAP, irrep_cap: int = 512):
+    def __init__(self, mu: WeightVec, b, slice_cap: int = DEFAULT_SLICE_CAP):
         self.mu = mu
         self.series = mu.series
         self.n = mu.n
@@ -256,7 +256,7 @@ class ConformalModule:
         self.conf = build_conformal(self.n, self.series)
         self.num_vars = self.conf.num_vars
         self.small = build_ortho(2 * self.n if self.series == "D" else 2 * self.n + 1)
-        self.irrep: IrrepData = build_irrep(mu, irrep_cap)
+        self.irrep: IrrepData = build_irrep(mu)
         self.dim_v = self.irrep.dim
         self._embeds: Dict[str, ExtendedOp] = {}
         self._splits: Dict[str, List[Tuple[Exps, Fraction, Dict[int, Fraction]]]] = {}
@@ -290,7 +290,7 @@ class ConformalModule:
         self.monomials_of(k)
         return self._mono_index[k]
 
-    def _check_cap(self, k: int):
+    def check_cap(self, k: int):
         d = self.slice_dim(k)
         if d > self.slice_cap:
             raise ValueError(f"slice dimension {d} at degree {k} exceeds cap {self.slice_cap}")
@@ -329,9 +329,9 @@ class ConformalModule:
             return hit
         shift = self.degree_shift(label)
         kt = k + shift
-        self._check_cap(k)
+        self.check_cap(k)
         if kt >= 0:
-            self._check_cap(kt)
+            self.check_cap(kt)
         monos = self.monomials_of(k)
         tdim = self.slice_dim(kt) if kt >= 0 else 0
         data: Dict[Tuple[int, int], Fraction] = {}
@@ -401,7 +401,7 @@ class ConformalModule:
         hit = self._phi.get(k)
         if hit is not None:
             return hit
-        self._check_cap(k)
+        self.check_cap(k)
         if k == 0:
             out = SparseMat.identity(self.dim_v)
         else:
@@ -425,7 +425,7 @@ class ConformalModule:
         return out
 
     def slice(self, k: int) -> GradedSlice:
-        self._check_cap(k)
+        self.check_cap(k)
         down: Dict[str, SparseMat] = {}
         flat: Dict[str, SparseMat] = {}
         up: Dict[str, SparseMat] = {}

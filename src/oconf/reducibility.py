@@ -140,6 +140,7 @@ def surjectivity_scan(
         raise ValueError(f"max degree must be at least 1, got {max_degree}")
     b = Fraction(b)
     mod = ConformalModule(mu, b, slice_cap=slice_cap)
+    mod.check_cap(max_degree)  # slices grow with the degree: fail before any work
     records = []
     deficient = False
     for k in range(1, max_degree + 1):

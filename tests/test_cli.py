@@ -133,3 +133,18 @@ def test_scan_rejects_mu_length_differing_from_n(capsys):
     # without --n the rank follows the weight
     rc, out = run(capsys, ["scan", "--mu", "1,0,0", "--b", "1/3", "--max-degree", "1"])
     assert rc == 0 and "n=3" in out
+
+
+def test_scan_checks_slice_cap_before_any_degree(capsys, monkeypatch):
+    # the degree-17 slice is over the cap; no lower degree may be computed
+    import oconf.reducibility
+
+    def no_work(mod, level):
+        raise AssertionError(f"degree {level + 1} computed before the cap check")
+
+    monkeypatch.setattr(oconf.reducibility, "_j_span_rank", no_work)
+    rc = main(["scan", "--mu", "1,0", "--b", "1/3", "--max-degree", "17"])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert "slice dimension 4560 at degree 17 exceeds cap 4096" in captured.err

@@ -6,7 +6,14 @@ from fractions import Fraction
 
 import pytest
 
-from oconf.irreps import build_irrep, load_irrep_json, omega_matrix, tensor_with_natural, validate_irrep
+from oconf.irreps import (
+    _builder_for,
+    build_irrep,
+    load_irrep_json,
+    omega_matrix,
+    tensor_with_natural,
+    validate_irrep,
+)
 from oconf.linalg import SparseMat
 from oconf.weights import casimir_eigenvalue, parse_weight, weyl_dim, zero_weight
 
@@ -139,3 +146,47 @@ def test_dimension_cap():
 def test_non_dominant_rejected():
     with pytest.raises(ValueError):
         build_irrep(parse_weight("0,1", "D"))
+
+
+def _brute_force_partitions(roots, max_total):
+    """Weight drop -> multiplicity vectors, from every multiset of at most
+    max_total roots."""
+    table = {}
+    for total in range(max_total + 1):
+        for pick in itertools.combinations_with_replacement(range(len(roots)), total):
+            counts = tuple(pick.count(p) for p in range(len(roots)))
+            drop = tuple(sum(c * r[i] for c, r in zip(counts, roots)) for i in range(len(roots[0])))
+            table.setdefault(drop, []).append(counts)
+    return table
+
+
+@pytest.mark.parametrize(
+    "series,mus",
+    [("D", "1,0"), ("D", "2,1"), ("D", "1,1,0"), ("B", "3/2,1/2"), ("B", "1,0,0"), ("B", "1/2,1/2,1/2")],
+)
+def test_words_for_matches_brute_force(series, mus):
+    mu = parse_weight(mus, series)
+    vb = _builder_for(series, mu.n)
+    bound = max(abs(c) for c in mu.coords)
+    steps = range(-int(2 * bound), int(2 * bound) + 1)
+    axes = [[c + k for k in steps if abs(c + k) <= bound] for c in mu.coords]
+    deltas = [tuple(m - x for m, x in zip(mu.coords, nu)) for nu in itertools.product(*axes)]
+    # every positive root pairs to at least 1 with (n, ..., 1): that bounds
+    # the number of roots in a partition of delta
+    height = [mu.n - i for i in range(mu.n)]
+    max_total = int(max(sum(h * d for h, d in zip(height, delta)) for delta in deltas))
+    table = _brute_force_partitions([tuple(int(c) for c in r) for r in vb.droot], max_total)
+    deltas.append(tuple(-c for c in vb.droot[0]))  # a raise is never a drop
+    unreachable = 0
+    for delta in deltas:
+        expected = sorted(table.get(delta, []), key=lambda c: (sum(c), tuple(-x for x in c)))
+        words = [tuple(p for p, c in enumerate(counts) for _ in range(c)) for counts in expected]
+        assert vb.words_for(delta) == words, delta
+        unreachable += not words
+    assert 0 < unreachable < len(deltas)
+
+
+def test_rank_four_natural_module():
+    V = build_irrep(parse_weight("1,0,0,0", "D"))
+    assert V.dim == 8
+    assert validate_irrep(V)["ok"]
