@@ -207,6 +207,7 @@ class _IrrepBuild:
         self._act_memo: Dict[Tuple[int, Word], Dict[Word, Fraction]] = {}
         self._form_memo: Dict[Tuple[Word, Word], Fraction] = {}
         self._space: Dict[Coords, dict] = {}
+        self._words: Dict[Coords, List[Word]] = {}
 
     # -- Verma module actions ------------------------------------------------
 
@@ -272,12 +273,7 @@ class _IrrepBuild:
         hit = self._space.get(nu)
         if hit is not None:
             return hit
-        delta = tuple(m - x for m, x in zip(self.mu.coords, nu))
-        if any(d.denominator != 1 for d in delta):
-            sp = {"words": [], "basis": [], "rows": []}
-            self._space[nu] = sp
-            return sp
-        words = self.vb.words_for(delta)
+        words = self.words_at(nu)
         basis: List[int] = []
         kept_rows: List[Dict[int, Fraction]] = []
         span = EchelonBasis()
@@ -294,22 +290,32 @@ class _IrrepBuild:
         self._space[nu] = sp
         return sp
 
-    def express(self, nu: Coords, vec: Dict[Word, Fraction]) -> List[Fraction]:
-        """Coordinates of vec's image in the chosen basis of V(mu)_nu."""
-        sp = self.space(nu)
+    def words_at(self, nu: Coords) -> List[Word]:
+        """The Verma words of weight nu ([] if nu is not an integral drop)."""
+        hit = self._words.get(nu)
+        if hit is None:
+            delta = tuple(m - x for m, x in zip(self.mu.coords, nu))
+            hit = [] if any(d.denominator != 1 for d in delta) else self.vb.words_for(delta)
+            self._words[nu] = hit
+        return hit
+
+    def pairings(self, words: List[Word], vec: Dict[Word, Fraction]) -> Dict[int, Fraction]:
+        """Nonzero form values of vec against each word, by word position;
+        {} iff vec lies in the radical, i.e. is zero in V(mu)."""
         target = {}
-        for wj, w2 in enumerate(sp["words"]):
+        for wj, w2 in enumerate(words):
             v = Fraction(0)
             for w, c in vec.items():
                 if c:
                     v += c * self.form_words(w2, w)
             if v:
                 target[wj] = v
-        if not sp["basis"]:
-            if target:
-                raise AssertionError("nonzero quotient image in a zero weight space")
-            return []
-        coeffs = solve_row_combination(sp["rows"], target)
+        return target
+
+    def express(self, nu: Coords, vec: Dict[Word, Fraction]) -> List[Fraction]:
+        """Coordinates of vec's image in the chosen basis of V(mu)_nu."""
+        sp = self.space(nu)
+        coeffs = solve_row_combination(sp["rows"], self.pairings(sp["words"], vec))
         if coeffs is None:
             raise AssertionError("inconsistent pairing solve")
         return coeffs
@@ -382,11 +388,13 @@ def build_irrep(mu: WeightVec, cap: int = DEFAULT_DIM_CAP) -> IrrepData:
                 vec = bld.act(idx, sp["words"][wi])
                 if not vec:
                     continue
-                coords = bld.express(target_nu, vec)
                 if toff is None:
-                    if any(c != 0 for c in coords):
-                        raise AssertionError("image escapes the stored weight spaces")
+                    # V(mu) is zero at target_nu: pair the image against that
+                    # weight's words only, never building its Gram matrix
+                    if bld.pairings(bld.words_at(target_nu), vec):
+                        raise AssertionError("nonzero quotient image in a zero weight space")
                     continue
+                coords = bld.express(target_nu, vec)
                 for row, c in enumerate(coords):
                     if c:
                         data[(toff + row, off + col)] = c

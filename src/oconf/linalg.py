@@ -7,6 +7,12 @@ integer rows keyed by their leading column: ranks, span membership, kernels
 (by back-substitution) and linear solves all come from it.  Characteristic
 polynomials come from an exact Hessenberg reduction.  No thresholds, no
 floating point.
+
+One shortcut is a certificate, not an approximation: when `rank_of_rows` is
+told the largest rank possible (`stop_at`), it first eliminates modulo the
+prime MODULUS.  Rank mod p never exceeds rank over Q, so reaching `stop_at`
+there proves the rank over Q; any other outcome (a deficient span, an
+unlucky prime, a denominator divisible by p) goes to `EchelonBasis`.
 """
 
 from __future__ import annotations
@@ -16,6 +22,8 @@ from math import gcd, lcm
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 Entry = Tuple[int, int]
+
+MODULUS = 2**61 - 1  # prime of rank_of_rows' full-rank certificate
 
 
 class SparseMat:
@@ -239,9 +247,54 @@ class EchelonBasis:
         return x
 
 
+def _full_rank_mod_p(rows: Sequence[Dict[int, Fraction]], stop_at: int) -> bool:
+    """True if the rows reach rank stop_at modulo MODULUS (hence over Q).
+
+    False is no verdict: the rank may be lower, the prime unlucky, or some
+    denominator divisible by the prime.  The verdict does not depend on the
+    row order, so the shortest rows go first, which keeps the fill-in low.
+    """
+    p = MODULUS
+    pivots: Dict[int, Dict[int, int]] = {}  # leading column -> row with lead 1
+    for vec in sorted(rows, key=len):
+        row = {}
+        for j, v in vec.items():
+            if v.denominator % p == 0:
+                return False
+            w = v.numerator * pow(v.denominator, -1, p) % p
+            if w:
+                row[j] = w
+        while row:
+            lead = min(row)
+            prow = pivots.get(lead)
+            if prow is None:
+                inv = pow(row[lead], -1, p)
+                pivots[lead] = {j: w * inv % p for j, w in row.items()}
+                if len(pivots) == stop_at:
+                    return True
+                break
+            c = row[lead]
+            for j, pw in prow.items():
+                w = (row.get(j, 0) - c * pw) % p
+                if w:
+                    row[j] = w
+                else:
+                    del row[j]
+    return False
+
+
 def rank_of_rows(rows: Iterable[Dict[int, Fraction]], stop_at: Optional[int] = None) -> int:
     """Rank of the rational row span; `stop_at` allows early exit once the
-    rank reaches a known maximum."""
+    rank reaches a known maximum, and then min(rank, stop_at) is returned.
+
+    With `stop_at`, rank stop_at modulo MODULUS is certificate enough, since
+    rank mod p <= rank over Q; only otherwise do the rows go through exact
+    elimination.
+    """
+    if stop_at is not None:
+        rows = list(rows)
+        if _full_rank_mod_p(rows, stop_at):
+            return stop_at
     eb = EchelonBasis()
     for r in rows:
         if eb.add(r) and eb.rank == stop_at:

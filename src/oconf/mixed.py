@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Dict, List, Optional, Tuple
 
 from .linalg import SparseMat
@@ -321,58 +322,65 @@ class ConformalModule:
 
     # -- action matrices ---------------------------------------------------------
 
+    def _pieces(self, label: str) -> List[Tuple[Exps, int, List[Tuple[int, int]], SparseMat]]:
+        """The generator as (exponent shift, denominator, numerators, block).
+
+        The vector field sum_i f_i d_i sends x^e to sum_i e_i f_i x^(e - u_i):
+        a term c x^m of f_i moves x^e by the shift m - u_i with the scalar
+        c e_i.  A gl term x^g M moves x^e by g and acts on V(mu) by the block
+        M = (central * b) I + (orthogonal part acting through V(mu)).  Per
+        shift, x^e (x) v goes to x^(e + shift) (x) (block + s I) v with
+        s = sum(numerator * e_i) / denominator.
+        """
+        field: Dict[Exps, List[Tuple[int, Fraction]]] = {}
+        for beta, p in self.embed_of(label).field.terms.items():
+            i = beta.index(1)
+            for m, c in p.terms.items():
+                field.setdefault(tuple(a - b for a, b in zip(m, beta)), []).append((i, c))
+        blocks: Dict[Exps, SparseMat] = {}
+        for ge, central, coeffs in self._split_of(label):
+            block = SparseMat.identity(self.dim_v).scale(central * self.b)
+            for sidx, sc in coeffs.items():
+                block = block + self.irrep.rep[self._small_labels[sidx]].scale(sc)
+            blocks[ge] = block
+        pieces = []
+        for sh in sorted(set(field) | set(blocks)):
+            terms = field.get(sh, [])
+            den = lcm(*(c.denominator for _, c in terms))
+            nums = [(i, int(c * den)) for i, c in terms]
+            pieces.append((sh, den, nums, blocks.get(sh, SparseMat(self.dim_v, self.dim_v))))
+        return pieces
+
     def action_matrix(self, label: str, k: int) -> SparseMat:
         """Matrix of the generator from slice k to slice k + shift."""
         key = (label, k)
         hit = self._act.get(key)
         if hit is not None:
             return hit
-        shift = self.degree_shift(label)
-        kt = k + shift
+        kt = k + self.degree_shift(label)
         self.check_cap(k)
         if kt >= 0:
             self.check_cap(kt)
         monos = self.monomials_of(k)
         tdim = self.slice_dim(kt) if kt >= 0 else 0
+        tindex = self._mono_index.get(kt)
+        dv = self.dim_v
+        eye = SparseMat.identity(dv)
         data: Dict[Tuple[int, int], Fraction] = {}
-        fld = self.embed_of(label).field
-        split = self._split_of(label)
-        rep_cols = {
-            lbl: self.irrep.rep[lbl].col_vectors() for lbl in self._small_labels
-        } if self.dim_v > 1 else None
-        for mi, e in enumerate(monos):
-            base_col = mi * self.dim_v
-            # vector-field part acts on the polynomial factor only
-            img = fld.apply(Poly.monomial(self.num_vars, e))
-            for de, c in img.terms.items():
-                ti = self._mono_index[kt][de]
-                for r in range(self.dim_v):
-                    data[(ti * self.dim_v + r, base_col + r)] = (
-                        data.get((ti * self.dim_v + r, base_col + r), Fraction(0)) + c
-                    )
-            # gl part: orthogonal piece hits V(mu), central piece scales by b
-            for ge, central, coeffs in split:
-                te = tuple(a + bb for a, bb in zip(e, ge))
-                ti = self._mono_index[kt][te]
-                if central:
-                    cb = central * self.b
-                    for r in range(self.dim_v):
-                        key2 = (ti * self.dim_v + r, base_col + r)
-                        data[key2] = data.get(key2, Fraction(0)) + cb
-                for sidx, sc in coeffs.items():
-                    lbl = self._small_labels[sidx]
-                    if self.dim_v == 1:
-                        continue  # V(0): orthogonal part acts as zero
-                    cols = rep_cols[lbl]
-                    for r in range(self.dim_v):
-                        for rr, v in cols[r].items():
-                            key2 = (ti * self.dim_v + rr, base_col + r)
-                            nv2 = data.get(key2, Fraction(0)) + sc * v
-                            if nv2:
-                                data[key2] = nv2
-                            elif key2 in data:
-                                del data[key2]
-        out = SparseMat(tdim, len(monos) * self.dim_v, data)
+        for sh, den, nums, block in self._pieces(label):
+            entries_of: Dict[int, list] = {}  # numerator -> entries of block + s I
+            for mi, e in enumerate(monos):
+                num = sum(c * e[i] for i, c in nums)
+                entries = entries_of.get(num)
+                if entries is None:
+                    entries = list((block + eye.scale(Fraction(num, den))).data.items())
+                    entries_of[num] = entries
+                if entries:  # else x^(e + sh) may not even be a monomial
+                    row = tindex[tuple(a + s for a, s in zip(e, sh))] * dv
+                    col = mi * dv
+                    for (r, q), v in entries:
+                        data[(row + r, col + q)] = v
+        out = SparseMat(tdim, len(monos) * dv, data)
         self._act[key] = out
         return out
 

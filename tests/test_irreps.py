@@ -8,6 +8,8 @@ import pytest
 
 from oconf.irreps import (
     _builder_for,
+    _candidate_weights,
+    _IrrepBuild,
     build_irrep,
     load_irrep_json,
     omega_matrix,
@@ -190,3 +192,20 @@ def test_rank_four_natural_module():
     V = build_irrep(parse_weight("1,0,0,0", "D"))
     assert V.dim == 8
     assert validate_irrep(V)["ok"]
+
+
+def test_build_stores_weight_spaces_only_at_candidate_weights(monkeypatch):
+    # images landing where V(mu) is zero are paired against that weight's
+    # words; the weight space (and its Gram matrix) is never built there
+    mu = parse_weight("1,1,1", "D")
+    seen = []
+    space = _IrrepBuild.space
+
+    def spy(self, nu):
+        seen.append(nu)
+        return space(self, nu)
+
+    monkeypatch.setattr(_IrrepBuild, "space", spy)
+    V = build_irrep.__wrapped__(mu)  # cold: bypass the lru_cache
+    assert V.dim == weyl_dim(mu)
+    assert seen and set(seen) <= set(_candidate_weights(mu))

@@ -6,8 +6,10 @@ from fractions import Fraction
 import pytest
 
 from oconf.linalg import (
+    MODULUS,
     EchelonBasis,
     SparseMat,
+    _full_rank_mod_p,
     charpoly,
     nullspace_of_rows,
     poly_eval,
@@ -206,6 +208,70 @@ def test_echelon_add_matches_sympy_rank_growth(sympy):
             assert eb.add(row) == (prefix.rank() > before)
             assert eb.rank == prefix.rank()
             assert eb.contains(row) and eb.reduce(row) == {}
+
+
+# -- the mod-p full-rank certificate of rank_of_rows ---------------------------
+
+
+def test_rank_certificate_falls_back_when_the_prime_divides_an_entry():
+    rows = [{0: Fraction(MODULUS)}, {1: Fraction(1)}]  # rank 2 over Q, 1 mod p
+    assert not _full_rank_mod_p(rows, 2)
+    assert rank_of_rows(rows, stop_at=2) == 2
+
+
+def test_rank_certificate_falls_back_on_a_denominator_divisible_by_the_prime():
+    rows = [{0: Fraction(1, MODULUS), 1: Fraction(1)}, {1: Fraction(1)}]
+    assert not _full_rank_mod_p(rows, 2)
+    assert rank_of_rows(rows, stop_at=2) == 2
+
+
+def test_rank_certificate_returns_the_exact_rank_when_deficient():
+    rows = [{0: Fraction(1), 1: Fraction(2)}, {0: Fraction(-1, 3), 1: Fraction(-2, 3)}, {2: Fraction(5, 7)}]
+    assert not _full_rank_mod_p(rows, 3)
+    assert rank_of_rows(rows, stop_at=3) == 2
+    assert rank_of_rows(iter(rows), stop_at=3) == 2  # one-shot iterables are fine
+    assert rank_of_rows(rows, stop_at=1) == 1
+
+
+def test_rank_with_stop_at_matches_sympy(sympy):
+    for M in oracle_matrices(106):
+        rank = to_sympy(sympy, M).rank()
+        for s in range(1, min(M.rows, M.cols) + 2):
+            assert rank_of_rows(M.row_vectors(), stop_at=s) == min(rank, s)
+
+
+def square_oracle_matrices(seed, count=30):
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(1, 6)
+        yield random_rank_deficient(rng, n, n)
+
+
+def test_charpoly_matches_sympy(sympy):
+    t = sympy.Symbol("t")
+    for M in square_oracle_matrices(107):
+        expected = to_sympy(sympy, M).charpoly(t).all_coeffs()[::-1]
+        assert charpoly(M) == [Fraction(int(c.p), int(c.q)) for c in expected]
+
+
+def test_rational_roots_match_sympy(sympy):
+    t = sympy.Symbol("t")
+    rng = random.Random(108)
+    polys = [charpoly(M) for M in square_oracle_matrices(109)]
+    for _ in range(30):  # rational roots with multiplicity times a random cofactor
+        coeffs = [Fraction(rng.randint(-4, 4), rng.choice([1, 2, 3])) for _ in range(rng.randint(1, 4))] + [Fraction(1)]
+        for _ in range(rng.randint(0, 4)):
+            coeffs = poly_mul(coeffs, [Fraction(rng.randint(-5, 5), rng.choice([1, 2, 3])), Fraction(1)])
+        polys.append(coeffs)
+    for coeffs in polys:
+        roots, rem = rational_roots(coeffs)
+        sp = sympy.Poly([sympy.Rational(c.numerator, c.denominator) for c in reversed(coeffs)], t, domain="QQ")
+        assert {Fraction(int(r.p), int(r.q)): m for r, m in sp.ground_roots().items()} == dict(roots)
+        rebuilt = rem
+        for r, m in roots:
+            for _ in range(m):
+                rebuilt = poly_mul(rebuilt, [-r, Fraction(1)])
+        assert rebuilt == list(coeffs)
 
 
 def test_matrix_algebra_roundtrips():

@@ -14,7 +14,7 @@ from oconf.mixed import (
     verify_shen_monomorphism,
 )
 from oconf.ortho import build_conformal
-from oconf.poly import DiffOp, bracket
+from oconf.poly import DiffOp, Poly, bracket
 from oconf.weights import parse_weight, zero_weight
 
 F = Fraction
@@ -218,3 +218,42 @@ def test_slice_cap_enforced():
     mod = ConformalModule(parse_weight("1,0", "D"), F(1), slice_cap=10)
     with pytest.raises(ValueError):
         mod.slice(2)
+
+
+def reference_action_matrix(mod, label, k):
+    """The per-monomial construction: apply the vector field to each monomial
+    as a Poly, then add every entry of every V(mu) matrix times every
+    orthogonal coefficient of the gl part."""
+    dv = mod.dim_v
+    kt = k + mod.degree_shift(label)
+    monos = mod.monomials_of(k)
+    tindex = mod.mono_index(kt) if kt >= 0 else {}
+    data = {}
+
+    def add(key, v):
+        data[key] = data.get(key, F(0)) + v
+
+    small_labels = mod.small.labels()
+    for mi, e in enumerate(monos):
+        col = mi * dv
+        for de, c in mod.embed_of(label).field.apply(Poly.monomial(mod.num_vars, e)).terms.items():
+            for r in range(dv):
+                add((tindex[de] * dv + r, col + r), c)
+        for ge, central, coeffs in mod.embed_of(label).central_orthogonal_split(mod.small):
+            row = tindex[tuple(a + g for a, g in zip(e, ge))] * dv
+            for r in range(dv):
+                add((row + r, col + r), central * mod.b)
+            for sidx, sc in coeffs.items():
+                for (rr, r), v in mod.irrep.rep[small_labels[sidx]].data.items():
+                    add((row + rr, col + r), sc * v)
+    return SparseMat(mod.slice_dim(kt) if kt >= 0 else 0, len(monos) * dv, data)
+
+
+@pytest.mark.parametrize("series,mus", [("D", "1,0"), ("B", "1/2,1/2"), ("D", "0,0"), ("D", "1,0,0")])
+def test_action_matrix_matches_per_monomial_reference(series, mus):
+    mod = ConformalModule(parse_weight(mus, series), F(-11, 7))
+    for k in range(4):
+        for label in mod.conf.labels():
+            M = mod.action_matrix(label, k)
+            assert M == reference_action_matrix(mod, label, k), (label, k)
+            assert all(type(v) is F for v in M.data.values())
