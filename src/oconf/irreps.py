@@ -1,41 +1,43 @@
 """Finite-dimensional irreducible modules V(mu) as explicit matrices.
 
-Construction: V(mu) is the quotient of the Verma module by the radical of its
-contravariant form (transpose antiautomorphism tau).  Each weight space of the
-Verma module is spanned by ordered words in the lowering operators; the words
-of a weight drop are the nonnegative integer partitions of that drop into
-lowering roots, enumerated with a per-call (root index, remainder)
-reachability memo so only branches that end in a partition are visited.  The
-form is the recursion on the first letter
+Construction, by recursion on mu: V(0) is the trivial module; otherwise V(mu)
+is the cyclic submodule of V(lambda) (x) W generated by its highest-weight
+vector, for a dominant lambda smaller than mu:
 
-    form(a.w1, w2) = sign_a * sum_w act(tau(f_a), w2)[w] * form(w1, w),
-    form((), w2) = [w2 == ()],
+- integral mu: W is the natural module and lambda = mu - sign(m_j) e_j, with
+  j the first coordinate for which lambda is dominant (the last nonzero one
+  always qualifies; the first keeps V(lambda) small, where the last would
+  take D(a,a) down through D(a,0), of dim (a+1)^2);
+- half-integral mu: W is the Clifford spin module and
+  lambda = mu - (1/2, ..., 1/2, +-1/2), with the sign of m_n.
 
-memoized on word pairs.  The radical is quotiented away by picking words with
-independent form rows, and the generator matrices are extracted by solving
-against the surviving pairings.  This is uniform over integer and spin
-(half-integer) weights and fully exact.
+V(mu) occurs once in V(lambda) (x) W, so the raising operators have a
+one-dimensional common kernel on the tensor's weight-mu space.  Its vector
+generates V(mu) under the lowering operators, applied breadth-first with one
+incremental echelon basis per weight keeping the independent images.  Each
+generator's matrix comes from solving its images against the vectors of the
+target weight.  The cost follows dim V(lambda) (x) W, not the size of a
+Verma module.  Everything is exact, and the kernel dimension, the Weyl
+dimension and every solve are checked.  This is uniform over integer and
+spin (half-integer) weights.
 """
 
 from __future__ import annotations
 
 import json
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Dict, List, Sequence, Tuple
 
-from .linalg import EchelonBasis, SparseMat, rank_of_rows, solve_row_combination
+from .linalg import EchelonBasis, SparseMat, nullspace_of_rows, rank_of_rows, solve_row_combination
 from .ortho import OrthoBasis, build_ortho, casimir_pairs
 from .weights import WeightVec, casimir_eigenvalue, is_dominant, weyl_dim
 
-Word = Tuple[int, ...]  # indices into the negative-root list, ascending
 Coords = Tuple[Fraction, ...]
 
 DEFAULT_DIM_CAP = 512
-
-_ZERO = Fraction(0)  # shared by the (mostly zero) form memo entries
-_ONE = Fraction(1)
 
 
 @dataclass
@@ -91,317 +93,158 @@ def load_irrep_json(doc: dict) -> IrrepData:
     return IrrepData(mu, dim, weights, rep, doc["highest"], ob)
 
 
-class _VermaBuilder:
-    """Shared straightening/bracket machinery for one algebra o(m)."""
-
-    def __init__(self, ob: OrthoBasis):
-        self.ob = ob
-        self.neg: List[int] = [i for i, e in enumerate(ob.elements) if e.kind == "neg"]
-        self.neg_pos = {b: p for p, b in enumerate(self.neg)}
-        # positive direction of each lowering root (as plain Fractions)
-        self.droot: List[Coords] = [tuple(-c for c in ob.elements[b].root) for b in self.neg]
-        self.kind = [e.kind for e in ob.elements]
-        # lowering roots are integral; phi is a linear functional positive on
-        # every one of them, so phi(rem) bounds each multiplicity in a partition
-        if any(c.denominator != 1 for d in self.droot for c in d):
-            raise AssertionError("lowering root with a non-integral coordinate")
-        self._iroot: List[Tuple[int, ...]] = [tuple(int(c) for c in d) for d in self.droot]
-        n = ob.m // 2
-        self._phi_w = tuple(n - i + 1 for i in range(n))
-        self._root_phi = [self._phi(d) for d in self._iroot]
-        self._straighten_memo: Dict[Word, Dict[Word, Fraction]] = {}
-        self._tau: List[Tuple[int, Fraction]] = []
-        for b in self.neg:
-            exp = ob.expand(ob.matrix(b).transpose())
-            if len(exp) != 1:
-                raise AssertionError("transpose of a root vector is not a single basis element")
-            ((idx, c),) = exp.items()
-            self._tau.append((idx, c))
-
-    def straighten(self, word: Word) -> Dict[Word, Fraction]:
-        if all(word[t] <= word[t + 1] for t in range(len(word) - 1)):
-            return {word: Fraction(1)}
-        memo = self._straighten_memo
-        hit = memo.get(word)
-        if hit is not None:
-            return hit
-        t = next(t for t in range(len(word) - 1) if word[t] > word[t + 1])
-        a, b = word[t], word[t + 1]
-        swapped = word[:t] + (b, a) + word[t + 2 :]
-        out: Dict[Word, Fraction] = {}
-
-        def acc(d: Dict[Word, Fraction], c: Fraction):
-            for w, v in d.items():
-                nv = out.get(w, Fraction(0)) + c * v
-                if nv:
-                    out[w] = nv
-                elif w in out:
-                    del out[w]
-
-        acc(self.straighten(swapped), Fraction(1))
-        for k, c in self.ob.bracket_coeffs(self.neg[a], self.neg[b]):
-            if self.kind[k] != "neg":
-                raise AssertionError("straightening left the lowering subalgebra")
-            acc(self.straighten(word[:t] + (self.neg_pos[k],) + word[t + 2 :]), c)
-        memo[word] = out
-        return out
-
-    # -- weight-space words ------------------------------------------------
-
-    def _phi(self, v: Sequence[int]) -> int:
-        return sum(a * b for a, b in zip(v, self._phi_w))
-
-    def _reachable(self, p: int, rem: Tuple[int, ...], memo: Dict[Tuple[int, Tuple[int, ...]], bool]) -> bool:
-        """Is rem a nonnegative integer combination of the roots from p on?"""
-        if p == len(self._iroot):
-            return not any(rem)
-        key = (p, rem)
-        hit = memo.get(key)
-        if hit is None:
-            d = self._iroot[p]
-            hit = any(
-                self._reachable(p + 1, tuple(r - c * x for r, x in zip(rem, d)), memo)
-                for c in range(self._phi(rem) // self._root_phi[p] + 1)
-            )
-            memo[key] = hit
-        return hit
-
-    def _partitions(self, p: int, rem: Tuple[int, ...], counts: Tuple[int, ...], memo, out: List[Tuple[int, ...]]):
-        if p == len(self._iroot):
-            out.append(counts)
-            return
-        d = self._iroot[p]
-        for c in range(self._phi(rem) // self._root_phi[p] + 1):
-            nrem = tuple(r - c * x for r, x in zip(rem, d))
-            if self._reachable(p + 1, nrem, memo):
-                self._partitions(p + 1, nrem, counts + (c,), memo, out)
-
-    def words_for(self, delta: Coords) -> List[Word]:
-        """Canonical lowering words of the integral weight drop delta, ordered
-        by length, then by descending root multiplicities."""
-        rem = tuple(int(c) for c in delta)
-        memo: Dict[Tuple[int, Tuple[int, ...]], bool] = {}
-        found: List[Tuple[int, ...]] = []
-        if self._reachable(0, rem, memo):
-            self._partitions(0, rem, (), memo, found)
-        found.sort(key=lambda counts: (sum(counts), tuple(-c for c in counts)))
-        return [tuple(p for p, c in enumerate(counts) for _ in range(c)) for counts in found]
+@lru_cache(maxsize=None)
+def _ortho(series: str, n: int) -> OrthoBasis:
+    return build_ortho(2 * n if series == "D" else 2 * n + 1)
 
 
-_BUILDERS: Dict[Tuple[str, int], _VermaBuilder] = {}
+def _natural_rep(ob: OrthoBasis) -> Dict[str, SparseMat]:
+    """The defining representation of o(m)."""
+    return {el.label: ob.matrix(i) for i, el in enumerate(ob.elements)}
 
 
-def _builder_for(series: str, n: int) -> _VermaBuilder:
-    key = (series, n)
-    if key not in _BUILDERS:
-        _BUILDERS[key] = _VermaBuilder(build_ortho(2 * n if series == "D" else 2 * n + 1))
-    return _BUILDERS[key]
+def _spin_rep(ob: OrthoBasis) -> Dict[str, SparseMat]:
+    """The Clifford spin module of o(m), of dimension 2^n.
+
+    Rational gammas with {g_a, g_b} = 2 G_ab, G the split form: 2 a_i^+ and
+    a_i for the paired positions i and n+i, and for B the parity operator at
+    position 0.  Then rho(X) = 1/4 sum_ab (X G)_ab g_a g_b.  State s has bit
+    i set iff mode i is occupied; its weight has coordinate i equal to
+    bit_i - 1/2.
+    """
+    n, dim = ob.n, 2**ob.n
+    off = ob.m - 2 * n  # 1 for B: position 0 is the parity gamma
+
+    def ladder(i: int, create: bool) -> SparseMat:
+        # a_i^+ or a_i, with the sign (-1)^(occupied modes below i) that
+        # makes different modes anticommute
+        return SparseMat(dim, dim, {
+            (s ^ (1 << i), s): Fraction(-1 if bin(s % (1 << i)).count("1") % 2 else 1)
+            for s in range(dim) if bool(s >> i & 1) != create
+        })
+
+    gam: Dict[int, SparseMat] = {}  # matrix position -> gamma
+    for i in range(n):
+        gam[off + i] = ladder(i, True).scale(2)
+        gam[off + n + i] = ladder(i, False)
+    if off:
+        gam[0] = SparseMat(dim, dim, {(s, s): Fraction((-1) ** bin(s).count("1")) for s in range(dim)})
+    G = ob.split_form_matrix()
+    rep = {}
+    for i, el in enumerate(ob.elements):
+        rho = SparseMat(dim, dim)
+        for (a, b), c in (ob.matrix(i) * G).data.items():
+            rho = rho + (gam[a] * gam[b]).scale(c / 4)
+        rep[el.label] = rho
+    return rep
 
 
-class _IrrepBuild:
-    def __init__(self, mu: WeightVec):
-        self.mu = mu
-        self.vb = _builder_for(mu.series, mu.n)
-        self.ob = self.vb.ob
-        self._cartan_coord = {idx: mu.coords[t] for t, idx in enumerate(self.ob.cartan_indices())}
-        self._act_memo: Dict[Tuple[int, Word], Dict[Word, Fraction]] = {}
-        self._form_memo: Dict[Tuple[Word, Word], Fraction] = {}
-        self._space: Dict[Coords, dict] = {}
-        self._words: Dict[Coords, List[Word]] = {}
-
-    # -- Verma module actions ------------------------------------------------
-
-    def act(self, idx: int, word: Word) -> Dict[Word, Fraction]:
-        key = (idx, word)
-        hit = self._act_memo.get(key)
-        if hit is not None:
-            return hit
-        kind = self.vb.kind[idx]
-        if not word:
-            if kind == "pos":
-                out: Dict[Word, Fraction] = {}
-            elif kind == "cartan":
-                c = self._cartan_coord[idx]
-                out = {(): c} if c else {}
-            else:
-                out = {(self.vb.neg_pos[idx],): Fraction(1)}
-        else:
-            a, rest = word[0], word[1:]
-            out = {}
-
-            def acc(d: Dict[Word, Fraction], c: Fraction):
-                for w, v in d.items():
-                    nv = out.get(w, Fraction(0)) + c * v
-                    if nv:
-                        out[w] = nv
-                    elif w in out:
-                        del out[w]
-
-            # f_a * (X . rest)
-            inner = self.act(idx, rest)
-            for w, v in inner.items():
-                acc(self.vb.straighten((a,) + w), v)
-            # [X, f_a] . rest
-            for k, c in self.ob.bracket_coeffs(idx, self.vb.neg[a]):
-                acc(self.act(k, rest), c)
-        self._act_memo[key] = out
-        return out
-
-    def form_words(self, w1: Word, w2: Word) -> Fraction:
-        """Contravariant pairing of the word vectors f_{w1} v+ and f_{w2} v+."""
-        if not w1:
-            return _ONE if not w2 else _ZERO
-        key = (w1, w2)
-        hit = self._form_memo.get(key)
-        if hit is not None:
-            return hit
-        idx, sign = self.vb._tau[w1[0]]
-        rest = w1[1:]
-        val = _ZERO
-        for w, c in self.act(idx, w2).items():
-            f = self.form_words(rest, w)
-            if f:
-                val += c * f
-        val = sign * val if val else _ZERO
-        self._form_memo[key] = val
-        return val
-
-    # -- weight spaces ---------------------------------------------------------
-
-    def space(self, nu: Coords) -> dict:
-        """Weight space data: words, chosen basis words, pairing rows."""
-        hit = self._space.get(nu)
-        if hit is not None:
-            return hit
-        words = self.words_at(nu)
-        basis: List[int] = []
-        kept_rows: List[Dict[int, Fraction]] = []
-        span = EchelonBasis()
-        for wi, w in enumerate(words):
-            row = {}
-            for wj, w2 in enumerate(words):
-                v = self.form_words(w, w2)
-                if v:
-                    row[wj] = v
-            if span.add(row):
-                basis.append(wi)
-                kept_rows.append(row)
-        sp = {"words": words, "basis": basis, "rows": kept_rows}
-        self._space[nu] = sp
-        return sp
-
-    def words_at(self, nu: Coords) -> List[Word]:
-        """The Verma words of weight nu ([] if nu is not an integral drop)."""
-        hit = self._words.get(nu)
-        if hit is None:
-            delta = tuple(m - x for m, x in zip(self.mu.coords, nu))
-            hit = [] if any(d.denominator != 1 for d in delta) else self.vb.words_for(delta)
-            self._words[nu] = hit
-        return hit
-
-    def pairings(self, words: List[Word], vec: Dict[Word, Fraction]) -> Dict[int, Fraction]:
-        """Nonzero form values of vec against each word, by word position;
-        {} iff vec lies in the radical, i.e. is zero in V(mu)."""
-        target = {}
-        for wj, w2 in enumerate(words):
-            v = Fraction(0)
-            for w, c in vec.items():
-                if c:
-                    v += c * self.form_words(w2, w)
-            if v:
-                target[wj] = v
-        return target
-
-    def express(self, nu: Coords, vec: Dict[Word, Fraction]) -> List[Fraction]:
-        """Coordinates of vec's image in the chosen basis of V(mu)_nu."""
-        sp = self.space(nu)
-        coeffs = solve_row_combination(sp["rows"], self.pairings(sp["words"], vec))
-        if coeffs is None:
-            raise AssertionError("inconsistent pairing solve")
-        return coeffs
+def _kron_sum(left: Dict[str, SparseMat], right: Dict[str, SparseMat]) -> Dict[str, SparseMat]:
+    """The diagonal action rho_l(X) (x) 1 + 1 (x) rho_r(X), left factor first."""
+    eye_l = SparseMat.identity(next(iter(left.values())).rows)
+    eye_r = SparseMat.identity(next(iter(right.values())).rows)
+    return {label: M.kron(eye_r) + eye_l.kron(right[label]) for label, M in left.items()}
 
 
-def _candidate_weights(mu: WeightVec) -> List[Coords]:
-    """All lattice points mu - N.(simple roots) within the weight cube."""
-    n = mu.n
-    bound = max([abs(c) for c in mu.coords], default=Fraction(0))
-    simples: List[Coords] = []
-    for i in range(n - 1):
-        v = [Fraction(0)] * n
-        v[i], v[i + 1] = Fraction(1), Fraction(-1)
-        simples.append(tuple(v))
-    v = [Fraction(0)] * n
-    if mu.series == "D":
-        v[n - 2], v[n - 1] = Fraction(1), Fraction(1)
+def _build(mu: WeightVec) -> IrrepData:
+    """V(mu) for dominant mu, as the cyclic submodule described above."""
+    ob = _ortho(mu.series, mu.n)
+    top = mu.coords
+    if mu.is_zero():
+        return IrrepData(mu, 1, [mu], {el.label: SparseMat(1, 1) for el in ob.elements}, 0, ob)
+    if top[-1].denominator == 1:
+        factor = _natural_rep(ob)
+        for j, c in enumerate(top):
+            lam = mu.add_unit(j + 1, -1 if c > 0 else 1)
+            if c and is_dominant(lam):
+                break
     else:
-        v[n - 1] = Fraction(1)
-    simples.append(tuple(v))
-    slack = bound + 1
-    seen = {mu.coords}
-    frontier = [mu.coords]
-    while frontier:
-        nxt = []
-        for w in frontier:
-            for sr in simples:
-                cand = tuple(a - b for a, b in zip(w, sr))
-                if cand in seen or any(abs(c) > slack for c in cand):
+        factor = _spin_rep(ob)
+        step = [Fraction(1, 2)] * (mu.n - 1) + [Fraction(1 if top[-1] > 0 else -1, 2)]
+        lam = WeightVec(mu.series, tuple(c - s for c, s in zip(top, step)))
+    tensor = _kron_sum(factor, _build(lam).rep)
+    ambient = [tensor[el.label] for el in ob.elements]
+    cols = [M.col_vectors() for M in ambient]
+    cartan = ob.cartan_indices()
+    at_top = [k for k in range(ambient[0].rows) if tuple(ambient[t].get(k, k) for t in cartan) == top]
+
+    def act(i: int, vec: Dict[int, Fraction]) -> Dict[int, Fraction]:
+        out: Dict[int, Fraction] = {}
+        for k, x in vec.items():
+            for r, v in cols[i][k].items():
+                out[r] = out.get(r, 0) + x * v
+        return {r: v for r, v in out.items() if v}
+
+    # highest-weight vectors of weight mu: the raising operators' common kernel
+    eqs: List[Dict[int, Fraction]] = []
+    for i, el in enumerate(ob.elements):
+        if el.kind == "pos":
+            rows: Dict[int, Dict[int, Fraction]] = {}
+            for p, k in enumerate(at_top):
+                for r, v in cols[i][k].items():
+                    rows.setdefault(r, {})[p] = v
+            eqs.extend(rows.values())
+    kernel = nullspace_of_rows(eqs, len(at_top))
+    if len(kernel) != 1:
+        raise AssertionError(f"{len(kernel)} highest-weight vectors of weight {mu} in the tensor, expected 1")
+    v0 = {at_top[p]: x for p, x in kernel[0].items()}
+
+    # breadth-first lowering; each weight keeps its independent images
+    vecs: Dict[Coords, List[Dict[int, Fraction]]] = {top: [v0]}
+    spans: Dict[Coords, EchelonBasis] = {top: EchelonBasis([v0])}
+    queue = deque([(top, v0)])
+    lowering = [(i, el.root) for i, el in enumerate(ob.elements) if el.kind == "neg"]
+    while queue:
+        nu, vec = queue.popleft()
+        for i, root in lowering:
+            image = act(i, vec)
+            target = tuple(a + b for a, b in zip(nu, root))
+            if spans.setdefault(target, EchelonBasis()).add(image):
+                vecs.setdefault(target, []).append(image)
+                queue.append((target, image))
+    dim = weyl_dim(mu)
+    offsets: Dict[Coords, int] = {}
+    weights: List[WeightVec] = []
+    for nu in sorted(vecs, reverse=True):
+        offsets[nu] = len(weights)
+        weights.extend(WeightVec(mu.series, nu) for _ in vecs[nu])
+    if len(weights) != dim:
+        raise AssertionError(f"constructed dimension {len(weights)} != Weyl dimension {dim}")
+
+    rep: Dict[str, SparseMat] = {}
+    zero = tuple(Fraction(0) for _ in top)
+    for i, el in enumerate(ob.elements):
+        shift = el.root if el.root is not None else zero
+        data: Dict[Tuple[int, int], Fraction] = {}
+        for nu, off in offsets.items():
+            target = tuple(a + b for a, b in zip(nu, shift))
+            for col, vec in enumerate(vecs[nu]):
+                image = act(i, vec)
+                if not image:
                     continue
-                seen.add(cand)
-                nxt.append(cand)
-        frontier = nxt
-    return sorted((w for w in seen if all(abs(c) <= bound for c in w)), reverse=True)
+                coeffs = solve_row_combination(vecs.get(target, []), image)
+                if coeffs is None:
+                    raise AssertionError(f"{el.label} maps a vector of weight {nu} outside the cyclic submodule")
+                for row, x in enumerate(coeffs):
+                    if x:
+                        data[(offsets[target] + row, off + col)] = x
+        rep[el.label] = SparseMat(dim, dim, data)
+    return IrrepData(mu, dim, weights, rep, offsets[top], ob)
 
 
 @lru_cache(maxsize=None)
 def build_irrep(mu: WeightVec, cap: int = DEFAULT_DIM_CAP) -> IrrepData:
-    """Construct V(mu) with explicit matrices for every basis element."""
+    """Construct V(mu) with explicit matrices for every basis element.
+
+    `cap` bounds dim V(mu) only; the smaller weights of the recursion are
+    built whatever their dimension, and are not cached.
+    """
     if not is_dominant(mu):
         raise ValueError(f"{mu} is not dominant")
     dim = weyl_dim(mu)
     if dim > cap:
         raise ValueError(f"dim V(mu) = {dim} exceeds cap {cap}")
-    bld = _IrrepBuild(mu)
-    ob = bld.ob
-
-    weight_list = _candidate_weights(mu)
-    offsets: Dict[Coords, int] = {}
-    basis_weights: List[WeightVec] = []
-    total = 0
-    for nu in weight_list:
-        sp = bld.space(nu)
-        if sp["basis"]:
-            offsets[nu] = total
-            total += len(sp["basis"])
-            basis_weights.extend(WeightVec(mu.series, nu) for _ in sp["basis"])
-    if total != dim:
-        raise AssertionError(f"constructed dimension {total} != Weyl dimension {dim}")
-
-    rep: Dict[str, SparseMat] = {}
-    for idx, el in enumerate(ob.elements):
-        data: Dict[Tuple[int, int], Fraction] = {}
-        shift = el.root if el.root is not None else tuple(Fraction(0) for _ in range(mu.n))
-        for nu, off in offsets.items():
-            sp = bld.space(nu)
-            target_nu = tuple(a + b for a, b in zip(nu, shift))
-            toff = offsets.get(target_nu)
-            for col, wi in enumerate(sp["basis"]):
-                vec = bld.act(idx, sp["words"][wi])
-                if not vec:
-                    continue
-                if toff is None:
-                    # V(mu) is zero at target_nu: pair the image against that
-                    # weight's words only, never building its Gram matrix
-                    if bld.pairings(bld.words_at(target_nu), vec):
-                        raise AssertionError("nonzero quotient image in a zero weight space")
-                    continue
-                coords = bld.express(target_nu, vec)
-                for row, c in enumerate(coords):
-                    if c:
-                        data[(toff + row, off + col)] = c
-        rep[el.label] = SparseMat(total, total, data)
-
-    highest = offsets[mu.coords]  # the empty word is the first basis word at mu
-    return IrrepData(mu, total, basis_weights, rep, highest, ob)
+    return _build(mu)
 
 
 def omega_matrix(V: IrrepData) -> SparseMat:
@@ -500,10 +343,5 @@ def tensor_with_natural(V: IrrepData, cap: int = DEFAULT_DIM_CAP) -> TensorModul
     dim = m * V.dim
     if dim > cap:
         raise ValueError(f"tensor dimension {dim} exceeds cap {cap}")
-    eye_nat = SparseMat.identity(m)
-    eye_v = SparseMat.identity(V.dim)
-    rep = {}
-    for i, el in enumerate(ob.elements):
-        nat = ob.matrix(i)  # the natural module is the defining representation
-        rep[el.label] = nat.kron(eye_v) + eye_nat.kron(V.rep[el.label])
+    rep = _kron_sum(_natural_rep(ob), V.rep)
     return TensorModule(V.mu, dim, rep, (m, V.dim))

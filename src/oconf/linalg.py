@@ -49,17 +49,6 @@ class SparseMat:
     def identity(cls, n: int) -> "SparseMat":
         return cls(n, n, {(i, i): Fraction(1) for i in range(n)})
 
-    @classmethod
-    def from_rows(cls, rows: Sequence[Sequence[Fraction]]) -> "SparseMat":
-        n = len(rows)
-        m = len(rows[0]) if n else 0
-        data = {}
-        for i, row in enumerate(rows):
-            for j, v in enumerate(row):
-                if v != 0:
-                    data[(i, j)] = Fraction(v)
-        return cls(n, m, data)
-
     def get(self, i: int, j: int) -> Fraction:
         return self.data.get((i, j), Fraction(0))
 

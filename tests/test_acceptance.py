@@ -1,6 +1,8 @@
 """Acceptance battery: one test per criterion, each printing a PASS/FAIL line.
 
-All comparisons are exact (zero tolerance).  Two stated claims are refuted by
+Each criterion runs its check from `oconf.suite`, the battery behind
+`oconf suite`, plus any example the suite does not cover.  All comparisons
+are exact (zero tolerance).  Two stated claims are refuted by
 the engine itself and carried as strict xfails with machine-certified
 companion tests: the B-series [Delta,eta] closed form (criterion 11; the
 exact commutator is 1+2n+2D) and parts of the mu=0 sharp classification
@@ -12,11 +14,8 @@ from fractions import Fraction
 
 import pytest
 
-from oconf import mixed, reducibility, spectral, suite
-from oconf.irreps import build_irrep, omega_matrix
-from oconf.linalg import SparseMat
-from oconf.ortho import verify_bracket_tables, verify_theta_homomorphism
-from oconf.weights import casimir_eigenvalue, parse_weight, pieri_decompose, weyl_dim
+from oconf import reducibility, spectral, suite
+from oconf.weights import parse_weight, pieri_decompose, weyl_dim
 
 F = Fraction
 
@@ -27,53 +26,27 @@ def report(name, ok):
 
 
 def test_criterion_01_bracket_tables():
-    ok = True
-    for n, series in [(2, "D"), (3, "D"), (1, "B"), (2, "B")]:
-        rep = verify_bracket_tables(n, series)
-        ok &= all(r["status"] == "pass" for r in rep)
+    ok, detail = suite.check_bracket_tables()
     report("1 bracket-tables (2.37)-(2.43) n=2,3 and (3.29)-(3.33) n=1,2", ok)
 
 
 def test_criterion_02_theta_isomorphism():
-    ok = True
-    for n, series in [(2, "D"), (2, "B")]:
-        r = verify_theta_homomorphism(n, series)
-        ok &= bool(r["ok"]) and bool(r["independent_images"])
+    ok, detail = suite.check_theta_isomorphism()
     report("2 theta isomorphism o(6), o(7) + injectivity", ok)
 
 
 def test_criterion_03_shen_embedding():
-    ok = True
-    for n, series in [(2, "D"), (2, "B")]:
-        r = mixed.verify_shen_monomorphism(n, series)
-        ok &= bool(r["ok"])
+    ok, detail = suite.check_shen_embedding()
     report("3 mixed-product embedding: brackets + closed forms", ok)
 
 
 def test_criterion_04_casimir_scalar():
-    ok = True
-    for series, mus in [("D", "1,0"), ("D", "1,1"), ("D", "1,-1"), ("D", "2,0"), ("B", "1,0"), ("B", "1/2,1/2")]:
-        mu = parse_weight(mus, series)
-        V = build_irrep(mu)
-        ok &= omega_matrix(V) == SparseMat.identity(V.dim).scale(casimir_eigenvalue(mu))
+    ok, detail = suite.check_casimir_scalar()
     report("4 Casimir scalar action on the mu battery", ok)
 
 
 def test_criterion_05_charpoly_lemmas():
-    ok = True
-    battery = [
-        ("D", "1,0"),
-        ("D", "1,1"),
-        ("D", "1,-1"),
-        ("D", "2,0"),
-        ("B", "1,0"),
-        ("B", "1/2,1/2"),
-        ("B", "1,1"),
-        ("D", "1,1,0"),
-    ]
-    for series, mus in battery:
-        r = spectral.verify_charpoly_lemma(parse_weight(mus, series))
-        ok &= bool(r["match"]) and bool(r["half_difference_consistency"])
+    ok, detail = suite.check_charpoly_lemma()
     # the concrete derived example: (t-1)^9 (t+1)^6 (t+3)
     r = spectral.verify_charpoly_lemma(parse_weight("1,0", "D"))
     computed = [F(c) for c in map(F, r["charpoly_computed"])]
@@ -90,38 +63,17 @@ def test_criterion_05_charpoly_lemmas():
 
 
 def test_criterion_06_phi_equals_b_plus_split_casimir():
-    ok = True
-    for series, mus in [("D", "1,0"), ("B", "1/2,1/2")]:
-        mu = parse_weight(mus, series)
-        otm = spectral.omega_tilde_matrix(mu)
-        for b in [F(0), F(1, 3), F(-2)]:
-            mod = mixed.ConformalModule(mu, b)
-            ok &= mod.phi_matrix(1) == SparseMat.identity(otm.dim).scale(b) + otm.matrix
+    ok, detail = suite.check_phi_degree_one()
     report("6 phi = (b + split Casimir) on degree one, b in {0,1/3,-2}", ok)
 
 
 def test_criterion_07_t_operator():
-    ok = True
-    for series in ["D", "B"]:
-        mu = parse_weight("1,0", series)
-        for b in [F(0), F(1), F(1, 3)]:
-            mod = mixed.ConformalModule(mu, b, slice_cap=8192)
-            for k in range(0, 5):
-                T = spectral.invariant_t_matrix(mod, k)
-                ok &= T == mod.mult_matrix(mod.conf.eta(), k).scale(spectral.t_scalar(mod, k))
+    ok, detail = suite.check_t_operator()
     report("7 invariant T = scalar * eta on degrees <= 4", ok)
 
 
 def test_criterion_08_sufficiency_scans():
-    r1 = reducibility.surjectivity_scan(parse_weight("1,0", "D"), F(1, 3), 4)
-    r2 = reducibility.surjectivity_scan(parse_weight("1/2,1/2", "B"), F(1, 4), 3)
-    r3 = reducibility.surjectivity_scan(parse_weight("1,0", "D"), F(3), 2)
-    ok = (
-        r1.verdict == "irreducible-up-to-4"
-        and r2.verdict == "irreducible-up-to-3"
-        and r3.verdict == "proper-submodule-found"
-        and not r3.records[0].full
-    )
+    ok, detail = suite.check_scan_sufficiency()
     report("8 sufficiency scans + critical-value deficiency at degree 1", ok)
 
 
@@ -142,13 +94,7 @@ def test_criterion_09_companion_true_classification():
 
 
 def test_criterion_10_pieri_eigenspace_crosscheck():
-    ok = True
-    for series, mus in [("D", "1,0"), ("D", "1,1"), ("D", "1,-1"), ("D", "2,0"), ("B", "1,0"), ("B", "1/2,1/2")]:
-        mu = parse_weight(mus, series)
-        r = spectral.verify_charpoly_lemma(mu)
-        ok &= bool(r["eigenspace_dims_match_pieri"])
-        nat = 2 * mu.n if series == "D" else 2 * mu.n + 1
-        ok &= nat * weyl_dim(mu) == sum(weyl_dim(w) for w in pieri_decompose(mu))
+    ok, detail = suite.check_pieri_eigenspaces()
     # the stated example 5*4 = 4 + 16
     mu = parse_weight("1/2,1/2", "B")
     ok &= sorted(weyl_dim(w) for w in pieri_decompose(mu)) == [4, 16]
@@ -180,3 +126,22 @@ def test_criterion_11_companion_b_series_exact_identity():
     hb = reducibility.harmonic_decompose(4, 2, "B")
     ok &= hb.decomposition_ok and hb.filtration_ok
     report("11' (B half) exact identity [Delta,eta] = 1 + 2n + 2D + filtration", ok)
+
+
+def failing_fragments(detail):
+    return {part.strip() for part in detail.split("; ") if "FAIL" in part}
+
+
+def test_known_failures_are_pinned_to_their_sub_cases():
+    # a new failing sub-case must not hide under a known check name
+    ok, detail = suite.check_mu_zero_classification()
+    assert not ok
+    assert failing_fragments(detail) == {
+        "D mu=0 b=1: full rank FAIL",
+        "D mu=0 b=0: proper submodule FAIL",
+        "B mu=0 b=1/2: full rank FAIL",
+    }
+    ok, detail = suite.check_harmonic()
+    assert not ok
+    assert failing_fragments(detail) == {"B2: [Delta,eta] = 1+2n+D FAIL (stated form)"}
+    assert set(suite.EXPECTED_FAILURES) == {"mu-zero-classification", "harmonic-decomposition"}

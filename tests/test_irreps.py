@@ -2,14 +2,14 @@
 
 import itertools
 import json
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+from oconf import irreps
 from oconf.irreps import (
-    _builder_for,
-    _candidate_weights,
-    _IrrepBuild,
+    _spin_rep,
     build_irrep,
     load_irrep_json,
     omega_matrix,
@@ -17,7 +17,8 @@ from oconf.irreps import (
     validate_irrep,
 )
 from oconf.linalg import SparseMat
-from oconf.weights import casimir_eigenvalue, parse_weight, weyl_dim, zero_weight
+from oconf.ortho import build_ortho
+from oconf.weights import casimir_eigenvalue, parse_weight, pieri_decompose, weyl_dim, zero_weight
 
 F = Fraction
 
@@ -31,6 +32,16 @@ MU_BATTERY = [
     ("B", "1/2,1/2"),
     ("B", "1,1"),
 ]
+
+
+def assert_homomorphism(ob, rep, dim):
+    labels = ob.labels()
+    for i in range(len(ob)):
+        for j in range(i + 1, len(ob)):
+            lhs = SparseMat(dim, dim)
+            for k, c in ob.bracket_coeffs(i, j):
+                lhs = lhs + rep[labels[k]].scale(c)
+            assert lhs == rep[labels[i]].bracket(rep[labels[j]]), (labels[i], labels[j])
 
 
 @pytest.mark.parametrize("series,mus", MU_BATTERY)
@@ -130,17 +141,14 @@ def test_tensor_action_is_homomorphism():
     mu = parse_weight("1/2,1/2", "B")
     V = build_irrep(mu)
     tm = tensor_with_natural(V)
-    ob = V.basis
-    labels = ob.labels()
-    for i in range(len(ob)):
-        for j in range(i + 1, len(ob)):
-            lhs = SparseMat(tm.dim, tm.dim)
-            for k, c in ob.bracket_coeffs(i, j):
-                lhs = lhs + tm.rep[labels[k]].scale(c)
-            assert lhs == tm.rep[labels[i]].bracket(tm.rep[labels[j]])
+    assert_homomorphism(V.basis, tm.rep, tm.dim)
 
 
-def test_dimension_cap():
+def test_dimension_cap(monkeypatch):
+    def no_work(mu):
+        raise AssertionError("built before the cap check")
+
+    monkeypatch.setattr(irreps, "_build", no_work)
     with pytest.raises(ValueError):
         build_irrep(parse_weight("3,0", "D"), 10)
 
@@ -150,62 +158,47 @@ def test_non_dominant_rejected():
         build_irrep(parse_weight("0,1", "D"))
 
 
-def _brute_force_partitions(roots, max_total):
-    """Weight drop -> multiplicity vectors, from every multiset of at most
-    max_total roots."""
-    table = {}
-    for total in range(max_total + 1):
-        for pick in itertools.combinations_with_replacement(range(len(roots)), total):
-            counts = tuple(pick.count(p) for p in range(len(roots)))
-            drop = tuple(sum(c * r[i] for c, r in zip(counts, roots)) for i in range(len(roots[0])))
-            table.setdefault(drop, []).append(counts)
-    return table
-
-
-@pytest.mark.parametrize(
-    "series,mus",
-    [("D", "1,0"), ("D", "2,1"), ("D", "1,1,0"), ("B", "3/2,1/2"), ("B", "1,0,0"), ("B", "1/2,1/2,1/2")],
-)
-def test_words_for_matches_brute_force(series, mus):
-    mu = parse_weight(mus, series)
-    vb = _builder_for(series, mu.n)
-    bound = max(abs(c) for c in mu.coords)
-    steps = range(-int(2 * bound), int(2 * bound) + 1)
-    axes = [[c + k for k in steps if abs(c + k) <= bound] for c in mu.coords]
-    deltas = [tuple(m - x for m, x in zip(mu.coords, nu)) for nu in itertools.product(*axes)]
-    # every positive root pairs to at least 1 with (n, ..., 1): that bounds
-    # the number of roots in a partition of delta
-    height = [mu.n - i for i in range(mu.n)]
-    max_total = int(max(sum(h * d for h, d in zip(height, delta)) for delta in deltas))
-    table = _brute_force_partitions([tuple(int(c) for c in r) for r in vb.droot], max_total)
-    deltas.append(tuple(-c for c in vb.droot[0]))  # a raise is never a drop
-    unreachable = 0
-    for delta in deltas:
-        expected = sorted(table.get(delta, []), key=lambda c: (sum(c), tuple(-x for x in c)))
-        words = [tuple(p for p, c in enumerate(counts) for _ in range(c)) for counts in expected]
-        assert vb.words_for(delta) == words, delta
-        unreachable += not words
-    assert 0 < unreachable < len(deltas)
-
-
 def test_rank_four_natural_module():
     V = build_irrep(parse_weight("1,0,0,0", "D"))
     assert V.dim == 8
     assert validate_irrep(V)["ok"]
 
 
-def test_build_stores_weight_spaces_only_at_candidate_weights(monkeypatch):
-    # images landing where V(mu) is zero are paired against that weight's
-    # words; the weight space (and its Gram matrix) is never built there
-    mu = parse_weight("1,1,1", "D")
-    seen = []
-    space = _IrrepBuild.space
+@pytest.mark.parametrize("m", [3, 4, 5, 6, 7, 8, 9])  # B1, D2, B2, D3, B3, D4, B4
+def test_clifford_spin_module(m):
+    ob = build_ortho(m)
+    rep = _spin_rep(ob)
+    dim = 2**ob.n
+    assert_homomorphism(ob, rep, dim)
+    for idx in ob.cartan_indices():
+        M = rep[ob.elements[idx].label]
+        assert len(M.data) == dim
+        assert all(r == c and abs(v) == F(1, 2) for (r, c), v in M.data.items())
 
-    def spy(self, nu):
-        seen.append(nu)
-        return space(self, nu)
 
-    monkeypatch.setattr(_IrrepBuild, "space", spy)
-    V = build_irrep.__wrapped__(mu)  # cold: bypass the lru_cache
+@pytest.mark.parametrize("series,mus", [("D", "2,0,0,0"), ("D", "6,6"), ("D", "2,2,-2")])
+def test_validation_of_larger_weights(series, mus):
+    # D(6,6) (dim 13) comes from D(6,5) (dim 24): the cap bounds V(mu) only
+    mu = parse_weight(mus, series)
+    V = build_irrep(mu, weyl_dim(mu))
     assert V.dim == weyl_dim(mu)
-    assert seen and set(seen) <= set(_candidate_weights(mu))
+    assert validate_irrep(V)["ok"]
+
+
+LADDER = [
+    ("D", "1,0"), ("D", "1,1"), ("D", "2,0"), ("D", "2,1"),
+    ("B", "1,0"), ("B", "1/2,1/2"), ("B", "1,1"), ("B", "3/2,1/2"),
+    ("D", "1,0,0"), ("D", "1,1,1"), ("B", "1/2,1/2,1/2"),
+]
+
+
+@pytest.mark.parametrize("series,mus", LADDER)
+def test_tensor_character_matches_pieri(series, mus):
+    # weights of V(mu) (x) natural = union of the weights of its Pieri summands
+    mu = parse_weight(mus, series)
+    V = build_irrep(mu)
+    ob = V.basis
+    natural = [tuple(ob.matrix(c).get(k, k) for c in ob.cartan_indices()) for k in range(ob.m)]
+    tensor = Counter(tuple(a + b for a, b in zip(w.coords, u)) for w in V.weights for u in natural)
+    summands = Counter(w.coords for nu in pieri_decompose(mu) for w in build_irrep(nu).weights)
+    assert tensor == summands
