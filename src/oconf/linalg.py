@@ -46,8 +46,16 @@ class SparseMat:
                 raise ValueError(f"entry {(i, j)} outside {rows}x{cols} matrix")
 
     @classmethod
+    def _trusted(cls, rows: int, cols: int, data: Dict[Entry, Fraction]) -> "SparseMat":
+        """Wrap data whose values are known nonzero and keys in bounds."""
+        m = object.__new__(cls)
+        m.rows, m.cols, m.data = rows, cols, data
+        return m
+
+    @classmethod
     def identity(cls, n: int) -> "SparseMat":
-        return cls(n, n, {(i, i): Fraction(1) for i in range(n)})
+        # n ones on the diagonal of an n x n matrix
+        return cls._trusted(n, n, {(i, i): Fraction(1) for i in range(n)})
 
     def get(self, i: int, j: int) -> Fraction:
         return self.data.get((i, j), Fraction(0))
@@ -81,7 +89,8 @@ class SparseMat:
         c = Fraction(c)
         if c == 0:
             return SparseMat(self.rows, self.cols)
-        return SparseMat(self.rows, self.cols, {k: c * v for k, v in self.data.items()})
+        # c * v != 0 for c, v != 0, and the keys are self's
+        return SparseMat._trusted(self.rows, self.cols, {k: c * v for k, v in self.data.items()})
 
     def __mul__(self, other: "SparseMat") -> "SparseMat":
         if self.cols != other.rows:
@@ -98,7 +107,8 @@ class SparseMat:
         return SparseMat(self.rows, other.cols, data)
 
     def transpose(self) -> "SparseMat":
-        return SparseMat(self.cols, self.rows, {(j, i): v for (i, j), v in self.data.items()})
+        # the same nonzero values, each key swapped along with the shape
+        return SparseMat._trusted(self.cols, self.rows, {(j, i): v for (i, j), v in self.data.items()})
 
     def trace(self) -> Fraction:
         return sum((v for (i, j), v in self.data.items() if i == j), Fraction(0))
@@ -108,7 +118,9 @@ class SparseMat:
         for (i, j), a in self.data.items():
             for (r, s), b in other.data.items():
                 data[(i * other.rows + r, j * other.cols + s)] = a * b
-        return SparseMat(self.rows * other.rows, self.cols * other.cols, data)
+        # each key is set once, to a product of two nonzeros; i * other.rows + r
+        # < self.rows * other.rows, and likewise for columns
+        return SparseMat._trusted(self.rows * other.rows, self.cols * other.cols, data)
 
     def bracket(self, other: "SparseMat") -> "SparseMat":
         return self * other - other * self
@@ -142,12 +154,6 @@ class SparseMat:
 
     def rank(self) -> int:
         return rank_of_rows(self.row_vectors())
-
-    def nullspace(self) -> List[Dict[int, Fraction]]:
-        return nullspace_of_rows(self.row_vectors(), self.cols)
-
-    def charpoly(self) -> List[Fraction]:
-        return charpoly(self)
 
     def __repr__(self):
         return f"SparseMat({self.rows}x{self.cols}, {len(self.data)} entries)"

@@ -23,7 +23,7 @@ from typing import Dict, List, Optional, Tuple
 
 from .linalg import SparseMat
 from .ortho import OrthoBasis, build_conformal, build_ortho, theta_images
-from .poly import DiffOp, Poly, monomial_basis
+from .poly import DiffOp, Poly, bracket as dbracket, monomial_basis
 from .weights import WeightVec
 from .irreps import IrrepData, build_irrep
 
@@ -70,7 +70,7 @@ class ExtendedOp:
     def bracket(self, other: "ExtendedOp") -> "ExtendedOp":
         """[d1+A1, d2+A2] = [d1,d2] + [A1,A2] + d1(A2) - d2(A1)."""
         nv = self.num_vars
-        fld = (self.field @ other.field) - (other.field @ self.field)
+        fld = dbracket(self.field, other.field)
         gl: Dict[Exps, SparseMat] = {}
 
         def acc(e: Exps, M: SparseMat):
@@ -194,8 +194,6 @@ def verify_shen_monomorphism(n: int, series: str) -> Dict[str, object]:
     for a in range(len(labels)):
         for bdx in range(a + 1, len(labels)):
             la, lb = labels[a], labels[bdx]
-            from .poly import bracket as dbracket
-
             lhs = shen_embed(dbracket(conf.op(la), conf.op(lb)))
             rhs = embeds[la].bracket(embeds[lb])
             if lhs != rhs:
@@ -380,7 +378,9 @@ class ConformalModule:
                     col = mi * dv
                     for (r, q), v in entries:
                         data[(row + r, col + q)] = v
-        out = SparseMat(tdim, len(monos) * dv, data)
+        # every v is a stored (so nonzero) entry of block + s I; row indexes
+        # a monomial of slice kt and col one of slice k, and r, q < dv
+        out = SparseMat._trusted(tdim, len(monos) * dv, data)
         self._act[key] = out
         return out
 

@@ -5,13 +5,25 @@ finite sum  sum_beta  p_beta(x) * d^beta  stored in normal order (polynomial
 coefficients to the left of all derivatives); composition re-normal-orders via
 the generalized Leibniz rule, so two operators are equal as operators iff
 their stored dictionaries are equal.
+
+Composition and the commutator share one integer kernel.  Each operand is
+scaled to integers by the lcm of its coefficient denominators; the Leibniz
+rule d^b1 x^e2 = sum_gamma prod_i C(b1_i, g_i) (e2_i)_(g_i) x^(e2 - gamma)
+d^(b1 - gamma) is applied once per (b1, b2, e2), its expansion memoized per
+(b1, e2), accumulating integers into one {beta: {monomial: int}} dict.
+`bracket` runs the kernel for a.b and, with sign -1, for b.a into the same
+dict.  Each nonzero sum v becomes one Fraction(v, den_a * den_b) at the end,
+so the result is exact and canonical.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
-from typing import Dict, Iterator, List, Optional, Tuple
+from functools import lru_cache
+from itertools import product
+from math import comb, lcm, perm
+from operator import add, sub
+from typing import Dict, List, Optional, Tuple
 
 Exps = Tuple[int, ...]
 
@@ -56,6 +68,13 @@ class Poly:
                 raise ValueError(f"exponent {e} has wrong arity for {num_vars} variables")
             clean[e] = c
         self.terms = clean
+
+    @classmethod
+    def _trusted(cls, num_vars: int, terms: Dict[Exps, Fraction]) -> "Poly":
+        """Wrap terms already known to be nonzero and of the right arity."""
+        p = object.__new__(cls)
+        p.num_vars, p.terms = num_vars, terms
+        return p
 
     @classmethod
     def zero(cls, num_vars: int) -> "Poly":
@@ -185,6 +204,13 @@ class DiffOp:
         self.terms = clean
 
     @classmethod
+    def _trusted(cls, num_vars: int, terms: Dict[Exps, Poly]) -> "DiffOp":
+        """Wrap terms already known to be nonzero Polys of the right arity."""
+        op = object.__new__(cls)
+        op.num_vars, op.terms = num_vars, terms
+        return op
+
+    @classmethod
     def zero(cls, num_vars: int) -> "DiffOp":
         return cls(num_vars)
 
@@ -233,22 +259,11 @@ class DiffOp:
     def __matmul__(self, other: "DiffOp") -> "DiffOp":
         """Operator composition self . other, re-normal-ordered."""
         self._check(other)
-        nv = self.num_vars
-        terms: Dict[Exps, Poly] = {}
-        for b1, p1 in self.terms.items():
-            for b2, p2 in other.terms.items():
-                # move d^b1 across p2: sum over gamma <= b1 of C(b1,gamma)
-                for gamma in _sub_multi_indices(b1, p2):
-                    dp2 = p2.diff_multi(gamma)
-                    if dp2.is_zero():
-                        continue
-                    coeff = 1
-                    for bi, gi in zip(b1, gamma):
-                        coeff *= comb(bi, gi)
-                    beta = tuple(a - g + b for a, g, b in zip(b1, gamma, b2))
-                    contrib = (p1 * dp2).scale(coeff)
-                    terms[beta] = terms.get(beta, Poly.zero(nv)) + contrib
-        return DiffOp(nv, terms)
+        den_a, sa = _scaled_terms(self)
+        den_b, sb = _scaled_terms(other)
+        acc: _Acc = {}
+        _compose_into(acc, sa, sb, 1)
+        return _finish(self.num_vars, acc, den_a * den_b)
 
     def apply(self, f: Poly) -> Poly:
         """Apply the operator to a polynomial, exactly."""
@@ -293,25 +308,70 @@ class DiffOp:
         return " + ".join(bits)
 
 
-def _sub_multi_indices(beta: Exps, p: Poly) -> Iterator[Exps]:
-    """Multi-indices gamma <= beta, capped by the variable degrees present in p."""
-    caps = [0] * len(beta)
-    for e in p.terms:
-        for i, x in enumerate(e):
-            if x > caps[i]:
-                caps[i] = x
-    ranges = [range(min(b, c) + 1) for b, c in zip(beta, caps)]
+_ScaledTerms = List[Tuple[Exps, List[Tuple[Exps, int]]]]
+_Acc = Dict[Exps, Dict[Exps, int]]
 
-    def rec(i: int, acc: Tuple[int, ...]) -> Iterator[Exps]:
-        if i == len(beta):
-            yield acc
-            return
-        for g in ranges[i]:
-            yield from rec(i + 1, acc + (g,))
 
-    return rec(0, ())
+def _scaled_terms(op: DiffOp) -> Tuple[int, _ScaledTerms]:
+    """(den, terms): den is the lcm of the coefficient denominators and terms
+    lists (beta, [(exponent, den * coefficient)]) with integer values."""
+    den = lcm(*(c.denominator for p in op.terms.values() for c in p.terms.values()))
+    return den, [(beta, [(e, c.numerator * (den // c.denominator)) for e, c in p.terms.items()])
+                 for beta, p in op.terms.items()]
+
+
+@lru_cache(maxsize=4096)
+def _leibniz(b1: Exps, e2: Exps) -> Tuple[Tuple[Exps, Exps, int], ...]:
+    """d^b1 x^e2 = sum_gamma k x^(e2 - gamma) d^(b1 - gamma) over gamma <= b1, e2,
+    with k = prod_i C(b1_i, g_i) (e2_i)_(g_i), (e)_(g) the falling factorial;
+    as (gamma, e2 - gamma, k) triples."""
+    out = []
+    for gamma in product(*[range(min(b, e) + 1) for b, e in zip(b1, e2)]):
+        k = 1
+        for b, e, g in zip(b1, e2, gamma):
+            if g:
+                k *= comb(b, g) * perm(e, g)
+        out.append((gamma, tuple(map(sub, e2, gamma)), k))
+    return tuple(out)
+
+
+def _compose_into(acc: _Acc, left: _ScaledTerms, right: _ScaledTerms, sign: int):
+    """Add sign * (left . right) into acc, by one Leibniz pass per
+    (b1, b2, e2): p1 d^b1 . c2 x^e2 d^b2 = sum_gamma k c2 p1 x^(e2 - gamma)
+    d^(b1 + b2 - gamma)."""
+    for b1, p1 in left:
+        for b2, p2 in right:
+            b12 = tuple(map(add, b1, b2))
+            for e2, c2 in p2:
+                c2 *= sign
+                for gamma, de, k in _leibniz(b1, e2):
+                    k *= c2
+                    beta = tuple(map(sub, b12, gamma))
+                    out = acc.get(beta)
+                    if out is None:
+                        out = acc[beta] = {}
+                    for e1, c1 in p1:
+                        m = tuple(map(add, e1, de))
+                        out[m] = out.get(m, 0) + c1 * k
+
+
+def _finish(num_vars: int, acc: _Acc, den: int) -> DiffOp:
+    """The DiffOp with coefficients acc / den, zero terms dropped."""
+    terms = {}
+    for beta, ints in acc.items():
+        coeffs = {m: Fraction(v, den) for m, v in ints.items() if v}
+        if coeffs:
+            terms[beta] = Poly._trusted(num_vars, coeffs)
+    return DiffOp._trusted(num_vars, terms)
 
 
 def bracket(a: DiffOp, b: DiffOp) -> DiffOp:
-    """Commutator a.b - b.a of differential operators."""
-    return (a @ b) - (b @ a)
+    """Commutator a.b - b.a of differential operators, by two Leibniz passes
+    into one accumulator (both products have denominator den_a * den_b)."""
+    a._check(b)
+    den_a, sa = _scaled_terms(a)
+    den_b, sb = _scaled_terms(b)
+    acc: _Acc = {}
+    _compose_into(acc, sa, sb, 1)
+    _compose_into(acc, sb, sa, -1)
+    return _finish(a.num_vars, acc, den_a * den_b)

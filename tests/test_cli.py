@@ -1,6 +1,7 @@
 """Command-line front end: exit codes, determinism, output formats."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -148,3 +149,11 @@ def test_scan_checks_slice_cap_before_any_degree(capsys, monkeypatch):
     assert rc == 2
     assert captured.out == ""
     assert "slice dimension 4560 at degree 17 exceeds cap 4096" in captured.err
+
+
+def test_suite_json_matches_golden(capsys):
+    # the recorded golden of the benchmark's suite workload, byte for byte
+    golden = Path(__file__).resolve().parent.parent / "perfbench" / "golden" / "suite.json"
+    rc, out = run(capsys, ["suite", "--format", "json"])
+    assert rc == 0
+    assert out == golden.read_text()

@@ -2,7 +2,8 @@
 
 import random
 from fractions import Fraction
-from math import comb
+from itertools import product
+from math import comb, prod
 
 import pytest
 
@@ -147,3 +148,69 @@ def test_apply_variable_count_mismatch():
         d(2, 0).apply(Poly.const(3, 1))
     with pytest.raises(ValueError):
         bracket(d(2, 0), d(3, 0))
+
+
+def leibniz_compose(a, b):
+    """Reference composition: one Poly-level Leibniz term per gamma <= b1,
+    capped by the variable degrees present in the right coefficient."""
+    nv = a.num_vars
+    terms = {}
+    for b1, p1 in a.terms.items():
+        for b2, p2 in b.terms.items():
+            caps = [max(e[i] for e in p2.terms) for i in range(nv)]
+            for gamma in product(*[range(min(bi, ci) + 1) for bi, ci in zip(b1, caps)]):
+                dp2 = p2.diff_multi(gamma)
+                if dp2.is_zero():
+                    continue
+                coeff = prod(comb(bi, gi) for bi, gi in zip(b1, gamma))
+                beta = tuple(x - g + y for x, g, y in zip(b1, gamma, b2))
+                terms[beta] = terms.get(beta, Poly.zero(nv)) + (p1 * dp2).scale(coeff)
+    return DiffOp(nv, terms)
+
+
+def random_fraction_op(rng, nv):
+    """Random operator of order <= 2 with coefficients of mixed denominators;
+    sometimes zero, sometimes built from terms that cancel."""
+    if rng.random() < 0.05:
+        return DiffOp.zero(nv)
+    terms = {}
+    for _ in range(rng.randint(1, 3)):
+        beta = tuple(rng.randint(0, 2) for _ in range(nv))
+        coeffs = {}
+        for _ in range(rng.randint(1, 3)):
+            e = tuple(rng.randint(0, 2) for _ in range(nv))
+            coeffs[e] = Fraction(rng.randint(-5, 5), rng.choice([1, 2, 3, 4, 6, 9]))
+        terms[beta] = Poly(nv, coeffs)
+    op = DiffOp(nv, terms)
+    if rng.random() < 0.1:
+        op = op + op.scale(Fraction(-1, 2)) - op.scale(Fraction(1, 2))  # cancels to zero
+    return op
+
+
+def test_composition_matches_leibniz_reference():
+    from oconf.ortho import build_conformal
+
+    cases = []
+    for n, series in [(2, "D"), (3, "D"), (1, "B"), (2, "B")]:
+        conf = build_conformal(n, series)
+        ops = [conf.op(lbl) for lbl in conf.labels()] + [conf.laplacian(), DiffOp.mult(conf.eta())]
+        cases += [(a, b) for a in ops for b in ops]
+    rng = random.Random(2024)
+    for _ in range(2000):
+        nv = rng.randint(1, 3)
+        a = random_fraction_op(rng, nv)
+        choice = rng.random()
+        if choice < 0.1:
+            b = a.scale(Fraction(rng.randint(-3, 3), rng.choice([1, 2, 5])))  # [a, b] = 0
+        elif choice < 0.2:
+            b = DiffOp.mult(random_poly(rng, nv, deg=3))
+        else:
+            b = random_fraction_op(rng, nv)
+        cases.append((a, b))
+    for a, b in cases:
+        ab, ba = leibniz_compose(a, b), leibniz_compose(b, a)
+        assert (a @ b).terms == ab.terms
+        assert bracket(a, b).terms == (ab - ba).terms
+    for a, b in cases[-200:]:
+        f = random_poly(rng, a.num_vars, deg=4, terms=4)
+        assert (a @ b).apply(f) == a.apply(b.apply(f))
