@@ -23,6 +23,7 @@ from .weights import (
     epsilon,
     is_dominant,
     jump_sequence,
+    natural_dim,
     omega_tilde_spectrum,
     parse_weight,
     pieri_decompose,

@@ -19,7 +19,7 @@ from . import reducibility, spectral, suite as suite_mod
 from .irreps import build_irrep, validate_irrep
 from .mixed import verify_shen_monomorphism
 from .ortho import verify_bracket_tables, verify_theta_homomorphism
-from .weights import WeightVec, parse_weight, pieri_decompose, weyl_dim, zero_weight
+from .weights import WeightVec, natural_dim, parse_weight, pieri_decompose, weyl_dim, zero_weight
 
 
 def _fail_usage(msg: str) -> int:
@@ -117,7 +117,7 @@ def cmd_build_irrep(args) -> int:
 def cmd_pieri(args) -> int:
     mu = _parse_mu(args)
     parts = pieri_decompose(mu)
-    total = weyl_dim(mu) * (2 * mu.n if mu.series == "D" else 2 * mu.n + 1)
+    total = weyl_dim(mu) * natural_dim(mu.series, mu.n)
     dims = [weyl_dim(w) for w in parts]
     doc = {"schema": 1, "command": "pieri", "series": mu.series, "mu": str(mu),
            "summands": [str(w) for w in parts], "dims": dims,

@@ -33,7 +33,7 @@ from typing import Dict, List, Sequence, Tuple
 
 from .linalg import EchelonBasis, SparseMat, nullspace_of_rows, rank_of_rows, solve_row_combination
 from .ortho import OrthoBasis, build_ortho, casimir_pairs
-from .weights import WeightVec, casimir_eigenvalue, is_dominant, weyl_dim
+from .weights import WeightVec, casimir_eigenvalue, is_dominant, natural_dim, weyl_dim
 
 Coords = Tuple[Fraction, ...]
 
@@ -53,10 +53,9 @@ class IrrepData:
 
     def matrix_of(self, M: SparseMat) -> SparseMat:
         """Representation matrix of an arbitrary algebra element."""
-        out = SparseMat(self.dim, self.dim)
-        for idx, c in self.basis.expand(M).items():
-            out = out + self.rep[self.basis.elements[idx].label].scale(c)
-        return out
+        return SparseMat.from_entries(self.dim, self.dim, (
+            (key, c * v) for idx, c in self.basis.expand(M).items()
+            for key, v in self.rep[self.basis.elements[idx].label].data.items()))
 
     def to_json_dict(self) -> dict:
         mats = {}
@@ -83,7 +82,7 @@ def load_irrep_json(doc: dict) -> IrrepData:
 
     series = doc["series"]
     mu = parse_weight(doc["mu"], series)
-    ob = build_ortho(2 * mu.n if series == "D" else 2 * mu.n + 1)
+    ob = build_ortho(natural_dim(series, mu.n))
     dim = doc["dim"]
     rep = {}
     for label, triplets in doc["matrices"].items():
@@ -91,11 +90,6 @@ def load_irrep_json(doc: dict) -> IrrepData:
         rep[label] = SparseMat(dim, dim, data)
     weights = [parse_weight(w, series) for w in doc["weights"]]
     return IrrepData(mu, dim, weights, rep, doc["highest"], ob)
-
-
-@lru_cache(maxsize=None)
-def _ortho(series: str, n: int) -> OrthoBasis:
-    return build_ortho(2 * n if series == "D" else 2 * n + 1)
 
 
 def _natural_rep(ob: OrthoBasis) -> Dict[str, SparseMat]:
@@ -148,7 +142,7 @@ def _kron_sum(left: Dict[str, SparseMat], right: Dict[str, SparseMat]) -> Dict[s
 
 def _build(mu: WeightVec) -> IrrepData:
     """V(mu) for dominant mu, as the cyclic submodule described above."""
-    ob = _ortho(mu.series, mu.n)
+    ob = build_ortho(natural_dim(mu.series, mu.n))
     top = mu.coords
     if mu.is_zero():
         return IrrepData(mu, 1, [mu], {el.label: SparseMat(1, 1) for el in ob.elements}, 0, ob)

@@ -53,6 +53,15 @@ class SparseMat:
         return m
 
     @classmethod
+    def from_entries(cls, rows: int, cols: int, entries: Iterable[Tuple[Entry, Fraction]]) -> "SparseMat":
+        """The matrix whose (i, j) entry is the sum of the values given for
+        (i, j): one accumulator, not a chain of whole-matrix additions."""
+        data: Dict[Entry, Fraction] = {}
+        for key, v in entries:
+            data[key] = data.get(key, 0) + v
+        return cls(rows, cols, data)
+
+    @classmethod
     def identity(cls, n: int) -> "SparseMat":
         # n ones on the diagonal of an n x n matrix
         return cls._trusted(n, n, {(i, i): Fraction(1) for i in range(n)})
@@ -137,14 +146,27 @@ class SparseMat:
             cols[j][i] = v
         return cols
 
-    def apply(self, vec: Dict[int, Fraction]) -> Dict[int, Fraction]:
-        """Matrix times sparse column vector."""
-        out: Dict[int, Fraction] = {}
+    def apply_all(self, vecs: Iterable[Dict[int, Fraction]]) -> List[Dict[int, Fraction]]:
+        """Matrix times each sparse column vector.
+
+        The matrix is indexed by column once per batch, so each product then
+        costs only the entries in the vector's columns, not nnz(M).
+        """
+        by_col: Dict[int, List[Tuple[int, Fraction]]] = {}
         for (i, j), v in self.data.items():
-            c = vec.get(j)
-            if c is not None:
-                out[i] = out.get(i, Fraction(0)) + v * c
-        return {k: v for k, v in out.items() if v != 0}
+            by_col.setdefault(j, []).append((i, v))
+        out = []
+        for vec in vecs:
+            acc: Dict[int, Fraction] = {}
+            for j, c in vec.items():
+                for i, v in by_col.get(j, ()):
+                    acc[i] = acc.get(i, 0) + v * c
+            out.append({i: v for i, v in acc.items() if v})
+        return out
+
+    def apply(self, vec: Dict[int, Fraction]) -> Dict[int, Fraction]:
+        """Matrix times one sparse column vector."""
+        return self.apply_all([vec])[0]
 
     def to_dense(self) -> List[List[Fraction]]:
         out = [[Fraction(0)] * self.cols for _ in range(self.rows)]

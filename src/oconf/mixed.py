@@ -18,13 +18,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import lcm
 from typing import Dict, List, Optional, Tuple
 
 from .linalg import SparseMat
 from .ortho import OrthoBasis, build_conformal, build_ortho, theta_images
 from .poly import DiffOp, Poly, bracket as dbracket, monomial_basis
-from .weights import WeightVec
+from .weights import WeightVec, natural_dim
 from .irreps import IrrepData, build_irrep
 
 Exps = Tuple[int, ...]
@@ -187,9 +188,9 @@ def verify_shen_monomorphism(n: int, series: str) -> Dict[str, object]:
     """embed([xi,zeta]) = [embed(xi), embed(zeta)] for all generator pairs,
     closed-form agreement, and containment in the twisted algebra."""
     conf = build_conformal(n, series)
-    small = build_ortho(2 * n if series == "D" else 2 * n + 1)
+    small = build_ortho(natural_dim(series, n))
     labels = conf.labels()
-    embeds = {lbl: shen_embed(conf.op(lbl)) for lbl in labels}
+    embeds = {lbl: _embed(n, series, lbl) for lbl in labels}
     failures: List[Dict[str, str]] = []
     for a in range(len(labels)):
         for bdx in range(a + 1, len(labels)):
@@ -224,6 +225,18 @@ def verify_shen_monomorphism(n: int, series: str) -> Dict[str, object]:
 # The generalized conformal module, slice by slice
 
 
+@lru_cache(maxsize=None)
+def _embed(n: int, series: str, label: str) -> ExtendedOp:
+    """The embedding of one generator, shared by every module of this series
+    and rank: b enters only in `ConformalModule._pieces`."""
+    return shen_embed(build_conformal(n, series).op(label))
+
+
+@lru_cache(maxsize=None)
+def _split(n: int, series: str, label: str) -> List[Tuple[Exps, Fraction, Dict[int, Fraction]]]:
+    return _embed(n, series, label).central_orthogonal_split(build_ortho(natural_dim(series, n)))
+
+
 @dataclass
 class GradedSlice:
     """One graded component A_k (x) V(mu) with its action matrices.
@@ -254,11 +267,9 @@ class ConformalModule:
         self.slice_cap = slice_cap
         self.conf = build_conformal(self.n, self.series)
         self.num_vars = self.conf.num_vars
-        self.small = build_ortho(2 * self.n if self.series == "D" else 2 * self.n + 1)
+        self.small = build_ortho(natural_dim(self.series, self.n))
         self.irrep: IrrepData = build_irrep(mu)
         self.dim_v = self.irrep.dim
-        self._embeds: Dict[str, ExtendedOp] = {}
-        self._splits: Dict[str, List[Tuple[Exps, Fraction, Dict[int, Fraction]]]] = {}
         self._monos: Dict[int, List[Exps]] = {}
         self._mono_index: Dict[int, Dict[Exps, int]] = {}
         self._act: Dict[Tuple[str, int], SparseMat] = {}
@@ -305,18 +316,7 @@ class ConformalModule:
         return 0
 
     def embed_of(self, label: str) -> ExtendedOp:
-        hit = self._embeds.get(label)
-        if hit is None:
-            hit = shen_embed(self.conf.op(label))
-            self._embeds[label] = hit
-        return hit
-
-    def _split_of(self, label: str) -> List[Tuple[Exps, Fraction, Dict[int, Fraction]]]:
-        hit = self._splits.get(label)
-        if hit is None:
-            hit = self.embed_of(label).central_orthogonal_split(self.small)
-            self._splits[label] = hit
-        return hit
+        return _embed(self.n, self.series, label)
 
     # -- action matrices ---------------------------------------------------------
 
@@ -336,7 +336,7 @@ class ConformalModule:
             for m, c in p.terms.items():
                 field.setdefault(tuple(a - b for a, b in zip(m, beta)), []).append((i, c))
         blocks: Dict[Exps, SparseMat] = {}
-        for ge, central, coeffs in self._split_of(label):
+        for ge, central, coeffs in _split(self.n, self.series, label):
             block = SparseMat.identity(self.dim_v).scale(central * self.b)
             for sidx, sc in coeffs.items():
                 block = block + self.irrep.rep[self._small_labels[sidx]].scale(sc)
@@ -413,19 +413,21 @@ class ConformalModule:
         if k == 0:
             out = SparseMat.identity(self.dim_v)
         else:
-            prev = self.phi_matrix(k - 1)
-            prev_cols = prev.col_vectors()
-            monos = self.monomials_of(k)
-            jmats = {i: self.action_matrix(self.j_labels[i], k - 1) for i in range(self.num_vars)}
-            data: Dict[Tuple[int, int], Fraction] = {}
-            for mi, e in enumerate(monos):
+            prev_cols = self.phi_matrix(k - 1).col_vectors()
+            dv = self.dim_v
+            # column x^e (x) v is J_i applied to column x^(e - u_i) (x) v of
+            # phi_{k-1}, i the first variable of x^e; batched per J_i
+            batches: Dict[int, Tuple[List[int], List[Dict[int, Fraction]]]] = {}
+            for mi, e in enumerate(self.monomials_of(k)):
                 i = next(t for t, x in enumerate(e) if x > 0)
-                pe = list(e)
-                pe[i] -= 1
-                pcol = self._mono_index[k - 1][tuple(pe)] * self.dim_v
-                for r in range(self.dim_v):
-                    vec = jmats[i].apply(prev_cols[pcol + r])
-                    col = mi * self.dim_v + r
+                pcol = self._mono_index[k - 1][e[:i] + (e[i] - 1,) + e[i + 1:]] * dv
+                cols, vecs = batches.setdefault(i, ([], []))
+                cols.extend(range(mi * dv, mi * dv + dv))
+                vecs.extend(prev_cols[pcol:pcol + dv])
+            data: Dict[Tuple[int, int], Fraction] = {}
+            for i, (cols, vecs) in batches.items():
+                images = self.action_matrix(self.j_labels[i], k - 1).apply_all(vecs)
+                for col, vec in zip(cols, images):
                     for row, v in vec.items():
                         data[(row, col)] = v
             out = SparseMat(self.slice_dim(k), self.slice_dim(k), data)

@@ -17,10 +17,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Dict, List, Optional, Tuple
 
 from .linalg import SparseMat, rank_of_rows
 from .poly import DiffOp, Poly, bracket
+from .weights import natural_dim
 
 Root = Tuple[Fraction, ...]
 
@@ -136,8 +138,13 @@ def _root_height(series: str, n: int, root: Root) -> int:
     raise ValueError(f"root {root} is not positive")
 
 
+@lru_cache(maxsize=None)
 def build_ortho(m: int) -> OrthoBasis:
-    """Basis of o(m,C) in the split realization, m >= 3."""
+    """Basis of o(m,C) in the split realization, m >= 3.
+
+    Built once per m: the returned basis is shared by every caller and must
+    not be mutated (its bracket memo aside).
+    """
     if m < 3:
         raise ValueError("o(m) realization requires m >= 3")
     series = "D" if m % 2 == 0 else "B"
@@ -324,12 +331,18 @@ def _unit(nv: int, pos: int, k: int = 1) -> Tuple[int, ...]:
     return tuple(e)
 
 
+@lru_cache(maxsize=None)
 def build_conformal(n: int, series: str) -> ConformalBasis:
+    """The conformal generators over natural_dim(series, n) variables.
+
+    Built once per (n, series): the returned basis is shared by every caller
+    and must not be mutated.
+    """
     if series == "D" and n < 2:
         raise ValueError("D series needs n >= 2")
     if series == "B" and n < 1:
         raise ValueError("B series needs n >= 1")
-    num_vars = 2 * n if series == "D" else 2 * n + 1
+    num_vars = natural_dim(series, n)
     cb = ConformalBasis(series, n, num_vars, [])
     elements: List[Tuple[str, DiffOp]] = [("D", cb.euler())]
     var_range = range(1, 2 * n + 1) if series == "D" else range(0, 2 * n + 1)
@@ -361,8 +374,7 @@ def build_conformal(n: int, series: str) -> ConformalBasis:
 def theta_images(n: int, series: str) -> Tuple[OrthoBasis, ConformalBasis, Dict[str, DiffOp]]:
     """The big orthogonal basis, the conformal basis, and the image table."""
     conf = build_conformal(n, series)
-    big_m = 2 * n + 2 if series == "D" else 2 * n + 3
-    ob = build_ortho(big_m)
+    ob = build_ortho(natural_dim(series, n) + 2)
     N = n + 1
     images: Dict[str, DiffOp] = {}
 

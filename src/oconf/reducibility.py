@@ -213,8 +213,7 @@ def verify_submodule_closure(
             if kt < 0 or kt > witness.max_degree or not vecs:
                 continue
             M = mod.action_matrix(lbl, k)
-            images = [M.apply(v) for v in vecs]
-            images = [v for v in images if v]
+            images = [v for v in M.apply_all(vecs) if v]
             if images and not vectors_contained_in_span(images, witness.basis[kt]):
                 ok = False
         results[lbl] = ok
@@ -261,10 +260,11 @@ def generation_closure_scan(
                     continue
                 if spans[kt].rank == dims[kt]:
                     continue
-                # the span's echelon rows are a basis of it, as good as any
-                M = mod.action_matrix(lbl, k)
-                for v in list(spans[k].rows.values()):
-                    if add(kt, M.apply(v)):
+                # the span's echelon rows are a basis of it, as good as any;
+                # all images are taken before any is added
+                images = mod.action_matrix(lbl, k).apply_all(spans[k].rows.values())
+                for v in images:
+                    if add(kt, v):
                         changed = True
     return {k: (spans[k].rank, dims[k]) for k in range(max_degree + 1)}
 
@@ -393,8 +393,7 @@ def harmonic_decompose(k: int, n: int, series: str, cap: int = DEFAULT_SLICE_CAP
         for _ in range(r):
             Mr = lap_mats[deg] * Mr
             deg -= 2
-        images = [Mr.apply(v) for v in kern]
-        images = [v for v in images if v]
+        images = [v for v in Mr.apply_all(kern) if v]
         target = harmonics[k - 2 * r]
         if rank_of_rows(images) != len(target) or (
             images and not vectors_contained_in_span(images, target)

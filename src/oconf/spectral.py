@@ -45,26 +45,22 @@ def omega_tilde_matrix(mu: WeightVec, cap: int = 4096) -> OmegaTildeMatrix:
     dim = m * V.dim
     if dim > cap:
         raise ValueError(f"tensor dimension {dim} exceeds cap {cap}")
-    out = SparseMat(dim, dim)
-    for M1, M2 in casimir_pairs(V.basis):
-        out = out + M1.kron(V.matrix_of(M2))
+    out = SparseMat.from_entries(dim, dim, (
+        e for M1, M2 in casimir_pairs(V.basis) for e in M1.kron(V.matrix_of(M2)).data.items()))
     return OmegaTildeMatrix(mu, dim, (m, V.dim), out)
 
 
 def tensor_casimir_matrix(tm: TensorModule, V: IrrepData) -> SparseMat:
     """Casimir of the diagonal action on V(e1) (x) V(mu)."""
-    out = SparseMat(tm.dim, tm.dim)
     ob = V.basis
 
     def rep_of(M: SparseMat) -> SparseMat:
-        acc = SparseMat(tm.dim, tm.dim)
-        for idx, c in ob.expand(M).items():
-            acc = acc + tm.rep[ob.elements[idx].label].scale(c)
-        return acc
+        return SparseMat.from_entries(tm.dim, tm.dim, (
+            (key, c * v) for idx, c in ob.expand(M).items()
+            for key, v in tm.rep[ob.elements[idx].label].data.items()))
 
-    for M1, M2 in casimir_pairs(ob):
-        out = out + rep_of(M1) * rep_of(M2)
-    return out
+    return SparseMat.from_entries(tm.dim, tm.dim, (
+        e for M1, M2 in casimir_pairs(ob) for e in (rep_of(M1) * rep_of(M2)).data.items()))
 
 
 def closed_form_charpoly(spec: Spectrum) -> List[Fraction]:
@@ -124,22 +120,35 @@ def verify_charpoly_lemma(mu: WeightVec, cap: int = 4096) -> Dict[str, object]:
 
 def invariant_t_matrix(mod: ConformalModule, k: int) -> SparseMat:
     """T = sum_i (J_i x_{n+i} + J_{n+i} x_i) (+ J_0 x_0 for the odd series)
-    as a map from slice k to slice k+2."""
-    n = mod.n
-    conf = mod.conf
-    out = SparseMat(mod.slice_dim(k + 2), mod.slice_dim(k))
+    as a map from slice k to slice k+2.
 
-    def term(j_label: str, mult_paper_idx: int) -> SparseMat:
-        mult = mod.mult_matrix(conf.x(mult_paper_idx), k)
-        jup = mod.action_matrix(j_label, k + 1)
-        return jup * mult
-
-    if mod.series == "B":
-        out = out + term("J_0", 0)
+    Multiplying by x_idx only relabels: it sends x^e (x) v in slice k to
+    x^(e + u_idx) (x) v.  So column x^e (x) v of J x_idx is column
+    x^(e + u_idx) (x) v of J on slice k+1, and T is assembled by walking each
+    J once and sending its columns divisible by x_idx back to slice k.
+    """
+    if k < 0:
+        raise ValueError(f"slice degree k must be >= 0, got {k}")
+    n, dv = mod.n, mod.dim_v
+    terms = [("J_0", 0)] if mod.series == "B" else []
     for i in range(1, n + 1):
-        out = out + term(f"J_{i}", n + i)
-        out = out + term(f"J_{n + i}", i)
-    return out
+        terms += [(f"J_{i}", n + i), (f"J_{n + i}", i)]
+    monos_up = mod.monomials_of(k + 1)
+    index = mod.mono_index(k)
+
+    def entries():
+        for label, idx in terms:
+            pos = mod.conf.var_pos(idx)
+            down = {}  # slice-(k+1) monomial -> slice-k monomial, divided by x_idx
+            for m1, e in enumerate(monos_up):
+                if e[pos]:
+                    down[m1] = index[e[:pos] + (e[pos] - 1,) + e[pos + 1:]]
+            for (row, col), v in mod.action_matrix(label, k + 1).data.items():
+                m0 = down.get(col // dv)
+                if m0 is not None:
+                    yield (row, m0 * dv + col % dv), v
+
+    return SparseMat.from_entries(mod.slice_dim(k + 2), mod.slice_dim(k), entries())
 
 
 def t_scalar(mod: ConformalModule, k: int) -> Fraction:

@@ -22,6 +22,7 @@ from .ortho import verify_bracket_tables, verify_theta_homomorphism
 from .weights import (
     WeightVec,
     casimir_eigenvalue,
+    natural_dim,
     parse_weight,
     pieri_decompose,
     weyl_dim,
@@ -220,7 +221,7 @@ def check_pieri_eigenspaces() -> Tuple[bool, str]:
     ok = True
     for mu in _mu_battery():
         r = spectral.verify_charpoly_lemma(mu)
-        total = weyl_dim(mu) * (2 * mu.n if mu.series == "D" else 2 * mu.n + 1)
+        total = weyl_dim(mu) * natural_dim(mu.series, mu.n)
         summands = sum(weyl_dim(w) for w in pieri_decompose(mu))
         good = bool(r["eigenspace_dims_match_pieri"]) and total == summands
         ok &= good

@@ -68,6 +68,11 @@ def parse_weight(text: str, series: str) -> WeightVec:
     return WeightVec(series, coords)
 
 
+def natural_dim(series: str, n: int) -> int:
+    """Dimension m of the natural module of o(m): 2n for D_n, 2n+1 for B_n."""
+    return 2 * n if series == "D" else 2 * n + 1
+
+
 def zero_weight(series: str, n: int) -> WeightVec:
     return WeightVec(series, (Fraction(0),) * n)
 

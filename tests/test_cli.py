@@ -47,6 +47,15 @@ def test_usage_errors_exit_2(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("k", ["-1", "-3"])
+def test_t_operator_negative_degree_exits_2(capsys, k):
+    rc = main(["t-operator", "--series", "D", "--mu", "1,0", "--b", "1", "--k", k])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert f"slice degree k must be >= 0, got {k}" in captured.err
+
+
 def test_json_output_deterministic(capsys):
     argv = ["scan", "--series", "D", "--n", "2", "--mu", "1,0", "--b", "1/3", "--max-degree", "2", "--format", "json"]
     rc1, out1 = run(capsys, argv)

@@ -133,6 +133,48 @@ def test_nullspace_vectors_annihilate():
             assert all(x == 0 for x in out.values())
 
 
+def reference_apply(M, vec):
+    """The per-entry product: walk every stored entry of M."""
+    out = {}
+    for (i, j), v in M.data.items():
+        c = vec.get(j)
+        if c is not None:
+            out[i] = out.get(i, Fraction(0)) + v * c
+    return {k: v for k, v in out.items() if v != 0}
+
+
+def test_apply_all_matches_per_entry_apply():
+    rng = random.Random(5)
+    for _ in range(30):
+        n, m = rng.randint(1, 7), rng.randint(1, 7)
+        M = dense_random(rng, n, m, density=rng.choice([0.2, 0.5]))
+        vecs = [{}]  # the empty vector
+        for _ in range(6):
+            cols = rng.sample(range(m), rng.randint(1, m))
+            vecs.append({j: Fraction(rng.randint(1, 5), rng.choice([1, 2, 3])) for j in cols})
+            vecs.append({j: rng.choice([-3, -1, 2, 7]) for j in cols})  # int, like EchelonBasis rows
+        # kernel vectors: every image entry cancels to zero and is dropped
+        vecs.extend(nullspace_of_rows(M.row_vectors(), m))
+        got = M.apply_all(vecs)
+        assert got == [reference_apply(M, v) for v in vecs]
+        assert [M.apply(v) for v in vecs] == got
+        assert all(type(x) is Fraction for img in got for x in img.values())
+    assert SparseMat(2, 2, {(0, 0): Fraction(1), (1, 1): Fraction(1)}).apply_all([]) == []
+
+
+def test_apply_drops_cancelled_entries():
+    M = SparseMat(2, 2, {(0, 0): Fraction(1), (0, 1): Fraction(-1), (1, 0): Fraction(2)})
+    assert M.apply({0: 3, 1: 3}) == {1: Fraction(6)}
+    assert M.apply({}) == {}
+
+
+def test_from_entries_sums_repeats_and_drops_zeros():
+    M = SparseMat.from_entries(2, 3, [((0, 1), Fraction(1)), ((1, 2), Fraction(2)), ((0, 1), Fraction(-1))])
+    assert M == SparseMat(2, 3, {(1, 2): Fraction(2)})
+    with pytest.raises(ValueError):
+        SparseMat.from_entries(2, 3, [((2, 0), Fraction(1))])
+
+
 def test_solve_row_combination():
     rows = [{0: Fraction(1), 1: Fraction(2)}, {1: Fraction(1)}]
     target = {0: Fraction(3), 1: Fraction(7)}

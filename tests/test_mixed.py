@@ -257,3 +257,19 @@ def test_action_matrix_matches_per_monomial_reference(series, mus):
             M = mod.action_matrix(label, k)
             assert M == reference_action_matrix(mod, label, k), (label, k)
             assert all(type(v) is F for v in M.data.values())
+
+
+def test_b_independent_structure_is_shared_across_b():
+    mu = parse_weight("1,0", "D")
+    first = ConformalModule(mu, F(3))
+    for k in range(3):
+        for label in first.conf.labels():
+            first.action_matrix(label, k)
+    second = ConformalModule(mu, F(-11, 7))
+    assert second.conf is first.conf and second.small is first.small
+    assert build_conformal(2, "D") is build_conformal(2, "D")
+    for label in second.conf.labels():
+        assert second.embed_of(label) is first.embed_of(label)
+    for k in range(4):
+        for label in second.conf.labels():
+            assert second.action_matrix(label, k) == reference_action_matrix(second, label, k), (label, k)

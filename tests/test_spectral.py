@@ -95,6 +95,37 @@ def test_t_operator_scalar_identity(series, b):
         assert T == eta_mult.scale(t_scalar(mod, k)), (series, b, k)
 
 
+def reference_t_matrix(mod, k):
+    """T as the sum of products J (slice k+1) * (x multiplication on slice k)."""
+    n = mod.n
+    terms = [("J_0", 0)] if mod.series == "B" else []
+    for i in range(1, n + 1):
+        terms += [(f"J_{i}", n + i), (f"J_{n + i}", i)]
+    out = SparseMat(mod.slice_dim(k + 2), mod.slice_dim(k))
+    for label, idx in terms:
+        out = out + mod.action_matrix(label, k + 1) * mod.mult_matrix(mod.conf.x(idx), k)
+    return out
+
+
+@pytest.mark.parametrize("series,mus", [("D", "1,0"), ("B", "1,0"), ("B", "1/2,1/2"), ("D", "1,0,0")])
+@pytest.mark.parametrize("b", [F(0), F(1, 3), F(-11, 7)])
+def test_t_assembly_matches_product_reference(series, mus, b):
+    mod = ConformalModule(parse_weight(mus, series), b, slice_cap=8192)
+    for k in range(4):
+        T = invariant_t_matrix(mod, k)
+        assert T.data == reference_t_matrix(mod, k).data, (series, mus, b, k)
+        assert (T.rows, T.cols) == (mod.slice_dim(k + 2), mod.slice_dim(k))
+
+
+@pytest.mark.parametrize("k", [-1, -3])
+def test_t_operator_rejects_negative_degree(k):
+    mu = parse_weight("1,0", "D")
+    with pytest.raises(ValueError, match="k must be >= 0"):
+        verify_t_operator(mu, F(1), k)
+    with pytest.raises(ValueError, match="k must be >= 0"):
+        invariant_t_matrix(ConformalModule(mu, F(1)), k)
+
+
 def test_t_scalar_examples():
     # D n=2, b=1, k=0: 2b+2-2n+k = 0, so T vanishes
     mod = ConformalModule(parse_weight("1,0", "D"), F(1))
