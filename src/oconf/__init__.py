@@ -44,6 +44,7 @@ from .ortho import (
     verify_theta_homomorphism,
 )
 from .irreps import (
+    CapExceeded,
     IrrepData,
     build_irrep,
     load_irrep_json,
@@ -65,6 +66,7 @@ from .spectral import (
     closed_form_charpoly,
     invariant_t_matrix,
     omega_tilde_matrix,
+    t_operator_sweep,
     t_scalar,
     verify_charpoly_lemma,
     verify_t_operator,
@@ -76,10 +78,13 @@ from .reducibility import (
     SubmoduleWitness,
     classify_b,
     detect_submodule,
+    detect_submodule_in,
     harmonic_decompose,
     laplacian_eta_commutator,
     surjectivity_scan,
+    surjectivity_scan_in,
     verify_submodule_closure,
+    verify_submodule_closure_in,
 )
 
 __version__ = "0.1.0"

@@ -2,7 +2,7 @@
 
 Exit codes: 0 when every requested check passes (or the scan verdict is
 irreducible/critical without a witness), 1 when a mathematical check fails
-or reducibility is found, 2 for usage errors.  JSON output is deterministic
+or reducibility is found, 2 for usage errors or an exceeded cap.  JSON output is deterministic
 (no timings, sorted keys); text output includes per-check timing.
 """
 
@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Optional
 
 from . import reducibility, spectral, suite as suite_mod
-from .irreps import build_irrep, validate_irrep
+from .irreps import CapExceeded, build_irrep, validate_irrep
 from .mixed import verify_shen_monomorphism
 from .ortho import verify_bracket_tables, verify_theta_homomorphism
 from .weights import WeightVec, natural_dim, parse_weight, pieri_decompose, weyl_dim, zero_weight
@@ -296,6 +296,9 @@ def main(argv: Optional[list] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return COMMANDS[args.command](args)
+    except CapExceeded as exc:
+        print(f"cap exceeded: {exc}", file=sys.stderr)
+        return 2
     except ValueError as exc:
         return _fail_usage(str(exc))
 

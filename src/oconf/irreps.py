@@ -40,6 +40,10 @@ Coords = Tuple[Fraction, ...]
 DEFAULT_DIM_CAP = 512
 
 
+class CapExceeded(ValueError):
+    """A requested module or slice is larger than its configured cap."""
+
+
 @dataclass
 class IrrepData:
     """V(mu) with its weight basis and one matrix per algebra basis element."""
@@ -237,7 +241,7 @@ def build_irrep(mu: WeightVec, cap: int = DEFAULT_DIM_CAP) -> IrrepData:
         raise ValueError(f"{mu} is not dominant")
     dim = weyl_dim(mu)
     if dim > cap:
-        raise ValueError(f"dim V(mu) = {dim} exceeds cap {cap}")
+        raise CapExceeded(f"dim V(mu) = {dim} exceeds cap {cap}")
     return _build(mu)
 
 
@@ -336,6 +340,6 @@ def tensor_with_natural(V: IrrepData, cap: int = DEFAULT_DIM_CAP) -> TensorModul
     m = ob.m
     dim = m * V.dim
     if dim > cap:
-        raise ValueError(f"tensor dimension {dim} exceeds cap {cap}")
+        raise CapExceeded(f"tensor dimension {dim} exceeds cap {cap}")
     rep = _kron_sum(_natural_rep(ob), V.rep)
     return TensorModule(V.mu, dim, rep, (m, V.dim))

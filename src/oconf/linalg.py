@@ -58,7 +58,8 @@ class SparseMat:
         (i, j): one accumulator, not a chain of whole-matrix additions."""
         data: Dict[Entry, Fraction] = {}
         for key, v in entries:
-            data[key] = data.get(key, 0) + v
+            w = data.get(key)
+            data[key] = v if w is None else w + v
         return cls(rows, cols, data)
 
     @classmethod
@@ -87,6 +88,29 @@ class SparseMat:
         for k, v in other.data.items():
             data[k] = data.get(k, Fraction(0)) + v
         return SparseMat(self.rows, self.cols, data)
+
+    def add_scaled(self, other: "SparseMat", c) -> "SparseMat":
+        """self + c * other, touching only the entries of other.
+
+        The sum of a large matrix and a sparse correction costs a dict copy
+        plus one product and one sum per entry of the correction; entries
+        that cancel are dropped.
+        """
+        if (self.rows, self.cols) != (other.rows, other.cols):
+            raise ValueError("shape mismatch")
+        c = Fraction(c)
+        if c == 0 or not other.data:
+            return self
+        data = dict(self.data)
+        for key, v in other.data.items():
+            w = data.get(key)
+            w = c * v if w is None else w + c * v
+            if w:
+                data[key] = w
+            else:
+                del data[key]
+        # keys are self's or other's, and every zero sum was removed
+        return SparseMat._trusted(self.rows, self.cols, data)
 
     def __sub__(self, other: "SparseMat") -> "SparseMat":
         return self + other.scale(Fraction(-1))
@@ -160,7 +184,8 @@ class SparseMat:
             acc: Dict[int, Fraction] = {}
             for j, c in vec.items():
                 for i, v in by_col.get(j, ()):
-                    acc[i] = acc.get(i, 0) + v * c
+                    w = acc.get(i)
+                    acc[i] = v * c if w is None else w + v * c
             out.append({i: v for i, v in acc.items() if v})
         return out
 

@@ -12,10 +12,17 @@ the central charge b.  The module A (x) V(mu) is materialized degree by
 degree: each graded slice A_k (x) V(mu) carries exact action matrices for
 every generator, and the comparison map phi sending x^a (x) v to J^a(1 (x) v)
 is realized as a matrix per degree.
+
+Since b enters every generator only through that scalar term, the action at
+b is the action at any other charge b0 plus (b - b0) times a b-free matrix C
+(`ConformalModule.central_part`).  `ConformalModule.at(b)` uses this: the
+module at b reuses the b-free state and the computed matrices of the module
+at b0 and adds the sparse correction.
 """
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -26,7 +33,7 @@ from .linalg import SparseMat
 from .ortho import OrthoBasis, build_conformal, build_ortho, theta_images
 from .poly import DiffOp, Poly, bracket as dbracket, monomial_basis
 from .weights import WeightVec, natural_dim
-from .irreps import IrrepData, build_irrep
+from .irreps import CapExceeded, IrrepData, build_irrep
 
 Exps = Tuple[int, ...]
 
@@ -257,7 +264,10 @@ class GradedSlice:
 
 
 class ConformalModule:
-    """A (x) V(mu) for one series, rank and central charge, built lazily."""
+    """A (x) V(mu) for one series, rank and central charge, built lazily.
+
+    `at(b)` gives the same module at another central charge (a sibling).
+    """
 
     def __init__(self, mu: WeightVec, b, slice_cap: int = DEFAULT_SLICE_CAP):
         self.mu = mu
@@ -274,6 +284,8 @@ class ConformalModule:
         self._mono_index: Dict[int, Dict[Exps, int]] = {}
         self._act: Dict[Tuple[str, int], SparseMat] = {}
         self._phi: Dict[int, SparseMat] = {}
+        self._base: Optional[ConformalModule] = None  # set on siblings only
+        self._central: Dict[Tuple[str, int], SparseMat] = {}  # b-coefficients, built on demand
         self._small_labels = self.small.labels()
         # ordered by label index, matching the monomial variable order
         if self.series == "D":
@@ -303,7 +315,7 @@ class ConformalModule:
     def check_cap(self, k: int):
         d = self.slice_dim(k)
         if d > self.slice_cap:
-            raise ValueError(f"slice dimension {d} at degree {k} exceeds cap {self.slice_cap}")
+            raise CapExceeded(f"slice dimension {d} at degree {k} exceeds cap {self.slice_cap}")
 
     def basis_index(self, k: int, e: Exps, r: int) -> int:
         return self.mono_index(k)[e] * self.dim_v + r
@@ -355,6 +367,15 @@ class ConformalModule:
         hit = self._act.get(key)
         if hit is not None:
             return hit
+        base = self._base
+        if base is None:
+            out = self._build_action(label, k)
+        else:
+            out = base.action_matrix(label, k).add_scaled(base.central_part(label, k), self.b - base.b)
+        self._act[key] = out
+        return out
+
+    def _build_action(self, label: str, k: int) -> SparseMat:
         kt = k + self.degree_shift(label)
         self.check_cap(k)
         if kt >= 0:
@@ -380,13 +401,57 @@ class ConformalModule:
                         data[(row + r, col + q)] = v
         # every v is a stored (so nonzero) entry of block + s I; row indexes
         # a monomial of slice kt and col one of slice k, and r, q < dv
-        out = SparseMat._trusted(tdim, len(monos) * dv, data)
-        self._act[key] = out
-        return out
+        return SparseMat._trusted(tdim, len(monos) * dv, data)
 
-    def central_matrix(self, k: int) -> SparseMat:
-        """Action of the hidden central element on slice k (is b * Id)."""
-        return SparseMat.identity(self.slice_dim(k)).scale(self.b)
+    # -- other central charges -----------------------------------------------------
+
+    def at(self, b) -> "ConformalModule":
+        """This module at central charge b: a sibling of the base module.
+
+        The sibling shares the base's b-free state (monomials, irrep, bases)
+        and its computed action matrices, and keeps its own matrices and phi.
+        Its action at b is the base's action plus (b - base b) `central_part`.
+        Nothing is cached beyond the modules the caller holds.
+        """
+        b = Fraction(b)
+        if b == self.b:
+            return self
+        base = self._base or self
+        if b == base.b:
+            return base
+        sib = copy.copy(base)  # shallow: the b-free state is shared
+        sib.b, sib._base, sib._act, sib._phi = b, base, {}, {}
+        return sib
+
+    def central_part(self, label: str, k: int) -> SparseMat:
+        """The b-coefficient C of the generator from slice k (b-free).
+
+        In `_pieces` b only scales `central * I` in the block of each central
+        shift x^g, so C sends x^e (x) v to central * x^(e + g) (x) v: one
+        entry per column and central shift.  Built on the base, on demand.
+        """
+        base = self._base or self
+        key = (label, k)
+        hit = base._central.get(key)
+        if hit is not None:
+            return hit
+        kt = k + self.degree_shift(label)
+        dv = self.dim_v
+        monos = self.monomials_of(k)
+        shifts = [(ge, central) for ge, central, _ in _split(self.n, self.series, label) if central]
+        data: Dict[Tuple[int, int], Fraction] = {}
+        if shifts:
+            tindex = self.mono_index(kt)
+            for mi, e in enumerate(monos):
+                for ge, central in shifts:
+                    row = tindex[tuple(a + g for a, g in zip(e, ge))] * dv
+                    for r in range(dv):
+                        data[(row + r, mi * dv + r)] = central
+        # distinct shifts reach distinct monomials, so each key is set once,
+        # to a nonzero central scalar; a central shift has the label's degree
+        out = SparseMat._trusted(self.slice_dim(kt) if kt >= 0 else 0, len(monos) * dv, data)
+        base._central[key] = out
+        return out
 
     def mult_matrix(self, p: Poly, k: int) -> SparseMat:
         """Multiplication by a homogeneous polynomial, slice k -> k + deg p."""

@@ -25,6 +25,7 @@ from .linalg import (
     rank_of_rows,
     vectors_contained_in_span,
 )
+from .irreps import CapExceeded
 from .mixed import ConformalModule, DEFAULT_SLICE_CAP
 from .ortho import build_conformal
 from .poly import DiffOp, Poly, bracket, monomial_basis
@@ -136,10 +137,15 @@ def surjectivity_scan(
     mu: WeightVec, b, max_degree: int, slice_cap: int = DEFAULT_SLICE_CAP
 ) -> ScanResult:
     """Rank of the J-span at every level 1..max_degree, with verdict."""
+    return surjectivity_scan_in(ConformalModule(mu, b, slice_cap=slice_cap), max_degree)
+
+
+def surjectivity_scan_in(mod: ConformalModule, max_degree: int) -> ScanResult:
+    """`surjectivity_scan` of a module that is already built (a base module
+    and its siblings from `ConformalModule.at` share their b-free work)."""
     if max_degree < 1:
         raise ValueError(f"max degree must be at least 1, got {max_degree}")
-    b = Fraction(b)
-    mod = ConformalModule(mu, b, slice_cap=slice_cap)
+    mu, b = mod.mu, mod.b
     mod.check_cap(max_degree)  # slices grow with the degree: fail before any work
     records = []
     deficient = False
@@ -179,8 +185,11 @@ def detect_submodule(
 ) -> Optional[SubmoduleWitness]:
     """Explicit graded basis of U(J)(1 (x) V(mu)) up to max_degree when it is
     proper there; None when it exhausts every slice."""
-    b = Fraction(b)
-    mod = ConformalModule(mu, b, slice_cap=slice_cap)
+    return detect_submodule_in(ConformalModule(mu, b, slice_cap=slice_cap), max_degree)
+
+
+def detect_submodule_in(mod: ConformalModule, max_degree: int) -> Optional[SubmoduleWitness]:
+    """`detect_submodule` in a module that is already built."""
     dims: Dict[int, Tuple[int, int]] = {}
     basis: Dict[int, List[Dict[int, Fraction]]] = {}
     proper = False
@@ -196,14 +205,21 @@ def detect_submodule(
             proper = True
     if not proper:
         return None
-    return SubmoduleWitness(mu, b, max_degree, dims, basis)
+    return SubmoduleWitness(mod.mu, mod.b, max_degree, dims, basis)
 
 
 def verify_submodule_closure(
     witness: SubmoduleWitness, slice_cap: int = DEFAULT_SLICE_CAP
 ) -> Dict[str, bool]:
     """Check the witness is closed under every generator within truncation."""
-    mod = ConformalModule(witness.mu, witness.b, slice_cap=slice_cap)
+    return verify_submodule_closure_in(ConformalModule(witness.mu, witness.b, slice_cap=slice_cap), witness)
+
+
+def verify_submodule_closure_in(mod: ConformalModule, witness: SubmoduleWitness) -> Dict[str, bool]:
+    """`verify_submodule_closure` in a module that is already built; it must
+    be the module the witness lives in."""
+    if (mod.mu, mod.b) != (witness.mu, witness.b):
+        raise ValueError(f"witness of V({witness.mu}) at b={witness.b} checked in V({mod.mu}) at b={mod.b}")
     results = {}
     for lbl in mod.conf.labels():
         shift = mod.degree_shift(lbl)
@@ -237,8 +253,13 @@ def generation_closure_scan(
     translations, so a pure level-by-level J-span can undercount).  Returns
     {k: (generated dim, slice dim)} for k <= max_degree.
     """
-    b = Fraction(b)
-    mod = ConformalModule(mu, b, slice_cap=slice_cap)
+    return generation_closure_scan_in(ConformalModule(mu, b, slice_cap=slice_cap), max_degree, seed_degree, slack)
+
+
+def generation_closure_scan_in(
+    mod: ConformalModule, max_degree: int, seed_degree: int = 0, slack: int = 2
+) -> Dict[int, Tuple[int, int]]:
+    """`generation_closure_scan` in a module that is already built."""
     top = max_degree + slack
     spans = {k: EchelonBasis() for k in range(top + 1)}
     dims = {k: mod.slice_dim(k) for k in range(top + 1)}
@@ -330,7 +351,7 @@ def harmonic_decompose(k: int, n: int, series: str, cap: int = DEFAULT_SLICE_CAP
     nv = conf.num_vars
     monos = monomial_basis(nv, k)
     if len(monos) > cap:
-        raise ValueError("degree too large for the configured cap")
+        raise CapExceeded("degree too large for the configured cap")
     lap = conf.laplacian()
     eta = conf.eta()
 

@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Dict, List, Tuple
 
 from .linalg import SparseMat, charpoly, nullspace_of_rows
-from .irreps import IrrepData, TensorModule, build_irrep, tensor_with_natural
+from .irreps import CapExceeded, IrrepData, TensorModule, build_irrep, tensor_with_natural
 from .mixed import ConformalModule
 from .ortho import casimir_pairs
 from .weights import (
@@ -44,7 +44,7 @@ def omega_tilde_matrix(mu: WeightVec, cap: int = 4096) -> OmegaTildeMatrix:
     m = V.basis.m
     dim = m * V.dim
     if dim > cap:
-        raise ValueError(f"tensor dimension {dim} exceeds cap {cap}")
+        raise CapExceeded(f"tensor dimension {dim} exceeds cap {cap}")
     out = SparseMat.from_entries(dim, dim, (
         e for M1, M2 in casimir_pairs(V.basis) for e in M1.kron(V.matrix_of(M2)).data.items()))
     return OmegaTildeMatrix(mu, dim, (m, V.dim), out)
@@ -118,14 +118,15 @@ def verify_charpoly_lemma(mu: WeightVec, cap: int = 4096) -> Dict[str, object]:
     }
 
 
-def invariant_t_matrix(mod: ConformalModule, k: int) -> SparseMat:
-    """T = sum_i (J_i x_{n+i} + J_{n+i} x_i) (+ J_0 x_0 for the odd series)
-    as a map from slice k to slice k+2.
+def _assemble_t(mod: ConformalModule, k: int, matrix_of) -> SparseMat:
+    """sum_i (M_i x_{n+i} + M_{n+i} x_i) (+ M_0 x_0 for the odd series) from
+    slice k to slice k+2, where M_i = matrix_of(J_i, k+1).
 
     Multiplying by x_idx only relabels: it sends x^e (x) v in slice k to
-    x^(e + u_idx) (x) v.  So column x^e (x) v of J x_idx is column
-    x^(e + u_idx) (x) v of J on slice k+1, and T is assembled by walking each
-    J once and sending its columns divisible by x_idx back to slice k.
+    x^(e + u_idx) (x) v.  So column x^e (x) v of M x_idx is column
+    x^(e + u_idx) (x) v of M on slice k+1, and the sum is assembled by
+    walking each M once and sending its columns divisible by x_idx back to
+    slice k.
     """
     if k < 0:
         raise ValueError(f"slice degree k must be >= 0, got {k}")
@@ -143,12 +144,24 @@ def invariant_t_matrix(mod: ConformalModule, k: int) -> SparseMat:
             for m1, e in enumerate(monos_up):
                 if e[pos]:
                     down[m1] = index[e[:pos] + (e[pos] - 1,) + e[pos + 1:]]
-            for (row, col), v in mod.action_matrix(label, k + 1).data.items():
+            for (row, col), v in matrix_of(label, k + 1).data.items():
                 m0 = down.get(col // dv)
                 if m0 is not None:
                     yield (row, m0 * dv + col % dv), v
 
     return SparseMat.from_entries(mod.slice_dim(k + 2), mod.slice_dim(k), entries())
+
+
+def invariant_t_matrix(mod: ConformalModule, k: int) -> SparseMat:
+    """T = sum_i (J_i x_{n+i} + J_{n+i} x_i) (+ J_0 x_0 for the odd series)
+    as a map from slice k to slice k+2."""
+    return _assemble_t(mod, k, mod.action_matrix)
+
+
+def central_t_matrix(mod: ConformalModule, k: int) -> SparseMat:
+    """T_C, the b-coefficient of T: T is linear in the action matrices, so
+    T at b is T at the module's own charge plus (b - mod.b) T_C."""
+    return _assemble_t(mod, k, mod.central_part)
 
 
 def t_scalar(mod: ConformalModule, k: int) -> Fraction:
@@ -172,3 +185,16 @@ def verify_t_operator(mu: WeightVec, b, k: int, slice_cap: int = 8192) -> Dict[s
         "scalar": str(scalar),
         "match": T == expected,
     }
+
+
+def t_operator_sweep(base: ConformalModule, k: int, bs) -> Dict[Fraction, bool]:
+    """T == t_scalar * eta on slice k at every b in bs, from one module.
+
+    T(b) = T(b0) + (b - b0) T_C is formed exactly for each b and compared
+    with the predicted multiple of eta.
+    """
+    T0 = invariant_t_matrix(base, k)
+    TC = central_t_matrix(base, k)
+    eta_mult = base.mult_matrix(base.conf.eta(), k)
+    return {Fraction(b): T0.add_scaled(TC, Fraction(b) - base.b) == eta_mult.scale(t_scalar(base.at(b), k))
+            for b in bs}

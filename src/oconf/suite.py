@@ -13,7 +13,9 @@ corrected companions must pass.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable, List, Tuple
+from functools import lru_cache
+from types import MappingProxyType
+from typing import Callable, List, Mapping, Tuple
 
 from . import mixed, reducibility, spectral
 from .irreps import build_irrep, omega_matrix
@@ -91,12 +93,19 @@ def check_casimir_scalar() -> Tuple[bool, str]:
     return ok, "; ".join(bits)
 
 
+@lru_cache(maxsize=None)
+def _charpoly_report(mu: WeightVec) -> Mapping[str, object]:
+    """The charpoly-lemma report of mu, computed once for the checks that
+    read it (read-only: the checks share it)."""
+    return MappingProxyType(spectral.verify_charpoly_lemma(mu))
+
+
 def check_charpoly_lemma() -> Tuple[bool, str]:
     bits = []
     ok = True
     mus = _mu_battery() + [parse_weight("1,1,0", "D"), parse_weight("1,1", "B")]
     for mu in mus:
-        r = spectral.verify_charpoly_lemma(mu)
+        r = _charpoly_report(mu)
         ok &= bool(r["ok"])
         bits.append(f"{mu.series} {mu}: dim {r['dim']} {'ok' if r['ok'] else 'FAIL'}")
     return ok, "; ".join(bits)
@@ -107,9 +116,9 @@ def check_phi_degree_one() -> Tuple[bool, str]:
     ok = True
     for mu in [parse_weight("1,0", "D"), parse_weight("1/2,1/2", "B")]:
         otm = spectral.omega_tilde_matrix(mu)
+        base = mixed.ConformalModule(mu, 0)
         for b in [Fraction(0), Fraction(1, 3), Fraction(-2)]:
-            mod = mixed.ConformalModule(mu, b)
-            lhs = mod.phi_matrix(1)
+            lhs = base.at(b).phi_matrix(1)
             rhs = SparseMat.identity(otm.dim).scale(b) + otm.matrix
             good = lhs == rhs
             ok &= good
@@ -120,12 +129,15 @@ def check_phi_degree_one() -> Tuple[bool, str]:
 def check_t_operator() -> Tuple[bool, str]:
     bits = []
     ok = True
+    bs = [Fraction(0), Fraction(1), Fraction(1, 3)]
     for mu in [parse_weight("1,0", "D"), parse_weight("1,0", "B")]:
-        for b in [Fraction(0), Fraction(1), Fraction(1, 3)]:
+        # one module per k for every b: T(b) = T(0) + b T_C
+        match = {k: spectral.t_operator_sweep(mixed.ConformalModule(mu, 0, slice_cap=8192), k, bs)
+                 for k in range(0, 5)}
+        for b in bs:
             for k in range(0, 5):
-                r = spectral.verify_t_operator(mu, b, k)
-                ok &= bool(r["match"])
-                if not r["match"]:
+                ok &= match[k][b]
+                if not match[k][b]:
                     bits.append(f"{mu.series} {mu} b={b} k={k}: FAIL")
         bits.append(f"{mu.series} {mu}: k<=4, b in {{0,1,1/3}} ok")
     return ok, "; ".join(bits)
@@ -138,13 +150,14 @@ def check_scan_sufficiency() -> Tuple[bool, str]:
         (parse_weight("1,0", "D"), Fraction(1, 3), 4, "irreducible-up-to-4"),
         (parse_weight("1/2,1/2", "B"), Fraction(1, 4), 3, "irreducible-up-to-3"),
     ]
-    for mu, b, deg, want in cases:
-        r = reducibility.surjectivity_scan(mu, b, deg)
+    mods = [mixed.ConformalModule(mu, b) for mu, b, _, _ in cases]
+    for mod, (mu, b, deg, want) in zip(mods, cases):
+        r = reducibility.surjectivity_scan_in(mod, deg)
         good = r.verdict == want and all(rec.full for rec in r.records)
         ok &= good
         bits.append(f"{mu.series} {mu} b={b}: {r.verdict} {'ok' if good else 'FAIL'}")
-    # critical value with a degree-one zero eigenvalue
-    r = reducibility.surjectivity_scan(parse_weight("1,0", "D"), Fraction(3), 2)
+    # critical value with a degree-one zero eigenvalue, in the D 1,0 module
+    r = reducibility.surjectivity_scan_in(mods[0].at(3), 2)
     good = r.verdict == "proper-submodule-found" and not r.records[0].full
     ok &= good
     bits.append(f"D 1,0 b=3: deficiency at degree 1 {'ok' if good else 'FAIL'}")
@@ -158,19 +171,20 @@ def check_mu_zero_classification() -> Tuple[bool, str]:
     bits = []
     ok = True
     for series in ["D", "B"]:
-        mu0 = zero_weight(series, 2)
+        base = mixed.ConformalModule(zero_weight(series, 2), 0)  # one module for every b
         for b in [Fraction(1, 2), Fraction(1), Fraction(5, 2)]:
-            r = reducibility.surjectivity_scan(mu0, b, 4)
+            r = reducibility.surjectivity_scan_in(base.at(b), 4)
             good = all(rec.full for rec in r.records)
             ok &= good
             bits.append(f"{series} mu=0 b={b}: full rank {'ok' if good else 'FAIL'}")
         for b in [Fraction(0), Fraction(-1), Fraction(-2)]:
-            w = reducibility.detect_submodule(mu0, b, 3)
+            mod = base.at(b)
+            w = reducibility.detect_submodule_in(mod, 3)
             good = w is not None and w.is_proper()
             if b == 0 and w is not None:
                 # exactly the constants line, quotient generated above it
                 good &= w.dims[0] == (1, 1) and all(w.dims[k][0] == 0 for k in range(1, 4))
-                quot = reducibility.generation_closure_scan(mu0, b, 4, seed_degree=1, slack=2)
+                quot = reducibility.generation_closure_scan_in(mod, 4, seed_degree=1, slack=2)
                 good &= all(quot[k][0] == quot[k][1] for k in range(1, 5))
             ok &= bool(good)
             bits.append(f"{series} mu=0 b={b}: proper submodule {'ok' if good else 'FAIL'}")
@@ -187,29 +201,31 @@ def check_mu_zero_true_classification() -> Tuple[bool, str]:
         ("D", [Fraction(1, 2), Fraction(2), Fraction(5, 2)], [(Fraction(1), 2)]),
         ("B", [Fraction(1), Fraction(2), Fraction(5, 2)], [(Fraction(3, 2), 2), (Fraction(1, 2), 4)]),
     ]:
-        mu0 = zero_weight(series, 2)
+        base = mixed.ConformalModule(zero_weight(series, 2), 0)  # one module for every b
         for b in good_bs:
-            w = reducibility.detect_submodule(mu0, b, 3)
+            w = reducibility.detect_submodule_in(base.at(b), 3)
             good = w is None
             ok &= good
             bits.append(f"{series} b={b}: generated to degree 3 {'ok' if good else 'FAIL'}")
         for b, deg in bad_extra:
-            w = reducibility.detect_submodule(mu0, b, deg)
+            mod = base.at(b)
+            w = reducibility.detect_submodule_in(mod, deg)
             good = w is not None and w.dims[deg][0] == w.dims[deg][1] - 1
             if good:
-                good &= reducibility.verify_submodule_closure(w)["ok"]
+                good &= reducibility.verify_submodule_closure_in(mod, w)["ok"]
             ok &= bool(good)
             bits.append(
                 f"{series} b={b}: proper submodule at degree {deg}, closure verified "
                 f"{'ok' if good else 'FAIL'} (refutes the stated sharp classification)"
             )
         for b in [Fraction(0), Fraction(-1), Fraction(-2)]:
-            w = reducibility.detect_submodule(mu0, b, 3)
+            w = reducibility.detect_submodule_in(base.at(b), 3)
             good = w is not None and w.is_proper()
             ok &= bool(good)
             bits.append(f"{series} b={b}: reducible {'ok' if good else 'FAIL'}")
-    # D-series b=0 quotient stalls at the eta^2 line (34/35 at degree 4)
-    quot = reducibility.generation_closure_scan(zero_weight("D", 2), Fraction(0), 4, seed_degree=1, slack=2)
+        if series == "D":
+            # the b=0 quotient stalls at the eta^2 line (34/35 at degree 4)
+            quot = reducibility.generation_closure_scan_in(base, 4, seed_degree=1, slack=2)
     good = quot[4] == (34, 35) and all(quot[k][0] == quot[k][1] for k in range(1, 4))
     ok &= good
     bits.append(f"D b=0 quotient degree-4 component: {quot[4][0]}/{quot[4][1]} {'ok' if good else 'FAIL'}")
@@ -220,7 +236,7 @@ def check_pieri_eigenspaces() -> Tuple[bool, str]:
     bits = []
     ok = True
     for mu in _mu_battery():
-        r = spectral.verify_charpoly_lemma(mu)
+        r = _charpoly_report(mu)
         total = weyl_dim(mu) * natural_dim(mu.series, mu.n)
         summands = sum(weyl_dim(w) for w in pieri_decompose(mu))
         good = bool(r["eigenspace_dims_match_pieri"]) and total == summands

@@ -145,3 +145,13 @@ def test_known_failures_are_pinned_to_their_sub_cases():
     assert not ok
     assert failing_fragments(detail) == {"B2: [Delta,eta] = 1+2n+D FAIL (stated form)"}
     assert set(suite.EXPECTED_FAILURES) == {"mu-zero-classification", "harmonic-decomposition"}
+
+
+def test_charpoly_reports_are_shared_read_only():
+    # criteria 5 and 10 read one report per weight; neither can alter it
+    mu = parse_weight("1,0", "D")
+    r = suite._charpoly_report(mu)
+    assert suite._charpoly_report(mu) is r
+    with pytest.raises(TypeError):
+        r["ok"] = False
+    assert dict(r) == spectral.verify_charpoly_lemma(mu)

@@ -157,7 +157,14 @@ def test_scan_checks_slice_cap_before_any_degree(capsys, monkeypatch):
     captured = capsys.readouterr()
     assert rc == 2
     assert captured.out == ""
-    assert "slice dimension 4560 at degree 17 exceeds cap 4096" in captured.err
+    assert captured.err == "cap exceeded: slice dimension 4560 at degree 17 exceeds cap 4096\n"
+
+
+def test_exceeded_irrep_cap_is_labelled(capsys):
+    rc = main(["build-irrep", "--mu", "2,0", "--cap", "5"])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert captured.err == "cap exceeded: dim V(mu) = 9 exceeds cap 5\n"
 
 
 def test_suite_json_matches_golden(capsys):

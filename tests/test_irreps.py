@@ -149,7 +149,7 @@ def test_dimension_cap(monkeypatch):
         raise AssertionError("built before the cap check")
 
     monkeypatch.setattr(irreps, "_build", no_work)
-    with pytest.raises(ValueError):
+    with pytest.raises(irreps.CapExceeded, match="exceeds cap 10"):
         build_irrep(parse_weight("3,0", "D"), 10)
 
 

@@ -173,6 +173,32 @@ def test_from_entries_sums_repeats_and_drops_zeros():
     assert M == SparseMat(2, 3, {(1, 2): Fraction(2)})
     with pytest.raises(ValueError):
         SparseMat.from_entries(2, 3, [((2, 0), Fraction(1))])
+    M = SparseMat.from_entries(1, 2, [((0, 0), Fraction(1, 2)), ((0, 1), Fraction(3)), ((0, 1), Fraction(1, 3))])
+    assert M.data == {(0, 0): Fraction(1, 2), (0, 1): Fraction(10, 3)}
+    assert all(type(v) is Fraction for v in M.data.values())
+
+
+def test_add_scaled_matches_add_and_scale():
+    rng = random.Random(8)
+    for _ in range(30):
+        n, m = rng.randint(1, 6), rng.randint(1, 6)
+        A = dense_random(rng, n, m, density=0.5)
+        C = dense_random(rng, n, m, density=rng.choice([0.0, 0.3]))
+        for c in [Fraction(0), Fraction(1), Fraction(-3, 7), 2]:
+            got = A.add_scaled(C, c)
+            assert got == A + C.scale(c)
+            assert all(type(v) is Fraction for v in got.data.values())
+
+
+def test_add_scaled_drops_cancelled_entries():
+    A = SparseMat(2, 2, {(0, 0): Fraction(3), (1, 1): Fraction(1, 2)})
+    C = SparseMat.identity(2)
+    got = A.add_scaled(C, Fraction(-3))
+    assert got.data == {(1, 1): Fraction(-5, 2)}
+    assert A.add_scaled(C, Fraction(-3)).add_scaled(SparseMat(2, 2, {(1, 1): Fraction(1)}), Fraction(5, 2)).data == {}
+    assert A.data == {(0, 0): Fraction(3), (1, 1): Fraction(1, 2)}  # the operands are not touched
+    with pytest.raises(ValueError):
+        A.add_scaled(SparseMat(2, 3), 1)
 
 
 def test_solve_row_combination():

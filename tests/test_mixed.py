@@ -79,9 +79,13 @@ def test_slice_degree_shifts():
 
 
 def test_central_element_acts_by_b():
-    mod = ConformalModule(parse_weight("1,0", "D"), F(7, 2))
-    for k in range(3):
-        assert mod.central_matrix(k) == SparseMat.identity(mod.slice_dim(k)).scale(F(7, 2))
+    # the hidden central element acts by b, so D at b1 and at b2 differ by
+    # (b1 - b2) Id on every slice
+    base = ConformalModule(parse_weight("1,0", "D"), F(7, 2))
+    for b1, b2 in [(F(7, 2), F(0)), (F(1), F(-11, 7)), (F(2, 5), F(7, 2))]:
+        for k in range(3):
+            diff = base.at(b1).action_matrix("D", k) - base.at(b2).action_matrix("D", k)
+            assert diff == SparseMat.identity(base.slice_dim(k)).scale(b1 - b2), (b1, b2, k)
 
 
 def test_special_conformal_on_bottom_of_trivial_module():
@@ -273,3 +277,74 @@ def test_b_independent_structure_is_shared_across_b():
     for k in range(4):
         for label in second.conf.labels():
             assert second.action_matrix(label, k) == reference_action_matrix(second, label, k), (label, k)
+
+
+SIBLING_WEIGHTS = [("D", "1,0"), ("B", "1/2,1/2"), ("D", "0,0"), ("D", "1,0,0")]
+SIBLING_BS = [F(0), F(1), F(-11, 7)]
+
+
+@pytest.mark.parametrize("series,mus", SIBLING_WEIGHTS)
+def test_sibling_action_matches_fresh_module_and_reference(series, mus):
+    mu = parse_weight(mus, series)
+    bases = [ConformalModule(mu, b0) for b0 in (F(0), F(3, 7))]
+    for b in SIBLING_BS:
+        fresh = ConformalModule(mu, b)
+        sibs = [base.at(b) for base in bases]
+        for k in range(4):
+            for label in fresh.conf.labels():
+                want = fresh.action_matrix(label, k)
+                assert want.data == reference_action_matrix(fresh, label, k).data, (label, k)
+                for sib in sibs:
+                    M = sib.action_matrix(label, k)
+                    assert M.data == want.data and (M.rows, M.cols) == (want.rows, want.cols), (b, label, k)
+                    assert all(type(v) is F for v in M.data.values())
+
+
+@pytest.mark.parametrize("series,mus", SIBLING_WEIGHTS)
+def test_sibling_drops_cancelled_entries(series, mus):
+    # D acts on slice k by k + b, so it vanishes at b = -k
+    base = ConformalModule(parse_weight(mus, series), F(3, 7))
+    for k in range(4):
+        M = base.at(-k).action_matrix("D", k)
+        assert M.data == {} and M == SparseMat(base.slice_dim(k), base.slice_dim(k)), k
+
+
+@pytest.mark.parametrize("series,mus", [("D", "1,0"), ("B", "1/2,1/2"), ("D", "0,0")])
+def test_sibling_phi_matches_fresh_module(series, mus):
+    mu = parse_weight(mus, series)
+    base = ConformalModule(mu, F(3, 7))
+    for b in SIBLING_BS + [F(3)]:
+        fresh, sib = ConformalModule(mu, b), base.at(b)
+        for k in range(4):
+            assert sib.phi_matrix(k) == fresh.phi_matrix(k), (b, k)
+
+
+def test_siblings_share_the_base_state():
+    mu = parse_weight("1,0", "D")
+    base = ConformalModule(mu, F(3, 7))
+    sib = base.at(F(-2))
+    assert sib.b == F(-2) and base.b == F(3, 7)
+    assert sib.irrep is base.irrep and sib.monomials_of(3) is base.monomials_of(3)
+    # a sibling of a sibling is a sibling of the base; the base's own b gives the base
+    assert sib.at(F(3, 7)) is base and base.at(F(3, 7)) is base and sib.at(F(-2)) is sib
+    assert sib.at(F(5)).action_matrix("D", 1) == ConformalModule(mu, F(5)).action_matrix("D", 1)
+    # generators without a central part act by the base's own matrices
+    for k in range(3):
+        assert sib.action_matrix("A_{1,2}", k) is base.action_matrix("A_{1,2}", k)
+        assert sib.action_matrix("d_1", k) is base.action_matrix("d_1", k)
+        assert sib.central_part("A_{1,2}", k).is_zero()
+        assert not sib.central_part("J_1", k).is_zero()
+
+
+def test_single_b_module_builds_no_central_part(monkeypatch):
+    from oconf.reducibility import surjectivity_scan
+    from oconf.spectral import verify_t_operator
+
+    def forbidden(self, label, k):
+        raise AssertionError("a single-b module built a central part")
+
+    monkeypatch.setattr(ConformalModule, "central_part", forbidden)
+    mu = parse_weight("1,0", "D")
+    assert surjectivity_scan(mu, F(1, 3), 3).verdict == "irreducible-up-to-3"
+    assert verify_t_operator(mu, F(1, 3), 2)["match"]
+    ConformalModule(mu, F(2)).phi_matrix(2)

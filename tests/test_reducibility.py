@@ -11,10 +11,15 @@ from oconf.poly import Poly
 from oconf.reducibility import (
     classify_b,
     detect_submodule,
+    detect_submodule_in,
+    generation_closure_scan,
+    generation_closure_scan_in,
     harmonic_decompose,
     laplacian_eta_commutator,
     surjectivity_scan,
+    surjectivity_scan_in,
     verify_submodule_closure,
+    verify_submodule_closure_in,
 )
 from oconf.spectral import omega_tilde_matrix
 from oconf.weights import parse_weight, zero_weight
@@ -348,3 +353,45 @@ def test_scan_json_round_trip():
     assert doc["schema"] == 1
     assert doc["verdict"] == "proper-submodule-found"
     assert doc["records"][0] == {"k": 1, "dim": 16, "rank": 15, "full": False}
+
+
+def test_every_cap_raises_cap_exceeded():
+    from oconf.irreps import CapExceeded, build_irrep, tensor_with_natural
+
+    mu = parse_weight("1,0", "D")
+    with pytest.raises(CapExceeded, match="tensor dimension 16 exceeds cap 15"):
+        tensor_with_natural(build_irrep(mu), 15)
+    with pytest.raises(CapExceeded, match="tensor dimension 16 exceeds cap 15"):
+        omega_tilde_matrix(mu, 15)
+    with pytest.raises(CapExceeded, match="slice dimension 40 at degree 2 exceeds cap 39"):
+        ConformalModule(mu, F(1), slice_cap=39).action_matrix("J_1", 1)
+    with pytest.raises(CapExceeded):
+        harmonic_decompose(3, 2, "D", cap=19)
+
+
+def test_b_sweep_in_one_module_matches_fresh_modules():
+    # scans, witnesses, closures and quotients computed in siblings of one
+    # base agree with those computed in a fresh module per b
+    for series in ["D", "B"]:
+        mu0 = zero_weight(series, 2)
+        base = ConformalModule(mu0, F(5, 2))
+        for b in [F(0), F(1), F(1, 2), F(-1), F(5, 2)]:
+            mod = base.at(b)
+            assert surjectivity_scan_in(mod, 3).to_json_dict() == surjectivity_scan(mu0, b, 3).to_json_dict()
+            w = detect_submodule_in(mod, 3)
+            fresh = detect_submodule(mu0, b, 3)
+            assert (w is None) == (fresh is None), (series, b)
+            if w is not None:
+                assert (w.mu, w.b, w.dims, w.basis) == (fresh.mu, fresh.b, fresh.dims, fresh.basis)
+                assert verify_submodule_closure_in(mod, w) == verify_submodule_closure(fresh)
+        assert generation_closure_scan_in(base.at(0), 3, seed_degree=1, slack=1) == generation_closure_scan(
+            mu0, F(0), 3, seed_degree=1, slack=1)
+
+
+def test_closure_check_rejects_a_witness_of_another_module():
+    mu0 = zero_weight("D", 2)
+    base = ConformalModule(mu0, F(0))
+    w = detect_submodule_in(base, 2)
+    assert w is not None and verify_submodule_closure_in(base, w)["ok"]
+    with pytest.raises(ValueError, match="checked in"):
+        verify_submodule_closure_in(base.at(1), w)

@@ -8,9 +8,11 @@ from oconf.irreps import build_irrep, omega_matrix, tensor_with_natural
 from oconf.linalg import SparseMat, charpoly
 from oconf.mixed import ConformalModule
 from oconf.spectral import (
+    central_t_matrix,
     closed_form_charpoly,
     invariant_t_matrix,
     omega_tilde_matrix,
+    t_operator_sweep,
     t_scalar,
     verify_charpoly_lemma,
     verify_t_operator,
@@ -110,11 +112,39 @@ def reference_t_matrix(mod, k):
 @pytest.mark.parametrize("series,mus", [("D", "1,0"), ("B", "1,0"), ("B", "1/2,1/2"), ("D", "1,0,0")])
 @pytest.mark.parametrize("b", [F(0), F(1, 3), F(-11, 7)])
 def test_t_assembly_matches_product_reference(series, mus, b):
-    mod = ConformalModule(parse_weight(mus, series), b, slice_cap=8192)
+    mu = parse_weight(mus, series)
+    fresh = ConformalModule(mu, b, slice_cap=8192)
+    sibling = ConformalModule(mu, F(3, 7), slice_cap=8192).at(b)
     for k in range(4):
-        T = invariant_t_matrix(mod, k)
-        assert T.data == reference_t_matrix(mod, k).data, (series, mus, b, k)
-        assert (T.rows, T.cols) == (mod.slice_dim(k + 2), mod.slice_dim(k))
+        want = reference_t_matrix(fresh, k).data
+        for mod in (fresh, sibling):
+            T = invariant_t_matrix(mod, k)
+            assert T.data == want, (series, mus, b, k, mod is sibling)
+            assert (T.rows, T.cols) == (mod.slice_dim(k + 2), mod.slice_dim(k))
+
+
+@pytest.mark.parametrize("series,mus", [("D", "1,0"), ("B", "1,0"), ("B", "1/2,1/2")])
+def test_t_is_affine_in_b(series, mus):
+    # T(b) = T(b0) + (b - b0) T_C, entry for entry
+    mu = parse_weight(mus, series)
+    base = ConformalModule(mu, F(3, 7), slice_cap=8192)
+    for k in range(4):
+        T0, TC = invariant_t_matrix(base, k), central_t_matrix(base, k)
+        for b in [F(0), F(1), F(-11, 7), F(3, 7)]:
+            fresh = invariant_t_matrix(ConformalModule(mu, b, slice_cap=8192), k)
+            assert T0.add_scaled(TC, b - base.b).data == fresh.data, (b, k)
+            assert invariant_t_matrix(base.at(b), k).data == fresh.data, (b, k)
+
+
+@pytest.mark.parametrize("series", ["D", "B"])
+def test_t_operator_sweep_matches_single_b_verification(series):
+    mu = parse_weight("1,0", series)
+    # b = 1 - k/2 (D) and b = (3 - k)/2 (B) make the predicted scalar vanish
+    bs = [F(0), F(1), F(1, 3), F(-1, 2), F(1, 2)]
+    for k in range(3):
+        sweep = t_operator_sweep(ConformalModule(mu, F(0), slice_cap=8192), k, bs)
+        assert sweep == {b: verify_t_operator(mu, b, k)["match"] for b in bs}
+        assert all(sweep.values())
 
 
 @pytest.mark.parametrize("k", [-1, -3])
