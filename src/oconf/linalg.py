@@ -199,9 +199,6 @@ class SparseMat:
             out[i][j] = v
         return out
 
-    def rank(self) -> int:
-        return rank_of_rows(self.row_vectors())
-
     def __repr__(self):
         return f"SparseMat({self.rows}x{self.cols}, {len(self.data)} entries)"
 
@@ -212,7 +209,7 @@ def _clear_row(row: Dict[int, Fraction]) -> Dict[int, int]:
     if not row:
         return {}
     den = lcm(*(v.denominator for v in row.values()))
-    ints = {j: int(v * den) for j, v in row.items()}
+    ints = {j: v.numerator * (den // v.denominator) for j, v in row.items()}
     g = gcd(*ints.values())
     return {j: v // g for j, v in ints.items()} if g > 1 else ints
 
@@ -298,12 +295,17 @@ def _full_rank_mod_p(rows: Sequence[Dict[int, Fraction]], stop_at: int) -> bool:
     """
     p = MODULUS
     pivots: Dict[int, Dict[int, int]] = {}  # leading column -> row with lead 1
+    inverses: Dict[int, int] = {1: 1}  # denominator -> its inverse mod p
     for vec in sorted(rows, key=len):
         row = {}
         for j, v in vec.items():
-            if v.denominator % p == 0:
-                return False
-            w = v.numerator * pow(v.denominator, -1, p) % p
+            d = v.denominator
+            inv = inverses.get(d)
+            if inv is None:
+                if d % p == 0:
+                    return False
+                inv = inverses[d] = pow(d, -1, p)
+            w = v.numerator * inv % p
             if w:
                 row[j] = w
         while row:

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .linalg import SparseMat
 from .ortho import OrthoBasis, build_conformal, build_ortho, theta_images
@@ -286,6 +286,8 @@ class ConformalModule:
         self._phi: Dict[int, SparseMat] = {}
         self._base: Optional[ConformalModule] = None  # set on siblings only
         self._central: Dict[Tuple[str, int], SparseMat] = {}  # b-coefficients, built on demand
+        self._weights: Dict[int, List[Tuple[int, ...]]] = {}  # b-free, shared with siblings
+        self._piece_memo: Dict[str, list] = {}  # label -> _pieces(label), at this b
         self._small_labels = self.small.labels()
         # ordered by label index, matching the monomial variable order
         if self.series == "D":
@@ -311,6 +313,30 @@ class ConformalModule:
     def mono_index(self, k: int) -> Dict[Exps, int]:
         self.monomials_of(k)
         return self._mono_index[k]
+
+    def var_weights(self) -> List[Tuple[int, ...]]:
+        """Doubled o(n)-weight of each variable, in monomial order: x_r has
+        weight +e_r for r <= n, -e_{r-n} for r > n, and B's x_0 weight 0.
+        J_r, at the same position of `j_labels`, has the weight of x_r."""
+        n = self.n
+        axes = [(q % n, 2 if q < n else -2) for q in range(2 * n)]
+        zero = [(0,) * n] * (self.num_vars - 2 * n)  # x_0 comes first in B
+        return zero + [tuple(s if i == a else 0 for i in range(n)) for a, s in axes]
+
+    def slice_weights(self, k: int) -> List[Tuple[int, ...]]:
+        """Doubled o(n)-weight of each basis index mi * dim_v + r of slice k:
+        sum_v e_v wt(x_v) + wt(v_r).  The Cartan elements A_{i,i} act on
+        this basis diagonally, with the halved coordinates as eigenvalues."""
+        hit = self._weights.get(k)
+        if hit is None:
+            vws = self.var_weights()
+            rws = [tuple(int(2 * c) for c in w.coords) for w in self.irrep.weights]
+            hit = []
+            for e in self.monomials_of(k):
+                m = [sum(a * w[i] for a, w in zip(e, vws) if a) for i in range(self.n)]
+                hit.extend(tuple(x + y for x, y in zip(m, r)) for r in rws)
+            self._weights[k] = hit
+        return hit
 
     def check_cap(self, k: int):
         d = self.slice_dim(k)
@@ -340,8 +366,12 @@ class ConformalModule:
         c e_i.  A gl term x^g M moves x^e by g and acts on V(mu) by the block
         M = (central * b) I + (orthogonal part acting through V(mu)).  Per
         shift, x^e (x) v goes to x^(e + shift) (x) (block + s I) v with
-        s = sum(numerator * e_i) / denominator.
+        s = sum(numerator * e_i) / denominator.  The pieces do not depend
+        on the degree, so they are computed once per label.
         """
+        hit = self._piece_memo.get(label)
+        if hit is not None:
+            return hit
         field: Dict[Exps, List[Tuple[int, Fraction]]] = {}
         for beta, p in self.embed_of(label).field.terms.items():
             i = beta.index(1)
@@ -359,6 +389,7 @@ class ConformalModule:
             den = lcm(*(c.denominator for _, c in terms))
             nums = [(i, int(c * den)) for i, c in terms]
             pieces.append((sh, den, nums, blocks.get(sh, SparseMat(self.dim_v, self.dim_v))))
+        self._piece_memo[label] = pieces
         return pieces
 
     def action_matrix(self, label: str, k: int) -> SparseMat:
@@ -375,20 +406,51 @@ class ConformalModule:
         self._act[key] = out
         return out
 
+    def action_columns(self, label: str, k: int, cols: Sequence[int]) -> List[Dict[int, Fraction]]:
+        """Columns `cols` of `action_matrix(label, k)`, as sparse dicts.
+
+        A sibling slices its full matrix, which is the base's plus a sparse
+        correction; any other module builds only the requested columns, by
+        the stencil loop of `action_matrix`.
+        """
+        if self._base is not None:
+            by_col = self.action_matrix(label, k).col_vectors()
+            return [by_col[c] for c in cols]
+        out: Dict[int, Dict[int, Fraction]] = {c: {} for c in cols}
+        for (row, col), v in self._stencil(label, k, cols).items():
+            out[col][row] = v
+        return [out[c] for c in cols]
+
     def _build_action(self, label: str, k: int) -> SparseMat:
+        kt = k + self.degree_shift(label)
+        data = self._stencil(label, k)
+        # every v is a stored (so nonzero) entry of block + s I; row indexes
+        # a monomial of slice kt and col one of slice k, and r, q < dv
+        return SparseMat._trusted(self.slice_dim(kt) if kt >= 0 else 0, self.slice_dim(k), data)
+
+    def _stencil(self, label: str, k: int, cols: Optional[Sequence[int]] = None) -> Dict[Tuple[int, int], Fraction]:
+        """Entries of the generator's matrix from slice k: all of them, or
+        those in the given columns only."""
         kt = k + self.degree_shift(label)
         self.check_cap(k)
         if kt >= 0:
             self.check_cap(kt)
         monos = self.monomials_of(k)
-        tdim = self.slice_dim(kt) if kt >= 0 else 0
         tindex = self._mono_index.get(kt)
         dv = self.dim_v
+        if cols is None:
+            sel: List[Tuple[int, Optional[set]]] = [(mi, None) for mi in range(len(monos))]
+        else:
+            qs_of: Dict[int, set] = {}
+            for c in cols:
+                qs_of.setdefault(c // dv, set()).add(c % dv)
+            sel = sorted(qs_of.items())
         eye = SparseMat.identity(dv)
         data: Dict[Tuple[int, int], Fraction] = {}
         for sh, den, nums, block in self._pieces(label):
             entries_of: Dict[int, list] = {}  # numerator -> entries of block + s I
-            for mi, e in enumerate(monos):
+            for mi, qs in sel:
+                e = monos[mi]
                 num = sum(c * e[i] for i, c in nums)
                 entries = entries_of.get(num)
                 if entries is None:
@@ -398,10 +460,9 @@ class ConformalModule:
                     row = tindex[tuple(a + s for a, s in zip(e, sh))] * dv
                     col = mi * dv
                     for (r, q), v in entries:
-                        data[(row + r, col + q)] = v
-        # every v is a stored (so nonzero) entry of block + s I; row indexes
-        # a monomial of slice kt and col one of slice k, and r, q < dv
-        return SparseMat._trusted(tdim, len(monos) * dv, data)
+                        if qs is None or q in qs:
+                            data[(row + r, col + q)] = v
+        return data
 
     # -- other central charges -----------------------------------------------------
 
@@ -420,7 +481,7 @@ class ConformalModule:
         if b == base.b:
             return base
         sib = copy.copy(base)  # shallow: the b-free state is shared
-        sib.b, sib._base, sib._act, sib._phi = b, base, {}, {}
+        sib.b, sib._base, sib._act, sib._phi, sib._piece_memo = b, base, {}, {}, {}
         return sib
 
     def central_part(self, label: str, k: int) -> SparseMat:

@@ -1,21 +1,38 @@
 """Degree-by-degree irreducibility verification for the generalized
 conformal module.
 
-The scan follows the generation argument: the module is irreducible iff the
-special conformal operators generate each graded slice from the one below
-(any nonzero submodule descends to 1 (x) V(mu) under the translations, then
-climbs back up through the J's).  Full rank at every level up to the
-truncation certifies irreducibility up to that degree; a rank deficiency
-yields an explicit proper graded submodule.  For mu = 0 the harmonic layers
-explain the graded structure — and the scans refute the stated sharp
-classification at the special conformal weights b = n-r (even series) and
-b = n-r+1/2 (odd series), where the metric power eta^r becomes unreachable.
+Generation decides irreducibility.  D acts on slice k by k + b, so every
+submodule is graded.  Each translation d_i acts on A (x) V(mu) as a plain
+partial derivative (`shen_embed` gives it no gl part), so the only vectors
+that every d_i kills lie in degree 0.  Any nonzero submodule therefore
+meets degree 0, in a nonzero o(n)-submodule of
+the irreducible V(mu), that is, in all of 1 (x) V(mu).  So the module is
+irreducible iff U(J)(1 (x) V(mu)) is everything, iff `phi_matrix(k)` is
+invertible at every k.  The J's commute, so U(J)(1 (x) V(mu)) fills the
+degrees up to K iff J(slice k-1) = slice k for every k <= K: that is the
+scan.  Full rank at every level up to the truncation certifies
+irreducibility up to that degree; a rank deficiency yields an explicit
+proper graded submodule.
+
+The scan counts by weights.  The J_i span the natural o(n)-module
+([o(n), J] lies in the span of J, and J_i has the weight of x_i), so
+N = sum_i J_i(slice k-1) is an o(n)-submodule of M = slice k, and the
+weight multiplicities of both are Weyl-invariant.  J_i maps weight spaces
+to weight spaces, so N_nu is spanned by the J_i(u) with
+wt(u) + wt(J_i) = nu, and dim M - rank N is the sum over dominant nu of
+|W nu| (dim M_nu - rank N_nu).  This is exact at every b.
+
+For mu = 0 the harmonic layers explain the graded structure — and the
+scans refute the stated sharp classification at the special conformal
+weights b = n-r (even series) and b = n-r+1/2 (odd series), where the
+metric power eta^r becomes unreachable.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Dict, List, Optional, Tuple
 
 from .linalg import (
@@ -33,7 +50,9 @@ from .weights import (
     LadderSet,
     WeightVec,
     critical_b_set,
+    is_dominant,
     omega_tilde_spectrum,
+    weyl_orbit_size,
 )
 
 
@@ -123,14 +142,42 @@ class ScanResult:
         }
 
 
+@lru_cache(maxsize=None)
+def _dominant_orbit_size(series: str, nu: Tuple[int, ...]) -> int:
+    """|W nu| if nu is dominant, else 0.  The chamber and the orbits do not
+    see the scale, so a doubled weight gives the answer of its half."""
+    w = WeightVec(series, nu)
+    return weyl_orbit_size(w) if is_dominant(w) else 0
+
+
 def _j_span_rank(mod: ConformalModule, level: int) -> int:
-    """Rank of sum_i J_i(slice level) inside slice level+1."""
-    vectors = []
-    for lbl in mod.j_labels:
-        M = mod.action_matrix(lbl, level)
-        vectors.extend(v for v in M.col_vectors() if v)
-    target = mod.slice_dim(level + 1)
-    return rank_of_rows(vectors, stop_at=target)
+    """Rank of N = sum_i J_i(slice level) inside M = slice level+1, as
+    dim M - sum over dominant nu of |W nu| (dim M_nu - rank N_nu) (see the
+    module docstring).  Only the columns J_i(u) of the dominant blocks are
+    built."""
+    k = level + 1
+    mod.check_cap(k)  # the larger slice: fail before any work
+    dims: Dict[Tuple[int, ...], int] = {}
+    for w in mod.slice_weights(k):
+        dims[w] = dims.get(w, 0) + 1
+    orbit = {nu: _dominant_orbit_size(mod.series, nu) for nu in dims}
+    dominant = sorted(nu for nu in dims if orbit[nu])
+    sources: Dict[Tuple[int, ...], List[int]] = {}
+    for u, w in enumerate(mod.slice_weights(level)):
+        sources.setdefault(w, []).append(u)
+    blocks: Dict[Tuple[int, ...], List[Dict[int, Fraction]]] = {nu: [] for nu in dominant}
+    for lbl, d in zip(mod.j_labels, mod.var_weights()):
+        cols: List[int] = []
+        owners: List[Tuple[int, ...]] = []
+        for nu in dominant:
+            src = sources.get(tuple(a - b for a, b in zip(nu, d)), ())
+            cols.extend(src)
+            owners.extend([nu] * len(src))
+        for nu, vec in zip(owners, mod.action_columns(lbl, level, cols)):
+            if vec:
+                blocks[nu].append(vec)
+    deficit = sum(orbit[nu] * (dims[nu] - rank_of_rows(blocks[nu], stop_at=dims[nu])) for nu in dominant)
+    return mod.slice_dim(k) - deficit
 
 
 def surjectivity_scan(

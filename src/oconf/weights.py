@@ -12,8 +12,10 @@ half-integers; weights serialize as comma-separated rationals like "3/2,1/2".
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from math import factorial
 from typing import Dict, List, Optional, Sequence, Tuple
 
 SERIES = ("D", "B")
@@ -102,6 +104,28 @@ def is_dominant(mu: WeightVec) -> bool:
         if not _nonneg_integer(c[i] - c[i + 1]):
             return False
     return c[n - 1] >= 0
+
+
+def weyl_orbit_size(nu: WeightVec) -> int:
+    """|W nu| for the Weyl group W of the series.
+
+    W permutes the coordinates and changes their signs (an even number of
+    sign changes for D), so |W nu| = n! / prod m_a! * 2^(#nonzero), the m_a
+    the multiplicities of the distinct |c_i|.  For D this is halved when no
+    coordinate is 0; a zero coordinate lets an even number of sign changes
+    reach every sign pattern.  The closed chamber of `is_dominant`'s
+    inequalities (D: c_1 >= ... >= c_{n-1} >= |c_n|; B: c_1 >= ... >= c_n
+    >= 0) meets each orbit exactly once.
+    """
+    mags = [abs(c) for c in nu.coords]
+    size = factorial(nu.n)
+    for m in Counter(mags).values():
+        size //= factorial(m)
+    nonzero = sum(1 for c in mags if c)
+    size <<= nonzero
+    if nu.series == "D" and nonzero == nu.n:
+        size //= 2
+    return size
 
 
 def _require_dominant(mu: WeightVec):

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from oconf.linalg import SparseMat
+from oconf.linalg import SparseMat, rank_of_rows
 from oconf.mixed import (
     ConformalModule,
     build_slice,
@@ -164,11 +164,11 @@ def test_phi_invertibility_signals_critical_b():
     # b = 1/3: all eigenvalues 1/3 + {1,-1,-3} nonzero -> invertible
     mod = ConformalModule(mu, F(1, 3))
     phi = mod.phi_matrix(1)
-    assert phi.rank() == phi.rows
+    assert rank_of_rows(phi.row_vectors()) == phi.rows
     # b = 3: eigenvalue 3 - 3 = 0 -> singular
     mod = ConformalModule(mu, F(3))
     phi = mod.phi_matrix(1)
-    assert phi.rank() < phi.rows
+    assert rank_of_rows(phi.row_vectors()) < phi.rows
 
 
 def test_j_alpha_order_independent():
@@ -348,3 +348,31 @@ def test_single_b_module_builds_no_central_part(monkeypatch):
     assert surjectivity_scan(mu, F(1, 3), 3).verdict == "irreducible-up-to-3"
     assert verify_t_operator(mu, F(1, 3), 2)["match"]
     ConformalModule(mu, F(2)).phi_matrix(2)
+
+
+@pytest.mark.parametrize("series,mus", [("D", "1,0"), ("B", "1/2,1/2"), ("B", "1"), ("D", "1,0,0"), ("D", "1/2,1/2,1/2")])
+def test_slice_weights_are_the_cartan_diagonal(series, mus):
+    # A_{i,i} is diagonal on the basis, with coordinate i of the weight
+    mod = ConformalModule(parse_weight(mus, series), F(-11, 7))
+    for k in range(4):
+        wts = mod.slice_weights(k)
+        assert len(wts) == mod.slice_dim(k) and mod.slice_weights(k) is wts
+        for i in range(1, mod.n + 1):
+            M = mod.action_matrix(f"A_{{{i},{i}}}", k)
+            assert all(r == c for r, c in M.data)
+            assert [2 * M.get(t, t) for t in range(len(wts))] == [w[i - 1] for w in wts], (i, k)
+
+
+@pytest.mark.parametrize("series,mus", [("D", "1,0"), ("B", "1/2,1/2"), ("D", "0,0")])
+def test_action_columns_match_action_matrix(series, mus):
+    mu = parse_weight(mus, series)
+    rng = random.Random(5)
+    fresh, full = ConformalModule(mu, F(-11, 7)), ConformalModule(mu, F(-11, 7))
+    sib = ConformalModule(mu, F(3)).at(F(-11, 7))
+    for k in range(3):
+        for label in fresh.conf.labels():
+            want = full.action_matrix(label, k).col_vectors()
+            cols = sorted(rng.sample(range(len(want)), len(want) // 3))
+            for mod in (fresh, sib):  # built, sliced from the sibling's matrix
+                assert mod.action_columns(label, k, cols) == [want[c] for c in cols], (label, k)
+            assert (label, k) not in fresh._act

@@ -22,7 +22,7 @@ from oconf.reducibility import (
     verify_submodule_closure_in,
 )
 from oconf.spectral import omega_tilde_matrix
-from oconf.weights import parse_weight, zero_weight
+from oconf.weights import omega_tilde_spectrum, parse_weight, zero_weight
 
 F = Fraction
 
@@ -395,3 +395,39 @@ def test_closure_check_rejects_a_witness_of_another_module():
     assert w is not None and verify_submodule_closure_in(base, w)["ok"]
     with pytest.raises(ValueError, match="checked in"):
         verify_submodule_closure_in(base.at(1), w)
+
+
+def _j_span_rank_by_elimination(mod, level):
+    """The scan rank without weight blocks: every J column, one elimination."""
+    vectors = [v for lbl in mod.j_labels for v in mod.action_matrix(lbl, level).col_vectors() if v]
+    return rank_of_rows(vectors, stop_at=mod.slice_dim(level + 1))
+
+
+# (series, weight, scanned degree): integral, spin and mu = 0 weights
+BLOCK_GRID = [
+    ("D", "0,0", 4), ("D", "1,0", 4), ("D", "1/2,1/2", 4), ("D", "1/2,-1/2", 4),
+    ("D", "0,0,0", 3), ("D", "1,0,0", 2), ("D", "1/2,1/2,1/2", 2),
+    ("B", "0", 5), ("B", "1", 5), ("B", "1/2", 5),
+    ("B", "0,0", 3), ("B", "1,0", 3), ("B", "1/2,1/2", 3),
+    ("B", "0,0,0", 2), ("B", "1/2,1/2,1/2", 2),
+]
+
+
+def test_weight_blocks_give_the_rank_of_full_elimination():
+    # at generic b, at every -lambda of the degree-one spectrum and on the
+    # half-integers where the critical ladders lie; siblings take their
+    # columns from the base's matrices, fresh modules build them
+    deficient = 0
+    for series, w, deg in BLOCK_GRID:
+        mu = parse_weight(w, series)
+        bs = {F(1, 3), F(-2, 7), F(7, 2)} | {-lam for lam, _ in omega_tilde_spectrum(mu).entries}
+        bs |= {F(j, 2) for j in range(-12, 9)}
+        base = ConformalModule(mu, F(1, 3))
+        for b in sorted(bs):
+            fresh, sib = ConformalModule(mu, b), base.at(b)
+            scan = surjectivity_scan_in(fresh, deg)
+            want = [_j_span_rank_by_elimination(sib, level) for level in range(deg)]
+            assert [r.rank for r in scan.records] == want, (series, w, b)
+            assert surjectivity_scan_in(sib, deg).to_json_dict() == scan.to_json_dict()
+            deficient += sum(not r.full for r in scan.records)
+    assert deficient == 83

@@ -20,6 +20,7 @@ from oconf.weights import (
     rho,
     split_casimir_eigenvalue,
     weyl_dim,
+    weyl_orbit_size,
     zero_weight,
 )
 
@@ -182,3 +183,26 @@ def test_weight_parsing_round_trip():
         parse_weight("1,x", "D")
     with pytest.raises(ValueError):
         WeightVec("D", (F(1, 3),))
+
+
+@pytest.mark.parametrize("series,n", [("B", 1), ("B", 2), ("B", 3), ("B", 4), ("D", 2), ("D", 3), ("D", 4)])
+def test_weyl_orbit_size_matches_enumeration(series, n):
+    # W: signed permutations, with an even number of sign changes for D; the
+    # orbits of the dominant weights partition the (W-stable) box
+    group = [
+        (perm, signs)
+        for perm in itertools.permutations(range(n))
+        for signs in itertools.product((1, -1), repeat=n)
+        if series == "B" or signs.count(-1) % 2 == 0
+    ]
+    box = list(itertools.product(range(-3, 4), repeat=n))
+    seen = set()
+    for c in box:
+        nu = WeightVec(series, c)
+        if not is_dominant(nu):
+            continue
+        orbit = {tuple(s * c[p] for p, s in zip(perm, signs)) for perm, signs in group}
+        assert weyl_orbit_size(nu) == len(orbit), c
+        assert not orbit & seen, c
+        seen |= orbit
+    assert seen == set(box)
