@@ -13,6 +13,7 @@ Run:  python demos/irreducibility_scan.py
 from fractions import Fraction
 
 from oconf import (
+    ConformalModule,
     classify_b,
     critical_b_set,
     detect_submodule,
@@ -40,7 +41,7 @@ print("=" * 72)
 for series in ["D", "B"]:
     mu0 = zero_weight(series, 2)
     for b in [Fraction(2), Fraction(0), Fraction(-1)]:
-        w = detect_submodule(mu0, b, 3)
+        w = detect_submodule(ConformalModule(mu0, b), 3)
         if w is None:
             print(f"  {series} b = {str(b):>4}: generated submodule exhausts every slice (depth 3)")
         else:
@@ -49,7 +50,7 @@ for series in ["D", "B"]:
 
 print()
 print("the counterexample: b = 1 = n-1 is NOT in -N, yet:")
-w = detect_submodule(zero_weight("D", 2), Fraction(1), 3)
+w = detect_submodule(ConformalModule(zero_weight("D", 2), Fraction(1)), 3)
 dims = ", ".join(f"deg {k}: {r}/{d}" for k, (r, d) in w.dims.items())
 print(f"  U(J)(1 (x) v0) is proper: {dims}")
 closure = verify_submodule_closure(w)

@@ -55,8 +55,6 @@ from .irreps import (
 from .mixed import (
     ConformalModule,
     ExtendedOp,
-    GradedSlice,
-    build_slice,
     shen_closed_forms,
     shen_embed,
     verify_shen_monomorphism,
@@ -78,13 +76,10 @@ from .reducibility import (
     SubmoduleWitness,
     classify_b,
     detect_submodule,
-    detect_submodule_in,
     harmonic_decompose,
     laplacian_eta_commutator,
     surjectivity_scan,
-    surjectivity_scan_in,
     verify_submodule_closure,
-    verify_submodule_closure_in,
 )
 
 __version__ = "0.1.0"

@@ -19,7 +19,7 @@ from . import reducibility, spectral, suite as suite_mod
 from .irreps import CapExceeded, build_irrep, validate_irrep
 from .mixed import verify_shen_monomorphism
 from .ortho import verify_bracket_tables, verify_theta_homomorphism
-from .weights import WeightVec, natural_dim, parse_weight, pieri_decompose, weyl_dim, zero_weight
+from .weights import MIN_RANK, WeightVec, natural_dim, parse_weight, pieri_decompose, weyl_dim, zero_weight
 
 
 def _fail_usage(msg: str) -> int:
@@ -227,8 +227,10 @@ def cmd_suite(args) -> int:
 
 
 def _mu_or_zero(args) -> WeightVec:
+    if args.n is not None and args.n < MIN_RANK[args.series]:
+        raise ValueError(f"--n {args.n} is below the least rank {MIN_RANK[args.series]} of series {args.series}")
     if args.mu is None or args.mu in ("0", ""):
-        n = args.n if args.n else 2
+        n = args.n if args.n is not None else 2
         return zero_weight(args.series, n)
     mu = parse_weight(args.mu, args.series)
     if args.n is not None and args.n != mu.n:

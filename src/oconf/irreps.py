@@ -24,7 +24,6 @@ spin (half-integer) weights.
 
 from __future__ import annotations
 
-import json
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
@@ -75,10 +74,6 @@ class IrrepData:
             "highest": self.highest,
             "matrices": mats,
         }
-
-    def save_json(self, path: str):
-        with open(path, "w") as fh:
-            json.dump(self.to_json_dict(), fh, sort_keys=True)
 
 
 def load_irrep_json(doc: dict) -> IrrepData:

@@ -23,14 +23,13 @@ at b0 and adds the sparse correction.
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .linalg import SparseMat
-from .ortho import OrthoBasis, build_conformal, build_ortho, theta_images
+from .ortho import OrthoBasis, build_conformal, build_ortho
 from .poly import DiffOp, Poly, bracket as dbracket, monomial_basis
 from .weights import WeightVec, natural_dim
 from .irreps import CapExceeded, IrrepData, build_irrep
@@ -244,29 +243,12 @@ def _split(n: int, series: str, label: str) -> List[Tuple[Exps, Fraction, Dict[i
     return _embed(n, series, label).central_orthogonal_split(build_ortho(natural_dim(series, n)))
 
 
-@dataclass
-class GradedSlice:
-    """One graded component A_k (x) V(mu) with its action matrices.
-
-    Basis order is monomial-major: index = (monomial position) * dim V + r.
-    `down`, `flat`, `up` map generator labels to matrices into degrees k-1,
-    k, k+1 respectively.
-    """
-
-    mu: WeightVec
-    b: Fraction
-    k: int
-    monomials: List[Exps]
-    dim: int
-    down: Dict[str, SparseMat]
-    flat: Dict[str, SparseMat]
-    up: Dict[str, SparseMat]
-
-
 class ConformalModule:
     """A (x) V(mu) for one series, rank and central charge, built lazily.
 
-    `at(b)` gives the same module at another central charge (a sibling).
+    Slice k has the basis x^e (x) v_r, monomial-major: x^e (x) v_r has index
+    mono_index(k)[e] * dim V + r.  `at(b)` gives the same module at another
+    central charge (a sibling).
     """
 
     def __init__(self, mu: WeightVec, b, slice_cap: int = DEFAULT_SLICE_CAP):
@@ -343,9 +325,6 @@ class ConformalModule:
         if d > self.slice_cap:
             raise CapExceeded(f"slice dimension {d} at degree {k} exceeds cap {self.slice_cap}")
 
-    def basis_index(self, k: int, e: Exps, r: int) -> int:
-        return self.mono_index(k)[e] * self.dim_v + r
-
     def degree_shift(self, label: str) -> int:
         if label.startswith("d_"):
             return -1
@@ -407,15 +386,9 @@ class ConformalModule:
         return out
 
     def action_columns(self, label: str, k: int, cols: Sequence[int]) -> List[Dict[int, Fraction]]:
-        """Columns `cols` of `action_matrix(label, k)`, as sparse dicts.
-
-        A sibling slices its full matrix, which is the base's plus a sparse
-        correction; any other module builds only the requested columns, by
-        the stencil loop of `action_matrix`.
-        """
-        if self._base is not None:
-            by_col = self.action_matrix(label, k).col_vectors()
-            return [by_col[c] for c in cols]
+        """Columns `cols` of `action_matrix(label, k)`, as sparse dicts, built
+        by the stencil loop alone (on a sibling too: `at` gives it its own
+        `_pieces`)."""
         out: Dict[int, Dict[int, Fraction]] = {c: {} for c in cols}
         for (row, col), v in self._stencil(label, k, cols).items():
             out[col][row] = v
@@ -559,44 +532,3 @@ class ConformalModule:
             out = SparseMat(self.slice_dim(k), self.slice_dim(k), data)
         self._phi[k] = out
         return out
-
-    def slice(self, k: int) -> GradedSlice:
-        self.check_cap(k)
-        down: Dict[str, SparseMat] = {}
-        flat: Dict[str, SparseMat] = {}
-        up: Dict[str, SparseMat] = {}
-        for label in self.conf.labels():
-            M = self.action_matrix(label, k)
-            {-1: down, 0: flat, 1: up}[self.degree_shift(label)][label] = M
-        return GradedSlice(self.mu, self.b, k, self.monomials_of(k), self.slice_dim(k), down, flat, up)
-
-    # -- the big-algebra action ---------------------------------------------------
-
-    def big_action_table(self) -> List[Tuple[str, str, Fraction]]:
-        """(big basis label, conformal label, sign) for every o(2n+2)/o(2n+3)
-        basis element; the module action of X is sign * action(conformal)."""
-        if getattr(self, "_big_table", None) is not None:
-            return self._big_table
-        ob_big, conf, images = theta_images(self.n, self.series)
-        table = []
-        for el in ob_big.elements:
-            im = images[el.label]
-            found = None
-            for lbl in conf.labels():
-                op = conf.op(lbl)
-                if im == op:
-                    found = (lbl, Fraction(1))
-                    break
-                if im == op.scale(-1):
-                    found = (lbl, Fraction(-1))
-                    break
-            if found is None:
-                raise AssertionError(f"theta image of {el.label} is not +-(a generator)")
-            table.append((el.label, found[0], found[1]))
-        self._big_table = table
-        return table
-
-
-def build_slice(mu: WeightVec, b, k: int, slice_cap: int = DEFAULT_SLICE_CAP) -> GradedSlice:
-    """Standalone slice constructor (builds a module behind the scenes)."""
-    return ConformalModule(mu, b, slice_cap=slice_cap).slice(k)

@@ -22,7 +22,7 @@ from typing import Dict, List, Optional, Tuple
 
 from .linalg import SparseMat, rank_of_rows
 from .poly import DiffOp, Poly, bracket
-from .weights import natural_dim
+from .weights import MIN_RANK, natural_dim
 
 Root = Tuple[Fraction, ...]
 
@@ -338,10 +338,8 @@ def build_conformal(n: int, series: str) -> ConformalBasis:
     Built once per (n, series): the returned basis is shared by every caller
     and must not be mutated.
     """
-    if series == "D" and n < 2:
-        raise ValueError("D series needs n >= 2")
-    if series == "B" and n < 1:
-        raise ValueError("B series needs n >= 1")
+    if series in MIN_RANK and n < MIN_RANK[series]:
+        raise ValueError(f"{series} series needs n >= {MIN_RANK[series]}")
     num_vars = natural_dim(series, n)
     cb = ConformalBasis(series, n, num_vars, [])
     elements: List[Tuple[str, DiffOp]] = [("D", cb.euler())]

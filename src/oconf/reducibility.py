@@ -22,6 +22,12 @@ to weight spaces, so N_nu is spanned by the J_i(u) with
 wt(u) + wt(J_i) = nu, and dim M - rank N is the sum over dominant nu of
 |W nu| (dim M_nu - rank N_nu).  This is exact at every b.
 
+The scan builds its own module from (mu, b): it builds only the J columns
+it needs, at its own b, so a shared base would save it little.  Detection,
+closure and generation read whole action matrices, so they take a built
+module (a sweep over b shares one base through `ConformalModule.at`), and a
+witness carries the module it lives in.
+
 For mu = 0 the harmonic layers explain the graded structure — and the
 scans refute the stated sharp classification at the special conformal
 weights b = n-r (even series) and b = n-r+1/2 (odd series), where the
@@ -77,31 +83,6 @@ def classify_b(mu: WeightVec, b) -> Classification:
     if comp is None:
         return Classification("generic", None, cs.exact)
     return Classification("excluded", comp, cs.exact)
-
-
-BASE_B_SAMPLES = (
-    Fraction(0),
-    Fraction(1),
-    Fraction(-1),
-    Fraction(2),
-    Fraction(-2),
-    Fraction(1, 2),
-    Fraction(-1, 2),
-    Fraction(1, 3),
-    Fraction(7, 2),
-)
-
-
-def default_b_samples(mu: WeightVec) -> List[Fraction]:
-    """Default central-charge sweep: the fixed rational sample set plus every
-    critical-ladder point within 3 of its base."""
-    out = set(BASE_B_SAMPLES)
-    for comp in critical_b_set(mu).components:
-        p = comp.base
-        while p >= comp.base - 3:
-            out.add(p)
-            p -= comp.step
-    return sorted(out)
 
 
 @dataclass
@@ -180,19 +161,12 @@ def _j_span_rank(mod: ConformalModule, level: int) -> int:
     return mod.slice_dim(k) - deficit
 
 
-def surjectivity_scan(
-    mu: WeightVec, b, max_degree: int, slice_cap: int = DEFAULT_SLICE_CAP
-) -> ScanResult:
+def surjectivity_scan(mu: WeightVec, b, max_degree: int) -> ScanResult:
     """Rank of the J-span at every level 1..max_degree, with verdict."""
-    return surjectivity_scan_in(ConformalModule(mu, b, slice_cap=slice_cap), max_degree)
-
-
-def surjectivity_scan_in(mod: ConformalModule, max_degree: int) -> ScanResult:
-    """`surjectivity_scan` of a module that is already built (a base module
-    and its siblings from `ConformalModule.at` share their b-free work)."""
+    mod = ConformalModule(mu, b)
     if max_degree < 1:
         raise ValueError(f"max degree must be at least 1, got {max_degree}")
-    mu, b = mod.mu, mod.b
+    b = mod.b
     mod.check_cap(max_degree)  # slices grow with the degree: fail before any work
     records = []
     deficient = False
@@ -215,10 +189,10 @@ def surjectivity_scan_in(mod: ConformalModule, max_degree: int) -> ScanResult:
 
 @dataclass
 class SubmoduleWitness:
-    """Graded basis of the submodule generated by 1 (x) V(mu), truncated."""
+    """Graded basis, in `module`, of the submodule generated by 1 (x) V(mu),
+    truncated."""
 
-    mu: WeightVec
-    b: Fraction
+    module: ConformalModule
     max_degree: int
     dims: Dict[int, Tuple[int, int]]  # k -> (submodule dim, slice dim)
     basis: Dict[int, List[Dict[int, Fraction]]]
@@ -227,16 +201,9 @@ class SubmoduleWitness:
         return any(r < d for r, d in self.dims.values())
 
 
-def detect_submodule(
-    mu: WeightVec, b, max_degree: int, slice_cap: int = DEFAULT_SLICE_CAP
-) -> Optional[SubmoduleWitness]:
+def detect_submodule(mod: ConformalModule, max_degree: int) -> Optional[SubmoduleWitness]:
     """Explicit graded basis of U(J)(1 (x) V(mu)) up to max_degree when it is
     proper there; None when it exhausts every slice."""
-    return detect_submodule_in(ConformalModule(mu, b, slice_cap=slice_cap), max_degree)
-
-
-def detect_submodule_in(mod: ConformalModule, max_degree: int) -> Optional[SubmoduleWitness]:
-    """`detect_submodule` in a module that is already built."""
     dims: Dict[int, Tuple[int, int]] = {}
     basis: Dict[int, List[Dict[int, Fraction]]] = {}
     proper = False
@@ -252,21 +219,13 @@ def detect_submodule_in(mod: ConformalModule, max_degree: int) -> Optional[Submo
             proper = True
     if not proper:
         return None
-    return SubmoduleWitness(mod.mu, mod.b, max_degree, dims, basis)
+    return SubmoduleWitness(mod, max_degree, dims, basis)
 
 
-def verify_submodule_closure(
-    witness: SubmoduleWitness, slice_cap: int = DEFAULT_SLICE_CAP
-) -> Dict[str, bool]:
-    """Check the witness is closed under every generator within truncation."""
-    return verify_submodule_closure_in(ConformalModule(witness.mu, witness.b, slice_cap=slice_cap), witness)
-
-
-def verify_submodule_closure_in(mod: ConformalModule, witness: SubmoduleWitness) -> Dict[str, bool]:
-    """`verify_submodule_closure` in a module that is already built; it must
-    be the module the witness lives in."""
-    if (mod.mu, mod.b) != (witness.mu, witness.b):
-        raise ValueError(f"witness of V({witness.mu}) at b={witness.b} checked in V({mod.mu}) at b={mod.b}")
+def verify_submodule_closure(witness: SubmoduleWitness) -> Dict[str, bool]:
+    """Check the witness is closed under every generator of its module,
+    within truncation."""
+    mod = witness.module
     results = {}
     for lbl in mod.conf.labels():
         shift = mod.degree_shift(lbl)
@@ -285,12 +244,7 @@ def verify_submodule_closure_in(mod: ConformalModule, witness: SubmoduleWitness)
 
 
 def generation_closure_scan(
-    mu: WeightVec,
-    b,
-    max_degree: int,
-    seed_degree: int = 0,
-    slack: int = 2,
-    slice_cap: int = DEFAULT_SLICE_CAP,
+    mod: ConformalModule, max_degree: int, seed_degree: int = 0, slack: int = 2
 ) -> Dict[int, Tuple[int, int]]:
     """Dimensions of the submodule generated by a full slice, degree by degree.
 
@@ -300,13 +254,6 @@ def generation_closure_scan(
     translations, so a pure level-by-level J-span can undercount).  Returns
     {k: (generated dim, slice dim)} for k <= max_degree.
     """
-    return generation_closure_scan_in(ConformalModule(mu, b, slice_cap=slice_cap), max_degree, seed_degree, slack)
-
-
-def generation_closure_scan_in(
-    mod: ConformalModule, max_degree: int, seed_degree: int = 0, slack: int = 2
-) -> Dict[int, Tuple[int, int]]:
-    """`generation_closure_scan` in a module that is already built."""
     top = max_degree + slack
     spans = {k: EchelonBasis() for k in range(top + 1)}
     dims = {k: mod.slice_dim(k) for k in range(top + 1)}

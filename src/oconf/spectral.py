@@ -171,8 +171,13 @@ def t_scalar(mod: ConformalModule, k: int) -> Fraction:
     return 2 * mod.b - 2 * mod.n + k + 1
 
 
-def verify_t_operator(mu: WeightVec, b, k: int, slice_cap: int = 8192) -> Dict[str, object]:
-    mod = ConformalModule(mu, b, slice_cap=slice_cap)
+# T on slice k lands in slice k + 2, so `verify_t_operator` (`oconf
+# t-operator`) allows slices twice the module default.
+T_SLICE_CAP = 8192
+
+
+def verify_t_operator(mu: WeightVec, b, k: int) -> Dict[str, object]:
+    mod = ConformalModule(mu, b, slice_cap=T_SLICE_CAP)
     T = invariant_t_matrix(mod, k)
     scalar = t_scalar(mod, k)
     eta_mult = mod.mult_matrix(mod.conf.eta(), k)

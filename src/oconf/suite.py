@@ -132,7 +132,7 @@ def check_t_operator() -> Tuple[bool, str]:
     bs = [Fraction(0), Fraction(1), Fraction(1, 3)]
     for mu in [parse_weight("1,0", "D"), parse_weight("1,0", "B")]:
         # one module per k for every b: T(b) = T(0) + b T_C
-        match = {k: spectral.t_operator_sweep(mixed.ConformalModule(mu, 0, slice_cap=8192), k, bs)
+        match = {k: spectral.t_operator_sweep(mixed.ConformalModule(mu, 0), k, bs)
                  for k in range(0, 5)}
         for b in bs:
             for k in range(0, 5):
@@ -150,14 +150,13 @@ def check_scan_sufficiency() -> Tuple[bool, str]:
         (parse_weight("1,0", "D"), Fraction(1, 3), 4, "irreducible-up-to-4"),
         (parse_weight("1/2,1/2", "B"), Fraction(1, 4), 3, "irreducible-up-to-3"),
     ]
-    mods = [mixed.ConformalModule(mu, b) for mu, b, _, _ in cases]
-    for mod, (mu, b, deg, want) in zip(mods, cases):
-        r = reducibility.surjectivity_scan_in(mod, deg)
+    for mu, b, deg, want in cases:
+        r = reducibility.surjectivity_scan(mu, b, deg)
         good = r.verdict == want and all(rec.full for rec in r.records)
         ok &= good
         bits.append(f"{mu.series} {mu} b={b}: {r.verdict} {'ok' if good else 'FAIL'}")
     # critical value with a degree-one zero eigenvalue, in the D 1,0 module
-    r = reducibility.surjectivity_scan_in(mods[0].at(3), 2)
+    r = reducibility.surjectivity_scan(parse_weight("1,0", "D"), Fraction(3), 2)
     good = r.verdict == "proper-submodule-found" and not r.records[0].full
     ok &= good
     bits.append(f"D 1,0 b=3: deficiency at degree 1 {'ok' if good else 'FAIL'}")
@@ -171,20 +170,20 @@ def check_mu_zero_classification() -> Tuple[bool, str]:
     bits = []
     ok = True
     for series in ["D", "B"]:
-        base = mixed.ConformalModule(zero_weight(series, 2), 0)  # one module for every b
         for b in [Fraction(1, 2), Fraction(1), Fraction(5, 2)]:
-            r = reducibility.surjectivity_scan_in(base.at(b), 4)
+            r = reducibility.surjectivity_scan(zero_weight(series, 2), b, 4)
             good = all(rec.full for rec in r.records)
             ok &= good
             bits.append(f"{series} mu=0 b={b}: full rank {'ok' if good else 'FAIL'}")
+        base = mixed.ConformalModule(zero_weight(series, 2), 0)  # one module for every b
         for b in [Fraction(0), Fraction(-1), Fraction(-2)]:
             mod = base.at(b)
-            w = reducibility.detect_submodule_in(mod, 3)
+            w = reducibility.detect_submodule(mod, 3)
             good = w is not None and w.is_proper()
             if b == 0 and w is not None:
                 # exactly the constants line, quotient generated above it
                 good &= w.dims[0] == (1, 1) and all(w.dims[k][0] == 0 for k in range(1, 4))
-                quot = reducibility.generation_closure_scan_in(mod, 4, seed_degree=1, slack=2)
+                quot = reducibility.generation_closure_scan(mod, 4, seed_degree=1, slack=2)
                 good &= all(quot[k][0] == quot[k][1] for k in range(1, 5))
             ok &= bool(good)
             bits.append(f"{series} mu=0 b={b}: proper submodule {'ok' if good else 'FAIL'}")
@@ -203,29 +202,28 @@ def check_mu_zero_true_classification() -> Tuple[bool, str]:
     ]:
         base = mixed.ConformalModule(zero_weight(series, 2), 0)  # one module for every b
         for b in good_bs:
-            w = reducibility.detect_submodule_in(base.at(b), 3)
+            w = reducibility.detect_submodule(base.at(b), 3)
             good = w is None
             ok &= good
             bits.append(f"{series} b={b}: generated to degree 3 {'ok' if good else 'FAIL'}")
         for b, deg in bad_extra:
-            mod = base.at(b)
-            w = reducibility.detect_submodule_in(mod, deg)
+            w = reducibility.detect_submodule(base.at(b), deg)
             good = w is not None and w.dims[deg][0] == w.dims[deg][1] - 1
             if good:
-                good &= reducibility.verify_submodule_closure_in(mod, w)["ok"]
+                good &= reducibility.verify_submodule_closure(w)["ok"]
             ok &= bool(good)
             bits.append(
                 f"{series} b={b}: proper submodule at degree {deg}, closure verified "
                 f"{'ok' if good else 'FAIL'} (refutes the stated sharp classification)"
             )
         for b in [Fraction(0), Fraction(-1), Fraction(-2)]:
-            w = reducibility.detect_submodule_in(base.at(b), 3)
+            w = reducibility.detect_submodule(base.at(b), 3)
             good = w is not None and w.is_proper()
             ok &= bool(good)
             bits.append(f"{series} b={b}: reducible {'ok' if good else 'FAIL'}")
         if series == "D":
             # the b=0 quotient stalls at the eta^2 line (34/35 at degree 4)
-            quot = reducibility.generation_closure_scan_in(base, 4, seed_degree=1, slack=2)
+            quot = reducibility.generation_closure_scan(base, 4, seed_degree=1, slack=2)
     good = quot[4] == (34, 35) and all(quot[k][0] == quot[k][1] for k in range(1, 4))
     ok &= good
     bits.append(f"D b=0 quotient degree-4 component: {quot[4][0]}/{quot[4][1]} {'ok' if good else 'FAIL'}")

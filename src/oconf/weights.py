@@ -70,6 +70,9 @@ def parse_weight(text: str, series: str) -> WeightVec:
     return WeightVec(series, coords)
 
 
+MIN_RANK = {"D": 2, "B": 1}  # the least rank n of D_n = o(2n) and B_n = o(2n+1)
+
+
 def natural_dim(series: str, n: int) -> int:
     """Dimension m of the natural module of o(m): 2n for D_n, 2n+1 for B_n."""
     return 2 * n if series == "D" else 2 * n + 1
@@ -142,18 +145,6 @@ class JumpSeq:
     @property
     def s(self) -> int:
         return len(self.boundaries) - 1
-
-    @property
-    def iota(self) -> int:
-        """Length of the leading constant block (n_1)."""
-        return self.boundaries[1]
-
-    def block_of(self, i: int) -> int:
-        """1-based block index containing coordinate position i (1-based)."""
-        for r in range(1, len(self.boundaries)):
-            if i <= self.boundaries[r]:
-                return r
-        raise IndexError(i)
 
 
 def jump_sequence(mu: WeightVec) -> JumpSeq:
@@ -291,12 +282,6 @@ class Spectrum:
     """Eigenvalues (distinct, descending) with multiplicities."""
 
     entries: Tuple[Tuple[Fraction, int], ...]
-
-    def total_multiplicity(self) -> int:
-        return sum(m for _, m in self.entries)
-
-    def eigenvalues(self) -> List[Fraction]:
-        return [e for e, _ in self.entries]
 
 
 def split_casimir_eigenvalue(mu: WeightVec, term: PieriTerm) -> Fraction:

@@ -56,6 +56,17 @@ def test_t_operator_negative_degree_exits_2(capsys, k):
     assert f"slice degree k must be >= 0, got {k}" in captured.err
 
 
+@pytest.mark.parametrize("verb", [["scan", "--max-degree", "1"], ["classify"]])
+@pytest.mark.parametrize("series,least", [("D", 2), ("B", 1)])
+@pytest.mark.parametrize("n", ["0", "-1"])
+def test_rank_below_the_series_minimum_exits_2(capsys, verb, series, least, n):
+    rc = main([verb[0], "--series", series, "--n", n, "--b", "1"] + verb[1:])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err == f"error: --n {n} is below the least rank {least} of series {series}\n"
+
+
 def test_json_output_deterministic(capsys):
     argv = ["scan", "--series", "D", "--n", "2", "--mu", "1,0", "--b", "1/3", "--max-degree", "2", "--format", "json"]
     rc1, out1 = run(capsys, argv)

@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 from oconf import irreps
+from oconf.cli import main
 from oconf.irreps import (
     _spin_rep,
     build_irrep,
@@ -115,7 +116,7 @@ def test_persistence_round_trip(tmp_path):
     mu = parse_weight("1/2,1/2", "B")
     V = build_irrep(mu)
     path = tmp_path / "irrep.json"
-    V.save_json(str(path))
+    assert main(["build-irrep", "--series", "B", "--mu", "1/2,1/2", "--format", "json", "--output", str(path)]) == 0
     with open(path) as fh:
         doc = json.load(fh)
     V2 = load_irrep_json(doc)

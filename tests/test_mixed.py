@@ -8,12 +8,11 @@ import pytest
 from oconf.linalg import SparseMat, rank_of_rows
 from oconf.mixed import (
     ConformalModule,
-    build_slice,
     shen_closed_forms,
     shen_embed,
     verify_shen_monomorphism,
 )
-from oconf.ortho import build_conformal
+from oconf.ortho import build_conformal, theta_images
 from oconf.poly import DiffOp, Poly, bracket
 from oconf.weights import parse_weight, zero_weight
 
@@ -67,15 +66,13 @@ def test_extended_bracket_matches_embedding_of_bracket():
 
 def test_slice_degree_shifts():
     mod = ConformalModule(parse_weight("1,0", "D"), F(1, 3))
-    sl = mod.slice(1)
-    assert sl.dim == 16
-    for lbl, M in sl.down.items():
-        assert M.rows == mod.slice_dim(0) and M.cols == sl.dim
-    for lbl, M in sl.up.items():
-        assert M.rows == mod.slice_dim(2)
-    # translations kill degree zero
-    sl0 = mod.slice(0)
-    assert all(M.is_zero() for M in sl0.down.values())
+    assert mod.slice_dim(1) == 16
+    for lbl in mod.conf.labels():
+        M = mod.action_matrix(lbl, 1)
+        assert (M.rows, M.cols) == (mod.slice_dim(1 + mod.degree_shift(lbl)), 16), lbl
+        if mod.degree_shift(lbl) == -1:
+            # translations kill degree zero
+            assert mod.action_matrix(lbl, 0).is_zero()
 
 
 def test_central_element_acts_by_b():
@@ -105,11 +102,11 @@ def test_module_axiom_for_big_algebra(series, mus, b, degrees):
     # action([X,Y]) = [action(X), action(Y)] for all o(2n+2)/o(2n+3) pairs
     mu = parse_weight(mus, series)
     mod = ConformalModule(mu, b)
-    table = mod.big_action_table()
-    from oconf.ortho import build_ortho
-
-    ob_big = build_ortho(2 * mod.n + 2 if series == "D" else 2 * mod.n + 3)
-    by_label = {big: (conf_lbl, sign) for big, conf_lbl, sign in table}
+    ob_big, conf, images = theta_images(mod.n, series)
+    by_label = {}  # big label -> (conformal label, sign): theta sends each to +-(a generator)
+    for el in ob_big.elements:
+        by_label[el.label] = next((lbl, s) for lbl in conf.labels() for s in (F(1), F(-1))
+                                  if images[el.label] == conf.op(lbl).scale(s))
 
     def act(big_label, k):
         conf_lbl, sign = by_label[big_label]
@@ -211,17 +208,6 @@ def test_phi_commutes_with_rotation_action():
             for lbl in flat_labels:
                 M = mod.action_matrix(lbl, k)
                 assert phi * M == M * phi, (lbl, k)
-
-
-def test_build_slice_facade():
-    sl = build_slice(parse_weight("1,0", "D"), F(1), 2)
-    assert sl.k == 2 and sl.dim == 40 and len(sl.monomials) == 10
-
-
-def test_slice_cap_enforced():
-    mod = ConformalModule(parse_weight("1,0", "D"), F(1), slice_cap=10)
-    with pytest.raises(ValueError):
-        mod.slice(2)
 
 
 def reference_action_matrix(mod, label, k):
@@ -373,6 +359,21 @@ def test_action_columns_match_action_matrix(series, mus):
         for label in fresh.conf.labels():
             want = full.action_matrix(label, k).col_vectors()
             cols = sorted(rng.sample(range(len(want)), len(want) // 3))
-            for mod in (fresh, sib):  # built, sliced from the sibling's matrix
+            for mod in (fresh, sib):
                 assert mod.action_columns(label, k, cols) == [want[c] for c in cols], (label, k)
-            assert (label, k) not in fresh._act
+                assert (label, k) not in mod._act
+
+
+@pytest.mark.parametrize("series,mus", [("D", "1,0"), ("B", "1/2,1/2"), ("D", "0,0")])
+def test_sibling_columns_after_the_base_filled_its_memo(series, mus):
+    # the base builds J_1's pieces at its own b first; the sibling must not
+    # reuse them
+    mu = parse_weight(mus, series)
+    base = ConformalModule(mu, F(3, 7))
+    cols = {k: range(base.slice_dim(k)) for k in range(4)}
+    for k in cols:
+        base.action_columns("J_1", k, cols[k])
+    for b in [F(0), F(-11, 7)]:
+        sib, fresh = base.at(b), ConformalModule(mu, b)
+        for k in cols:
+            assert sib.action_columns("J_1", k, cols[k]) == fresh.action_columns("J_1", k, cols[k]), (b, k)

@@ -9,17 +9,14 @@ from oconf.linalg import SparseMat, rank_of_rows, vectors_contained_in_span
 from oconf.mixed import ConformalModule
 from oconf.poly import Poly
 from oconf.reducibility import (
+    _j_span_rank,
     classify_b,
     detect_submodule,
-    detect_submodule_in,
     generation_closure_scan,
-    generation_closure_scan_in,
     harmonic_decompose,
     laplacian_eta_commutator,
     surjectivity_scan,
-    surjectivity_scan_in,
     verify_submodule_closure,
-    verify_submodule_closure_in,
 )
 from oconf.spectral import omega_tilde_matrix
 from oconf.weights import omega_tilde_spectrum, parse_weight, zero_weight
@@ -54,7 +51,7 @@ def test_scan_spin_weight_generic():
 def test_critical_b_witness_for_nonzero_mu():
     # at b = 3 the phi eigenvalue b - 3 vanishes on the trivial Pieri summand
     # and the generated submodule misses one dimension at degree 1
-    w = detect_submodule(parse_weight("1,0", "D"), F(3), 2)
+    w = detect_submodule(ConformalModule(parse_weight("1,0", "D"), F(3)), 2)
     assert w is not None
     assert w.dims[0] == (4, 4) and w.dims[1] == (15, 16)
     assert verify_submodule_closure(w)["ok"]
@@ -70,30 +67,12 @@ def test_scan_critical_b_without_deficiency_is_flagged():
 
 
 def test_generic_sample_consistency():
-    # every b in the default sweep that classifies generic must scan full-rank
-    from oconf.reducibility import default_b_samples
-
-    cases = [
-        (parse_weight("1,0", "D"), 3),
-        (parse_weight("1/2,1/2", "B"), 2),
-    ]
-    for mu, deg in cases:
-        samples = default_b_samples(mu)
-        assert F(1, 3) in samples and F(7, 2) in samples
-        generic = [b for b in samples if classify_b(mu, b).status == "generic"]
-        assert generic, samples
-        for b in generic:
+    # the generic points of the old default b sweep must scan full-rank
+    for mu, deg in [(parse_weight("1,0", "D"), 3), (parse_weight("1/2,1/2", "B"), 2)]:
+        for b in [F(1, 3), F(7, 2)]:
+            assert classify_b(mu, b).status == "generic"
             r = surjectivity_scan(mu, b, deg)
             assert all(rec.full for rec in r.records), (str(mu), b)
-
-
-def test_default_b_samples_include_critical_points():
-    from oconf.reducibility import default_b_samples
-
-    samples = default_b_samples(parse_weight("1,0", "D"))
-    # half-integer ladder below n-1 = 1 and the integer ladder below 3
-    for b in [F(1), F(1, 2), F(0), F(-1, 2), F(-2), F(3), F(2)]:
-        assert b in samples
 
 
 @pytest.mark.parametrize("series", ["D", "B"])
@@ -101,7 +80,7 @@ def test_mu_zero_necessity_direction(series):
     # b in -N really is reducible (this direction of the classification holds)
     mu0 = zero_weight(series, 2)
     for b in [F(0), F(-1), F(-2)]:
-        w = detect_submodule(mu0, b, 3)
+        w = detect_submodule(ConformalModule(mu0, b), 3)
         assert w is not None and w.is_proper(), (series, b)
         assert classify_b(mu0, b).status == "excluded"
 
@@ -110,9 +89,9 @@ def test_mu_zero_truly_irreducible_values():
     # values outside -N *and* outside the special conformal weights
     # ({1..n-1} for D, {1/2..n-1/2} for B at n=2) generate everything
     for b in [F(2), F(1, 2), F(-1, 2), F(5, 2)]:
-        assert detect_submodule(zero_weight("D", 2), b, 3) is None, b
+        assert detect_submodule(ConformalModule(zero_weight("D", 2), b), 3) is None, b
     for b in [F(1), F(2), F(-1, 2), F(5, 2)]:
-        assert detect_submodule(zero_weight("B", 2), b, 3) is None, b
+        assert detect_submodule(ConformalModule(zero_weight("B", 2), b), 3) is None, b
 
 
 @pytest.mark.xfail(
@@ -122,18 +101,18 @@ def test_mu_zero_truly_irreducible_values():
 )
 def test_mu_zero_stated_iff_at_b_one():
     # the sharp classification as stated: irreducible whenever b not in -N
-    assert detect_submodule(zero_weight("D", 2), F(1), 3) is None
+    assert detect_submodule(ConformalModule(zero_weight("D", 2), F(1)), 3) is None
 
 
 def test_mu_zero_special_weight_counterexamples():
     # machine-certified refutations of the stated mu=0 classification:
     # the generated submodule is proper and closed under every generator
-    w = detect_submodule(zero_weight("D", 2), F(1), 3)
+    w = detect_submodule(ConformalModule(zero_weight("D", 2), F(1)), 3)
     assert w.dims == {0: (1, 1), 1: (4, 4), 2: (9, 10), 3: (16, 20)}
     assert verify_submodule_closure(w)["ok"]
-    w = detect_submodule(zero_weight("B", 2), F(3, 2), 2)
+    w = detect_submodule(ConformalModule(zero_weight("B", 2), F(3, 2)), 2)
     assert w.dims[2] == (14, 15)
-    w = detect_submodule(zero_weight("B", 2), F(1, 2), 4)
+    w = detect_submodule(ConformalModule(zero_weight("B", 2), F(1, 2)), 4)
     assert w.dims[4] == (69, 70)
     assert all(w.dims[k][0] == w.dims[k][1] for k in range(4))
     # classify_b follows the stated theorem sets, so it disagrees here; the
@@ -145,11 +124,11 @@ def test_mu_zero_special_weight_counterexamples():
 def test_mu_zero_special_weights_at_rank_three():
     # the special-weight family b = n-r (gap at degree 2r) persists at n=3
     mu0 = zero_weight("D", 3)
-    w = detect_submodule(mu0, F(2), 2)
+    w = detect_submodule(ConformalModule(mu0, F(2)), 2)
     assert w.dims[2] == (20, 21)
-    w = detect_submodule(mu0, F(1), 4)
+    w = detect_submodule(ConformalModule(mu0, F(1)), 4)
     assert w.dims[2] == (21, 21) and w.dims[3] == (56, 56) and w.dims[4] == (125, 126)
-    assert detect_submodule(mu0, F(3), 3) is None  # b = n generates everything
+    assert detect_submodule(ConformalModule(mu0, F(3)), 3) is None  # b = n generates everything
 
 
 def test_mu_zero_b_zero_gap_is_final():
@@ -180,13 +159,13 @@ def test_mu_zero_b_zero_gap_is_final():
 
 
 def test_mu_zero_b_zero_constants_line():
-    w = detect_submodule(zero_weight("D", 2), F(0), 4)
+    w = detect_submodule(ConformalModule(zero_weight("D", 2), F(0)), 4)
     assert w.dims[0] == (1, 1)
     for k in range(1, 5):
         assert w.dims[k][0] == 0
     # the degree-one slice is an irreducible rotation module: any nonzero
     # vector generates it under the orthogonal action
-    mod = ConformalModule(zero_weight("D", 2), F(0))
+    mod = w.module
     flats = [mod.action_matrix(l, 1) for l in ["A_{1,1}", "A_{1,2}", "A_{2,1}", "A_{2,2}", "B_{1,2}", "C_{1,2}"]]
     seed = {0: F(1)}
     span = [seed]
@@ -210,7 +189,7 @@ def test_mu_zero_b_zero_constants_line():
 def test_mu_zero_b_zero_quotient_full_rank_as_stated():
     from oconf.reducibility import generation_closure_scan
 
-    dims = generation_closure_scan(zero_weight("D", 2), F(0), 4, seed_degree=1, slack=2)
+    dims = generation_closure_scan(ConformalModule(zero_weight("D", 2), F(0)), 4, seed_degree=1, slack=2)
     assert all(r == d for r, d in (dims[k] for k in range(1, 5)))
 
 
@@ -221,22 +200,21 @@ def test_mu_zero_b_zero_quotient_truth():
     # This is final, not a truncation artifact: [d_k, J_i] = delta*D + A_{i,k}
     # and W cap A_3 full imply the degree-4 component can only receive
     # J(A_3) + rotations(A_4-part), which is the same 34-dimensional space.
-    dims = generation_closure_scan(zero_weight("D", 2), F(0), 4, seed_degree=1, slack=2)
+    dims = generation_closure_scan(ConformalModule(zero_weight("D", 2), F(0)), 4, seed_degree=1, slack=2)
     assert dims[2] == (10, 10) and dims[3] == (20, 20) and dims[4] == (34, 35)
     # B series: no break at integer b (the T scalar 2b-2n+k+1 is odd), so the
     # quotient really is generated to degree 4
-    dims = generation_closure_scan(zero_weight("B", 2), F(0), 4, seed_degree=1, slack=2)
+    dims = generation_closure_scan(ConformalModule(zero_weight("B", 2), F(0)), 4, seed_degree=1, slack=2)
     assert all(dims[k][0] == dims[k][1] for k in range(1, 5))
 
 
 def test_mu_zero_b_minus_one_eta_line():
     # at b=-1 the image at degree 2 collapses to the line through eta
-    w = detect_submodule(zero_weight("D", 2), F(-1), 3)
+    w = detect_submodule(ConformalModule(zero_weight("D", 2), F(-1)), 3)
     assert w.dims[1] == (4, 4) and w.dims[2] == (1, 10) and w.dims[3] == (0, 20)
     (vec,) = w.basis[2]
-    mod = ConformalModule(zero_weight("D", 2), F(-1))
-    eta = mod.conf.eta()
-    idx = mod.mono_index(2)
+    eta = w.module.conf.eta()
+    idx = w.module.mono_index(2)
     eta_vec = {idx[e]: c for e, c in eta.terms.items()}
     scale = None
     for k, v in vec.items():
@@ -251,7 +229,7 @@ def test_mu_zero_b_minus_one_eta_line():
     [("D", F(0)), ("D", F(-1)), ("B", F(0)), ("B", F(-2))],
 )
 def test_submodule_witness_closed_under_all_generators(series, b):
-    w = detect_submodule(zero_weight(series, 2), b, 3)
+    w = detect_submodule(ConformalModule(zero_weight(series, 2), b), 3)
     assert w is not None
     rep = verify_submodule_closure(w)
     assert rep["ok"], rep
@@ -292,20 +270,25 @@ def test_special_conformal_action_identity(series, mus):
             else:
                 partner = label + n if label <= n else label - n
             jlbl = f"J_{label}"
-            src = mod.basis_index(level, g, r)
+            src = _index(mod, level, g, r)
             lhs = mod.action_matrix(jlbl, level).apply({src: F(1)})
             dg = Poly.monomial(nv, g).diff(mod.conf.var_pos(partner))
             if not dg.is_zero():
                 ((ge, gc),) = dg.terms.items()
                 eta_mult = mod.mult_matrix(mod.conf.eta(), level - 1)
-                ev = eta_mult.apply({mod.basis_index(level - 1, ge, r): gc})
+                ev = eta_mult.apply({_index(mod, level - 1, ge, r): gc})
                 lhs = {k: lhs.get(k, F(0)) + ev.get(k, F(0)) for k in set(lhs) | set(ev)}
                 lhs = {k: v for k, v in lhs.items() if v}
             # right side: multiply the degree-1 image by the monomial g
-            x_vec = shifted.apply({mod.basis_index(1, _unit(nv, i), r): F(1)})
+            x_vec = shifted.apply({_index(mod, 1, _unit(nv, i), r): F(1)})
             gmult = mod.mult_matrix(Poly.monomial(nv, g), 1)
             rhs = gmult.apply(x_vec)
             assert lhs == rhs
+
+
+def _index(mod, k, e, r):
+    """Index of x^e (x) v_r in slice k (monomial-major)."""
+    return mod.mono_index(k)[e] * mod.dim_v + r
 
 
 def _unit(nv, pos):
@@ -370,31 +353,24 @@ def test_every_cap_raises_cap_exceeded():
 
 
 def test_b_sweep_in_one_module_matches_fresh_modules():
-    # scans, witnesses, closures and quotients computed in siblings of one
-    # base agree with those computed in a fresh module per b
+    # scan ranks, witnesses, closures and quotients computed in siblings of
+    # one base agree with those computed in a fresh module per b
     for series in ["D", "B"]:
         mu0 = zero_weight(series, 2)
         base = ConformalModule(mu0, F(5, 2))
         for b in [F(0), F(1), F(1, 2), F(-1), F(5, 2)]:
-            mod = base.at(b)
-            assert surjectivity_scan_in(mod, 3).to_json_dict() == surjectivity_scan(mu0, b, 3).to_json_dict()
-            w = detect_submodule_in(mod, 3)
-            fresh = detect_submodule(mu0, b, 3)
+            mod, fresh_mod = base.at(b), ConformalModule(mu0, b)
+            scan = surjectivity_scan(mu0, b, 3)
+            assert [_j_span_rank(mod, level) for level in range(3)] == [r.rank for r in scan.records]
+            w = detect_submodule(mod, 3)
+            fresh = detect_submodule(fresh_mod, 3)
             assert (w is None) == (fresh is None), (series, b)
             if w is not None:
-                assert (w.mu, w.b, w.dims, w.basis) == (fresh.mu, fresh.b, fresh.dims, fresh.basis)
-                assert verify_submodule_closure_in(mod, w) == verify_submodule_closure(fresh)
-        assert generation_closure_scan_in(base.at(0), 3, seed_degree=1, slack=1) == generation_closure_scan(
-            mu0, F(0), 3, seed_degree=1, slack=1)
-
-
-def test_closure_check_rejects_a_witness_of_another_module():
-    mu0 = zero_weight("D", 2)
-    base = ConformalModule(mu0, F(0))
-    w = detect_submodule_in(base, 2)
-    assert w is not None and verify_submodule_closure_in(base, w)["ok"]
-    with pytest.raises(ValueError, match="checked in"):
-        verify_submodule_closure_in(base.at(1), w)
+                assert w.module is mod and fresh.module is fresh_mod
+                assert (w.dims, w.basis) == (fresh.dims, fresh.basis)
+                assert verify_submodule_closure(w) == verify_submodule_closure(fresh)
+        assert generation_closure_scan(base.at(0), 3, seed_degree=1, slack=1) == generation_closure_scan(
+            ConformalModule(mu0, F(0)), 3, seed_degree=1, slack=1)
 
 
 def _j_span_rank_by_elimination(mod, level):
@@ -415,8 +391,8 @@ BLOCK_GRID = [
 
 def test_weight_blocks_give_the_rank_of_full_elimination():
     # at generic b, at every -lambda of the degree-one spectrum and on the
-    # half-integers where the critical ladders lie; siblings take their
-    # columns from the base's matrices, fresh modules build them
+    # half-integers where the critical ladders lie; the scan runs in a fresh
+    # module, the weight blocks and the full elimination in a sibling
     deficient = 0
     for series, w, deg in BLOCK_GRID:
         mu = parse_weight(w, series)
@@ -424,10 +400,10 @@ def test_weight_blocks_give_the_rank_of_full_elimination():
         bs |= {F(j, 2) for j in range(-12, 9)}
         base = ConformalModule(mu, F(1, 3))
         for b in sorted(bs):
-            fresh, sib = ConformalModule(mu, b), base.at(b)
-            scan = surjectivity_scan_in(fresh, deg)
+            sib = base.at(b)
+            scan = surjectivity_scan(mu, b, deg)
             want = [_j_span_rank_by_elimination(sib, level) for level in range(deg)]
             assert [r.rank for r in scan.records] == want, (series, w, b)
-            assert surjectivity_scan_in(sib, deg).to_json_dict() == scan.to_json_dict()
+            assert [_j_span_rank(sib, level) for level in range(deg)] == want, (series, w, b)
             deficient += sum(not r.full for r in scan.records)
     assert deficient == 83
