@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 import time
 from fractions import Fraction
@@ -293,9 +294,21 @@ COMMANDS = {
 }
 
 
+def _attach_negative_b(argv: list) -> list:
+    """`--b -1/2` as `--b=-1/2`: argparse takes a token such as -1/2 for an
+    option, and `--b` would stop with "expected one argument"."""
+    out: list = []
+    for tok in argv:
+        if out and out[-1] == "--b" and re.fullmatch(r"-[0-9./]+", tok):
+            out[-1] = f"--b={tok}"
+        else:
+            out.append(tok)
+    return out
+
+
 def main(argv: Optional[list] = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_negative_b(sys.argv[1:] if argv is None else argv))
     try:
         return COMMANDS[args.command](args)
     except CapExceeded as exc:

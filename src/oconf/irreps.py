@@ -13,13 +13,16 @@ vector, for a dominant lambda smaller than mu:
 
 V(mu) occurs once in V(lambda) (x) W, so the raising operators have a
 one-dimensional common kernel on the tensor's weight-mu space.  Its vector
-generates V(mu) under the lowering operators, applied breadth-first with one
-incremental echelon basis per weight keeping the independent images.  Each
-generator's matrix comes from solving its images against the vectors of the
-target weight.  The cost follows dim V(lambda) (x) W, not the size of a
-Verma module.  Everything is exact, and the kernel dimension, the Weyl
-dimension and every solve are checked.  This is uniform over integer and
-spin (half-integer) weights.
+generates V(mu) under the lowering operators, applied breadth-first.  Each
+weight keeps one echelon form of its vectors so far, every row augmented by
+a 1 in a column of its own, so one reduction of an image either shows it
+new (it becomes the weight's next vector) or gives its coordinates in that
+weight's vectors.  Those coordinates are a generator's matrix column: the
+lowering columns come out of the generation itself, and every other column
+is one more reduction against the target weight's echelon form.  The cost
+follows dim V(lambda) (x) W, not the size of a Verma module.  Everything is
+exact, and the kernel dimension, the Weyl dimension and every solve are
+checked.  This is uniform over integer and spin (half-integer) weights.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Dict, List, Sequence, Tuple
 
-from .linalg import EchelonBasis, SparseMat, nullspace_of_rows, rank_of_rows, solve_row_combination
+from .linalg import EchelonBasis, SparseMat, nullspace_of_rows, rank_of_rows
 from .ortho import OrthoBasis, build_ortho, casimir_pairs
 from .weights import WeightVec, casimir_eigenvalue, is_dominant, natural_dim, weyl_dim
 
@@ -133,96 +136,153 @@ def _spin_rep(ob: OrthoBasis) -> Dict[str, SparseMat]:
 
 
 def _kron_sum(left: Dict[str, SparseMat], right: Dict[str, SparseMat]) -> Dict[str, SparseMat]:
-    """The diagonal action rho_l(X) (x) 1 + 1 (x) rho_r(X), left factor first."""
-    eye_l = SparseMat.identity(next(iter(left.values())).rows)
-    eye_r = SparseMat.identity(next(iter(right.values())).rows)
-    return {label: M.kron(eye_r) + eye_l.kron(right[label]) for label, M in left.items()}
+    """The diagonal action rho_l(X) (x) 1 + 1 (x) rho_r(X), left factor first.
+
+    Written by relabelling: an entry (i, j) of rho_l(X) lands at
+    (i*d + s, j*d + s) for every index s < d = dim of the right factor, an
+    entry (a, b) of rho_r(X) at (i*d + a, i*d + b) for every left index i.
+    The two terms meet only on the diagonal, where Cartan entries can cancel.
+    """
+    dim_l = next(iter(left.values())).rows
+    dim_r = next(iter(right.values())).rows
+    out = {}
+    for label, M in left.items():
+        data = {(i * dim_r + s, j * dim_r + s): v for (i, j), v in M.data.items() for s in range(dim_r)}
+        for i in range(0, dim_l * dim_r, dim_r):
+            for (a, b), v in right[label].data.items():
+                key = (i + a, i + b)
+                w = data.get(key)
+                w = v if w is None else w + v
+                if w:
+                    data[key] = w
+                else:
+                    del data[key]
+        # keys in bounds, and every zero sum was removed
+        out[label] = SparseMat._trusted(dim_l * dim_r, dim_l * dim_r, data)
+    return out
+
+
+class _CyclicModule:
+    """The cyclic submodule of V(lambda) (x) W generated by its highest-weight
+    vector of weight mu (mu nonzero and dominant; see the module docstring).
+
+    `vecs[nu]` lists its basis vectors of weight nu in the order found, and
+    `spans[nu]` holds them as one echelon form whose rows are augmented by a
+    1 in column `width` + (the vector's index), so `spans[nu].coordinates`
+    solves any image for its coordinates by a single reduction.  `lowered`
+    keeps, per vector, the coordinates of its lowering images, found while
+    generating; `irrep` reuses them for the matrices.
+    """
+
+    def __init__(self, mu: WeightVec):
+        ob = self.ob = build_ortho(natural_dim(mu.series, mu.n))
+        self.mu = mu
+        top = mu.coords
+        if top[-1].denominator == 1:
+            factor = _natural_rep(ob)
+            for j, c in enumerate(top):
+                lam = mu.add_unit(j + 1, -1 if c > 0 else 1)
+                if c and is_dominant(lam):
+                    break
+        else:
+            factor = _spin_rep(ob)
+            step = [Fraction(1, 2)] * (mu.n - 1) + [Fraction(1 if top[-1] > 0 else -1, 2)]
+            lam = WeightVec(mu.series, tuple(c - s for c, s in zip(top, step)))
+        tensor = _kron_sum(factor, _build(lam).rep)
+        ambient = [tensor[el.label] for el in ob.elements]
+        self.cols = cols = [M.col_vectors() for M in ambient]
+        cartan = ob.cartan_indices()
+        width = self.width = ambient[0].rows
+        at_top = [k for k in range(width) if tuple(ambient[t].get(k, k) for t in cartan) == top]
+
+        # highest-weight vectors of weight mu: the raising operators' common kernel
+        eqs: List[Dict[int, Fraction]] = []
+        for i, el in enumerate(ob.elements):
+            if el.kind == "pos":
+                rows: Dict[int, Dict[int, Fraction]] = {}
+                for p, k in enumerate(at_top):
+                    for r, v in cols[i][k].items():
+                        rows.setdefault(r, {})[p] = v
+                eqs.extend(rows.values())
+        kernel = nullspace_of_rows(eqs, len(at_top))
+        if len(kernel) != 1:
+            raise AssertionError(f"{len(kernel)} highest-weight vectors of weight {mu} in the tensor, expected 1")
+        v0 = {at_top[p]: x for p, x in kernel[0].items()}
+
+        # breadth-first lowering; an image that is no combination of its
+        # weight's vectors so far becomes the next vector of that weight
+        self.vecs: Dict[Coords, List[Dict[int, Fraction]]] = {top: [v0]}
+        self.spans: Dict[Coords, EchelonBasis] = {top: EchelonBasis([{**v0, width: Fraction(1)}])}
+        self.lowered: Dict[Coords, List[Dict[int, Dict[int, Fraction]]]] = {top: [{}]}
+        queue = deque([(top, v0, self.lowered[top][0])])
+        lowering = [(i, el.root) for i, el in enumerate(ob.elements) if el.kind == "neg"]
+        while queue:
+            nu, vec, known = queue.popleft()
+            for i, root in lowering:
+                image = self.act(i, vec)
+                target = tuple(a + b for a, b in zip(nu, root))
+                span = self.spans.setdefault(target, EchelonBasis())
+                coeffs = span.coordinates(image, width)
+                if coeffs is None:
+                    k = span.rank
+                    span.add({**image, width + k: Fraction(1)})
+                    self.vecs.setdefault(target, []).append(image)
+                    fresh: Dict[int, Dict[int, Fraction]] = {}
+                    self.lowered.setdefault(target, []).append(fresh)
+                    queue.append((target, image, fresh))
+                    coeffs = {k: Fraction(1)}
+                known[i] = coeffs
+
+    def act(self, i: int, vec: Dict[int, Fraction]) -> Dict[int, Fraction]:
+        """Generator i of the tensor action applied to vec."""
+        out: Dict[int, Fraction] = {}
+        cols = self.cols[i]
+        for k, x in vec.items():
+            for r, v in cols[k].items():
+                w = out.get(r)
+                out[r] = x * v if w is None else w + x * v
+        return {r: v for r, v in out.items() if v}
+
+    def irrep(self) -> IrrepData:
+        """V(mu) in the basis of `vecs`, by weight in decreasing order; each
+        generator's matrix column is the coordinates of a vector's image."""
+        mu, ob = self.mu, self.ob
+        dim = weyl_dim(mu)
+        offsets: Dict[Coords, int] = {}
+        weights: List[WeightVec] = []
+        for nu in sorted(self.vecs, reverse=True):
+            offsets[nu] = len(weights)
+            weights.extend(WeightVec(mu.series, nu) for _ in self.vecs[nu])
+        if len(weights) != dim:
+            raise AssertionError(f"constructed dimension {len(weights)} != Weyl dimension {dim}")
+
+        rep: Dict[str, SparseMat] = {}
+        zero = tuple(Fraction(0) for _ in mu.coords)
+        for i, el in enumerate(ob.elements):
+            shift = el.root if el.root is not None else zero
+            data: Dict[Tuple[int, int], Fraction] = {}
+            for nu, off in offsets.items():
+                target = tuple(a + b for a, b in zip(nu, shift))
+                span = self.spans.get(target, EchelonBasis())
+                base = offsets.get(target)
+                for col, (vec, known) in enumerate(zip(self.vecs[nu], self.lowered[nu])):
+                    coeffs = known.get(i)
+                    if coeffs is None:
+                        coeffs = span.coordinates(self.act(i, vec), self.width)
+                        if coeffs is None:
+                            raise AssertionError(f"{el.label} maps a vector of weight {nu} outside the cyclic submodule")
+                    for row, x in coeffs.items():
+                        data[(base + row, off + col)] = x
+            rep[el.label] = SparseMat(dim, dim, data)
+        return IrrepData(mu, dim, weights, rep, offsets[mu.coords], ob)
 
 
 def _build(mu: WeightVec) -> IrrepData:
-    """V(mu) for dominant mu, as the cyclic submodule described above."""
-    ob = build_ortho(natural_dim(mu.series, mu.n))
-    top = mu.coords
+    """V(mu) for dominant mu: trivial for mu = 0, else the cyclic submodule."""
     if mu.is_zero():
+        ob = build_ortho(natural_dim(mu.series, mu.n))
         return IrrepData(mu, 1, [mu], {el.label: SparseMat(1, 1) for el in ob.elements}, 0, ob)
-    if top[-1].denominator == 1:
-        factor = _natural_rep(ob)
-        for j, c in enumerate(top):
-            lam = mu.add_unit(j + 1, -1 if c > 0 else 1)
-            if c and is_dominant(lam):
-                break
-    else:
-        factor = _spin_rep(ob)
-        step = [Fraction(1, 2)] * (mu.n - 1) + [Fraction(1 if top[-1] > 0 else -1, 2)]
-        lam = WeightVec(mu.series, tuple(c - s for c, s in zip(top, step)))
-    tensor = _kron_sum(factor, _build(lam).rep)
-    ambient = [tensor[el.label] for el in ob.elements]
-    cols = [M.col_vectors() for M in ambient]
-    cartan = ob.cartan_indices()
-    at_top = [k for k in range(ambient[0].rows) if tuple(ambient[t].get(k, k) for t in cartan) == top]
-
-    def act(i: int, vec: Dict[int, Fraction]) -> Dict[int, Fraction]:
-        out: Dict[int, Fraction] = {}
-        for k, x in vec.items():
-            for r, v in cols[i][k].items():
-                out[r] = out.get(r, 0) + x * v
-        return {r: v for r, v in out.items() if v}
-
-    # highest-weight vectors of weight mu: the raising operators' common kernel
-    eqs: List[Dict[int, Fraction]] = []
-    for i, el in enumerate(ob.elements):
-        if el.kind == "pos":
-            rows: Dict[int, Dict[int, Fraction]] = {}
-            for p, k in enumerate(at_top):
-                for r, v in cols[i][k].items():
-                    rows.setdefault(r, {})[p] = v
-            eqs.extend(rows.values())
-    kernel = nullspace_of_rows(eqs, len(at_top))
-    if len(kernel) != 1:
-        raise AssertionError(f"{len(kernel)} highest-weight vectors of weight {mu} in the tensor, expected 1")
-    v0 = {at_top[p]: x for p, x in kernel[0].items()}
-
-    # breadth-first lowering; each weight keeps its independent images
-    vecs: Dict[Coords, List[Dict[int, Fraction]]] = {top: [v0]}
-    spans: Dict[Coords, EchelonBasis] = {top: EchelonBasis([v0])}
-    queue = deque([(top, v0)])
-    lowering = [(i, el.root) for i, el in enumerate(ob.elements) if el.kind == "neg"]
-    while queue:
-        nu, vec = queue.popleft()
-        for i, root in lowering:
-            image = act(i, vec)
-            target = tuple(a + b for a, b in zip(nu, root))
-            if spans.setdefault(target, EchelonBasis()).add(image):
-                vecs.setdefault(target, []).append(image)
-                queue.append((target, image))
-    dim = weyl_dim(mu)
-    offsets: Dict[Coords, int] = {}
-    weights: List[WeightVec] = []
-    for nu in sorted(vecs, reverse=True):
-        offsets[nu] = len(weights)
-        weights.extend(WeightVec(mu.series, nu) for _ in vecs[nu])
-    if len(weights) != dim:
-        raise AssertionError(f"constructed dimension {len(weights)} != Weyl dimension {dim}")
-
-    rep: Dict[str, SparseMat] = {}
-    zero = tuple(Fraction(0) for _ in top)
-    for i, el in enumerate(ob.elements):
-        shift = el.root if el.root is not None else zero
-        data: Dict[Tuple[int, int], Fraction] = {}
-        for nu, off in offsets.items():
-            target = tuple(a + b for a, b in zip(nu, shift))
-            for col, vec in enumerate(vecs[nu]):
-                image = act(i, vec)
-                if not image:
-                    continue
-                coeffs = solve_row_combination(vecs.get(target, []), image)
-                if coeffs is None:
-                    raise AssertionError(f"{el.label} maps a vector of weight {nu} outside the cyclic submodule")
-                for row, x in enumerate(coeffs):
-                    if x:
-                        data[(offsets[target] + row, off + col)] = x
-        rep[el.label] = SparseMat(dim, dim, data)
-    return IrrepData(mu, dim, weights, rep, offsets[top], ob)
+    return _CyclicModule(mu).irrep()
 
 
 @lru_cache(maxsize=None)
@@ -242,29 +302,33 @@ def build_irrep(mu: WeightVec, cap: int = DEFAULT_DIM_CAP) -> IrrepData:
 
 def omega_matrix(V: IrrepData) -> SparseMat:
     """Quadratic Casimir assembled from the representation matrices."""
-    out = SparseMat(V.dim, V.dim)
-    for M1, M2 in casimir_pairs(V.basis):
-        out = out + V.matrix_of(M1) * V.matrix_of(M2)
-    return out
+    return SparseMat.from_entries(V.dim, V.dim, (
+        e for M1, M2 in casimir_pairs(V.basis) for e in (V.matrix_of(M1) * V.matrix_of(M2)).data.items()))
 
 
 def _commutant_dimension(mats: Sequence[SparseMat], dim: int) -> int:
-    """Dimension of {C : [M, C] = 0 for all M}, by exact elimination."""
+    """Dimension of {C : [M, C] = 0 for all M}, by exact elimination.
+
+    The identity always commutes, so the equations have rank at most
+    dim^2 - 1, and `rank_of_rows` with that `stop_at` returns the rank
+    itself: a rank of dim^2 - 1 modulo its prime certifies it (rank mod p
+    never exceeds rank over Q), and anything less falls through to exact
+    elimination.
+    """
     rows: List[Dict[int, Fraction]] = []
     for M in mats:
         # equation rows of M C - C M = 0, unknowns C[(a,b)] flattened as a*dim+b
         eq: Dict[Tuple[int, int], Dict[int, Fraction]] = {}
         for (i, k), v in M.data.items():
             for b in range(dim):
-                row = eq.setdefault((i, b), {})
-                row[k * dim + b] = row.get(k * dim + b, Fraction(0)) + v
+                eq.setdefault((i, b), {})[k * dim + b] = v  # one entry per (i, k)
         for (k, j), v in M.data.items():
             for a in range(dim):
                 row = eq.setdefault((a, j), {})
-                row[a * dim + k] = row.get(a * dim + k, Fraction(0)) - v
+                w = row.get(a * dim + k)
+                row[a * dim + k] = -v if w is None else w - v
         rows.extend(r for r in eq.values() if r)
-    nullity = dim * dim - rank_of_rows(rows)
-    return nullity
+    return dim * dim - rank_of_rows(rows, stop_at=dim * dim - 1)
 
 
 def validate_irrep(V: IrrepData) -> Dict[str, object]:
@@ -276,11 +340,9 @@ def validate_irrep(V: IrrepData) -> Dict[str, object]:
     labels = ob.labels()
     for i in range(len(ob)):
         for j in range(i + 1, len(ob)):
-            lhs = SparseMat(V.dim, V.dim)
-            for k, c in ob.bracket_coeffs(i, j):
-                lhs = lhs + V.rep[labels[k]].scale(c)
-            rhs = V.rep[labels[i]].bracket(V.rep[labels[j]])
-            if lhs != rhs:
+            lhs = SparseMat.from_entries(V.dim, V.dim, (
+                (key, c * v) for k, c in ob.bracket_coeffs(i, j) for key, v in V.rep[labels[k]].data.items()))
+            if lhs != V.rep[labels[i]].bracket(V.rep[labels[j]]):
                 hom_fail.append((labels[i], labels[j]))
     report["homomorphism_ok"] = not hom_fail
     report["homomorphism_failures"] = hom_fail

@@ -4,9 +4,9 @@ Matrices are dictionaries mapping (row, col) to nonzero Fraction entries; the
 zero matrix is the empty dict.  Everything here is exact.  All elimination
 goes through one incremental engine, `EchelonBasis`, which keeps primitive
 integer rows keyed by their leading column: ranks, span membership, kernels
-(by back-substitution) and linear solves all come from it.  Characteristic
-polynomials come from an exact Hessenberg reduction.  No thresholds, no
-floating point.
+(by back-substitution) and coordinates in a basis all come from it.
+Characteristic polynomials come from an exact Hessenberg reduction.  No
+thresholds, no floating point.
 
 One shortcut is a certificate, not an approximation: when `rank_of_rows` is
 told the largest rank possible (`stop_at`), it first eliminates modulo the
@@ -156,7 +156,19 @@ class SparseMat:
         return SparseMat._trusted(self.rows * other.rows, self.cols * other.cols, data)
 
     def bracket(self, other: "SparseMat") -> "SparseMat":
-        return self * other - other * self
+        """self * other - other * self, both products in one accumulator."""
+        if (self.rows, self.cols) != (other.rows, other.cols) or self.rows != self.cols:
+            raise ValueError("shape mismatch")
+        data: Dict[Entry, Fraction] = {}
+        for left, right, negate in ((self, other, False), (other, self, True)):
+            by_row: Dict[int, List[Tuple[int, Fraction]]] = {}
+            for (r, c), v in right.data.items():
+                by_row.setdefault(r, []).append((c, -v if negate else v))
+            for (i, k), a in left.data.items():
+                for j, b in by_row.get(k, ()):
+                    w = data.get((i, j))
+                    data[(i, j)] = a * b if w is None else w + a * b
+        return SparseMat(self.rows, self.cols, data)
 
     def row_vectors(self) -> List[Dict[int, Fraction]]:
         rows: List[Dict[int, Fraction]] = [dict() for _ in range(self.rows)]
@@ -274,6 +286,23 @@ class EchelonBasis:
         self.rows[min(row)] = row
         return True
 
+    def coordinates(self, vec: Dict[int, Fraction], width: int) -> Optional[Dict[int, Fraction]]:
+        """Coordinates of vec in independent vectors v_0, ..., v_(r-1), all
+        supported below column `width`, whose rows were added as v_k plus a
+        1 in column width + k (r = rank).  Returns {k: c_k}, the nonzero c_k
+        of vec = sum c_k v_k, or None if vec lies outside their span.
+
+        One reduction of vec plus a marker 1 in column width + r: every
+        pivot lies below `width`, so vec is in the span iff the residual
+        keeps no column below it, and then the residual is a multiple of
+        e_(width+r) - sum c_k e_(width+k)."""
+        marker = width + self.rank
+        res = self.reduce({**vec, marker: Fraction(1)})
+        if min(res) < width:
+            return None
+        m = res.pop(marker)
+        return {k - width: Fraction(-v, m) for k, v in sorted(res.items())}
+
     def kernel_vector(self, free: Dict[int, Fraction]) -> Dict[int, Fraction]:
         """The x with R x = 0 (R the stored rows) that takes the given values
         on non-pivot columns, 0 on every other non-pivot column."""
@@ -351,29 +380,6 @@ def nullspace_of_rows(rows: Sequence[Dict[int, Fraction]], ncols: int) -> List[D
     one vector per free column f, with x_f = 1 and 0 on the other free columns."""
     eb = EchelonBasis(rows)
     return [eb.kernel_vector({f: Fraction(1)}) for f in range(ncols) if f not in eb.rows]
-
-
-def solve_row_combination(rows: Sequence[Dict[int, Fraction]], target: Dict[int, Fraction]) -> Optional[List[Fraction]]:
-    """Express `target` as a linear combination of `rows`; None if inconsistent.
-
-    The rows need not be independent; the solution with every free
-    coefficient 0 is returned.
-    """
-    # Unknowns are the coefficients c_0..c_{n-1} plus column n for the
-    # right-hand side: coordinate j gives sum_i c_i rows[i][j] - target[j] x_n = 0.
-    n = len(rows)
-    eqs: Dict[int, Dict[int, Fraction]] = {}
-    for i, r in enumerate(rows):
-        for j, v in r.items():
-            eqs.setdefault(j, {})[i] = v
-    for j, t in target.items():
-        if t:
-            eqs.setdefault(j, {})[n] = t
-    eb = EchelonBasis(eqs.values())
-    if n in eb.rows:
-        return None  # inconsistent
-    x = eb.kernel_vector({n: Fraction(-1)})
-    return [x.get(i, Fraction(0)) for i in range(n)]
 
 
 def _hessenberg(dense: List[List[Fraction]]) -> List[List[Fraction]]:

@@ -340,11 +340,11 @@ def laplacian_eta_commutator(n: int, series: str) -> Dict[str, DiffOp]:
     return {"commutator": lhs, "stated": stated, "true": true_form}
 
 
-def harmonic_decompose(k: int, n: int, series: str, cap: int = DEFAULT_SLICE_CAP) -> HarmonicBasis:
+def harmonic_decompose(k: int, n: int, series: str) -> HarmonicBasis:
     conf = build_conformal(n, series)
     nv = conf.num_vars
     monos = monomial_basis(nv, k)
-    if len(monos) > cap:
+    if len(monos) > DEFAULT_SLICE_CAP:
         raise CapExceeded("degree too large for the configured cap")
     lap = conf.laplacian()
     eta = conf.eta()

@@ -39,12 +39,16 @@ class OmegaTildeMatrix:
     matrix: SparseMat
 
 
-def omega_tilde_matrix(mu: WeightVec, cap: int = 4096) -> OmegaTildeMatrix:
+# largest V(e1) (x) V(mu) whose split Casimir is assembled
+TENSOR_CAP = 4096
+
+
+def omega_tilde_matrix(mu: WeightVec) -> OmegaTildeMatrix:
     V = build_irrep(mu)
     m = V.basis.m
     dim = m * V.dim
-    if dim > cap:
-        raise CapExceeded(f"tensor dimension {dim} exceeds cap {cap}")
+    if dim > TENSOR_CAP:
+        raise CapExceeded(f"tensor dimension {dim} exceeds cap {TENSOR_CAP}")
     out = SparseMat.from_entries(dim, dim, (
         e for M1, M2 in casimir_pairs(V.basis) for e in M1.kron(V.matrix_of(M2)).data.items()))
     return OmegaTildeMatrix(mu, dim, (m, V.dim), out)
@@ -76,18 +80,18 @@ def closed_form_charpoly(spec: Spectrum) -> List[Fraction]:
     return coeffs
 
 
-def verify_charpoly_lemma(mu: WeightVec, cap: int = 4096) -> Dict[str, object]:
+def verify_charpoly_lemma(mu: WeightVec) -> Dict[str, object]:
     """Exact comparison of the computed split-Casimir charpoly against the
     closed form, plus the half-difference consistency identity and the
     eigenspace-dimension cross-check against the Pieri multiplicities."""
-    otm = omega_tilde_matrix(mu, cap)
+    otm = omega_tilde_matrix(mu)
     computed = charpoly(otm.matrix)
     spec = omega_tilde_spectrum(mu)
     closed = closed_form_charpoly(spec)
     match = computed == closed
 
     V = build_irrep(mu)
-    tm = tensor_with_natural(V, cap)
+    tm = tensor_with_natural(V, TENSOR_CAP)
     big = tensor_casimir_matrix(tm, V)
     c_e1 = casimir_eigenvalue(epsilon(mu.series, mu.n, 1))
     c_mu = casimir_eigenvalue(mu)

@@ -196,11 +196,12 @@ def check_mu_zero_true_classification() -> Tuple[bool, str]:
     with verified proper submodules; everything else generated to depth."""
     bits = []
     ok = True
+    bases = {}
     for series, good_bs, bad_extra in [
         ("D", [Fraction(1, 2), Fraction(2), Fraction(5, 2)], [(Fraction(1), 2)]),
         ("B", [Fraction(1), Fraction(2), Fraction(5, 2)], [(Fraction(3, 2), 2), (Fraction(1, 2), 4)]),
     ]:
-        base = mixed.ConformalModule(zero_weight(series, 2), 0)  # one module for every b
+        base = bases[series] = mixed.ConformalModule(zero_weight(series, 2), 0)  # one module for every b
         for b in good_bs:
             w = reducibility.detect_submodule(base.at(b), 3)
             good = w is None
@@ -221,9 +222,8 @@ def check_mu_zero_true_classification() -> Tuple[bool, str]:
             good = w is not None and w.is_proper()
             ok &= bool(good)
             bits.append(f"{series} b={b}: reducible {'ok' if good else 'FAIL'}")
-        if series == "D":
-            # the b=0 quotient stalls at the eta^2 line (34/35 at degree 4)
-            quot = reducibility.generation_closure_scan(base, 4, seed_degree=1, slack=2)
+    # the D b=0 quotient stalls at the eta^2 line (34/35 at degree 4)
+    quot = reducibility.generation_closure_scan(bases["D"], 4, seed_degree=1, slack=2)
     good = quot[4] == (34, 35) and all(quot[k][0] == quot[k][1] for k in range(1, 4))
     ok &= good
     bits.append(f"D b=0 quotient degree-4 component: {quot[4][0]}/{quot[4][1]} {'ok' if good else 'FAIL'}")

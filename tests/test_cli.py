@@ -56,6 +56,27 @@ def test_t_operator_negative_degree_exits_2(capsys, k):
     assert f"slice degree k must be >= 0, got {k}" in captured.err
 
 
+@pytest.mark.parametrize("b", ["-1/2", "-3/2"])
+@pytest.mark.parametrize("verb", [
+    ["scan", "--series", "B", "--n", "2", "--mu", "0,0", "--max-degree", "1"],
+    ["classify", "--series", "B", "--n", "2", "--mu", "0,0"],
+    ["t-operator", "--series", "D", "--mu", "1,0", "--k", "1"],
+])
+def test_negative_rational_b_parses_after_a_space(capsys, verb, b):
+    # argparse alone reads -1/2 as an option; both spellings must agree
+    spaced = run(capsys, verb + ["--b", b, "--format", "json"])
+    joined = run(capsys, verb + [f"--b={b}", "--format", "json"])
+    assert spaced == joined
+    assert json.loads(spaced[1])["b"] == b
+
+
+def test_bare_b_before_another_option_exits_2(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["scan", "--series", "B", "--n", "2", "--mu", "0,0", "--b", "--max-degree", "1"])
+    assert exc.value.code == 2
+    assert "argument --b: expected one argument" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("verb", [["scan", "--max-degree", "1"], ["classify"]])
 @pytest.mark.parametrize("series,least", [("D", 2), ("B", 1)])
 @pytest.mark.parametrize("n", ["0", "-1"])

@@ -17,9 +17,10 @@ from oconf.irreps import (
     tensor_with_natural,
     validate_irrep,
 )
-from oconf.linalg import SparseMat
+from oconf.linalg import SparseMat, rank_of_rows
 from oconf.ortho import build_ortho
 from oconf.weights import casimir_eigenvalue, parse_weight, pieri_decompose, weyl_dim, zero_weight
+from reference import solve_row_combination
 
 F = Fraction
 
@@ -203,3 +204,39 @@ def test_tensor_character_matches_pieri(series, mus):
     tensor = Counter(tuple(a + b for a, b in zip(w.coords, u)) for w in V.weights for u in natural)
     summands = Counter(w.coords for nu in pieri_decompose(mu) for w in build_irrep(nu).weights)
     assert tensor == summands
+
+
+@pytest.mark.parametrize("series,mus", LADDER)
+def test_matrix_columns_match_reference_solve(series, mus):
+    # each column holds the coordinates of a basis vector's image in the
+    # vectors of the target weight, as a fresh transposed solve finds them
+    mu = parse_weight(mus, series)
+    cyc = irreps._CyclicModule(mu)
+    V = cyc.irrep()
+    assert V.rep == build_irrep(mu).rep
+    offsets, start = {}, 0
+    for nu in sorted(cyc.vecs, reverse=True):
+        offsets[nu], start = start, start + len(cyc.vecs[nu])
+    zero = (F(0),) * mu.n
+    for i, el in enumerate(V.basis.elements):
+        cols = V.rep[el.label].col_vectors()
+        shift = el.root if el.root is not None else zero
+        for nu, vecs in cyc.vecs.items():
+            target = tuple(a + b for a, b in zip(nu, shift))
+            for col, vec in enumerate(vecs):
+                ref = solve_row_combination(cyc.vecs.get(target, []), cyc.act(i, vec))
+                assert ref is not None
+                assert cols[offsets[nu] + col] == {offsets[target] + r: x for r, x in enumerate(ref) if x}
+
+
+def test_commutant_dimension_of_a_reducible_module(monkeypatch):
+    # V(e1) (x) V(e1) = V(2e1) + V(e1+e2) + V(e1-e2) + V(0) for D2, dims
+    # 9 + 3 + 3 + 1: the commutant has dimension 4, so the equations have
+    # rank 252 < 16^2 - 1 and the mod-p certificate must fall through
+    tm = tensor_with_natural(build_irrep(parse_weight("1,0", "D")))
+    mats = list(tm.rep.values())
+    assert irreps._commutant_dimension(mats, tm.dim) == 4
+    monkeypatch.setattr(irreps, "rank_of_rows", lambda rows, stop_at=None: rank_of_rows(rows))
+    assert irreps._commutant_dimension(mats, tm.dim) == 4
+    V = build_irrep(parse_weight("2,1", "D"))
+    assert irreps._commutant_dimension(list(V.rep.values()), V.dim) == 1

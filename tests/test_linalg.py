@@ -15,8 +15,8 @@ from oconf.linalg import (
     poly_eval,
     rank_of_rows,
     rational_roots,
-    solve_row_combination,
 )
+from reference import solve_row_combination
 
 
 def dense_random(rng, n, m, density=0.6, span=6):
@@ -276,6 +276,39 @@ def test_echelon_add_matches_sympy_rank_growth(sympy):
             assert eb.add(row) == (prefix.rank() > before)
             assert eb.rank == prefix.rank()
             assert eb.contains(row) and eb.reduce(row) == {}
+
+
+def test_coordinates_match_sympy(sympy):
+    # independent integer or rational rows v_k, each added as v_k plus a 1 in
+    # column width + k; targets inside the span get their unique
+    # coefficients, targets outside get None
+    rng = random.Random(106)
+    for trial in range(60):
+        dens = [1] if trial % 2 else [1, 2, 3]
+        r, width = rng.randint(1, 5), rng.randint(5, 7)
+        while True:
+            M = SparseMat(r, width, {(i, j): Fraction(rng.randint(-6, 6), rng.choice(dens))
+                                     for i in range(r) for j in range(width) if rng.random() < 0.6})
+            if to_sympy(sympy, M).rank() == r:
+                break
+        eb = EchelonBasis()
+        for k, row in enumerate(M.row_vectors()):
+            assert eb.add({**row, width + k: Fraction(1)})
+        if rng.random() < 0.5:  # inside the span
+            coeffs = [Fraction(rng.randint(-3, 3), rng.choice(dens)) for _ in range(r)]
+            target = SparseMat(1, r, {(0, k): c for k, c in enumerate(coeffs) if c}) * M
+        else:
+            target = dense_random(rng, 1, width, density=0.5)
+        S, t = to_sympy(sympy, M), to_sympy(sympy, target)
+        got = eb.coordinates(target.row_vectors()[0], width)
+        if S.col_join(t).rank() > r:
+            assert got is None
+        else:
+            sol, free = S.T.gauss_jordan_solve(t.T)
+            assert free.shape[0] == 0  # the coefficients are unique
+            expected = {k: Fraction(int(c.p), int(c.q)) for k, c in enumerate(sol) if c}
+            assert got == expected
+        assert eb.rank == r  # a query never extends the basis
 
 
 # -- the mod-p full-rank certificate of rank_of_rows ---------------------------

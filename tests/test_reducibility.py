@@ -338,18 +338,21 @@ def test_scan_json_round_trip():
     assert doc["records"][0] == {"k": 1, "dim": 16, "rank": 15, "full": False}
 
 
-def test_every_cap_raises_cap_exceeded():
+def test_every_cap_raises_cap_exceeded(monkeypatch):
+    from oconf import reducibility, spectral
     from oconf.irreps import CapExceeded, build_irrep, tensor_with_natural
 
     mu = parse_weight("1,0", "D")
     with pytest.raises(CapExceeded, match="tensor dimension 16 exceeds cap 15"):
         tensor_with_natural(build_irrep(mu), 15)
+    monkeypatch.setattr(spectral, "TENSOR_CAP", 15)
     with pytest.raises(CapExceeded, match="tensor dimension 16 exceeds cap 15"):
-        omega_tilde_matrix(mu, 15)
+        omega_tilde_matrix(mu)
     with pytest.raises(CapExceeded, match="slice dimension 40 at degree 2 exceeds cap 39"):
         ConformalModule(mu, F(1), slice_cap=39).action_matrix("J_1", 1)
+    monkeypatch.setattr(reducibility, "DEFAULT_SLICE_CAP", 19)
     with pytest.raises(CapExceeded):
-        harmonic_decompose(3, 2, "D", cap=19)
+        harmonic_decompose(3, 2, "D")
 
 
 def test_b_sweep_in_one_module_matches_fresh_modules():
