@@ -59,9 +59,7 @@ class IrrepData:
 
     def matrix_of(self, M: SparseMat) -> SparseMat:
         """Representation matrix of an arbitrary algebra element."""
-        return SparseMat.from_entries(self.dim, self.dim, (
-            (key, c * v) for idx, c in self.basis.expand(M).items()
-            for key, v in self.rep[self.basis.elements[idx].label].data.items()))
+        return _represent(self.basis, self.rep, self.dim, M)
 
     def to_json_dict(self) -> dict:
         mats = {}
@@ -300,10 +298,24 @@ def build_irrep(mu: WeightVec, cap: int = DEFAULT_DIM_CAP) -> IrrepData:
     return _build(mu)
 
 
+def _represent(ob: OrthoBasis, rep: Dict[str, SparseMat], dim: int, M: SparseMat) -> SparseMat:
+    """Matrix of the algebra element M on a module where each element of ob
+    acts by rep[label]."""
+    return SparseMat.from_entries(dim, dim, (
+        (key, c * v) for idx, c in ob.expand(M).items() for key, v in rep[ob.elements[idx].label].data.items()))
+
+
+def casimir_matrix(ob: OrthoBasis, rep: Dict[str, SparseMat], dim: int) -> SparseMat:
+    """Quadratic Casimir of a module where each element of ob acts by
+    rep[label]."""
+    return SparseMat.from_entries(dim, dim, (
+        e for M1, M2 in casimir_pairs(ob)
+        for e in (_represent(ob, rep, dim, M1) * _represent(ob, rep, dim, M2)).data.items()))
+
+
 def omega_matrix(V: IrrepData) -> SparseMat:
     """Quadratic Casimir assembled from the representation matrices."""
-    return SparseMat.from_entries(V.dim, V.dim, (
-        e for M1, M2 in casimir_pairs(V.basis) for e in (V.matrix_of(M1) * V.matrix_of(M2)).data.items()))
+    return casimir_matrix(V.basis, V.rep, V.dim)
 
 
 def _commutant_dimension(mats: Sequence[SparseMat], dim: int) -> int:
@@ -386,10 +398,8 @@ def validate_irrep(V: IrrepData) -> Dict[str, object]:
 class TensorModule:
     """V(e1) (x) V(mu) with the diagonal action, natural factor first."""
 
-    mu: WeightVec
     dim: int
     rep: Dict[str, SparseMat]
-    factor_dims: Tuple[int, int]
 
 
 def tensor_with_natural(V: IrrepData, cap: int = DEFAULT_DIM_CAP) -> TensorModule:
@@ -399,4 +409,4 @@ def tensor_with_natural(V: IrrepData, cap: int = DEFAULT_DIM_CAP) -> TensorModul
     if dim > cap:
         raise CapExceeded(f"tensor dimension {dim} exceeds cap {cap}")
     rep = _kron_sum(_natural_rep(ob), V.rep)
-    return TensorModule(V.mu, dim, rep, (m, V.dim))
+    return TensorModule(dim, rep)

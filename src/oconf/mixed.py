@@ -15,7 +15,9 @@ is realized as a matrix per degree.
 
 Since b enters every generator only through that scalar term, the action at
 b is the action at any other charge b0 plus (b - b0) times a b-free matrix C
-(`ConformalModule.central_part`).  `ConformalModule.at(b)` uses this: the
+(`ConformalModule.central_part`): multiplication by the generator's central
+polynomial sum_g c_g x^g, built like every other slice multiplication by
+`ConformalModule.mult_matrix`.  `ConformalModule.at(b)` uses this: the
 module at b reuses the b-free state and the computed matrices of the module
 at b0 and adds the sparse correction.
 """
@@ -29,7 +31,7 @@ from math import lcm
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .linalg import SparseMat
-from .ortho import OrthoBasis, build_conformal, build_ortho
+from .ortho import OrthoBasis, _unit, build_conformal, build_ortho
 from .poly import DiffOp, Poly, bracket as dbracket, monomial_basis
 from .weights import WeightVec, natural_dim
 from .irreps import CapExceeded, IrrepData, build_irrep
@@ -59,20 +61,8 @@ class ExtendedOp:
             return NotImplemented
         return self.num_vars == other.num_vars and self.field == other.field and self.gl == other.gl
 
-    def __add__(self, other: "ExtendedOp") -> "ExtendedOp":
-        gl = dict(self.gl)
-        for e, M in other.gl.items():
-            gl[e] = gl.get(e, SparseMat(self.num_vars, self.num_vars)) + M
-        return ExtendedOp(self.num_vars, self.field + other.field, gl)
-
     def scale(self, c) -> "ExtendedOp":
         return ExtendedOp(self.num_vars, self.field.scale(c), {e: M.scale(c) for e, M in self.gl.items()})
-
-    def __sub__(self, other: "ExtendedOp") -> "ExtendedOp":
-        return self + other.scale(-1)
-
-    def is_zero(self) -> bool:
-        return self.field.is_zero() and not self.gl
 
     def bracket(self, other: "ExtendedOp") -> "ExtendedOp":
         """[d1+A1, d2+A2] = [d1,d2] + [A1,A2] + d1(A2) - d2(A1)."""
@@ -129,12 +119,6 @@ def shen_embed(xi: DiffOp) -> ExtendedOp:
     return ExtendedOp(nv, xi, gl)
 
 
-def _unit_exps(nv: int, pos: int) -> Exps:
-    e = [0] * nv
-    e[pos] = 1
-    return tuple(e)
-
-
 def shen_closed_forms(n: int, series: str) -> Dict[str, ExtendedOp]:
     """The stated closed forms of the embedding on each conformal generator."""
     conf = build_conformal(n, series)
@@ -160,18 +144,18 @@ def shen_closed_forms(n: int, series: str) -> Dict[str, ExtendedOp]:
         glp: Dict[Exps, SparseMat] = {}
         glm: Dict[Exps, SparseMat] = {}
         for p in range(1, n + 1):
-            xnp = _unit_exps(nv, conf.var_pos(n + p))
-            xp = _unit_exps(nv, conf.var_pos(p))
+            xnp = _unit(nv, conf.var_pos(n + p))
+            xp = _unit(nv, conf.var_pos(p))
             glp[xnp] = glp.get(xnp, SparseMat(nv, nv)) + (E(i, n + p) - E(p, n + i))
             glp[xp] = glp.get(xp, SparseMat(nv, nv)) + (E(i, p) - E(n + p, n + i))
             glm[xnp] = glm.get(xnp, SparseMat(nv, nv)) + (E(n + i, n + p) - E(p, i))
             glm[xp] = glm.get(xp, SparseMat(nv, nv)) + (E(n + i, p) - E(n + p, i))
-        xi = _unit_exps(nv, conf.var_pos(i))
-        xni = _unit_exps(nv, conf.var_pos(n + i))
+        xi = _unit(nv, conf.var_pos(i))
+        xni = _unit(nv, conf.var_pos(n + i))
         glp[xi] = glp.get(xi, SparseMat(nv, nv)) + eye
         glm[xni] = glm.get(xni, SparseMat(nv, nv)) + eye
         if series == "B":
-            x0 = _unit_exps(nv, 0)
+            x0 = _unit(nv, 0)
             glp[x0] = glp.get(x0, SparseMat(nv, nv)) + (E(i, 0) - E(0, n + i))
             glm[x0] = glm.get(x0, SparseMat(nv, nv)) + (E(n + i, 0) - E(0, i))
         out[f"J_{i}"] = ExtendedOp(nv, conf.op(f"J_{i}"), glp)
@@ -182,9 +166,9 @@ def shen_closed_forms(n: int, series: str) -> Dict[str, ExtendedOp]:
             out[f"K_{n + i}"] = ExtendedOp(nv, conf.op(f"K_{n + i}"), {zero: E(0, n + i) - E(i, 0)})
         gl0: Dict[Exps, SparseMat] = {}
         for s in range(1, n + 1):
-            gl0[_unit_exps(nv, conf.var_pos(s))] = E(0, s) - E(n + s, 0)
-            gl0[_unit_exps(nv, conf.var_pos(n + s))] = E(0, n + s) - E(s, 0)
-        x0 = _unit_exps(nv, 0)
+            gl0[_unit(nv, conf.var_pos(s))] = E(0, s) - E(n + s, 0)
+            gl0[_unit(nv, conf.var_pos(n + s))] = E(0, n + s) - E(s, 0)
+        x0 = _unit(nv, 0)
         gl0[x0] = gl0.get(x0, SparseMat(nv, nv)) + eye
         out["J_0"] = ExtendedOp(nv, conf.op("J_0"), gl0)
     return out
@@ -461,45 +445,37 @@ class ConformalModule:
         """The b-coefficient C of the generator from slice k (b-free).
 
         In `_pieces` b only scales `central * I` in the block of each central
-        shift x^g, so C sends x^e (x) v to central * x^(e + g) (x) v: one
-        entry per column and central shift.  Built on the base, on demand.
+        shift x^g, so C multiplies by the label's central polynomial
+        sum_g central_g x^g (`mult_matrix`); a label with no central part
+        gets the zero matrix.  Built on the base, on demand.
         """
         base = self._base or self
         key = (label, k)
         hit = base._central.get(key)
-        if hit is not None:
-            return hit
-        kt = k + self.degree_shift(label)
-        dv = self.dim_v
-        monos = self.monomials_of(k)
-        shifts = [(ge, central) for ge, central, _ in _split(self.n, self.series, label) if central]
-        data: Dict[Tuple[int, int], Fraction] = {}
-        if shifts:
-            tindex = self.mono_index(kt)
-            for mi, e in enumerate(monos):
-                for ge, central in shifts:
-                    row = tindex[tuple(a + g for a, g in zip(e, ge))] * dv
-                    for r in range(dv):
-                        data[(row + r, mi * dv + r)] = central
-        # distinct shifts reach distinct monomials, so each key is set once,
-        # to a nonzero central scalar; a central shift has the label's degree
-        out = SparseMat._trusted(self.slice_dim(kt) if kt >= 0 else 0, len(monos) * dv, data)
-        base._central[key] = out
-        return out
+        if hit is None:
+            p = Poly(self.num_vars, {ge: central for ge, central, _ in _split(self.n, self.series, label)})
+            if p.terms:
+                hit = base.mult_matrix(p, k)
+            else:
+                hit = SparseMat(self.slice_dim(k + self.degree_shift(label)), self.slice_dim(k))
+            base._central[key] = hit
+        return hit
 
     def mult_matrix(self, p: Poly, k: int) -> SparseMat:
         """Multiplication by a homogeneous polynomial, slice k -> k + deg p."""
-        d = p.degree()
+        kt = k + p.degree()
         monos = self.monomials_of(k)
-        self.monomials_of(k + d)
-        data = {}
+        tindex = self.mono_index(kt)
+        dv = self.dim_v
+        data: Dict[Tuple[int, int], Fraction] = {}
         for mi, e in enumerate(monos):
             for pe, c in p.terms.items():
-                te = tuple(a + bb for a, bb in zip(e, pe))
-                ti = self._mono_index[k + d][te]
-                for r in range(self.dim_v):
-                    data[(ti * self.dim_v + r, mi * self.dim_v + r)] = c
-        return SparseMat(self.slice_dim(k + d), self.slice_dim(k), data)
+                row = tindex[tuple(a + g for a, g in zip(e, pe))] * dv
+                for r in range(dv):
+                    data[(row + r, mi * dv + r)] = c
+        # distinct terms of p reach distinct monomials, so each key is set
+        # once, and each value is a nonzero coefficient of p
+        return SparseMat._trusted(self.slice_dim(kt), len(monos) * dv, data)
 
     # -- the comparison map phi ---------------------------------------------------
 

@@ -91,9 +91,8 @@ class OrthoBasis:
             v = M.get(*pos)
             if v != 0:
                 coeffs[idx] = v
-        recon = SparseMat(self.m, self.m)
-        for idx, c in coeffs.items():
-            recon = recon + self._mats[idx].scale(c)
+        recon = SparseMat.from_entries(self.m, self.m, (
+            (key, c * v) for idx, c in coeffs.items() for key, v in self._mats[idx].data.items()))
         if recon != M:
             raise ValueError("matrix is not in the span of the orthogonal basis")
         return coeffs

@@ -280,11 +280,6 @@ class DiffOp:
         if self.num_vars != other.num_vars:
             raise ValueError("variable-count mismatch")
 
-    def order(self) -> int:
-        if not self.terms:
-            return -1
-        return max(sum(b) for b in self.terms)
-
     def is_vector_field(self) -> bool:
         """True iff the operator is sum f_i d_i with no zeroth-order part."""
         return all(sum(b) == 1 for b in self.terms)

@@ -48,10 +48,9 @@ from .linalg import (
     rank_of_rows,
     vectors_contained_in_span,
 )
-from .irreps import CapExceeded
-from .mixed import ConformalModule, DEFAULT_SLICE_CAP
+from .mixed import ConformalModule
 from .ortho import build_conformal
-from .poly import DiffOp, Poly, bracket, monomial_basis
+from .poly import DiffOp, Poly, bracket
 from .weights import (
     LadderSet,
     WeightVec,
@@ -59,6 +58,7 @@ from .weights import (
     is_dominant,
     omega_tilde_spectrum,
     weyl_orbit_size,
+    zero_weight,
 )
 
 
@@ -243,26 +243,31 @@ def verify_submodule_closure(witness: SubmoduleWitness) -> Dict[str, bool]:
     return results
 
 
-def generation_closure_scan(
-    mod: ConformalModule, max_degree: int, seed_degree: int = 0, slack: int = 2
-) -> Dict[int, Tuple[int, int]]:
-    """Dimensions of the submodule generated by a full slice, degree by degree.
+SEED_DEGREE = 1
+SLACK = 2
 
-    Starts from the whole slice at `seed_degree` and closes under every
-    generator, working inside degrees <= max_degree + slack (generation can
-    climb with the special conformal operators and descend again with the
-    translations, so a pure level-by-level J-span can undercount).  Returns
+
+def generation_closure_scan(mod: ConformalModule, max_degree: int) -> Dict[int, Tuple[int, int]]:
+    """Dimensions of the submodule generated by the whole slice SEED_DEGREE,
+    degree by degree.
+
+    SEED_DEGREE is 1 because the check is on the quotient by the constants
+    line, whose lowest slice is degree 1.  The closure under every generator
+    works inside degrees <= max_degree + SLACK: generation can climb with
+    the special conformal operators J and come back down with the
+    translations d, so a pure level-by-level J-span can undercount, and
+    SLACK = 2 leaves room for that round trip.  Returns
     {k: (generated dim, slice dim)} for k <= max_degree.
     """
-    top = max_degree + slack
+    top = max_degree + SLACK
     spans = {k: EchelonBasis() for k in range(top + 1)}
     dims = {k: mod.slice_dim(k) for k in range(top + 1)}
 
     def add(k: int, vec: Dict[int, Fraction]) -> bool:
         return spans[k].rank < dims[k] and spans[k].add(vec)
 
-    for i in range(dims[seed_degree]):
-        add(seed_degree, {i: Fraction(1)})
+    for i in range(dims[SEED_DEGREE]):
+        add(SEED_DEGREE, {i: Fraction(1)})
     labels = mod.conf.labels()
     changed = True
     while changed:
@@ -304,17 +309,15 @@ class HarmonicBasis:
     filtration_ok: bool
 
 
-def _operator_matrix(op: DiffOp, nv: int, k_from: int, k_to: int) -> SparseMat:
-    """Matrix of a homogeneous operator between monomial bases."""
-    src = monomial_basis(nv, k_from)
-    dst = monomial_basis(nv, k_to)
-    dst_index = {e: i for i, e in enumerate(dst)}
+def _operator_matrix(op: DiffOp, mod: ConformalModule, k_from: int, k_to: int) -> SparseMat:
+    """Matrix of a homogeneous operator between slices of the mu = 0 module."""
+    nv = mod.num_vars
+    dst_index = mod.mono_index(k_to)
     data = {}
-    for ci, e in enumerate(src):
-        img = op.apply(Poly.monomial(nv, e))
-        for de, c in img.terms.items():
+    for ci, e in enumerate(mod.monomials_of(k_from)):
+        for de, c in op.apply(Poly.monomial(nv, e)).terms.items():
             data[(dst_index[de], ci)] = c
-    return SparseMat(len(dst), len(src), data)
+    return SparseMat(mod.slice_dim(k_to), mod.slice_dim(k_from), data)
 
 
 def laplacian_eta_commutator(n: int, series: str) -> Dict[str, DiffOp]:
@@ -341,84 +344,55 @@ def laplacian_eta_commutator(n: int, series: str) -> Dict[str, DiffOp]:
 
 
 def harmonic_decompose(k: int, n: int, series: str) -> HarmonicBasis:
-    conf = build_conformal(n, series)
-    nv = conf.num_vars
-    monos = monomial_basis(nv, k)
-    if len(monos) > DEFAULT_SLICE_CAP:
-        raise CapExceeded("degree too large for the configured cap")
-    lap = conf.laplacian()
-    eta = conf.eta()
+    """H_k, the layers eta^m H_{k-2m} of A_k and its Delta filtration.
+
+    The work happens on the slices of the mu = 0 module: dim V(0) = 1, so
+    slice j is A_j with one basis vector per monomial, in monomial order,
+    and multiplying by eta is `mult_matrix`.
+    """
+    if k < 0:
+        raise ValueError(f"slice degree k must be >= 0, got {k}")
+    mod = ConformalModule(zero_weight(series, n), 0)
+    mod.check_cap(k)
+    lap = mod.conf.laplacian()
+    eta = mod.conf.eta()
+    dim = mod.slice_dim(k)
+    lap_mats = {j: _operator_matrix(lap, mod, j, j - 2) for j in range(k, 1, -2)}  # Delta from slice j
 
     harmonics: Dict[int, List[Dict[int, Fraction]]] = {}
-    for kk in range(k % 2, k + 1, 2):
-        M = _operator_matrix(lap, nv, kk, kk - 2) if kk >= 2 else SparseMat(0, len(monomial_basis(nv, kk)))
-        harmonics[kk] = nullspace_of_rows(M.row_vectors(), M.cols)
+    layers: List[Dict[int, Fraction]] = []  # eta^m H_{j-2m} inside slice j, for every m
+    for j in range(k % 2, k + 1, 2):
+        M = lap_mats.get(j, SparseMat(0, mod.slice_dim(j)))
+        harmonics[j] = nullspace_of_rows(M.row_vectors(), M.cols)
+        if j >= 2:
+            layers = mod.mult_matrix(eta, j - 2).apply_all(layers)
+        layers += harmonics[j]
+    layer_dims = [len(harmonics[j]) for j in range(k, -1, -2)]
+    decomposition_ok = sum(layer_dims) == dim and rank_of_rows(layers) == dim
 
-    # layers eta^m H_{k-2m} inside degree k
-    layer_dims = []
-    all_layer_vectors: List[Dict[int, Fraction]] = []
-    dst_index = {e: i for i, e in enumerate(monos)}
-    m = 0
-    while k - 2 * m >= 0:
-        hk = harmonics[k - 2 * m]
-        layer_dims.append(len(hk))
-        if hk:
-            src = monomial_basis(nv, k - 2 * m)
-            eta_m = Poly.const(nv, 1)
-            for _ in range(m):
-                eta_m = eta_m * eta
-            for vec in hk:
-                poly = Poly.zero(nv)
-                for ci, c in vec.items():
-                    poly = poly + Poly.monomial(nv, src[ci], c) * eta_m
-                all_layer_vectors.append({dst_index[e]: c for e, c in poly.terms.items()})
-        m += 1
-    decomposition_ok = (
-        sum(layer_dims) == len(monos) and rank_of_rows(all_layer_vectors) == len(monos)
-    )
-
-    # filtration by Delta powers: ker Delta^{r+1} and Delta^r images
+    # filtration by Delta powers: ker Delta^{r+1}, and Delta^r maps it onto
+    # H_{k-2r}
     filtration_dims = []
     filtration_ok = True
-    power = SparseMat.identity(len(monos))
-    powers = [power]
-    deg = k
-    lap_mats = {}
-    while deg >= 2:
-        lap_mats[deg] = _operator_matrix(lap, nv, deg, deg - 2)
-        deg -= 2
+    power = SparseMat.identity(dim)  # Delta^r from slice k
     for r in range(0, k // 2 + 1):
-        # Delta^{r+1} as a map from degree k
-        M = SparseMat.identity(len(monos))
-        deg = k
-        for _ in range(r + 1):
-            if deg >= 2:
-                M = lap_mats[deg] * M
-                deg -= 2
-            else:
-                M = SparseMat(0, M.cols)
-                break
-        kern = nullspace_of_rows(M.row_vectors(), M.cols)
+        nxt = lap_mats[k - 2 * r] * power if k - 2 * r >= 2 else SparseMat(0, dim)
+        kern = nullspace_of_rows(nxt.row_vectors(), dim)
         filtration_dims.append(len(kern))
         if len(kern) != sum(layer_dims[: r + 1]):
             filtration_ok = False
-        # Delta^r maps the r-th filtration layer onto H_{k-2r}
-        Mr = SparseMat.identity(len(monos))
-        deg = k
-        for _ in range(r):
-            Mr = lap_mats[deg] * Mr
-            deg -= 2
-        images = [v for v in Mr.apply_all(kern) if v]
+        images = [v for v in power.apply_all(kern) if v]
         target = harmonics[k - 2 * r]
         if rank_of_rows(images) != len(target) or (
             images and not vectors_contained_in_span(images, target)
         ):
             filtration_ok = False
+        power = nxt
     return HarmonicBasis(
         series,
         n,
         k,
-        monos,
+        mod.monomials_of(k),
         harmonics[k],
         layer_dims,
         filtration_dims,

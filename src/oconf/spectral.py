@@ -13,10 +13,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Tuple
+from typing import Dict, List
 
 from .linalg import SparseMat, charpoly, nullspace_of_rows
-from .irreps import CapExceeded, IrrepData, TensorModule, build_irrep, tensor_with_natural
+from .irreps import CapExceeded, build_irrep, casimir_matrix, tensor_with_natural
 from .mixed import ConformalModule
 from .ortho import casimir_pairs
 from .weights import (
@@ -33,9 +33,7 @@ class OmegaTildeMatrix:
     """Split Casimir on V(e1) (x) V(mu), natural factor realized on degree-one
     polynomials (so the matrix matches the degree-one module slice)."""
 
-    mu: WeightVec
     dim: int
-    factor_dims: Tuple[int, int]
     matrix: SparseMat
 
 
@@ -45,26 +43,12 @@ TENSOR_CAP = 4096
 
 def omega_tilde_matrix(mu: WeightVec) -> OmegaTildeMatrix:
     V = build_irrep(mu)
-    m = V.basis.m
-    dim = m * V.dim
+    dim = V.basis.m * V.dim
     if dim > TENSOR_CAP:
         raise CapExceeded(f"tensor dimension {dim} exceeds cap {TENSOR_CAP}")
     out = SparseMat.from_entries(dim, dim, (
         e for M1, M2 in casimir_pairs(V.basis) for e in M1.kron(V.matrix_of(M2)).data.items()))
-    return OmegaTildeMatrix(mu, dim, (m, V.dim), out)
-
-
-def tensor_casimir_matrix(tm: TensorModule, V: IrrepData) -> SparseMat:
-    """Casimir of the diagonal action on V(e1) (x) V(mu)."""
-    ob = V.basis
-
-    def rep_of(M: SparseMat) -> SparseMat:
-        return SparseMat.from_entries(tm.dim, tm.dim, (
-            (key, c * v) for idx, c in ob.expand(M).items()
-            for key, v in tm.rep[ob.elements[idx].label].data.items()))
-
-    return SparseMat.from_entries(tm.dim, tm.dim, (
-        e for M1, M2 in casimir_pairs(ob) for e in (rep_of(M1) * rep_of(M2)).data.items()))
+    return OmegaTildeMatrix(dim, out)
 
 
 def closed_form_charpoly(spec: Spectrum) -> List[Fraction]:
@@ -92,7 +76,7 @@ def verify_charpoly_lemma(mu: WeightVec) -> Dict[str, object]:
 
     V = build_irrep(mu)
     tm = tensor_with_natural(V, TENSOR_CAP)
-    big = tensor_casimir_matrix(tm, V)
+    big = casimir_matrix(V.basis, tm.rep, tm.dim)  # the diagonal action's Casimir
     c_e1 = casimir_eigenvalue(epsilon(mu.series, mu.n, 1))
     c_mu = casimir_eigenvalue(mu)
     eye = SparseMat.identity(tm.dim)

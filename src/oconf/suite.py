@@ -183,7 +183,7 @@ def check_mu_zero_classification() -> Tuple[bool, str]:
             if b == 0 and w is not None:
                 # exactly the constants line, quotient generated above it
                 good &= w.dims[0] == (1, 1) and all(w.dims[k][0] == 0 for k in range(1, 4))
-                quot = reducibility.generation_closure_scan(mod, 4, seed_degree=1, slack=2)
+                quot = reducibility.generation_closure_scan(mod, 4)
                 good &= all(quot[k][0] == quot[k][1] for k in range(1, 5))
             ok &= bool(good)
             bits.append(f"{series} mu=0 b={b}: proper submodule {'ok' if good else 'FAIL'}")
@@ -223,7 +223,7 @@ def check_mu_zero_true_classification() -> Tuple[bool, str]:
             ok &= bool(good)
             bits.append(f"{series} b={b}: reducible {'ok' if good else 'FAIL'}")
     # the D b=0 quotient stalls at the eta^2 line (34/35 at degree 4)
-    quot = reducibility.generation_closure_scan(bases["D"], 4, seed_degree=1, slack=2)
+    quot = reducibility.generation_closure_scan(bases["D"], 4)
     good = quot[4] == (34, 35) and all(quot[k][0] == quot[k][1] for k in range(1, 4))
     ok &= good
     bits.append(f"D b=0 quotient degree-4 component: {quot[4][0]}/{quot[4][1]} {'ok' if good else 'FAIL'}")

@@ -47,9 +47,14 @@ def test_usage_errors_exit_2(capsys):
     assert exc.value.code == 2
 
 
-@pytest.mark.parametrize("k", ["-1", "-3"])
-def test_t_operator_negative_degree_exits_2(capsys, k):
-    rc = main(["t-operator", "--series", "D", "--mu", "1,0", "--b", "1", "--k", k])
+@pytest.mark.parametrize("verb,k", [
+    pytest.param(verb, k, id=f"{verb[0]}{k}")
+    for verb, ks in [(["t-operator", "--series", "D", "--mu", "1,0", "--b", "1"], ["-1", "-3"]),
+                     (["harmonic", "--series", "D", "--n", "2"], ["-1", "-2"])]
+    for k in ks
+])
+def test_negative_degree_exits_2(capsys, verb, k):
+    rc = main(verb + ["--k", k])
     captured = capsys.readouterr()
     assert rc == 2
     assert captured.out == ""

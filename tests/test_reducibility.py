@@ -2,11 +2,14 @@
 
 import random
 from fractions import Fraction
+from itertools import accumulate
+from math import comb
 
 import pytest
 
 from oconf.linalg import SparseMat, rank_of_rows, vectors_contained_in_span
 from oconf.mixed import ConformalModule
+from oconf.ortho import build_conformal
 from oconf.poly import Poly
 from oconf.reducibility import (
     _j_span_rank,
@@ -19,7 +22,7 @@ from oconf.reducibility import (
     verify_submodule_closure,
 )
 from oconf.spectral import omega_tilde_matrix
-from oconf.weights import omega_tilde_spectrum, parse_weight, zero_weight
+from oconf.weights import natural_dim, omega_tilde_spectrum, parse_weight, zero_weight
 
 F = Fraction
 
@@ -189,7 +192,7 @@ def test_mu_zero_b_zero_constants_line():
 def test_mu_zero_b_zero_quotient_full_rank_as_stated():
     from oconf.reducibility import generation_closure_scan
 
-    dims = generation_closure_scan(ConformalModule(zero_weight("D", 2), F(0)), 4, seed_degree=1, slack=2)
+    dims = generation_closure_scan(ConformalModule(zero_weight("D", 2), F(0)), 4)
     assert all(r == d for r, d in (dims[k] for k in range(1, 5)))
 
 
@@ -200,11 +203,11 @@ def test_mu_zero_b_zero_quotient_truth():
     # This is final, not a truncation artifact: [d_k, J_i] = delta*D + A_{i,k}
     # and W cap A_3 full imply the degree-4 component can only receive
     # J(A_3) + rotations(A_4-part), which is the same 34-dimensional space.
-    dims = generation_closure_scan(ConformalModule(zero_weight("D", 2), F(0)), 4, seed_degree=1, slack=2)
+    dims = generation_closure_scan(ConformalModule(zero_weight("D", 2), F(0)), 4)
     assert dims[2] == (10, 10) and dims[3] == (20, 20) and dims[4] == (34, 35)
     # B series: no break at integer b (the T scalar 2b-2n+k+1 is odd), so the
     # quotient really is generated to degree 4
-    dims = generation_closure_scan(ConformalModule(zero_weight("B", 2), F(0)), 4, seed_degree=1, slack=2)
+    dims = generation_closure_scan(ConformalModule(zero_weight("B", 2), F(0)), 4)
     assert all(dims[k][0] == dims[k][1] for k in range(1, 5))
 
 
@@ -309,6 +312,23 @@ def test_harmonic_decomposition_examples():
     hb4 = harmonic_decompose(4, 2, "B")
     assert sum(hb4.layer_dims) == len(hb4.monomials)
     assert hb4.decomposition_ok and hb4.filtration_ok
+    # closed forms that do not go through the Laplacian's matrix: over N
+    # variables dim H_j = C(j+N-1, N-1) - C(j+N-3, N-1), A_k is the direct
+    # sum of the eta^m H_{k-2m}, and ker Delta^{r+1} is the sum of its first
+    # r+1 layers; each harmonic vector is killed by the Laplacian itself
+    for series, n, top in [("D", 2, 6), ("D", 3, 6), ("B", 1, 6), ("B", 2, 6), ("B", 3, 4)]:
+        N = natural_dim(series, n)
+        lap = build_conformal(n, series).laplacian()
+        for k in range(top + 1):
+            hb = harmonic_decompose(k, n, series)
+            layers = [comb(j + N - 1, N - 1) - comb(j + N - 3, N - 1) for j in range(k, -1, -2)]
+            assert hb.layer_dims == layers, (series, n, k)
+            assert hb.filtration_dims == list(accumulate(layers))
+            assert len(hb.harmonic) == layers[0] and len(hb.monomials) == comb(k + N - 1, N - 1)
+            assert hb.decomposition_ok and hb.filtration_ok
+            for vec in hb.harmonic:
+                f = Poly(N, {hb.monomials[i]: c for i, c in vec.items()})
+                assert not f.is_zero() and lap.apply(f).is_zero()
 
 
 def test_laplacian_eta_commutator_forms():
@@ -339,7 +359,7 @@ def test_scan_json_round_trip():
 
 
 def test_every_cap_raises_cap_exceeded(monkeypatch):
-    from oconf import reducibility, spectral
+    from oconf import spectral
     from oconf.irreps import CapExceeded, build_irrep, tensor_with_natural
 
     mu = parse_weight("1,0", "D")
@@ -350,9 +370,8 @@ def test_every_cap_raises_cap_exceeded(monkeypatch):
         omega_tilde_matrix(mu)
     with pytest.raises(CapExceeded, match="slice dimension 40 at degree 2 exceeds cap 39"):
         ConformalModule(mu, F(1), slice_cap=39).action_matrix("J_1", 1)
-    monkeypatch.setattr(reducibility, "DEFAULT_SLICE_CAP", 19)
-    with pytest.raises(CapExceeded):
-        harmonic_decompose(3, 2, "D")
+    with pytest.raises(CapExceeded, match="slice dimension 5456 at degree 30 exceeds cap 4096"):
+        harmonic_decompose(30, 2, "D")
 
 
 def test_b_sweep_in_one_module_matches_fresh_modules():
@@ -372,8 +391,7 @@ def test_b_sweep_in_one_module_matches_fresh_modules():
                 assert w.module is mod and fresh.module is fresh_mod
                 assert (w.dims, w.basis) == (fresh.dims, fresh.basis)
                 assert verify_submodule_closure(w) == verify_submodule_closure(fresh)
-        assert generation_closure_scan(base.at(0), 3, seed_degree=1, slack=1) == generation_closure_scan(
-            ConformalModule(mu0, F(0)), 3, seed_degree=1, slack=1)
+        assert generation_closure_scan(base.at(0), 3) == generation_closure_scan(ConformalModule(mu0, F(0)), 3)
 
 
 def _j_span_rank_by_elimination(mod, level):
