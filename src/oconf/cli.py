@@ -228,8 +228,6 @@ def cmd_suite(args) -> int:
 
 
 def _mu_or_zero(args) -> WeightVec:
-    if args.n is not None and args.n < MIN_RANK[args.series]:
-        raise ValueError(f"--n {args.n} is below the least rank {MIN_RANK[args.series]} of series {args.series}")
     if args.mu is None or args.mu in ("0", ""):
         n = args.n if args.n is not None else 2
         return zero_weight(args.series, n)
@@ -309,6 +307,9 @@ def _attach_negative_b(argv: list) -> list:
 def main(argv: Optional[list] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(_attach_negative_b(sys.argv[1:] if argv is None else argv))
+    n = getattr(args, "n", None)  # every verb with --n has --series
+    if n is not None and n < MIN_RANK[args.series]:
+        return _fail_usage(f"--n {n} is below the least rank {MIN_RANK[args.series]} of series {args.series}")
     try:
         return COMMANDS[args.command](args)
     except CapExceeded as exc:

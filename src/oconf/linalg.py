@@ -8,11 +8,13 @@ integer rows keyed by their leading column: ranks, span membership, kernels
 Characteristic polynomials come from an exact Hessenberg reduction.  No
 thresholds, no floating point.
 
-One shortcut is a certificate, not an approximation: when `rank_of_rows` is
-told the largest rank possible (`stop_at`), it first eliminates modulo the
-prime MODULUS.  Rank mod p never exceeds rank over Q, so reaching `stop_at`
-there proves the rank over Q; any other outcome (a deficient span, an
-unlucky prime, a denominator divisible by p) goes to `EchelonBasis`.
+One shortcut is a certificate, not an approximation: `ModPRank` is the
+incremental rank of a growing span modulo the prime MODULUS.  Rank mod p
+never exceeds rank over Q, so once it reaches the largest rank possible it
+proves the rank over Q, and a caller may stop adding rows there.
+`rank_of_rows`, told that largest rank (`stop_at`), runs the rows through
+it first; any other outcome (a deficient span, an unlucky prime, a
+denominator divisible by p) goes to `EchelonBasis`.
 """
 
 from __future__ import annotations
@@ -315,23 +317,41 @@ class EchelonBasis:
         return x
 
 
-def _full_rank_mod_p(rows: Sequence[Dict[int, Fraction]], stop_at: int) -> bool:
-    """True if the rows reach rank stop_at modulo MODULUS (hence over Q).
+class ModPRank:
+    """Incremental rank of a growing row span modulo the prime MODULUS.
 
-    False is no verdict: the rank may be lower, the prime unlucky, or some
-    denominator divisible by the prime.  The verdict does not depend on the
-    row order, so the shortest rows go first, which keeps the fill-in low.
+    Each added rational row is reduced against rows with leading 1, kept by
+    their leading column.  The rank of rows mod p is at most their rank over
+    Q, so `rank` is a lower bound for the rank over Q of every row added,
+    and reaching a known maximum certifies it.  A row with a denominator
+    divisible by p has no image mod p: it sets `failed`, and from then on
+    `add` does nothing, so `rank` stays a lower bound that certifies only
+    what it already did.
     """
-    p = MODULUS
-    pivots: Dict[int, Dict[int, int]] = {}  # leading column -> row with lead 1
-    inverses: Dict[int, int] = {1: 1}  # denominator -> its inverse mod p
-    for vec in sorted(rows, key=len):
+
+    __slots__ = ("pivots", "inverses", "failed")
+
+    def __init__(self):
+        self.pivots: Dict[int, Dict[int, int]] = {}  # leading column -> row with lead 1
+        self.inverses: Dict[int, int] = {1: 1}  # denominator -> its inverse mod p
+        self.failed = False
+
+    @property
+    def rank(self) -> int:
+        return len(self.pivots)
+
+    def add(self, vec: Dict[int, Fraction]) -> bool:
+        """Extend the span by vec mod p; True iff that raised the rank."""
+        if self.failed:
+            return False
+        p, inverses, pivots = MODULUS, self.inverses, self.pivots
         row = {}
         for j, v in vec.items():
             d = v.denominator
             inv = inverses.get(d)
             if inv is None:
                 if d % p == 0:
+                    self.failed = True
                     return False
                 inv = inverses[d] = pow(d, -1, p)
             w = v.numerator * inv % p
@@ -343,9 +363,7 @@ def _full_rank_mod_p(rows: Sequence[Dict[int, Fraction]], stop_at: int) -> bool:
             if prow is None:
                 inv = pow(row[lead], -1, p)
                 pivots[lead] = {j: w * inv % p for j, w in row.items()}
-                if len(pivots) == stop_at:
-                    return True
-                break
+                return True
             c = row[lead]
             for j, pw in prow.items():
                 w = (row.get(j, 0) - c * pw) % p
@@ -353,6 +371,23 @@ def _full_rank_mod_p(rows: Sequence[Dict[int, Fraction]], stop_at: int) -> bool:
                     row[j] = w
                 else:
                     del row[j]
+        return False
+
+
+def _full_rank_mod_p(rows: Sequence[Dict[int, Fraction]], stop_at: int) -> bool:
+    """True if the rows reach rank stop_at modulo MODULUS (hence over Q).
+
+    False is no verdict: the rank may be lower, the prime unlucky, or some
+    denominator divisible by the prime.  The verdict does not depend on the
+    row order, so the shortest rows go first, which keeps the fill-in low.
+    """
+    eng = ModPRank()
+    for vec in sorted(rows, key=len):
+        if eng.add(vec):
+            if eng.rank == stop_at:
+                return True
+        elif eng.failed:
+            return False
     return False
 
 
@@ -364,6 +399,8 @@ def rank_of_rows(rows: Iterable[Dict[int, Fraction]], stop_at: Optional[int] = N
     rank mod p <= rank over Q; only otherwise do the rows go through exact
     elimination.
     """
+    if stop_at == 0:
+        return 0
     if stop_at is not None:
         rows = list(rows)
         if _full_rank_mod_p(rows, stop_at):

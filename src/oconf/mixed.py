@@ -28,6 +28,7 @@ import copy
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
+from operator import add
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .linalg import SparseMat
@@ -292,14 +293,16 @@ class ConformalModule:
     def slice_weights(self, k: int) -> List[Tuple[int, ...]]:
         """Doubled o(n)-weight of each basis index mi * dim_v + r of slice k:
         sum_v e_v wt(x_v) + wt(v_r).  The Cartan elements A_{i,i} act on
-        this basis diagonally, with the halved coordinates as eigenvalues."""
+        this basis diagonally, with the halved coordinates as eigenvalues:
+        x^e has the doubled weight 2 (e_i - e_(n+i)) in coordinate i."""
         hit = self._weights.get(k)
         if hit is None:
-            vws = self.var_weights()
+            n = self.n
+            off = self.num_vars - 2 * n  # B's x_0 comes first
             rws = [tuple(int(2 * c) for c in w.coords) for w in self.irrep.weights]
             hit = []
             for e in self.monomials_of(k):
-                m = [sum(a * w[i] for a, w in zip(e, vws) if a) for i in range(self.n)]
+                m = [2 * (e[off + i] - e[off + n + i]) for i in range(n)]
                 hit.extend(tuple(x + y for x, y in zip(m, r)) for r in rws)
             self._weights[k] = hit
         return hit
@@ -321,8 +324,9 @@ class ConformalModule:
 
     # -- action matrices ---------------------------------------------------------
 
-    def _pieces(self, label: str) -> List[Tuple[Exps, int, List[Tuple[int, int]], SparseMat]]:
-        """The generator as (exponent shift, denominator, numerators, block).
+    def _pieces(self, label: str) -> List[Tuple[Exps, int, List[Tuple[int, int]], SparseMat, dict]]:
+        """The generator as (exponent shift, denominator, numerators, block,
+        memo).
 
         The vector field sum_i f_i d_i sends x^e to sum_i e_i f_i x^(e - u_i):
         a term c x^m of f_i moves x^e by the shift m - u_i with the scalar
@@ -330,7 +334,8 @@ class ConformalModule:
         M = (central * b) I + (orthogonal part acting through V(mu)).  Per
         shift, x^e (x) v goes to x^(e + shift) (x) (block + s I) v with
         s = sum(numerator * e_i) / denominator.  The pieces do not depend
-        on the degree, so they are computed once per label.
+        on the degree, so they are computed once per label; the memo, filled
+        by `_stencil`, maps a numerator to the entries of block + s I.
         """
         hit = self._piece_memo.get(label)
         if hit is not None:
@@ -351,7 +356,7 @@ class ConformalModule:
             terms = field.get(sh, [])
             den = lcm(*(c.denominator for _, c in terms))
             nums = [(i, int(c * den)) for i, c in terms]
-            pieces.append((sh, den, nums, blocks.get(sh, SparseMat(self.dim_v, self.dim_v))))
+            pieces.append((sh, den, nums, blocks.get(sh, SparseMat(self.dim_v, self.dim_v)), {}))
         self._piece_memo[label] = pieces
         return pieces
 
@@ -404,17 +409,18 @@ class ConformalModule:
             sel = sorted(qs_of.items())
         eye = SparseMat.identity(dv)
         data: Dict[Tuple[int, int], Fraction] = {}
-        for sh, den, nums, block in self._pieces(label):
-            entries_of: Dict[int, list] = {}  # numerator -> entries of block + s I
+        for sh, den, nums, block, entries_of in self._pieces(label):
             for mi, qs in sel:
                 e = monos[mi]
-                num = sum(c * e[i] for i, c in nums)
+                num = 0
+                for i, c in nums:
+                    num += c * e[i]
                 entries = entries_of.get(num)
                 if entries is None:
                     entries = list((block + eye.scale(Fraction(num, den))).data.items())
                     entries_of[num] = entries
                 if entries:  # else x^(e + sh) may not even be a monomial
-                    row = tindex[tuple(a + s for a, s in zip(e, sh))] * dv
+                    row = tindex[tuple(map(add, e, sh))] * dv
                     col = mi * dv
                     for (r, q), v in entries:
                         if qs is None or q in qs:

@@ -22,6 +22,15 @@ to weight spaces, so N_nu is spanned by the J_i(u) with
 wt(u) + wt(J_i) = nu, and dim M - rank N is the sum over dominant nu of
 |W nu| (dim M_nu - rank N_nu).  This is exact at every b.
 
+A block closes as soon as its rank is certified, and no more of its
+columns are built.  Its columns arrive label by label and go into a rank
+modulo a prime (`linalg.ModPRank`).  Rank mod p never exceeds rank over Q,
+and rank N_nu never exceeds dim M_nu, so a rank mod p of dim M_nu proves
+rank N_nu = dim M_nu whatever the columns not yet built.  A block still
+open after the last label gets exact elimination over all of its columns,
+so a deficient block (at a critical b) gets its exact rank, as does a
+full block that the prime failed to certify.
+
 The scan builds its own module from (mu, b): it builds only the J columns
 it needs, at its own b, so a shared base would save it little.  Detection,
 closure and generation read whole action matrices, so they take a built
@@ -43,6 +52,7 @@ from typing import Dict, List, Optional, Tuple
 
 from .linalg import (
     EchelonBasis,
+    ModPRank,
     SparseMat,
     nullspace_of_rows,
     rank_of_rows,
@@ -135,29 +145,40 @@ def _j_span_rank(mod: ConformalModule, level: int) -> int:
     """Rank of N = sum_i J_i(slice level) inside M = slice level+1, as
     dim M - sum over dominant nu of |W nu| (dim M_nu - rank N_nu) (see the
     module docstring).  Only the columns J_i(u) of the dominant blocks are
-    built."""
+    built, label by label, and only while the block is open."""
     k = level + 1
     mod.check_cap(k)  # the larger slice: fail before any work
     dims: Dict[Tuple[int, ...], int] = {}
     for w in mod.slice_weights(k):
         dims[w] = dims.get(w, 0) + 1
     orbit = {nu: _dominant_orbit_size(mod.series, nu) for nu in dims}
-    dominant = sorted(nu for nu in dims if orbit[nu])
     sources: Dict[Tuple[int, ...], List[int]] = {}
     for u, w in enumerate(mod.slice_weights(level)):
         sources.setdefault(w, []).append(u)
-    blocks: Dict[Tuple[int, ...], List[Dict[int, Fraction]]] = {nu: [] for nu in dominant}
+    # open blocks: the mod-p rank of the columns so far, and the columns
+    blocks = {nu: (ModPRank(), []) for nu in sorted(dims) if orbit[nu]}
     for lbl, d in zip(mod.j_labels, mod.var_weights()):
+        if not blocks:
+            break
         cols: List[int] = []
         owners: List[Tuple[int, ...]] = []
-        for nu in dominant:
+        for nu in blocks:
             src = sources.get(tuple(a - b for a, b in zip(nu, d)), ())
             cols.extend(src)
             owners.extend([nu] * len(src))
+        new: Dict[Tuple[int, ...], List[Dict[int, Fraction]]] = {}
         for nu, vec in zip(owners, mod.action_columns(lbl, level, cols)):
             if vec:
-                blocks[nu].append(vec)
-    deficit = sum(orbit[nu] * (dims[nu] - rank_of_rows(blocks[nu], stop_at=dims[nu])) for nu in dominant)
+                new.setdefault(nu, []).append(vec)
+        for nu, vecs in new.items():
+            eng, kept = blocks[nu]
+            kept.extend(vecs)
+            for vec in sorted(vecs, key=len):
+                if eng.add(vec) and eng.rank == dims[nu]:
+                    del blocks[nu]  # certified: rank N_nu = dim M_nu
+                    break
+    # a block still open takes exact elimination over all of its columns
+    deficit = sum(orbit[nu] * (dims[nu] - rank_of_rows(kept)) for nu, (_, kept) in blocks.items())
     return mod.slice_dim(k) - deficit
 
 

@@ -82,11 +82,13 @@ def test_bare_b_before_another_option_exits_2(capsys):
     assert "argument --b: expected one argument" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("verb", [["scan", "--max-degree", "1"], ["classify"]])
+@pytest.mark.parametrize("verb", [
+    ["scan", "--b", "1", "--max-degree", "1"], ["classify", "--b", "1"], ["harmonic", "--k", "2"], ["verify-brackets"],
+])
 @pytest.mark.parametrize("series,least", [("D", 2), ("B", 1)])
 @pytest.mark.parametrize("n", ["0", "-1"])
 def test_rank_below_the_series_minimum_exits_2(capsys, verb, series, least, n):
-    rc = main([verb[0], "--series", series, "--n", n, "--b", "1"] + verb[1:])
+    rc = main([verb[0], "--series", series, "--n", n] + verb[1:])
     captured = capsys.readouterr()
     assert rc == 2
     assert captured.out == ""

@@ -8,6 +8,7 @@ import pytest
 from oconf.linalg import (
     MODULUS,
     EchelonBasis,
+    ModPRank,
     SparseMat,
     _full_rank_mod_p,
     charpoly,
@@ -332,6 +333,29 @@ def test_rank_certificate_returns_the_exact_rank_when_deficient():
     assert rank_of_rows(rows, stop_at=3) == 2
     assert rank_of_rows(iter(rows), stop_at=3) == 2  # one-shot iterables are fine
     assert rank_of_rows(rows, stop_at=1) == 1
+    assert rank_of_rows(rows, stop_at=0) == 0
+    assert rank_of_rows([{0: Fraction(1)}], stop_at=0) == 0
+
+
+def test_mod_p_rank_fails_on_a_denominator_divisible_by_the_prime():
+    eng = ModPRank()
+    assert eng.add({0: Fraction(1), 1: Fraction(2)})
+    assert not eng.failed
+    assert not eng.add({1: Fraction(1, MODULUS)})
+    assert eng.failed
+    assert not eng.add({1: Fraction(1)})  # a failed engine adds nothing more
+    assert eng.rank == 1
+
+
+def test_mod_p_rank_matches_the_rank_of_the_certificate_rows():
+    # a lower bound everywhere, the rank itself where the prime is not unlucky
+    unlucky = [{0: Fraction(MODULUS)}, {1: Fraction(1)}]
+    deficient = [{0: Fraction(1), 1: Fraction(2)}, {0: Fraction(-1, 3), 1: Fraction(-2, 3)}, {2: Fraction(5, 7)}]
+    for rows, want in [(unlucky, 1), (deficient, 2)] + [(M.row_vectors(), None) for M in oracle_matrices(107)]:
+        eng = ModPRank()
+        raised = [eng.add(r) for r in rows]
+        assert eng.rank == sum(raised) == (rank_of_rows(rows) if want is None else want)
+        assert eng.rank <= rank_of_rows(rows) and not eng.failed
 
 
 def test_rank_with_stop_at_matches_sympy(sympy):

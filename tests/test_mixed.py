@@ -366,14 +366,16 @@ def test_action_columns_match_action_matrix(series, mus):
 
 @pytest.mark.parametrize("series,mus", [("D", "1,0"), ("B", "1/2,1/2"), ("D", "0,0")])
 def test_sibling_columns_after_the_base_filled_its_memo(series, mus):
-    # the base builds J_1's pieces at its own b first; the sibling must not
-    # reuse them
+    # each piece keeps its entries of block + s I, and the block holds b:
+    # the base fills that memo at its own b first, then its matrices read
+    # it, and a sibling must neither reuse it nor leave a stale one
     mu = parse_weight(mus, series)
     base = ConformalModule(mu, F(3, 7))
     cols = {k: range(base.slice_dim(k)) for k in range(4)}
-    for k in cols:
-        base.action_columns("J_1", k, cols[k])
-    for b in [F(0), F(-11, 7)]:
-        sib, fresh = base.at(b), ConformalModule(mu, b)
-        for k in cols:
-            assert sib.action_columns("J_1", k, cols[k]) == fresh.action_columns("J_1", k, cols[k]), (b, k)
+    for mod in (base, base.at(F(0)), base.at(F(-11, 7))):
+        fresh = ConformalModule(mu, mod.b)
+        for label in base.conf.labels():
+            for k in cols:
+                want = fresh.action_matrix(label, k)
+                assert mod.action_columns(label, k, cols[k]) == want.col_vectors(), (mod.b, label, k)
+                assert mod.action_matrix(label, k) == want, (mod.b, label, k)

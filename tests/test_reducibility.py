@@ -7,11 +7,13 @@ from math import comb
 
 import pytest
 
-from oconf.linalg import SparseMat, rank_of_rows, vectors_contained_in_span
+from oconf import reducibility
+from oconf.linalg import ModPRank, SparseMat, rank_of_rows, vectors_contained_in_span
 from oconf.mixed import ConformalModule
 from oconf.ortho import build_conformal
 from oconf.poly import Poly
 from oconf.reducibility import (
+    _dominant_orbit_size,
     _j_span_rank,
     classify_b,
     detect_submodule,
@@ -428,3 +430,44 @@ def test_weight_blocks_give_the_rank_of_full_elimination():
             assert [_j_span_rank(sib, level) for level in range(deg)] == want, (series, w, b)
             deficient += sum(not r.full for r in scan.records)
     assert deficient == 83
+
+
+class _NeverCertifies(ModPRank):
+    def add(self, vec):
+        return False
+
+
+def test_open_blocks_take_the_exact_rank(monkeypatch):
+    # with no mod-p certificate every block stays open to the last label and
+    # takes exact elimination, deficient or not
+    monkeypatch.setattr(reducibility, "ModPRank", _NeverCertifies)
+    for series, w, deg in BLOCK_GRID[::2]:
+        mu = parse_weight(w, series)
+        base = ConformalModule(mu, F(1, 3))
+        for b in [F(1, 3)] + [-lam for lam, _ in omega_tilde_spectrum(mu).entries]:
+            sib = base.at(b)
+            want = [_j_span_rank_by_elimination(sib, level) for level in range(deg)]
+            assert [_j_span_rank(sib, level) for level in range(deg)] == want, (series, w, b)
+
+
+def test_a_certified_block_asks_for_no_more_columns(monkeypatch):
+    # D(1,0) at b = 1/3 to degree 8: the J columns that land in dominant
+    # blocks, against those the scan asks for
+    mu, b, deg = parse_weight("1,0", "D"), F(1, 3), 8
+    mod = ConformalModule(mu, b)
+    reach = 0
+    for level in range(deg):
+        dominant = {nu for nu in mod.slice_weights(level + 1) if _dominant_orbit_size("D", nu)}
+        for d in mod.var_weights():
+            targets = [tuple(a + c for a, c in zip(w, d)) for w in mod.slice_weights(level)]
+            reach += sum(t in dominant for t in targets)
+    asked = []
+    columns = ConformalModule.action_columns
+
+    def counted(self, label, k, cols):
+        asked.append(len(cols))
+        return columns(self, label, k, cols)
+
+    monkeypatch.setattr(ConformalModule, "action_columns", counted)
+    assert surjectivity_scan(mu, b, deg).verdict == f"irreducible-up-to-{deg}"
+    assert (sum(asked), reach) == (669, 1572)
