@@ -209,9 +209,9 @@ def cmd_suite(args) -> int:
     lines = []
     all_ok = True
     for name, fn in suite_mod.ALL_CHECKS:
-        t0 = time.time()
+        t0 = time.perf_counter()
         ok, detail = fn()
-        dt = time.time() - t0
+        dt = time.perf_counter() - t0
         expected = not ok and name in suite_mod.EXPECTED_FAILURES
         results.append({"name": name, "ok": ok, "detail": detail,
                         "known_failure": expected})

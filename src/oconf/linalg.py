@@ -5,8 +5,9 @@ zero matrix is the empty dict.  Everything here is exact.  All elimination
 goes through one incremental engine, `EchelonBasis`, which keeps primitive
 integer rows keyed by their leading column: ranks, span membership, kernels
 (by back-substitution) and coordinates in a basis all come from it.
-Characteristic polynomials come from an exact Hessenberg reduction.  No
-thresholds, no floating point.
+Characteristic polynomials come from an exact Hessenberg reduction over Q,
+then an integer recurrence over one common denominator.  No thresholds, no
+floating point.
 
 One shortcut is a certificate, not an approximation: `ModPRank` is the
 incremental rank of a growing span modulo the prime MODULUS.  Rank mod p
@@ -235,7 +236,8 @@ class EchelonBasis:
     (smallest) column, and no two rows share a leading column.  The set of
     leading columns (the pivots) depends only on the span, so every question
     answered here -- rank, membership, kernel vectors -- is independent of
-    the order in which vectors arrive.  `rows` maps each pivot to its row.
+    the order in which vectors arrive.  `rows` maps each pivot to its row,
+    in the order the rows were added; a stored row never changes.
     """
 
     __slots__ = ("rows",)
@@ -454,8 +456,11 @@ def _hessenberg(dense: List[List[Fraction]]) -> List[List[Fraction]]:
 def charpoly(M: SparseMat) -> List[Fraction]:
     """Monic characteristic polynomial det(t I - M), coefficients ascending.
 
-    Exact: Hessenberg similarity reduction over Q, then the leading-minor
-    recurrence.  Returns [c0, c1, ..., 1] with len = n + 1.
+    Exact: Hessenberg over Q, then an integer recurrence over one common
+    denominator.  With den the lcm of the denominators of the Hessenberg
+    form H, the leading-minor recurrence runs on the integer matrix den H,
+    and det(t I - den H) = sum_i p_i den^(n-i) t^i gives the coefficients
+    p_i of det(t I - H) back.  Returns [c0, c1, ..., 1] with len = n + 1.
     """
     if M.rows != M.cols:
         raise ValueError("characteristic polynomial requires a square matrix")
@@ -463,30 +468,31 @@ def charpoly(M: SparseMat) -> List[Fraction]:
     if n == 0:
         return [Fraction(1)]
     H = _hessenberg(M.to_dense())
-    # p[k] = charpoly of leading k x k block, ascending coefficients
-    p: List[List[Fraction]] = [[Fraction(1)]]
+    den = lcm(*(x.denominator for row in H for x in row))
+    G = [[x.numerator * (den // x.denominator) for x in row] for row in H]
+    # p[k] = charpoly of the leading k x k block of G, ascending coefficients
+    p: List[List[int]] = [[1]]
     for k in range(1, n + 1):
-        hkk = H[k - 1][k - 1]
+        gkk = G[k - 1][k - 1]
         prev = p[k - 1]
-        # (t - hkk) * prev
-        cur = [Fraction(0)] * (k + 1)
+        # (t - gkk) * prev
+        cur = [0] + prev
         for i, c in enumerate(prev):
-            cur[i + 1] += c
-            cur[i] -= hkk * c
+            cur[i] -= gkk * c
         # - sum over products of subdiagonals
-        prod = Fraction(1)
+        prod = 1
         for m in range(1, k):
-            prod *= H[k - m][k - m - 1]
+            prod *= G[k - m][k - m - 1]
             if prod == 0:
                 break
-            a = H[k - m - 1][k - 1]
+            a = G[k - m - 1][k - 1]
             if a == 0:
                 continue
             coef = a * prod
             for i, c in enumerate(p[k - m - 1]):
                 cur[i] -= coef * c
         p.append(cur)
-    return p[n]
+    return [Fraction(q, den ** (n - i)) for i, q in enumerate(p[n])]
 
 
 def poly_eval(coeffs: Sequence[Fraction], x: Fraction) -> Fraction:

@@ -48,6 +48,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import islice
 from typing import Dict, List, Optional, Tuple
 
 from .linalg import (
@@ -247,6 +248,7 @@ def verify_submodule_closure(witness: SubmoduleWitness) -> Dict[str, bool]:
     """Check the witness is closed under every generator of its module,
     within truncation."""
     mod = witness.module
+    spans = {k: EchelonBasis(vecs) for k, vecs in witness.basis.items()}
     results = {}
     for lbl in mod.conf.labels():
         shift = mod.degree_shift(lbl)
@@ -255,9 +257,8 @@ def verify_submodule_closure(witness: SubmoduleWitness) -> Dict[str, bool]:
             kt = k + shift
             if kt < 0 or kt > witness.max_degree or not vecs:
                 continue
-            M = mod.action_matrix(lbl, k)
-            images = [v for v in M.apply_all(vecs) if v]
-            if images and not vectors_contained_in_span(images, witness.basis[kt]):
+            images = mod.action_matrix(lbl, k).apply_all(vecs)
+            if not all(spans[kt].contains(v) for v in images):
                 ok = False
         results[lbl] = ok
     results["ok"] = all(results.values())
@@ -279,17 +280,21 @@ def generation_closure_scan(mod: ConformalModule, max_degree: int) -> Dict[int, 
     translations d, so a pure level-by-level J-span can undercount, and
     SLACK = 2 leaves room for that round trip.  Returns
     {k: (generated dim, slice dim)} for k <= max_degree.
+
+    Each generator meets each basis vector once.  A slice's echelon rows,
+    in the order they were added, are a basis of its span that only grows;
+    each (generator, slice) pair remembers how many of them it has pushed
+    and applies the generator to the new ones only.  A pass that adds
+    nothing ends the loop: every pair has then pushed every row, unless its
+    target slice is already full.
     """
     top = max_degree + SLACK
     spans = {k: EchelonBasis() for k in range(top + 1)}
     dims = {k: mod.slice_dim(k) for k in range(top + 1)}
-
-    def add(k: int, vec: Dict[int, Fraction]) -> bool:
-        return spans[k].rank < dims[k] and spans[k].add(vec)
-
     for i in range(dims[SEED_DEGREE]):
-        add(SEED_DEGREE, {i: Fraction(1)})
+        spans[SEED_DEGREE].add({i: Fraction(1)})
     labels = mod.conf.labels()
+    pushed: Dict[Tuple[str, int], int] = {}
     changed = True
     while changed:
         changed = False
@@ -297,15 +302,16 @@ def generation_closure_scan(mod: ConformalModule, max_degree: int) -> Dict[int, 
             shift = mod.degree_shift(lbl)
             for k in range(top + 1):
                 kt = k + shift
-                if kt < 0 or kt > top or not spans[k].rank:
+                if kt < 0 or kt > top or spans[kt].rank == dims[kt]:
                     continue
-                if spans[kt].rank == dims[kt]:
+                done = pushed.get((lbl, k), 0)
+                if done == spans[k].rank:
                     continue
-                # the span's echelon rows are a basis of it, as good as any;
+                pushed[lbl, k] = spans[k].rank
                 # all images are taken before any is added
-                images = mod.action_matrix(lbl, k).apply_all(spans[k].rows.values())
-                for v in images:
-                    if add(kt, v):
+                new = list(islice(spans[k].rows.values(), done, None))
+                for v in mod.action_matrix(lbl, k).apply_all(new):
+                    if spans[kt].rank < dims[kt] and spans[kt].add(v):
                         changed = True
     return {k: (spans[k].rank, dims[k]) for k in range(max_degree + 1)}
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Dict, List
 
 from .linalg import SparseMat, charpoly, nullspace_of_rows
@@ -52,16 +53,23 @@ def omega_tilde_matrix(mu: WeightVec) -> OmegaTildeMatrix:
 
 
 def closed_form_charpoly(spec: Spectrum) -> List[Fraction]:
-    """prod (t - lambda)^mult as ascending coefficients."""
-    coeffs = [Fraction(1)]
+    """prod (t - lambda)^mult as ascending coefficients.
+
+    Multiplied out over the integers, as in `linalg.charpoly`: with den the
+    lcm of the lambda denominators, prod (t - den lambda)^mult has the
+    coefficients q_i, and the closed form has q_i / den^(N-i) (N = its
+    degree)."""
+    den = lcm(*(lam.denominator for lam, _ in spec.entries))
+    q = [1]
     for lam, mult in spec.entries:
+        a = lam.numerator * (den // lam.denominator)
         for _ in range(mult):
-            nxt = [Fraction(0)] * (len(coeffs) + 1)
-            for i, c in enumerate(coeffs):
-                nxt[i + 1] += c
-                nxt[i] -= lam * c
-            coeffs = nxt
-    return coeffs
+            nxt = [0] + q
+            for i, c in enumerate(q):
+                nxt[i] -= a * c
+            q = nxt
+    N = len(q) - 1
+    return [Fraction(c, den ** (N - i)) for i, c in enumerate(q)]
 
 
 def verify_charpoly_lemma(mu: WeightVec) -> Dict[str, object]:

@@ -163,6 +163,14 @@ def check_scan_sufficiency() -> Tuple[bool, str]:
     return ok, "; ".join(bits)
 
 
+@lru_cache(maxsize=None)
+def _mu_zero_quotient(series: str) -> Mapping[int, Tuple[int, int]]:
+    """Degree-4 generation dims of the mu=0, b=0 quotient at n=2, computed
+    once for the two mu=0 checks that read it (read-only: they share it)."""
+    mod = mixed.ConformalModule(zero_weight(series, 2), 0)
+    return MappingProxyType(reducibility.generation_closure_scan(mod, 4))
+
+
 def check_mu_zero_classification() -> Tuple[bool, str]:
     """The mu=0 classification exactly as stated.  Known to fail at the
     special conformal weights (D b=1; B b=1/2 at degree 4; D b=0 quotient at
@@ -183,7 +191,7 @@ def check_mu_zero_classification() -> Tuple[bool, str]:
             if b == 0 and w is not None:
                 # exactly the constants line, quotient generated above it
                 good &= w.dims[0] == (1, 1) and all(w.dims[k][0] == 0 for k in range(1, 4))
-                quot = reducibility.generation_closure_scan(mod, 4)
+                quot = _mu_zero_quotient(series)
                 good &= all(quot[k][0] == quot[k][1] for k in range(1, 5))
             ok &= bool(good)
             bits.append(f"{series} mu=0 b={b}: proper submodule {'ok' if good else 'FAIL'}")
@@ -196,12 +204,11 @@ def check_mu_zero_true_classification() -> Tuple[bool, str]:
     with verified proper submodules; everything else generated to depth."""
     bits = []
     ok = True
-    bases = {}
     for series, good_bs, bad_extra in [
         ("D", [Fraction(1, 2), Fraction(2), Fraction(5, 2)], [(Fraction(1), 2)]),
         ("B", [Fraction(1), Fraction(2), Fraction(5, 2)], [(Fraction(3, 2), 2), (Fraction(1, 2), 4)]),
     ]:
-        base = bases[series] = mixed.ConformalModule(zero_weight(series, 2), 0)  # one module for every b
+        base = mixed.ConformalModule(zero_weight(series, 2), 0)  # one module for every b
         for b in good_bs:
             w = reducibility.detect_submodule(base.at(b), 3)
             good = w is None
@@ -223,7 +230,7 @@ def check_mu_zero_true_classification() -> Tuple[bool, str]:
             ok &= bool(good)
             bits.append(f"{series} b={b}: reducible {'ok' if good else 'FAIL'}")
     # the D b=0 quotient stalls at the eta^2 line (34/35 at degree 4)
-    quot = reducibility.generation_closure_scan(bases["D"], 4)
+    quot = _mu_zero_quotient("D")
     good = quot[4] == (34, 35) and all(quot[k][0] == quot[k][1] for k in range(1, 4))
     ok &= good
     bits.append(f"D b=0 quotient degree-4 component: {quot[4][0]}/{quot[4][1]} {'ok' if good else 'FAIL'}")

@@ -1,9 +1,12 @@
 """Reference algorithms that the tests hold the engine against."""
 
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from oconf.linalg import EchelonBasis
+from oconf.linalg import EchelonBasis, vectors_contained_in_span
+from oconf.mixed import ConformalModule
+from oconf.reducibility import SEED_DEGREE, SLACK, SubmoduleWitness
+from oconf.weights import Spectrum
 
 
 def solve_row_combination(rows: Sequence[Dict[int, Fraction]], target: Dict[int, Fraction]) -> Optional[List[Fraction]]:
@@ -28,3 +31,63 @@ def solve_row_combination(rows: Sequence[Dict[int, Fraction]], target: Dict[int,
         return None  # inconsistent
     x = eb.kernel_vector({n: Fraction(-1)})
     return [x.get(i, Fraction(0)) for i in range(n)]
+
+
+def closed_form_charpoly(spec: Spectrum) -> List[Fraction]:
+    """prod (t - lambda)^mult as ascending coefficients, one linear factor
+    at a time in Fractions."""
+    coeffs = [Fraction(1)]
+    for lam, mult in spec.entries:
+        for _ in range(mult):
+            nxt = [Fraction(0)] * (len(coeffs) + 1)
+            for i, c in enumerate(coeffs):
+                nxt[i + 1] += c
+                nxt[i] -= lam * c
+            coeffs = nxt
+    return coeffs
+
+
+def generation_closure_scan(mod: ConformalModule, max_degree: int) -> Dict[int, Tuple[int, int]]:
+    """The generation dims of `reducibility.generation_closure_scan` by full
+    passes: every pass sends every echelon row of every slice through every
+    generator, until a pass adds nothing."""
+    top = max_degree + SLACK
+    spans = {k: EchelonBasis() for k in range(top + 1)}
+    dims = {k: mod.slice_dim(k) for k in range(top + 1)}
+
+    def add(k: int, vec: Dict[int, Fraction]) -> bool:
+        return spans[k].rank < dims[k] and spans[k].add(vec)
+
+    for i in range(dims[SEED_DEGREE]):
+        add(SEED_DEGREE, {i: Fraction(1)})
+    changed = True
+    while changed:
+        changed = False
+        for lbl in mod.conf.labels():
+            shift = mod.degree_shift(lbl)
+            for k in range(top + 1):
+                kt = k + shift
+                if kt < 0 or kt > top or not spans[k].rank or spans[kt].rank == dims[kt]:
+                    continue
+                images = mod.action_matrix(lbl, k).apply_all(list(spans[k].rows.values()))
+                for v in images:
+                    if add(kt, v):
+                        changed = True
+    return {k: (spans[k].rank, dims[k]) for k in range(max_degree + 1)}
+
+
+def submodule_closure_failures(witness: SubmoduleWitness) -> Set[str]:
+    """Labels whose generator takes some basis vector of the witness out of
+    its span, one fresh span per (label, degree)."""
+    mod = witness.module
+    failing = set()
+    for lbl in mod.conf.labels():
+        shift = mod.degree_shift(lbl)
+        for k, vecs in witness.basis.items():
+            kt = k + shift
+            if kt < 0 or kt > witness.max_degree or not vecs:
+                continue
+            images = [v for v in mod.action_matrix(lbl, k).apply_all(vecs) if v]
+            if images and not vectors_contained_in_span(images, witness.basis[kt]):
+                failing.add(lbl)
+    return failing

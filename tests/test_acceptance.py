@@ -14,8 +14,8 @@ from fractions import Fraction
 
 import pytest
 
-from oconf import reducibility, spectral, suite
-from oconf.weights import parse_weight, pieri_decompose, weyl_dim
+from oconf import mixed, reducibility, spectral, suite
+from oconf.weights import parse_weight, pieri_decompose, weyl_dim, zero_weight
 
 F = Fraction
 
@@ -155,3 +155,13 @@ def test_charpoly_reports_are_shared_read_only():
     with pytest.raises(TypeError):
         r["ok"] = False
     assert dict(r) == spectral.verify_charpoly_lemma(mu)
+
+
+def test_mu_zero_quotient_is_shared_read_only():
+    # both mu=0 checks read one degree-4 quotient scan; neither can alter it
+    q = suite._mu_zero_quotient("D")
+    assert suite._mu_zero_quotient("D") is q
+    with pytest.raises(TypeError):
+        q[4] = (35, 35)
+    fresh = reducibility.generation_closure_scan(mixed.ConformalModule(zero_weight("D", 2), 0), 4)
+    assert dict(q) == fresh and q[4] == (34, 35)

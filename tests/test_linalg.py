@@ -99,6 +99,28 @@ def test_charpoly_matches_cofactor_oracle(n):
         assert charpoly(M) == charpoly_oracle_cofactor(M)
 
 
+def test_charpoly_of_a_permuted_block_diagonal_matrix():
+    # size 40 with denominators 2, 3, 5 and 7 in one matrix: the integer
+    # recurrence must reproduce the product of the blocks' cofactor oracles
+    rng = random.Random(4040)
+    sizes = [1, 2, 3, 4, 5, 5, 5, 5, 5, 5]
+    n = sum(sizes)
+    perm = list(range(n))
+    rng.shuffle(perm)
+    data = {}
+    expected = [Fraction(1)]
+    start = 0
+    for t, size in enumerate(sizes):
+        block = dense_random(rng, size, size).scale([Fraction(1), Fraction(1, 5), Fraction(2, 7)][t % 3])
+        expected = poly_mul(expected, charpoly_oracle_cofactor(block))
+        for (i, j), v in block.data.items():
+            data[(perm[start + i], perm[start + j])] = v
+        start += size
+    M = SparseMat(n, n, data)
+    assert {v.denominator for v in data.values()} >= {2, 3, 5, 7}
+    assert charpoly(M) == expected
+
+
 def test_charpoly_companion_matrix():
     # companion of t^3 - 2t + 5 has exactly that charpoly
     M = SparseMat(3, 3, {(0, 2): Fraction(-5), (1, 0): Fraction(1), (1, 2): Fraction(2), (2, 1): Fraction(1)})

@@ -1,9 +1,11 @@
 """Irreducibility scans, submodule witnesses, harmonics, classification."""
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 from itertools import accumulate
 from math import comb
+from types import SimpleNamespace
 
 import pytest
 
@@ -25,6 +27,7 @@ from oconf.reducibility import (
 )
 from oconf.spectral import omega_tilde_matrix
 from oconf.weights import natural_dim, omega_tilde_spectrum, parse_weight, zero_weight
+import reference
 
 F = Fraction
 
@@ -238,6 +241,67 @@ def test_submodule_witness_closed_under_all_generators(series, b):
     assert w is not None
     rep = verify_submodule_closure(w)
     assert rep["ok"], rep
+
+
+@pytest.mark.parametrize(
+    "series,mus,b",
+    [(s, "0,0", b) for s in ["D", "B"] for b in [F(0), F(-1), F(1, 2)]]
+    + [("D", "1,0", F(0)), ("D", "1,0", F(3))],
+)
+def test_closure_scan_matches_the_full_pass_reference(series, mus, b):
+    mod = ConformalModule(parse_weight(mus, series), b)
+    assert generation_closure_scan(mod, 3) == reference.generation_closure_scan(mod, 3)
+
+
+class _ToyModule:
+    """The part of a module that the closure scan reads: slices of dim 3, a
+    raising and a lowering generator of rank <= 2 on each slice.  A vector
+    that the lowering one brings down is raised again only in a later pass,
+    so the scan needs several."""
+
+    def __init__(self, rng, top):
+        self.conf = SimpleNamespace(labels=lambda: ["down", "up"])
+        self.mats = {}
+        for lbl in ["down", "up"]:
+            for k in range(top + 1):
+                data = {}
+                for _ in range(rng.choice([1, 2])):
+                    u = [rng.randint(-2, 2) for _ in range(3)]
+                    v = [rng.randint(-2, 2) for _ in range(3)]
+                    for i in range(3):
+                        for j in range(3):
+                            data[(i, j)] = data.get((i, j), 0) + F(u[i] * v[j])
+                self.mats[lbl, k] = SparseMat(3, 3, {e: c for e, c in data.items() if c})
+
+    def slice_dim(self, k):
+        return 3
+
+    def degree_shift(self, lbl):
+        return -1 if lbl == "down" else 1
+
+    def action_matrix(self, lbl, k):
+        return self.mats[lbl, k]
+
+
+def test_closure_scan_takes_every_pass_it_needs():
+    rng = random.Random(77)
+    for _ in range(30):
+        mod = _ToyModule(rng, 3 + reducibility.SLACK)
+        assert generation_closure_scan(mod, 3) == reference.generation_closure_scan(mod, 3)
+
+
+def test_closure_check_reports_a_missing_basis_vector():
+    # the B mu=0 witness at b=1/2 is closed; without one degree-3 vector
+    # it is not, and the labels that fail are those of a fresh span per
+    # (label, degree)
+    w = detect_submodule(ConformalModule(zero_weight("B", 2), F(1, 2)), 4)
+    assert verify_submodule_closure(w)["ok"] and not reference.submodule_closure_failures(w)
+    broken = replace(w, basis={**w.basis, 3: w.basis[3][:-1]})
+    rep = verify_submodule_closure(broken)
+    failing = {lbl for lbl, good in rep.items() if lbl != "ok" and not good}
+    assert rep["ok"] is False
+    assert failing == reference.submodule_closure_failures(broken)
+    assert failing and len(failing) < len(w.module.conf.labels())
 
 
 def test_eta_multiple_lands_in_j_span():

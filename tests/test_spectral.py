@@ -17,7 +17,8 @@ from oconf.spectral import (
     verify_charpoly_lemma,
     verify_t_operator,
 )
-from oconf.weights import omega_tilde_spectrum, parse_weight, weyl_dim, zero_weight
+from oconf.weights import Spectrum, omega_tilde_spectrum, parse_weight, weyl_dim, zero_weight
+import reference
 
 F = Fraction
 
@@ -69,6 +70,20 @@ def test_charpoly_lemma_battery(series, mus):
     assert r["match"], r["charpoly_computed"]
     assert r["half_difference_consistency"]
     assert r["eigenspace_dims_match_pieri"], r["eigenspace_dims"]
+
+
+@pytest.mark.parametrize("series,mus", CHARPOLY_BATTERY + [("D", "2,1,0"), ("B", "1,1,1")])
+def test_closed_form_matches_the_linear_factor_reference(series, mus):
+    spec = omega_tilde_spectrum(parse_weight(mus, series))
+    assert closed_form_charpoly(spec) == reference.closed_form_charpoly(spec)
+
+
+def test_closed_form_with_mixed_denominators():
+    spec = Spectrum(((F(1, 2), 2), (F(1, 3), 1), (F(-5, 6), 3)))
+    closed = closed_form_charpoly(spec)
+    assert closed == reference.closed_form_charpoly(spec)
+    assert len(closed) == 7 and closed[-1] == 1
+    assert closed[0] == F(1, 4) * F(-1, 3) * F(5, 6) ** 3
 
 
 def test_charpoly_lemma_rank_three():
