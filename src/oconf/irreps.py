@@ -33,7 +33,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Dict, List, Sequence, Tuple
 
-from .linalg import EchelonBasis, SparseMat, nullspace_of_rows, rank_of_rows
+from .linalg import EchelonBasis, SparseMat, canon, nullspace_of_rows, rank_of_rows
 from .ortho import OrthoBasis, build_ortho, casimir_pairs
 from .weights import WeightVec, casimir_eigenvalue, is_dominant, natural_dim, weyl_dim
 
@@ -113,7 +113,7 @@ def _spin_rep(ob: OrthoBasis) -> Dict[str, SparseMat]:
         # a_i^+ or a_i, with the sign (-1)^(occupied modes below i) that
         # makes different modes anticommute
         return SparseMat(dim, dim, {
-            (s ^ (1 << i), s): Fraction(-1 if bin(s % (1 << i)).count("1") % 2 else 1)
+            (s ^ (1 << i), s): -1 if bin(s % (1 << i)).count("1") % 2 else 1
             for s in range(dim) if bool(s >> i & 1) != create
         })
 
@@ -122,13 +122,13 @@ def _spin_rep(ob: OrthoBasis) -> Dict[str, SparseMat]:
         gam[off + i] = ladder(i, True).scale(2)
         gam[off + n + i] = ladder(i, False)
     if off:
-        gam[0] = SparseMat(dim, dim, {(s, s): Fraction((-1) ** bin(s).count("1")) for s in range(dim)})
+        gam[0] = SparseMat(dim, dim, {(s, s): (-1) ** bin(s).count("1") for s in range(dim)})
     G = ob.split_form_matrix()
     rep = {}
     for i, el in enumerate(ob.elements):
         rho = SparseMat(dim, dim)
         for (a, b), c in (ob.matrix(i) * G).data.items():
-            rho = rho + (gam[a] * gam[b]).scale(c / 4)
+            rho = rho + (gam[a] * gam[b]).scale(Fraction(c, 4))
         rep[el.label] = rho
     return rep
 
@@ -150,7 +150,7 @@ def _kron_sum(left: Dict[str, SparseMat], right: Dict[str, SparseMat]) -> Dict[s
             for (a, b), v in right[label].data.items():
                 key = (i + a, i + b)
                 w = data.get(key)
-                w = v if w is None else w + v
+                w = v if w is None else canon(w + v)
                 if w:
                     data[key] = w
                 else:
@@ -210,7 +210,7 @@ class _CyclicModule:
         # breadth-first lowering; an image that is no combination of its
         # weight's vectors so far becomes the next vector of that weight
         self.vecs: Dict[Coords, List[Dict[int, Fraction]]] = {top: [v0]}
-        self.spans: Dict[Coords, EchelonBasis] = {top: EchelonBasis([{**v0, width: Fraction(1)}])}
+        self.spans: Dict[Coords, EchelonBasis] = {top: EchelonBasis([{**v0, width: 1}])}
         self.lowered: Dict[Coords, List[Dict[int, Dict[int, Fraction]]]] = {top: [{}]}
         queue = deque([(top, v0, self.lowered[top][0])])
         lowering = [(i, el.root) for i, el in enumerate(ob.elements) if el.kind == "neg"]
@@ -223,12 +223,12 @@ class _CyclicModule:
                 coeffs = span.coordinates(image, width)
                 if coeffs is None:
                     k = span.rank
-                    span.add({**image, width + k: Fraction(1)})
+                    span.add({**image, width + k: 1})
                     self.vecs.setdefault(target, []).append(image)
                     fresh: Dict[int, Dict[int, Fraction]] = {}
                     self.lowered.setdefault(target, []).append(fresh)
                     queue.append((target, image, fresh))
-                    coeffs = {k: Fraction(1)}
+                    coeffs = {k: 1}
                 known[i] = coeffs
 
     def act(self, i: int, vec: Dict[int, Fraction]) -> Dict[int, Fraction]:
@@ -239,7 +239,7 @@ class _CyclicModule:
             for r, v in cols[k].items():
                 w = out.get(r)
                 out[r] = x * v if w is None else w + x * v
-        return {r: v for r, v in out.items() if v}
+        return {r: canon(v) for r, v in out.items() if v}
 
     def irrep(self) -> IrrepData:
         """V(mu) in the basis of `vecs`, by weight in decreasing order; each

@@ -1,13 +1,21 @@
 """Exact sparse linear algebra over the rationals.
 
-Matrices are dictionaries mapping (row, col) to nonzero Fraction entries; the
-zero matrix is the empty dict.  Everything here is exact.  All elimination
+Matrices are dictionaries mapping (row, col) to nonzero entries; the zero
+matrix is the empty dict.  Everything here is exact.  All elimination
 goes through one incremental engine, `EchelonBasis`, which keeps primitive
 integer rows keyed by their leading column: ranks, span membership, kernels
 (by back-substitution) and coordinates in a basis all come from it.
 Characteristic polynomials come from an exact Hessenberg reduction over Q,
 then an integer recurrence over one common denominator.  No thresholds, no
 floating point.
+
+Every stored scalar -- a matrix entry, a sparse vector entry, a kernel
+vector or coordinate -- is canonical (`canon`): an int when it is
+integral, else a Fraction with denominator > 1.  So integral arithmetic
+runs on ints, at no cost to exactness or to output (an int equals, hashes
+and prints like the integral Fraction).  A float has no `denominator`, so
+`canon` rejects it.  Since int / int is a float, a true division that may
+see two ints builds its Fraction explicitly: Fraction(a, b), never a / b.
 
 One shortcut is a certificate, not an approximation: `ModPRank` is the
 incremental rank of a growing span modulo the prime MODULUS.  Rank mod p
@@ -29,11 +37,17 @@ Entry = Tuple[int, int]
 MODULUS = 2**61 - 1  # prime of rank_of_rows' full-rank certificate
 
 
-class SparseMat:
-    """Immutable-by-convention sparse matrix with Fraction entries.
+def canon(x):
+    """The canonical form of an exact scalar: an int when x is integral,
+    else x itself (a Fraction with denominator > 1)."""
+    return x.numerator if x.denominator == 1 else x
 
-    Stored zeros are never kept: `data` only holds nonzero values, so two
-    matrices are equal iff their dicts are equal.
+
+class SparseMat:
+    """Immutable-by-convention sparse matrix with exact entries.
+
+    Stored zeros are never kept: `data` only holds nonzero canonical values
+    (see `canon`), so two matrices are equal iff their dicts are equal.
     """
 
     __slots__ = ("rows", "cols", "data")
@@ -43,14 +57,15 @@ class SparseMat:
         self.cols = cols
         if data is None:
             data = {}
-        self.data = {k: v for k, v in data.items() if v != 0}
+        self.data = {k: canon(v) for k, v in data.items() if v != 0}
         for (i, j) in self.data:
             if not (0 <= i < rows and 0 <= j < cols):
                 raise ValueError(f"entry {(i, j)} outside {rows}x{cols} matrix")
 
     @classmethod
     def _trusted(cls, rows: int, cols: int, data: Dict[Entry, Fraction]) -> "SparseMat":
-        """Wrap data whose values are known nonzero and keys in bounds."""
+        """Wrap data whose values are known nonzero and canonical, and keys
+        in bounds."""
         m = object.__new__(cls)
         m.rows, m.cols, m.data = rows, cols, data
         return m
@@ -68,10 +83,10 @@ class SparseMat:
     @classmethod
     def identity(cls, n: int) -> "SparseMat":
         # n ones on the diagonal of an n x n matrix
-        return cls._trusted(n, n, {(i, i): Fraction(1) for i in range(n)})
+        return cls._trusted(n, n, {(i, i): 1 for i in range(n)})
 
     def get(self, i: int, j: int) -> Fraction:
-        return self.data.get((i, j), Fraction(0))
+        return self.data.get((i, j), 0)
 
     def is_zero(self) -> bool:
         return not self.data
@@ -89,7 +104,7 @@ class SparseMat:
             raise ValueError("shape mismatch")
         data = dict(self.data)
         for k, v in other.data.items():
-            data[k] = data.get(k, Fraction(0)) + v
+            data[k] = data.get(k, 0) + v
         return SparseMat(self.rows, self.cols, data)
 
     def add_scaled(self, other: "SparseMat", c) -> "SparseMat":
@@ -101,13 +116,13 @@ class SparseMat:
         """
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch")
-        c = Fraction(c)
+        c = canon(c)
         if c == 0 or not other.data:
             return self
         data = dict(self.data)
         for key, v in other.data.items():
             w = data.get(key)
-            w = c * v if w is None else w + c * v
+            w = canon(c * v if w is None else w + c * v)
             if w:
                 data[key] = w
             else:
@@ -116,17 +131,17 @@ class SparseMat:
         return SparseMat._trusted(self.rows, self.cols, data)
 
     def __sub__(self, other: "SparseMat") -> "SparseMat":
-        return self + other.scale(Fraction(-1))
+        return self + other.scale(-1)
 
     def __neg__(self) -> "SparseMat":
-        return self.scale(Fraction(-1))
+        return self.scale(-1)
 
     def scale(self, c) -> "SparseMat":
-        c = Fraction(c)
+        c = canon(c)
         if c == 0:
             return SparseMat(self.rows, self.cols)
         # c * v != 0 for c, v != 0, and the keys are self's
-        return SparseMat._trusted(self.rows, self.cols, {k: c * v for k, v in self.data.items()})
+        return SparseMat._trusted(self.rows, self.cols, {k: canon(c * v) for k, v in self.data.items()})
 
     def __mul__(self, other: "SparseMat") -> "SparseMat":
         if self.cols != other.rows:
@@ -139,7 +154,7 @@ class SparseMat:
         for (i, k), a in self.data.items():
             for (j, b) in by_row.get(k, ()):
                 key = (i, j)
-                data[key] = data.get(key, Fraction(0)) + a * b
+                data[key] = data.get(key, 0) + a * b
         return SparseMat(self.rows, other.cols, data)
 
     def transpose(self) -> "SparseMat":
@@ -147,13 +162,13 @@ class SparseMat:
         return SparseMat._trusted(self.cols, self.rows, {(j, i): v for (i, j), v in self.data.items()})
 
     def trace(self) -> Fraction:
-        return sum((v for (i, j), v in self.data.items() if i == j), Fraction(0))
+        return canon(sum((v for (i, j), v in self.data.items() if i == j), 0))
 
     def kron(self, other: "SparseMat") -> "SparseMat":
         data = {}
         for (i, j), a in self.data.items():
             for (r, s), b in other.data.items():
-                data[(i * other.rows + r, j * other.cols + s)] = a * b
+                data[(i * other.rows + r, j * other.cols + s)] = canon(a * b)
         # each key is set once, to a product of two nonzeros; i * other.rows + r
         # < self.rows * other.rows, and likewise for columns
         return SparseMat._trusted(self.rows * other.rows, self.cols * other.cols, data)
@@ -201,7 +216,7 @@ class SparseMat:
                 for i, v in by_col.get(j, ()):
                     w = acc.get(i)
                     acc[i] = v * c if w is None else w + v * c
-            out.append({i: v for i, v in acc.items() if v})
+            out.append({i: canon(v) for i, v in acc.items() if v})
         return out
 
     def apply(self, vec: Dict[int, Fraction]) -> Dict[int, Fraction]:
@@ -209,7 +224,7 @@ class SparseMat:
         return self.apply_all([vec])[0]
 
     def to_dense(self) -> List[List[Fraction]]:
-        out = [[Fraction(0)] * self.cols for _ in range(self.rows)]
+        out = [[0] * self.cols for _ in range(self.rows)]
         for (i, j), v in self.data.items():
             out[i][j] = v
         return out
@@ -301,21 +316,21 @@ class EchelonBasis:
         keeps no column below it, and then the residual is a multiple of
         e_(width+r) - sum c_k e_(width+k)."""
         marker = width + self.rank
-        res = self.reduce({**vec, marker: Fraction(1)})
+        res = self.reduce({**vec, marker: 1})
         if min(res) < width:
             return None
         m = res.pop(marker)
-        return {k - width: Fraction(-v, m) for k, v in sorted(res.items())}
+        return {k - width: canon(Fraction(-v, m)) for k, v in sorted(res.items())}
 
     def kernel_vector(self, free: Dict[int, Fraction]) -> Dict[int, Fraction]:
         """The x with R x = 0 (R the stored rows) that takes the given values
         on non-pivot columns, 0 on every other non-pivot column."""
-        x = {j: Fraction(v) for j, v in free.items() if v}
+        x = {j: canon(v) for j, v in free.items() if v}
         for p in sorted(self.rows, reverse=True):
             prow = self.rows[p]
-            s = sum((pv * x[j] for j, pv in prow.items() if j != p and j in x), Fraction(0))
+            s = sum((pv * x[j] for j, pv in prow.items() if j != p and j in x), 0)
             if s:
-                x[p] = -s / prow[p]
+                x[p] = canon(Fraction(-s, prow[p]))
         return x
 
 
@@ -418,11 +433,12 @@ def nullspace_of_rows(rows: Sequence[Dict[int, Fraction]], ncols: int) -> List[D
     """Basis of {x : R x = 0} for the row list R, as sparse column vectors:
     one vector per free column f, with x_f = 1 and 0 on the other free columns."""
     eb = EchelonBasis(rows)
-    return [eb.kernel_vector({f: Fraction(1)}) for f in range(ncols) if f not in eb.rows]
+    return [eb.kernel_vector({f: 1}) for f in range(ncols) if f not in eb.rows]
 
 
 def _hessenberg(dense: List[List[Fraction]]) -> List[List[Fraction]]:
-    """In-place similarity reduction to upper Hessenberg form."""
+    """In-place similarity reduction to upper Hessenberg form, with
+    canonical entries."""
     n = len(dense)
     H = dense
     for k in range(n - 2):
@@ -441,15 +457,15 @@ def _hessenberg(dense: List[List[Fraction]]) -> List[List[Fraction]]:
         for r in range(k + 2, n):
             if H[r][k] == 0:
                 continue
-            f = H[r][k] / p
+            f = canon(Fraction(H[r][k], p))
             hr = H[r]
             h1 = H[k + 1]
             for c in range(k, n):
                 if h1[c]:
-                    hr[c] -= f * h1[c]
+                    hr[c] = canon(hr[c] - f * h1[c])
             for rr in range(n):
                 if H[rr][r]:
-                    H[rr][k + 1] += f * H[rr][r]
+                    H[rr][k + 1] = canon(H[rr][k + 1] + f * H[rr][r])
     return H
 
 

@@ -31,7 +31,7 @@ from math import lcm
 from operator import add
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .linalg import SparseMat
+from .linalg import SparseMat, canon
 from .ortho import OrthoBasis, _unit, build_conformal, build_ortho
 from .poly import DiffOp, Poly, bracket as dbracket, monomial_basis
 from .weights import WeightVec, natural_dim
@@ -95,7 +95,7 @@ class ExtendedOp:
         nv = self.num_vars
         out = []
         for e, M in sorted(self.gl.items()):
-            central = M.trace() / nv
+            central = canon(Fraction(M.trace(), nv))
             rest = M - SparseMat.identity(nv).scale(central)
             coeffs = ob.expand(rest)  # raises if not in the orthogonal span
             out.append((e, central, coeffs))
@@ -127,7 +127,7 @@ def shen_closed_forms(n: int, series: str) -> Dict[str, ExtendedOp]:
     zero = (0,) * nv
 
     def E(a: int, b: int, s: int = 1) -> SparseMat:
-        return SparseMat(nv, nv, {(conf.var_pos(a), conf.var_pos(b)): Fraction(s)})
+        return SparseMat(nv, nv, {(conf.var_pos(a), conf.var_pos(b)): s})
 
     eye = SparseMat.identity(nv)
     var_range = range(1, 2 * n + 1) if series == "D" else range(0, 2 * n + 1)
@@ -347,7 +347,7 @@ class ConformalModule:
                 field.setdefault(tuple(a - b for a, b in zip(m, beta)), []).append((i, c))
         blocks: Dict[Exps, SparseMat] = {}
         for ge, central, coeffs in _split(self.n, self.series, label):
-            block = SparseMat.identity(self.dim_v).scale(central * self.b)
+            block = SparseMat.identity(self.dim_v).scale(central * canon(self.b))
             for sidx, sc in coeffs.items():
                 block = block + self.irrep.rep[self._small_labels[sidx]].scale(sc)
             blocks[ge] = block

@@ -64,7 +64,7 @@ class OrthoBasis:
         data: Dict[Tuple[int, int], Fraction] = {}
         for a, b, s in e.eterms:
             key = (self._pos(a), self._pos(b))
-            data[key] = data.get(key, Fraction(0)) + s
+            data[key] = data.get(key, 0) + s
         return SparseMat(self.m, self.m, data)
 
     def __len__(self) -> int:
@@ -112,11 +112,11 @@ class OrthoBasis:
         data = {}
         n = self.n
         if self.series == "B":
-            data[(0, 0)] = Fraction(1)
+            data[(0, 0)] = 1
         off = 0 if self.series == "D" else 1
         for i in range(n):
-            data[(off + i, off + n + i)] = Fraction(1)
-            data[(off + n + i, off + i)] = Fraction(1)
+            data[(off + i, off + n + i)] = 1
+            data[(off + n + i, off + i)] = 1
         return SparseMat(self.m, self.m, data)
 
 
@@ -574,7 +574,7 @@ def casimir_pairs(ob: OrthoBasis) -> List[Tuple[SparseMat, SparseMat]]:
     n = ob.n
 
     def E(a: int, b: int) -> SparseMat:
-        return SparseMat(ob.m, ob.m, {(ob._pos(a), ob._pos(b)): Fraction(1)})
+        return SparseMat(ob.m, ob.m, {(ob._pos(a), ob._pos(b)): 1})
 
     pairs: List[Tuple[SparseMat, SparseMat]] = []
     for i in range(1, n + 1):

@@ -1,6 +1,6 @@
 """Exact multivariate polynomials and normal-ordered differential operators.
 
-A Poly maps exponent tuples to nonzero Fraction coefficients.  A DiffOp is a
+A Poly maps exponent tuples to nonzero exact coefficients.  A DiffOp is a
 finite sum  sum_beta  p_beta(x) * d^beta  stored in normal order (polynomial
 coefficients to the left of all derivatives); composition re-normal-orders via
 the generalized Leibniz rule, so two operators are equal as operators iff
@@ -12,8 +12,13 @@ rule d^b1 x^e2 = sum_gamma prod_i C(b1_i, g_i) (e2_i)_(g_i) x^(e2 - gamma)
 d^(b1 - gamma) is applied once per (b1, b2, e2), its expansion memoized per
 (b1, e2), accumulating integers into one {beta: {monomial: int}} dict.
 `bracket` runs the kernel for a.b and, with sign -1, for b.a into the same
-dict.  Each nonzero sum v becomes one Fraction(v, den_a * den_b) at the end,
-so the result is exact and canonical.
+dict.  Each nonzero sum v becomes one v / (den_a * den_b) at the end, so the
+result is exact and in normal order.
+
+Every coefficient is canonical, as in `linalg` (`canon`): an int when it is
+integral, else a Fraction with denominator > 1; a float is rejected.  So
+v / den above is v // den when den divides v and Fraction(v, den)
+otherwise, never the float v / den.
 """
 
 from __future__ import annotations
@@ -24,6 +29,8 @@ from itertools import product
 from math import comb, lcm, perm
 from operator import add, sub
 from typing import Dict, List, Optional, Tuple
+
+from .linalg import canon
 
 Exps = Tuple[int, ...]
 
@@ -38,21 +45,17 @@ def monomial_basis(num_vars: int, k: int) -> List[Exps]:
         raise ValueError("degree must be nonnegative")
     if num_vars == 0:
         return [()] if k == 0 else []
-    out: List[Exps] = []
-
-    def rec(prefix: Tuple[int, ...], remaining: int, vars_left: int):
-        if vars_left == 1:
-            out.append(prefix + (remaining,))
-            return
-        for a in range(remaining, -1, -1):
-            rec(prefix + (a,), remaining - a, vars_left - 1)
-
-    rec((), k, num_vars)
+    # the last entry holds the degree still to place; splitting it into
+    # (a, rest) with a descending keeps each round in lex-descending order
+    out: List[Exps] = [(k,)]
+    for _ in range(num_vars - 1):
+        out = [e[:-1] + (a, e[-1] - a) for e in out for a in range(e[-1], -1, -1)]
     return out
 
 
 class Poly:
-    """Polynomial with exact rational coefficients."""
+    """Polynomial with nonzero canonical coefficients (int or Fraction with
+    denominator > 1, see the module docstring)."""
 
     __slots__ = ("num_vars", "terms")
 
@@ -66,12 +69,13 @@ class Poly:
                 continue
             if len(e) != num_vars:
                 raise ValueError(f"exponent {e} has wrong arity for {num_vars} variables")
-            clean[e] = c
+            clean[e] = canon(c)
         self.terms = clean
 
     @classmethod
     def _trusted(cls, num_vars: int, terms: Dict[Exps, Fraction]) -> "Poly":
-        """Wrap terms already known to be nonzero and of the right arity."""
+        """Wrap terms already known to be nonzero, canonical and of the right
+        arity."""
         p = object.__new__(cls)
         p.num_vars, p.terms = num_vars, terms
         return p
@@ -82,17 +86,17 @@ class Poly:
 
     @classmethod
     def const(cls, num_vars: int, c) -> "Poly":
-        return cls(num_vars, {(0,) * num_vars: Fraction(c)})
+        return cls(num_vars, {(0,) * num_vars: c})
 
     @classmethod
     def var(cls, num_vars: int, i: int) -> "Poly":
         e = [0] * num_vars
         e[i] = 1
-        return cls(num_vars, {tuple(e): Fraction(1)})
+        return cls(num_vars, {tuple(e): 1})
 
     @classmethod
     def monomial(cls, num_vars: int, exps: Exps, c=1) -> "Poly":
-        return cls(num_vars, {tuple(exps): Fraction(c)})
+        return cls(num_vars, {tuple(exps): c})
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -109,7 +113,7 @@ class Poly:
         self._check(other)
         terms = dict(self.terms)
         for e, c in other.terms.items():
-            terms[e] = terms.get(e, Fraction(0)) + c
+            terms[e] = terms.get(e, 0) + c
         return Poly(self.num_vars, terms)
 
     def __sub__(self, other: "Poly") -> "Poly":
@@ -119,7 +123,7 @@ class Poly:
         return self.scale(-1)
 
     def scale(self, c) -> "Poly":
-        c = Fraction(c)
+        c = canon(c)
         return Poly(self.num_vars, {e: c * v for e, v in self.terms.items()})
 
     def __mul__(self, other: "Poly") -> "Poly":
@@ -128,7 +132,7 @@ class Poly:
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 e = tuple(a + b for a, b in zip(e1, e2))
-                terms[e] = terms.get(e, Fraction(0)) + c1 * c2
+                terms[e] = terms.get(e, 0) + c1 * c2
         return Poly(self.num_vars, terms)
 
     def diff(self, i: int) -> "Poly":
@@ -138,7 +142,7 @@ class Poly:
                 continue
             ne = list(e)
             ne[i] -= 1
-            terms[tuple(ne)] = terms.get(tuple(ne), Fraction(0)) + c * e[i]
+            terms[tuple(ne)] = terms.get(tuple(ne), 0) + c * e[i]
         return Poly(self.num_vars, terms)
 
     def diff_multi(self, beta: Exps) -> "Poly":
@@ -159,7 +163,7 @@ class Poly:
                 ne[i] -= b
             if ok and coeff != 0:
                 key = tuple(ne)
-                terms[key] = terms.get(key, Fraction(0)) + coeff
+                terms[key] = terms.get(key, 0) + coeff
         return Poly(self.num_vars, terms)
 
     def degree(self) -> int:
@@ -354,7 +358,7 @@ def _finish(num_vars: int, acc: _Acc, den: int) -> DiffOp:
     """The DiffOp with coefficients acc / den, zero terms dropped."""
     terms = {}
     for beta, ints in acc.items():
-        coeffs = {m: Fraction(v, den) for m, v in ints.items() if v}
+        coeffs = {m: v // den if v % den == 0 else Fraction(v, den) for m, v in ints.items() if v}
         if coeffs:
             terms[beta] = Poly._trusted(num_vars, coeffs)
     return DiffOp._trusted(num_vars, terms)

@@ -292,7 +292,7 @@ def generation_closure_scan(mod: ConformalModule, max_degree: int) -> Dict[int, 
     spans = {k: EchelonBasis() for k in range(top + 1)}
     dims = {k: mod.slice_dim(k) for k in range(top + 1)}
     for i in range(dims[SEED_DEGREE]):
-        spans[SEED_DEGREE].add({i: Fraction(1)})
+        spans[SEED_DEGREE].add({i: 1})
     labels = mod.conf.labels()
     pushed: Dict[Tuple[str, int], int] = {}
     changed = True

@@ -1,12 +1,19 @@
 """Reference algorithms that the tests hold the engine against."""
 
+from contextlib import contextmanager
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from oconf.linalg import EchelonBasis, vectors_contained_in_span
 from oconf.mixed import ConformalModule
 from oconf.reducibility import SEED_DEGREE, SLACK, SubmoduleWitness
 from oconf.weights import Spectrum
+
+
+def is_canonical(v) -> bool:
+    """The stored form of an exact scalar: an int, or a Fraction that is
+    not integral (no float, no Fraction(n, 1))."""
+    return type(v) is int or (type(v) is Fraction and v.denominator > 1)
 
 
 def solve_row_combination(rows: Sequence[Dict[int, Fraction]], target: Dict[int, Fraction]) -> Optional[List[Fraction]]:
@@ -91,3 +98,33 @@ def submodule_closure_failures(witness: SubmoduleWitness) -> Set[str]:
             if images and not vectors_contained_in_span(images, witness.basis[kt]):
                 failing.add(lbl)
     return failing
+
+
+_COUNTED_OPS = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__", "__truediv__", "__rtruediv__")
+
+
+@contextmanager
+def integral_fraction_ops() -> Iterator[Callable[[], int]]:
+    """Count the Fraction arithmetic calls whose two operands are both
+    integral, inside the block; yields a function returning the count.
+
+    Integral scalars are stored as ints, so such a call means a
+    `Fraction(n, 1)` got in somewhere.  The Fraction operators are wrapped
+    for the duration of the block and restored on exit."""
+    count = [0]
+
+    def counted(op):
+        def wrapper(a, b):
+            if a.denominator == 1 and getattr(b, "denominator", None) == 1:
+                count[0] += 1
+            return op(a, b)
+        return wrapper
+
+    saved = {name: Fraction.__dict__[name] for name in _COUNTED_OPS}
+    try:
+        for name, op in saved.items():
+            setattr(Fraction, name, counted(op))
+        yield lambda: count[0]
+    finally:
+        for name, op in saved.items():
+            setattr(Fraction, name, op)

@@ -20,7 +20,7 @@ from oconf.irreps import (
 from oconf.linalg import SparseMat, rank_of_rows
 from oconf.ortho import build_ortho
 from oconf.weights import casimir_eigenvalue, parse_weight, pieri_decompose, weyl_dim, zero_weight
-from reference import solve_row_combination
+from reference import is_canonical, solve_row_combination
 
 F = Fraction
 
@@ -227,6 +227,25 @@ def test_matrix_columns_match_reference_solve(series, mus):
                 ref = solve_row_combination(cyc.vecs.get(target, []), cyc.act(i, vec))
                 assert ref is not None
                 assert cols[offsets[nu] + col] == {offsets[target] + r: x for r, x in enumerate(ref) if x}
+
+
+@pytest.mark.parametrize("series,mus", sorted(set(MU_BATTERY + LADDER)))
+def test_representation_matrices_are_canonical(series, mus):
+    mu = parse_weight(mus, series)
+    V = build_irrep(mu)
+    assert all(is_canonical(v) for M in V.rep.values() for v in M.data.values())
+    if not mu.is_zero():
+        # the cyclic module's vectors and their images, as stored
+        cyc = irreps._CyclicModule(mu)
+        vecs = [vec for found in cyc.vecs.values() for vec in found]
+        images = [cyc.act(i, vec) for i in range(len(V.basis)) for vec in vecs]
+        assert all(is_canonical(x) for vec in vecs + images for x in vec.values())
+
+
+def test_kron_sum_entries_are_canonical():
+    half = {"h": SparseMat(2, 2, {(0, 0): F(1, 2), (1, 1): F(-1, 2)})}
+    got = irreps._kron_sum(half, half)["h"]
+    assert got.data == {(0, 0): 1, (3, 3): -1} and all(type(v) is int for v in got.data.values())
 
 
 def test_commutant_dimension_of_a_reducible_module(monkeypatch):

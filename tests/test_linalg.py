@@ -11,13 +11,14 @@ from oconf.linalg import (
     ModPRank,
     SparseMat,
     _full_rank_mod_p,
+    canon,
     charpoly,
     nullspace_of_rows,
     poly_eval,
     rank_of_rows,
     rational_roots,
 )
-from reference import solve_row_combination
+from reference import integral_fraction_ops, is_canonical, solve_row_combination
 
 
 def dense_random(rng, n, m, density=0.6, span=6):
@@ -181,7 +182,7 @@ def test_apply_all_matches_per_entry_apply():
         got = M.apply_all(vecs)
         assert got == [reference_apply(M, v) for v in vecs]
         assert [M.apply(v) for v in vecs] == got
-        assert all(type(x) is Fraction for img in got for x in img.values())
+        assert all(is_canonical(x) for img in got for x in img.values())
     assert SparseMat(2, 2, {(0, 0): Fraction(1), (1, 1): Fraction(1)}).apply_all([]) == []
 
 
@@ -198,7 +199,7 @@ def test_from_entries_sums_repeats_and_drops_zeros():
         SparseMat.from_entries(2, 3, [((2, 0), Fraction(1))])
     M = SparseMat.from_entries(1, 2, [((0, 0), Fraction(1, 2)), ((0, 1), Fraction(3)), ((0, 1), Fraction(1, 3))])
     assert M.data == {(0, 0): Fraction(1, 2), (0, 1): Fraction(10, 3)}
-    assert all(type(v) is Fraction for v in M.data.values())
+    assert all(is_canonical(v) for v in M.data.values())
 
 
 def test_add_scaled_matches_add_and_scale():
@@ -210,7 +211,7 @@ def test_add_scaled_matches_add_and_scale():
         for c in [Fraction(0), Fraction(1), Fraction(-3, 7), 2]:
             got = A.add_scaled(C, c)
             assert got == A + C.scale(c)
-            assert all(type(v) is Fraction for v in got.data.values())
+            assert all(is_canonical(v) for v in got.data.values())
 
 
 def test_add_scaled_drops_cancelled_entries():
@@ -222,6 +223,93 @@ def test_add_scaled_drops_cancelled_entries():
     assert A.data == {(0, 0): Fraction(3), (1, 1): Fraction(1, 2)}  # the operands are not touched
     with pytest.raises(ValueError):
         A.add_scaled(SparseMat(2, 3), 1)
+
+
+# -- canonical scalars: an int when integral, else a Fraction -----------------
+
+
+def assert_canonical(M):
+    assert all(is_canonical(v) for v in M.data.values()), M.data
+
+
+def test_sparse_operations_keep_entries_canonical():
+    rng = random.Random(15)
+    for _ in range(40):
+        n, m = rng.randint(1, 5), rng.randint(1, 5)
+        A, B = dense_random(rng, n, m), dense_random(rng, n, m)
+        S, T = dense_random(rng, n, n), dense_random(rng, n, n)
+        R = dense_random(rng, m, rng.randint(1, 5))
+        c = Fraction(rng.randint(-6, 6), rng.choice([1, 2, 3, 6]))
+        vecs = [{j: Fraction(rng.randint(-6, 6), rng.choice([1, 2, 3])) for j in range(m)} for _ in range(3)]
+        for M in (A, A + B, A - B, A - A, A.scale(c), A.scale(6), A.add_scaled(B, c), A.add_scaled(B, 6),
+                  A * R, S.bracket(T), A.kron(B), A.transpose(),
+                  SparseMat.from_entries(n, m, list(A.data.items()) + list(B.data.items()))):
+            assert_canonical(M)
+        assert all(is_canonical(x) for img in A.apply_all(vecs) for x in img.values())
+        assert is_canonical(S.trace()) and all(is_canonical(x) for row in S.to_dense() for x in row)
+
+
+def test_integral_results_are_ints():
+    half = SparseMat(1, 2, {(0, 0): Fraction(1, 2), (0, 1): Fraction(3, 2)})
+    two = SparseMat(2, 1, {(0, 0): Fraction(2), (1, 0): Fraction(4, 2)})
+    cases = {
+        "init": SparseMat(1, 1, {(0, 0): Fraction(4, 2)}),
+        "from_entries": SparseMat.from_entries(1, 1, [((0, 0), Fraction(1, 3)), ((0, 0), Fraction(2, 3))]),
+        "add": half + SparseMat(1, 2, {(0, 0): Fraction(1, 2), (0, 1): Fraction(-1, 2)}),
+        "sub": half - SparseMat(1, 2, {(0, 0): Fraction(-1, 2), (0, 1): Fraction(1, 2)}),
+        "scale": half.scale(2),
+        "add_scaled": half.add_scaled(half, Fraction(1)),
+        "mul": half * two,
+        "bracket": SparseMat(2, 2, {(0, 1): Fraction(1, 2)}).bracket(SparseMat(2, 2, {(1, 0): Fraction(2)})),
+        "kron": half.kron(two),
+        "transpose": SparseMat(1, 1, {(0, 0): Fraction(3)}).transpose(),
+        "identity": SparseMat.identity(2),
+    }
+    for name, M in cases.items():
+        assert M.data and all(type(v) is int for v in M.data.values()), (name, M.data)
+    assert half.apply_all([{0: 2, 1: Fraction(2, 3)}]) == [{0: 2}] and type(half.apply({0: 4})[0]) is int
+    assert type(half.get(0, 0)) is Fraction and type(half.get(1, 1)) is int
+    assert type(SparseMat(2, 2, {(0, 0): Fraction(1, 2), (1, 1): Fraction(1, 2)}).trace()) is int and type(SparseMat(1, 1).to_dense()[0][0]) is int
+
+
+def test_integral_fraction_scalars_cost_no_fraction_arithmetic():
+    A = SparseMat(2, 2, {(0, 0): 3, (0, 1): -1, (1, 1): 2})
+    with integral_fraction_ops() as count:
+        got = [A.scale(Fraction(2)), A.add_scaled(A, Fraction(-2)), A.add_scaled(SparseMat.identity(2), Fraction(4, 2))]
+    assert count() == 0
+    assert [M.data for M in got] == [{(0, 0): 6, (0, 1): -2, (1, 1): 4}, {(0, 0): -3, (0, 1): 1, (1, 1): -2},
+                                     {(0, 0): 5, (0, 1): -1, (1, 1): 4}]
+
+
+def test_float_entries_are_rejected():
+    with pytest.raises(AttributeError):
+        SparseMat(1, 1, {(0, 0): 0.5})
+    with pytest.raises(AttributeError):
+        SparseMat.identity(2).scale(0.5)
+    with pytest.raises(AttributeError):
+        canon(1.0)
+    assert type(canon(Fraction(6, 3))) is int and canon(Fraction(1, 3)) == Fraction(1, 3) and canon(True) == 1
+
+
+def test_echelon_outputs_are_canonical():
+    rng = random.Random(16)
+    for M in oracle_matrices(107):
+        kern = nullspace_of_rows(M.row_vectors(), M.cols)
+        assert all(is_canonical(x) for vec in kern for x in vec.values())
+        eb = EchelonBasis(M.row_vectors())
+        free = [f for f in range(M.cols) if f not in eb.rows]
+        vec = eb.kernel_vector({f: Fraction(rng.randint(1, 4), rng.choice([1, 2])) for f in free})
+        assert all(is_canonical(x) for x in vec.values()) and M.apply(vec) == {}
+    # coordinates in v_0 = (1/2, 1), v_1 = (0, 1/3): integral ones are ints
+    eb = EchelonBasis()
+    for k, row in enumerate([{0: Fraction(1, 2), 1: Fraction(1)}, {1: Fraction(1, 3)}]):
+        eb.add({**row, 2 + k: 1})
+    got = eb.coordinates({0: Fraction(1), 1: Fraction(3)}, 2)  # 2 v_0 + 3 v_1
+    assert got == {0: 2, 1: 3} and all(type(x) is int for x in got.values())
+    got = eb.coordinates({0: Fraction(1, 4), 1: Fraction(1, 2)}, 2)  # v_0 / 2
+    assert got == {0: Fraction(1, 2)} and is_canonical(got[0])
+    assert nullspace_of_rows([{0: Fraction(1, 2), 1: Fraction(-1, 2)}], 2) == [{0: 1, 1: 1}]
+    assert all(type(x) is int for x in nullspace_of_rows([{0: Fraction(1, 2), 1: Fraction(-1, 2)}], 2)[0].values())
 
 
 def test_solve_row_combination():

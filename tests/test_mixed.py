@@ -15,6 +15,7 @@ from oconf.mixed import (
 from oconf.ortho import build_conformal, theta_images
 from oconf.poly import DiffOp, Poly, bracket
 from oconf.weights import parse_weight, zero_weight
+from reference import integral_fraction_ops, is_canonical
 
 F = Fraction
 
@@ -246,7 +247,7 @@ def test_action_matrix_matches_per_monomial_reference(series, mus):
         for label in mod.conf.labels():
             M = mod.action_matrix(label, k)
             assert M == reference_action_matrix(mod, label, k), (label, k)
-            assert all(type(v) is F for v in M.data.values())
+            assert all(is_canonical(v) for v in M.data.values())
 
 
 def test_b_independent_structure_is_shared_across_b():
@@ -283,7 +284,7 @@ def test_sibling_action_matches_fresh_module_and_reference(series, mus):
                 for sib in sibs:
                     M = sib.action_matrix(label, k)
                     assert M.data == want.data and (M.rows, M.cols) == (want.rows, want.cols), (b, label, k)
-                    assert all(type(v) is F for v in M.data.values())
+                    assert all(is_canonical(v) for v in M.data.values())
 
 
 @pytest.mark.parametrize("series,mus", SIBLING_WEIGHTS)
@@ -379,3 +380,40 @@ def test_sibling_columns_after_the_base_filled_its_memo(series, mus):
                 want = fresh.action_matrix(label, k)
                 assert mod.action_columns(label, k, cols[k]) == want.col_vectors(), (mod.b, label, k)
                 assert mod.action_matrix(label, k) == want, (mod.b, label, k)
+
+
+@pytest.mark.parametrize("series,mus", [("D", "1,0"), ("B", "1/2,1/2"), ("D", "0,0")])
+def test_module_matrices_are_canonical(series, mus):
+    base = ConformalModule(parse_weight(mus, series), F(3, 7))
+    for mod in [base] + [base.at(b) for b in SIBLING_BS]:
+        for k in range(4):
+            mats = [mod.phi_matrix(k)]
+            for label in mod.conf.labels():
+                mats += [mod.action_matrix(label, k), mod.central_part(label, k)]
+            for M in mats:
+                assert all(is_canonical(v) for v in M.data.values()), (mod.b, k)
+
+
+def test_module_and_embedding_do_no_integral_fraction_arithmetic():
+    # integral scalars are ints, so building the module's matrices and
+    # checking the embedding never calls Fraction arithmetic on two
+    # integral operands; the weight tuples of the irrep builder still do
+    # (they are public Fractions), so V(mu) is built before counting
+    from oconf import mixed
+
+    mu = parse_weight("1,0", "D")
+    ConformalModule(mu, 0)
+    for cached in (build_conformal, mixed._embed, mixed._split):
+        cached.cache_clear()
+    with integral_fraction_ops() as count:
+        for b in (F(0), F(-11, 7)):
+            mod = ConformalModule(mu, b)
+            for k in range(4):
+                for label in mod.conf.labels():
+                    mod.action_matrix(label, k)
+        assert verify_shen_monomorphism(2, "D")["ok"]
+    assert count() == 0
+    with integral_fraction_ops() as count:
+        F(1, 2) + F(1, 2)
+        F(2) * 3
+    assert count() == 1 and F(2) * 3 == 6  # the count sees one and the operators are restored

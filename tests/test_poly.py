@@ -8,6 +8,7 @@ from math import comb, prod
 import pytest
 
 from oconf.poly import DiffOp, Poly, bracket, monomial_basis
+from reference import integral_fraction_ops, is_canonical
 
 
 def x(nv, i):
@@ -44,6 +45,12 @@ def test_monomial_basis_grlex():
     assert len(monomial_basis(4, 3)) == comb(6, 3)  # 20, by direct count
     for k in range(5):
         assert len(monomial_basis(3, k)) == comb(k + 2, 2)
+
+
+@pytest.mark.parametrize("num_vars,k", [(4, 3), (5, 4)])
+def test_monomial_basis_is_every_exponent_in_descending_lex_order(num_vars, k):
+    every = [e for e in product(range(k + 1), repeat=num_vars) if sum(e) == k]
+    assert monomial_basis(num_vars, k) == sorted(every, reverse=True)
 
 
 def test_apply_product_rule():
@@ -214,3 +221,31 @@ def test_composition_matches_leibniz_reference():
     for a, b in cases[-200:]:
         f = random_poly(rng, a.num_vars, deg=4, terms=4)
         assert (a @ b).apply(f) == a.apply(b.apply(f))
+
+
+def coefficients(op):
+    return [c for p in op.terms.values() for c in p.terms.values()]
+
+
+def test_composition_and_bracket_keep_coefficients_canonical():
+    rng = random.Random(15)
+    for _ in range(300):
+        nv = rng.randint(1, 3)
+        a, b = random_fraction_op(rng, nv), random_fraction_op(rng, nv)
+        for op in (a, a @ b, bracket(a, b), a.scale(Fraction(2, 3)), a.scale(6), a + b, a - b):
+            assert all(is_canonical(c) for c in coefficients(op))
+    # (1/2 x d) . (2 x) = x + x^2 d: the common denominator divides every sum
+    x0, d0 = x(1, 0), d(1, 0)
+    got = (mult(x0.scale(Fraction(1, 2))) @ d0) @ mult(x0.scale(2))
+    assert got == mult(x0) + mult(x0 * x0) @ d0
+    assert all(type(c) is int for c in coefficients(got))
+    assert all(type(c) is int for c in coefficients(bracket(mult(x0.scale(Fraction(1, 2))) @ d0, mult(x0.scale(4)))))
+    p = Poly(2, {(1, 0): Fraction(4, 2), (0, 1): Fraction(1, 2)})
+    assert type(p.terms[(1, 0)]) is int and type(p.scale(2).terms[(0, 1)]) is int
+    assert type(Poly.const(1, Fraction(3)).terms[(0,)]) is int
+    q = Poly(2, {(1, 0): 3, (0, 1): -5})
+    with integral_fraction_ops() as count:
+        assert q.scale(Fraction(2)) == Poly(2, {(1, 0): 6, (0, 1): -10})
+    assert count() == 0
+    with pytest.raises(AttributeError):
+        Poly(1, {(1,): 0.5})
