@@ -227,8 +227,19 @@ def cmd_suite(args) -> int:
     return 0 if all_ok else 1
 
 
+_ZERO_MU = ("0", "")  # with --n, --mu 0 is the zero weight of rank n
+
+
+def _mu_rank(args) -> Optional[int]:
+    """The rank (number of entries) of the --mu weight, or None without one."""
+    mu = getattr(args, "mu", None)
+    if mu is None or (hasattr(args, "n") and mu in _ZERO_MU):
+        return None
+    return len(mu.split(","))
+
+
 def _mu_or_zero(args) -> WeightVec:
-    if args.mu is None or args.mu in ("0", ""):
+    if args.mu is None or args.mu in _ZERO_MU:
         n = args.n if args.n is not None else 2
         return zero_weight(args.series, n)
     mu = parse_weight(args.mu, args.series)
@@ -307,9 +318,13 @@ def _attach_negative_b(argv: list) -> list:
 def main(argv: Optional[list] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(_attach_negative_b(sys.argv[1:] if argv is None else argv))
-    n = getattr(args, "n", None)  # every verb with --n has --series
-    if n is not None and n < MIN_RANK[args.series]:
-        return _fail_usage(f"--n {n} is below the least rank {MIN_RANK[args.series]} of series {args.series}")
+    least = MIN_RANK[args.series]  # every verb has --series
+    below = f"is below the least rank {least} of series {args.series}"
+    n, rank = getattr(args, "n", None), _mu_rank(args)
+    if n is not None and n < least:
+        return _fail_usage(f"--n {n} {below}")
+    if rank is not None and rank < least:
+        return _fail_usage(f"the rank {rank} of --mu {args.mu} {below}")
     try:
         return COMMANDS[args.command](args)
     except CapExceeded as exc:

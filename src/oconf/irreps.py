@@ -23,6 +23,11 @@ is one more reduction against the target weight's echelon form.  The cost
 follows dim V(lambda) (x) W, not the size of a Verma module.  Everything is
 exact, and the kernel dimension, the Weyl dimension and every solve are
 checked.  This is uniform over integer and spin (half-integer) weights.
+
+Weights are doubled ints inside (`WeightVec.twice`, and twice each root):
+the per-weight dicts are keyed by them and shifted by integer sums.  Only
+`IrrepData.weights` holds `WeightVec`s, whose coordinates are Fractions; it
+lists them in decreasing order, which is the order of the doubled keys.
 """
 
 from __future__ import annotations
@@ -31,13 +36,12 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import add, sub
 from typing import Dict, List, Sequence, Tuple
 
 from .linalg import EchelonBasis, SparseMat, canon, nullspace_of_rows, rank_of_rows
 from .ortho import OrthoBasis, build_ortho, casimir_pairs
-from .weights import WeightVec, casimir_eigenvalue, is_dominant, natural_dim, weyl_dim
-
-Coords = Tuple[Fraction, ...]
+from .weights import Twice, WeightVec, casimir_eigenvalue, doubled, is_dominant, natural_dim, weyl_dim
 
 DEFAULT_DIM_CAP = 512
 
@@ -164,7 +168,8 @@ class _CyclicModule:
     """The cyclic submodule of V(lambda) (x) W generated by its highest-weight
     vector of weight mu (mu nonzero and dominant; see the module docstring).
 
-    `vecs[nu]` lists its basis vectors of weight nu in the order found, and
+    `vecs[nu]` lists its basis vectors of doubled weight nu in the order
+    found (generator i moves a vector's weight by `shifts[i]`), and
     `spans[nu]` holds them as one echelon form whose rows are augmented by a
     1 in column `width` + (the vector's index), so `spans[nu].coordinates`
     solves any image for its coordinates by a single reduction.  `lowered`
@@ -175,23 +180,24 @@ class _CyclicModule:
     def __init__(self, mu: WeightVec):
         ob = self.ob = build_ortho(natural_dim(mu.series, mu.n))
         self.mu = mu
-        top = mu.coords
-        if top[-1].denominator == 1:
+        top = mu.twice
+        if top[-1] % 2 == 0:
             factor = _natural_rep(ob)
             for j, c in enumerate(top):
-                lam = mu.add_unit(j + 1, -1 if c > 0 else 1)
-                if c and is_dominant(lam):
-                    break
+                if c:
+                    lam = mu.add_unit(j + 1, -1 if c > 0 else 1)
+                    if is_dominant(lam):
+                        break
         else:
             factor = _spin_rep(ob)
-            step = [Fraction(1, 2)] * (mu.n - 1) + [Fraction(1 if top[-1] > 0 else -1, 2)]
-            lam = WeightVec(mu.series, tuple(c - s for c, s in zip(top, step)))
+            step = [1] * (mu.n - 1) + [1 if top[-1] > 0 else -1]
+            lam = WeightVec.from_twice(mu.series, tuple(map(sub, top, step)))
         tensor = _kron_sum(factor, _build(lam).rep)
         ambient = [tensor[el.label] for el in ob.elements]
         self.cols = cols = [M.col_vectors() for M in ambient]
-        cartan = ob.cartan_indices()
+        cartan = [ambient[t] for t in ob.cartan_indices()]
         width = self.width = ambient[0].rows
-        at_top = [k for k in range(width) if tuple(ambient[t].get(k, k) for t in cartan) == top]
+        at_top = [k for k in range(width) if tuple(doubled(h.get(k, k)) for h in cartan) == top]
 
         # highest-weight vectors of weight mu: the raising operators' common kernel
         eqs: List[Dict[int, Fraction]] = []
@@ -209,16 +215,18 @@ class _CyclicModule:
 
         # breadth-first lowering; an image that is no combination of its
         # weight's vectors so far becomes the next vector of that weight
-        self.vecs: Dict[Coords, List[Dict[int, Fraction]]] = {top: [v0]}
-        self.spans: Dict[Coords, EchelonBasis] = {top: EchelonBasis([{**v0, width: 1}])}
-        self.lowered: Dict[Coords, List[Dict[int, Dict[int, Fraction]]]] = {top: [{}]}
+        self.vecs: Dict[Twice, List[Dict[int, Fraction]]] = {top: [v0]}
+        self.spans: Dict[Twice, EchelonBasis] = {top: EchelonBasis([{**v0, width: 1}])}
+        self.lowered: Dict[Twice, List[Dict[int, Dict[int, Fraction]]]] = {top: [{}]}
         queue = deque([(top, v0, self.lowered[top][0])])
-        lowering = [(i, el.root) for i, el in enumerate(ob.elements) if el.kind == "neg"]
+        # the doubled weight shift of each generator: twice its root
+        self.shifts = [(0,) * mu.n if el.root is None else tuple(2 * c for c in el.root) for el in ob.elements]
+        lowering = [(i, self.shifts[i]) for i, el in enumerate(ob.elements) if el.kind == "neg"]
         while queue:
             nu, vec, known = queue.popleft()
             for i, root in lowering:
                 image = self.act(i, vec)
-                target = tuple(a + b for a, b in zip(nu, root))
+                target = tuple(map(add, nu, root))
                 span = self.spans.setdefault(target, EchelonBasis())
                 coeffs = span.coordinates(image, width)
                 if coeffs is None:
@@ -232,35 +240,35 @@ class _CyclicModule:
                 known[i] = coeffs
 
     def act(self, i: int, vec: Dict[int, Fraction]) -> Dict[int, Fraction]:
-        """Generator i of the tensor action applied to vec."""
+        """Generator i of the tensor action applied to vec.  Every product
+        and partial sum is canonical, so no integral Fraction is added."""
         out: Dict[int, Fraction] = {}
         cols = self.cols[i]
         for k, x in vec.items():
             for r, v in cols[k].items():
+                p = canon(x * v)
                 w = out.get(r)
-                out[r] = x * v if w is None else w + x * v
-        return {r: canon(v) for r, v in out.items() if v}
+                out[r] = p if w is None else canon(w + p)
+        return {r: v for r, v in out.items() if v}
 
     def irrep(self) -> IrrepData:
         """V(mu) in the basis of `vecs`, by weight in decreasing order; each
         generator's matrix column is the coordinates of a vector's image."""
         mu, ob = self.mu, self.ob
         dim = weyl_dim(mu)
-        offsets: Dict[Coords, int] = {}
+        offsets: Dict[Twice, int] = {}
         weights: List[WeightVec] = []
         for nu in sorted(self.vecs, reverse=True):
             offsets[nu] = len(weights)
-            weights.extend(WeightVec(mu.series, nu) for _ in self.vecs[nu])
+            weights.extend([WeightVec.from_twice(mu.series, nu)] * len(self.vecs[nu]))
         if len(weights) != dim:
             raise AssertionError(f"constructed dimension {len(weights)} != Weyl dimension {dim}")
 
         rep: Dict[str, SparseMat] = {}
-        zero = tuple(Fraction(0) for _ in mu.coords)
-        for i, el in enumerate(ob.elements):
-            shift = el.root if el.root is not None else zero
+        for i, (el, shift) in enumerate(zip(ob.elements, self.shifts)):
             data: Dict[Tuple[int, int], Fraction] = {}
             for nu, off in offsets.items():
-                target = tuple(a + b for a, b in zip(nu, shift))
+                target = tuple(map(add, nu, shift))
                 span = self.spans.get(target, EchelonBasis())
                 base = offsets.get(target)
                 for col, (vec, known) in enumerate(zip(self.vecs[nu], self.lowered[nu])):
@@ -268,11 +276,12 @@ class _CyclicModule:
                     if coeffs is None:
                         coeffs = span.coordinates(self.act(i, vec), self.width)
                         if coeffs is None:
-                            raise AssertionError(f"{el.label} maps a vector of weight {nu} outside the cyclic submodule")
+                            raise AssertionError(f"{el.label} maps a vector of weight "
+                                             f"{WeightVec.from_twice(mu.series, nu)} outside the cyclic submodule")
                     for row, x in coeffs.items():
                         data[(base + row, off + col)] = x
             rep[el.label] = SparseMat(dim, dim, data)
-        return IrrepData(mu, dim, weights, rep, offsets[mu.coords], ob)
+        return IrrepData(mu, dim, weights, rep, offsets[mu.twice], ob)
 
 
 def _build(mu: WeightVec) -> IrrepData:

@@ -186,8 +186,10 @@ def verify_shen_monomorphism(n: int, series: str) -> Dict[str, object]:
     for a in range(len(labels)):
         for bdx in range(a + 1, len(labels)):
             la, lb = labels[a], labels[bdx]
-            lhs = shen_embed(dbracket(conf.op(la), conf.op(lb)))
+            # the field part of rhs is [conf.op(la), conf.op(lb)], so its
+            # embedding is the left side and the gl parts are what is compared
             rhs = embeds[la].bracket(embeds[lb])
+            lhs = shen_embed(rhs.field)
             if lhs != rhs:
                 failures.append({"identity": f"embed[{la},{lb}]", "status": "fail"})
     closed = shen_closed_forms(n, series)
@@ -299,7 +301,7 @@ class ConformalModule:
         if hit is None:
             n = self.n
             off = self.num_vars - 2 * n  # B's x_0 comes first
-            rws = [tuple(int(2 * c) for c in w.coords) for w in self.irrep.weights]
+            rws = [w.twice for w in self.irrep.weights]
             hit = []
             for e in self.monomials_of(k):
                 m = [2 * (e[off + i] - e[off + n + i]) for i in range(n)]

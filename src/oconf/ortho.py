@@ -24,7 +24,7 @@ from .linalg import SparseMat, rank_of_rows
 from .poly import DiffOp, Poly, bracket
 from .weights import MIN_RANK, natural_dim
 
-Root = Tuple[Fraction, ...]
+Root = Tuple[int, ...]  # integral, so ints (see `linalg.canon`)
 
 
 @dataclass(frozen=True)
@@ -150,7 +150,7 @@ def build_ortho(m: int) -> OrthoBasis:
     n = m // 2
 
     def root(*pairs) -> Root:
-        v = [Fraction(0)] * n
+        v = [0] * n
         for idx, c in pairs:
             v[idx - 1] += c
         return tuple(v)

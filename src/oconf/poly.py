@@ -12,8 +12,10 @@ rule d^b1 x^e2 = sum_gamma prod_i C(b1_i, g_i) (e2_i)_(g_i) x^(e2 - gamma)
 d^(b1 - gamma) is applied once per (b1, b2, e2), its expansion memoized per
 (b1, e2), accumulating integers into one {beta: {monomial: int}} dict.
 `bracket` runs the kernel for a.b and, with sign -1, for b.a into the same
-dict.  Each nonzero sum v becomes one v / (den_a * den_b) at the end, so the
-result is exact and in normal order.
+dict, both without their gamma = 0 terms: those are p1 p2 d^(b1 + b2) in
+either order, so they cancel exactly, whatever the operators' orders.  Each
+nonzero sum v becomes one v / (den_a * den_b) at the end, so the result is
+exact and in normal order.
 
 Every coefficient is canonical, as in `linalg` (`canon`): an int when it is
 integral, else a Fraction with denominator > 1; a float is rejected.  So
@@ -334,16 +336,17 @@ def _leibniz(b1: Exps, e2: Exps) -> Tuple[Tuple[Exps, Exps, int], ...]:
     return tuple(out)
 
 
-def _compose_into(acc: _Acc, left: _ScaledTerms, right: _ScaledTerms, sign: int):
+def _compose_into(acc: _Acc, left: _ScaledTerms, right: _ScaledTerms, sign: int, first: int = 0):
     """Add sign * (left . right) into acc, by one Leibniz pass per
     (b1, b2, e2): p1 d^b1 . c2 x^e2 d^b2 = sum_gamma k c2 p1 x^(e2 - gamma)
-    d^(b1 + b2 - gamma)."""
+    d^(b1 + b2 - gamma).  first = 1 leaves out the gamma = 0 term, which
+    `_leibniz` lists first."""
     for b1, p1 in left:
         for b2, p2 in right:
             b12 = tuple(map(add, b1, b2))
             for e2, c2 in p2:
                 c2 *= sign
-                for gamma, de, k in _leibniz(b1, e2):
+                for gamma, de, k in _leibniz(b1, e2)[first:]:
                     k *= c2
                     beta = tuple(map(sub, b12, gamma))
                     out = acc.get(beta)
@@ -366,11 +369,12 @@ def _finish(num_vars: int, acc: _Acc, den: int) -> DiffOp:
 
 def bracket(a: DiffOp, b: DiffOp) -> DiffOp:
     """Commutator a.b - b.a of differential operators, by two Leibniz passes
-    into one accumulator (both products have denominator den_a * den_b)."""
+    into one accumulator (both products have denominator den_a * den_b).
+    Neither pass adds its gamma = 0 terms: they cancel (module docstring)."""
     a._check(b)
     den_a, sa = _scaled_terms(a)
     den_b, sb = _scaled_terms(b)
     acc: _Acc = {}
-    _compose_into(acc, sa, sb, 1)
-    _compose_into(acc, sb, sa, -1)
+    _compose_into(acc, sa, sb, 1, first=1)
+    _compose_into(acc, sb, sa, -1, first=1)
     return _finish(a.num_vars, acc, den_a * den_b)

@@ -64,11 +64,12 @@ from .ortho import build_conformal
 from .poly import DiffOp, Poly, bracket
 from .weights import (
     LadderSet,
+    Twice,
     WeightVec,
     critical_b_set,
-    is_dominant,
+    is_dominant_twice,
     omega_tilde_spectrum,
-    weyl_orbit_size,
+    weyl_orbit_size_twice,
     zero_weight,
 )
 
@@ -135,11 +136,9 @@ class ScanResult:
 
 
 @lru_cache(maxsize=None)
-def _dominant_orbit_size(series: str, nu: Tuple[int, ...]) -> int:
-    """|W nu| if nu is dominant, else 0.  The chamber and the orbits do not
-    see the scale, so a doubled weight gives the answer of its half."""
-    w = WeightVec(series, nu)
-    return weyl_orbit_size(w) if is_dominant(w) else 0
+def _dominant_orbit_size(series: str, nu: Twice) -> int:
+    """|W nu| if the weight with doubled coordinates nu is dominant, else 0."""
+    return weyl_orbit_size_twice(series, nu) if is_dominant_twice(series, nu) else 0
 
 
 def _j_span_rank(mod: ConformalModule, level: int) -> int:

@@ -8,41 +8,59 @@ obstruct irreducibility of the generalized conformal module.
 
 Series tags: "D" for o(2n), "B" for o(2n+1).  Weight coordinates are
 half-integers; weights serialize as comma-separated rationals like "3/2,1/2".
+
+Inside the engine a weight is its doubled coordinates 2 mu, a tuple of ints
+(`WeightVec.twice`), and a root is a tuple of ints: dominance, Weyl orbits,
+Weyl dimensions and Casimir eigenvalues are integer arithmetic on those, and
+dicts keyed by weights hash ints.  `WeightVec.coords` holds the same weight as
+Fractions, the public view that prints, parses and serializes.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import factorial
+from operator import add, mul
 from typing import Dict, List, Optional, Sequence, Tuple
 
 SERIES = ("D", "B")
+MIN_RANK = {"D": 2, "B": 1}  # the least rank n of D_n = o(2n) and B_n = o(2n+1)
+
+Twice = Tuple[int, ...]  # doubled weight coordinates 2 mu
 
 
-def _half_integer(x: Fraction) -> bool:
-    return x.denominator in (1, 2)
-
-
-def _nonneg_integer(x: Fraction) -> bool:
-    return x.denominator == 1 and x >= 0
+def doubled(c) -> int:
+    """2c for a half-integer c, an int or a Fraction, by integer arithmetic."""
+    return 2 * c.numerator // c.denominator
 
 
 @dataclass(frozen=True)
 class WeightVec:
-    """A weight sum mu_i e_i of o(2n) (series D) or o(2n+1) (series B)."""
+    """A weight sum mu_i e_i of o(2n) (series D) or o(2n+1) (series B).
+
+    `twice` is 2 mu as ints, derived from `coords`; it takes no part in
+    equality or hashing."""
 
     series: str
     coords: Tuple[Fraction, ...]
+    twice: Twice = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.series not in SERIES:
             raise ValueError(f"unknown series {self.series!r}")
-        object.__setattr__(self, "coords", tuple(Fraction(c) for c in self.coords))
-        for c in self.coords:
-            if not _half_integer(c):
+        coords = tuple(Fraction(c) for c in self.coords)
+        for c in coords:
+            if c.denominator not in (1, 2):
                 raise ValueError(f"coordinate {c} is not a half-integer")
+        object.__setattr__(self, "coords", coords)
+        object.__setattr__(self, "twice", tuple(map(doubled, coords)))
+
+    @classmethod
+    def from_twice(cls, series: str, twice: Sequence[int]) -> "WeightVec":
+        """The weight whose doubled coordinates are `twice`."""
+        return cls(series, tuple(Fraction(t, 2) for t in twice))
 
     @property
     def n(self) -> int:
@@ -56,9 +74,9 @@ class WeightVec:
 
     def add_unit(self, i: int, delta: int) -> "WeightVec":
         """mu +- e_i (1-based index i)."""
-        c = list(self.coords)
-        c[i - 1] += delta
-        return WeightVec(self.series, tuple(c))
+        t = list(self.twice)
+        t[i - 1] += 2 * delta
+        return WeightVec.from_twice(self.series, t)
 
 
 def parse_weight(text: str, series: str) -> WeightVec:
@@ -68,9 +86,6 @@ def parse_weight(text: str, series: str) -> WeightVec:
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"cannot parse weight {text!r}: {exc}") from None
     return WeightVec(series, coords)
-
-
-MIN_RANK = {"D": 2, "B": 1}  # the least rank n of D_n = o(2n) and B_n = o(2n+1)
 
 
 def natural_dim(series: str, n: int) -> int:
@@ -91,26 +106,31 @@ def epsilon(series: str, n: int, i: int) -> WeightVec:
 
 def is_dominant(mu: WeightVec) -> bool:
     """Membership in the dominant integral cone of the series."""
-    c = mu.coords
-    n = mu.n
-    if mu.series == "D":
-        if n < 2:
-            return False
-        for i in range(n - 1):
-            if not _nonneg_integer(c[i] - c[i + 1]):
-                return False
-        return _nonneg_integer(c[n - 2] + c[n - 1])
-    # B series: coordinates in N/2 with integer descents
-    if n < 1:
+    return is_dominant_twice(mu.series, mu.twice)
+
+
+def is_dominant_twice(series: str, t: Twice) -> bool:
+    """`is_dominant` of the weight with doubled coordinates t: the descents
+    c_i - c_(i+1) are integers >= 0, and so is c_(n-1) + c_n for D; for B,
+    c_n >= 0.  Even descents leave every t_i of one parity, so
+    t_(n-1) + t_n is even and only its sign is left to check."""
+    n = len(t)
+    if n < MIN_RANK[series]:
         return False
     for i in range(n - 1):
-        if not _nonneg_integer(c[i] - c[i + 1]):
+        d = t[i] - t[i + 1]
+        if d < 0 or d & 1:
             return False
-    return c[n - 1] >= 0
+    return (t[n - 2] + t[n - 1] if series == "D" else t[n - 1]) >= 0
 
 
 def weyl_orbit_size(nu: WeightVec) -> int:
-    """|W nu| for the Weyl group W of the series.
+    """|W nu| for the Weyl group W of the series."""
+    return weyl_orbit_size_twice(nu.series, nu.twice)
+
+
+def weyl_orbit_size_twice(series: str, t: Twice) -> int:
+    """`weyl_orbit_size` of the weight with doubled coordinates t.
 
     W permutes the coordinates and changes their signs (an even number of
     sign changes for D), so |W nu| = n! / prod m_a! * 2^(#nonzero), the m_a
@@ -120,13 +140,13 @@ def weyl_orbit_size(nu: WeightVec) -> int:
     inequalities (D: c_1 >= ... >= c_{n-1} >= |c_n|; B: c_1 >= ... >= c_n
     >= 0) meets each orbit exactly once.
     """
-    mags = [abs(c) for c in nu.coords]
-    size = factorial(nu.n)
+    mags = [abs(c) for c in t]
+    size = factorial(len(t))
     for m in Counter(mags).values():
         size //= factorial(m)
     nonzero = sum(1 for c in mags if c)
     size <<= nonzero
-    if nu.series == "D" and nonzero == nu.n:
+    if series == "D" and nonzero == len(t):
         size //= 2
     return size
 
@@ -158,22 +178,24 @@ def jump_sequence(mu: WeightVec) -> JumpSeq:
     return JumpSeq(tuple(bounds))
 
 
+def _rho_twice(series: str, n: int) -> Twice:
+    """2 rho: 2(n - i) for D, 2(n - i) + 1 for B."""
+    if series not in SERIES:
+        raise ValueError(series)
+    odd = 1 if series == "B" else 0
+    return tuple(2 * (n - i) + odd for i in range(1, n + 1))
+
+
 def rho(series: str, n: int) -> WeightVec:
     """Half-sum of positive roots; B-series runs through i = n."""
-    if series == "D":
-        coords = tuple(Fraction(n - i) for i in range(1, n + 1))
-    elif series == "B":
-        coords = tuple(Fraction(2 * (n - i) + 1, 2) for i in range(1, n + 1))
-    else:
-        raise ValueError(series)
-    return WeightVec(series, coords)
+    return WeightVec.from_twice(series, _rho_twice(series, n))
 
 
-def positive_roots(series: str, n: int) -> List[Tuple[Fraction, ...]]:
-    roots: List[Tuple[Fraction, ...]] = []
+def positive_roots(series: str, n: int) -> List[Tuple[int, ...]]:
+    roots: List[Tuple[int, ...]] = []
 
-    def vec(i: int, j: int, sj: int) -> Tuple[Fraction, ...]:
-        v = [Fraction(0)] * n
+    def vec(i: int, j: int, sj: int) -> Tuple[int, ...]:
+        v = [0] * n
         v[i - 1] += 1
         v[j - 1] += sj
         return tuple(v)
@@ -184,33 +206,38 @@ def positive_roots(series: str, n: int) -> List[Tuple[Fraction, ...]]:
             roots.append(vec(i, j, +1))
     if series == "B":
         for r in range(1, n + 1):
-            v = [Fraction(0)] * n
-            v[r - 1] = Fraction(1)
+            v = [0] * n
+            v[r - 1] = 1
             roots.append(tuple(v))
     return roots
 
 
-def _inner(a: Sequence[Fraction], b: Sequence[Fraction]) -> Fraction:
-    return sum((x * y for x, y in zip(a, b)), Fraction(0))
+def _inner(a: Sequence[int], b: Sequence[int]) -> int:
+    return sum(map(mul, a, b))
 
 
 def weyl_dim(mu: WeightVec) -> int:
-    """Weyl dimension formula: prod over positive roots of (mu+rho,a)/(rho,a)."""
+    """Weyl dimension formula: prod over positive roots of (mu+rho,a)/(rho,a),
+    each ratio taken on doubled weights as (2mu+2rho,a)/(2rho,a)."""
     _require_dominant(mu)
-    r = rho(mu.series, mu.n).coords
-    shifted = tuple(m + x for m, x in zip(mu.coords, r))
-    num = Fraction(1)
+    r = _rho_twice(mu.series, mu.n)
+    shifted = tuple(map(add, mu.twice, r))
+    num = den = 1
     for alpha in positive_roots(mu.series, mu.n):
-        num *= _inner(shifted, alpha) / _inner(r, alpha)
-    if num.denominator != 1 or num <= 0:
-        raise ArithmeticError(f"non-integral Weyl dimension {num} for {mu}")
-    return int(num)
+        num *= _inner(shifted, alpha)
+        den *= _inner(r, alpha)
+    dim, rest = divmod(num, den)
+    if rest or dim <= 0:
+        raise ArithmeticError(f"non-integral Weyl dimension {Fraction(num, den)} for {mu}")
+    return dim
 
 
 def casimir_eigenvalue(mu: WeightVec) -> Fraction:
-    """(mu + 2 rho, mu): scalar action of the quadratic Casimir on V(mu)."""
-    r = rho(mu.series, mu.n).coords
-    return _inner(tuple(m + 2 * x for m, x in zip(mu.coords, r)), mu.coords)
+    """(mu + 2 rho, mu): scalar action of the quadratic Casimir on V(mu),
+    as (2mu + 4 rho, 2mu) / 4."""
+    t = mu.twice
+    r = _rho_twice(mu.series, mu.n)
+    return Fraction(_inner(tuple(m + 2 * x for m, x in zip(t, r)), t), 4)
 
 
 # ---------------------------------------------------------------------------
@@ -229,7 +256,7 @@ class PieriTerm:
 
 def pieri_terms(mu: WeightVec) -> List[PieriTerm]:
     _require_dominant(mu)
-    c = mu.coords
+    t = mu.twice
     n = mu.n
     js = jump_sequence(mu)
     s = js.s
@@ -243,18 +270,18 @@ def pieri_terms(mu: WeightVec) -> List[PieriTerm]:
         terms.append(PieriTerm("lower", i, mu.add_unit(i, -1)))
 
     if mu.series == "D":
-        if c[n - 2] + c[n - 1] > 0:
+        if t[n - 2] + t[n - 1] > 0:
             lower_count = s
         else:
-            lower_count = s - 2 + (1 if c[n - 1] == 0 else 0)
+            lower_count = s - 2 + (1 if t[n - 1] == 0 else 0)
         for i in range(1, max(lower_count, 0) + 1):
             lower_at(nb[i])
         for i in range(1, s + 1):
             raise_at(1 + nb[i - 1])
     else:
-        if c[n - 1] != 0:
+        if t[n - 1] != 0:
             terms.append(PieriTerm("same", 0, mu))
-        lower_count = s - (1 if c[n - 1] == 0 else 0) - (1 if c[n - 1] == Fraction(1, 2) else 0)
+        lower_count = s - (1 if t[n - 1] == 0 else 0) - (1 if t[n - 1] == 1 else 0)
         for i in range(1, max(lower_count, 0) + 1):
             lower_at(nb[i])
         for i in range(1, s + 1):

@@ -2,7 +2,8 @@
 
 from contextlib import contextmanager
 from fractions import Fraction
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from itertools import permutations, product
+from typing import Callable, Dict, FrozenSet, Iterator, List, Optional, Sequence, Set, Tuple
 
 from oconf.linalg import EchelonBasis, vectors_contained_in_span
 from oconf.mixed import ConformalModule
@@ -38,6 +39,53 @@ def solve_row_combination(rows: Sequence[Dict[int, Fraction]], target: Dict[int,
         return None  # inconsistent
     x = eb.kernel_vector({n: Fraction(-1)})
     return [x.get(i, Fraction(0)) for i in range(n)]
+
+
+def fraction_is_dominant(series: str, c: Sequence[Fraction]) -> bool:
+    """Dominance on Fraction coordinates: every descent c_i - c_(i+1) a
+    nonnegative integer; for D (n >= 2) also c_(n-1) + c_n, for B (n >= 1)
+    c_n >= 0."""
+    def nonneg_integer(x: Fraction) -> bool:
+        return x.denominator == 1 and x >= 0
+
+    n = len(c)
+    if n < (2 if series == "D" else 1):
+        return False
+    if not all(nonneg_integer(c[i] - c[i + 1]) for i in range(n - 1)):
+        return False
+    return nonneg_integer(c[n - 2] + c[n - 1]) if series == "D" else c[n - 1] >= 0
+
+
+def fraction_weyl_orbit(series: str, c: Sequence[Fraction]) -> FrozenSet[Tuple[Fraction, ...]]:
+    """The orbit of c under the Weyl group, by enumeration: every signed
+    permutation, with an even number of sign changes for D."""
+    n = len(c)
+    signed = [(x, -x) for x in c]
+    return frozenset(
+        tuple(signed[p][s] for p, s in zip(perm, flips))
+        for perm in permutations(range(n))
+        for flips in product((0, 1), repeat=n)
+        if series == "B" or sum(flips) % 2 == 0
+    )
+
+
+def fraction_weyl_dim(series: str, c: Sequence[Fraction]) -> int:
+    """prod over the positive roots a of (c + rho, a) / (rho, a), in
+    Fractions, for dominant c."""
+    n = len(c)
+    rho = [Fraction(2 * (n - i) + (series == "B"), 2) for i in range(1, n + 1)]
+    roots = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            for s in (1, -1):
+                roots.append({i: 1, j: s})
+    if series == "B":
+        roots += [{i: 1} for i in range(n)]
+    num = Fraction(1)
+    for root in roots:
+        num *= sum(a * (c[i] + rho[i]) for i, a in root.items()) / sum(a * rho[i] for i, a in root.items())
+    assert num.denominator == 1 and num > 0, (series, c, num)
+    return int(num)
 
 
 def closed_form_charpoly(spec: Spectrum) -> List[Fraction]:

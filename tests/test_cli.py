@@ -95,6 +95,27 @@ def test_rank_below_the_series_minimum_exits_2(capsys, verb, series, least, n):
     assert captured.err == f"error: --n {n} is below the least rank {least} of series {series}\n"
 
 
+@pytest.mark.parametrize("verb", [
+    ["build-irrep"], ["charpoly"], ["pieri"], ["scan", "--b", "1"], ["t-operator", "--b", "1"], ["classify", "--b", "1"],
+])
+def test_weight_rank_below_the_series_minimum_exits_2(capsys, verb):
+    # one message for a one-entry D weight, whichever verb reads it
+    rc = main([verb[0], "--series", "D", "--mu", "1"] + verb[1:])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err == "error: the rank 1 of --mu 1 is below the least rank 2 of series D\n"
+
+
+@pytest.mark.parametrize("verb", [["scan", "--b", "1", "--max-degree", "1"], ["classify", "--b", "1"]])
+def test_zero_mu_shorthand_takes_the_rank_of_n(capsys, verb):
+    # with --n, --mu 0 is the zero weight of rank n, not a weight of rank 1
+    for n in ("2", None):
+        rank = [] if n is None else ["--n", n]
+        rc, out = run(capsys, [verb[0], "--series", "D", "--mu", "0"] + rank + verb[1:] + ["--format", "json"])
+        assert rc in (0, 1) and json.loads(out)["mu"] == "0,0"
+
+
 def test_json_output_deterministic(capsys):
     argv = ["scan", "--series", "D", "--n", "2", "--mu", "1,0", "--b", "1/3", "--max-degree", "2", "--format", "json"]
     rc1, out1 = run(capsys, argv)

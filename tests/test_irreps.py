@@ -19,8 +19,17 @@ from oconf.irreps import (
 )
 from oconf.linalg import SparseMat, rank_of_rows
 from oconf.ortho import build_ortho
-from oconf.weights import casimir_eigenvalue, parse_weight, pieri_decompose, weyl_dim, zero_weight
-from reference import is_canonical, solve_row_combination
+from oconf.weights import (
+    casimir_eigenvalue,
+    is_dominant,
+    natural_dim,
+    parse_weight,
+    pieri_decompose,
+    weyl_dim,
+    weyl_orbit_size,
+    zero_weight,
+)
+from reference import integral_fraction_ops, is_canonical, solve_row_combination
 
 F = Fraction
 
@@ -217,16 +226,30 @@ def test_matrix_columns_match_reference_solve(series, mus):
     offsets, start = {}, 0
     for nu in sorted(cyc.vecs, reverse=True):
         offsets[nu], start = start, start + len(cyc.vecs[nu])
-    zero = (F(0),) * mu.n
+    # the keys are doubled weights, so a generator shifts them by twice its root
     for i, el in enumerate(V.basis.elements):
         cols = V.rep[el.label].col_vectors()
-        shift = el.root if el.root is not None else zero
+        shift = (0,) * mu.n if el.root is None else tuple(2 * c for c in el.root)
         for nu, vecs in cyc.vecs.items():
             target = tuple(a + b for a, b in zip(nu, shift))
             for col, vec in enumerate(vecs):
                 ref = solve_row_combination(cyc.vecs.get(target, []), cyc.act(i, vec))
                 assert ref is not None
                 assert cols[offsets[nu] + col] == {offsets[target] + r: x for r, x in enumerate(ref) if x}
+
+
+def test_construction_does_no_integral_fraction_arithmetic():
+    # weights are doubled ints and roots ints inside the builder, and every
+    # image is summed in canonical scalars: a cold V(mu), with its recursion,
+    # and the dominance, orbit and dimension kernels add no integral Fractions
+    mus = [parse_weight(w, s) for s, w in LADDER]
+    for mu in mus:
+        build_ortho(natural_dim(mu.series, mu.n))  # the shared basis, built once per m
+    with integral_fraction_ops() as count:
+        for mu in mus:
+            irreps._CyclicModule(mu).irrep()
+            is_dominant(mu), weyl_orbit_size(mu), weyl_dim(mu)
+    assert count() == 0
 
 
 @pytest.mark.parametrize("series,mus", sorted(set(MU_BATTERY + LADDER)))

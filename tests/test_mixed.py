@@ -8,6 +8,7 @@ import pytest
 from oconf.linalg import SparseMat, rank_of_rows
 from oconf.mixed import (
     ConformalModule,
+    ExtendedOp,
     shen_closed_forms,
     shen_embed,
     verify_shen_monomorphism,
@@ -417,3 +418,24 @@ def test_module_and_embedding_do_no_integral_fraction_arithmetic():
         F(1, 2) + F(1, 2)
         F(2) * 3
     assert count() == 1 and F(2) * 3 == 6  # the count sees one and the operators are restored
+
+
+def test_shen_check_sees_a_wrong_gl_part_of_the_bracket(monkeypatch):
+    # the left side embeds the field part of the right side, so only the gl
+    # parts are compared; a bracket that gets its gl part wrong must fail
+    right = ExtendedOp.bracket
+
+    def wrong(self, other):
+        out = right(self, other)
+        nv = out.num_vars
+        gl = dict(out.gl)
+        zero = (0,) * nv
+        gl[zero] = gl.get(zero, SparseMat(nv, nv)) + SparseMat(nv, nv, {(0, 1): 1})
+        return ExtendedOp(nv, out.field, gl)
+
+    assert verify_shen_monomorphism(2, "D")["ok"]
+    monkeypatch.setattr(ExtendedOp, "bracket", wrong)
+    r = verify_shen_monomorphism(2, "D")
+    assert not r["ok"]
+    assert len(r["bracket_failures"]) == r["pairs_checked"] == 105
+    assert not r["closed_form_failures"] and not r["containment_failures"]

@@ -129,6 +129,26 @@ def test_bracket_realizes_commutator_of_applications():
         assert lhs == rhs
 
 
+def random_op_of_order(rng, nv, order):
+    """Random operator of order <= `order` with rational coefficients."""
+    terms = {}
+    for _ in range(rng.randint(1, 4)):
+        beta = rng.choice(monomial_basis(nv, rng.randint(0, order)))
+        terms[beta] = random_poly(rng, nv, deg=3, terms=rng.randint(1, 3))
+    return DiffOp(nv, terms)
+
+
+@pytest.mark.parametrize("order", [1, 2, 3])
+def test_bracket_is_the_difference_of_the_compositions(order):
+    # the commutator kernel leaves out the gamma = 0 Leibniz terms of both
+    # products: they cancel for operators of any order, not only fields
+    rng = random.Random(700 + order)
+    for _ in range(40):
+        nv = rng.randint(1, 3)
+        a, b = random_op_of_order(rng, nv, order), random_op_of_order(rng, nv, rng.randint(0, order))
+        assert bracket(a, b) == a @ b - b @ a
+
+
 def test_composition_is_associative_and_normal_ordered():
     rng = random.Random(44)
     for _ in range(5):

@@ -7,12 +7,15 @@ from fractions import Fraction
 
 import pytest
 
+from oconf.mixed import ConformalModule
+from oconf.reducibility import _dominant_orbit_size
 from oconf.weights import (
     WeightVec,
     casimir_eigenvalue,
     critical_b_set,
     epsilon,
     is_dominant,
+    is_dominant_twice,
     jump_sequence,
     omega_tilde_spectrum,
     parse_weight,
@@ -22,8 +25,10 @@ from oconf.weights import (
     split_casimir_eigenvalue,
     weyl_dim,
     weyl_orbit_size,
+    weyl_orbit_size_twice,
     zero_weight,
 )
+from reference import fraction_is_dominant, fraction_weyl_dim, fraction_weyl_orbit
 
 F = Fraction
 
@@ -207,3 +212,49 @@ def test_weyl_orbit_size_matches_enumeration(series, n):
         assert not orbit & seen, c
         seen |= orbit
     assert seen == set(box)
+
+
+HALF_BOX = [F(k, 2) for k in range(-6, 7)]  # -3, -5/2, ..., 3
+
+
+@pytest.mark.parametrize("series", ["D", "B"])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_integer_kernels_match_the_fraction_reference(series, n):
+    # dominance, orbit sizes and Weyl dimensions run on the doubled ints;
+    # every weight of the box, integral, half-integral or mixed, against the
+    # Fraction-coordinate reference (the box is W-stable, so orbits stay in it)
+    orbits = {}
+    for c in itertools.product(HALF_BOX, repeat=n):
+        nu = WeightVec(series, c)
+        assert nu.twice == tuple(int(2 * x) for x in c)
+        dominant = fraction_is_dominant(series, c)
+        assert is_dominant(nu) == is_dominant_twice(series, nu.twice) == dominant, c
+        orbit = orbits.get(c)
+        if orbit is None:
+            orbit = fraction_weyl_orbit(series, c)
+            orbits.update(dict.fromkeys(orbit, orbit))
+        assert weyl_orbit_size(nu) == weyl_orbit_size_twice(series, nu.twice) == len(orbit), c
+        if dominant:
+            assert weyl_dim(nu) == fraction_weyl_dim(series, c), c
+
+
+@pytest.mark.parametrize("series,w,degree", [
+    ("D", "0,0", 4), ("D", "1,0", 5), ("D", "1,1", 3), ("B", "1/2,1/2", 4), ("B", "1,0", 4), ("D", "1,0,0", 3),
+])
+def test_dominant_orbit_lookups_match_the_fraction_reference(series, w, degree):
+    # the doubled slice weights whose blocks `_j_span_rank` sizes
+    mod = ConformalModule(parse_weight(w, series), F(1, 3))
+    for k in range(1, degree + 1):
+        for nu in set(mod.slice_weights(k)):
+            c = tuple(F(x, 2) for x in nu)
+            want = len(fraction_weyl_orbit(series, c)) if fraction_is_dominant(series, c) else 0
+            assert _dominant_orbit_size(series, nu) == want, (k, nu)
+
+
+def test_twice_is_derived_and_not_compared():
+    mu = parse_weight("3/2,-1/2", "D")
+    assert mu.twice == (3, -1) and type(mu.twice[0]) is int
+    assert WeightVec.from_twice("D", (3, -1)) == mu and str(WeightVec.from_twice("D", (3, -1))) == "3/2,-1/2"
+    assert repr(mu) == "WeightVec(series='D', coords=(Fraction(3, 2), Fraction(-1, 2)))"
+    assert mu.add_unit(2, 1).twice == (3, 1) and mu.add_unit(1, -1).coords == (F(1, 2), F(-1, 2))
+    assert hash(mu) == hash(("D", mu.coords))  # the fields compared, as before `twice`
