@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Optional
 
 from . import reducibility, spectral, suite as suite_mod
-from .irreps import CapExceeded, build_irrep, validate_irrep
+from .irreps import DEFAULT_DIM_CAP, CapExceeded, build_irrep, validate_irrep
 from .mixed import verify_shen_monomorphism
 from .ortho import verify_bracket_tables, verify_theta_homomorphism
 from .weights import MIN_RANK, WeightVec, natural_dim, parse_weight, pieri_decompose, weyl_dim, zero_weight
@@ -277,7 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(sub.add_parser("verify-shen", help="check the mixed-product embedding"), n=True)
     sp = sub.add_parser("build-irrep", help="construct and validate V(mu)")
     common(sp, mu=True)
-    sp.add_argument("--cap", type=int, default=512)
+    sp.add_argument("--cap", type=int, default=DEFAULT_DIM_CAP)
     common(sub.add_parser("pieri", help="decompose V(e1) (x) V(mu)"), mu=True)
     common(sub.add_parser("charpoly", help="verify the split-Casimir characteristic polynomial"), mu=True)
     common(sub.add_parser("t-operator", help="verify the invariant T against its scalar"), mu=True, b=True, k=True)

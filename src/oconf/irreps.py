@@ -331,10 +331,8 @@ def _commutant_dimension(mats: Sequence[SparseMat], dim: int) -> int:
     """Dimension of {C : [M, C] = 0 for all M}, by exact elimination.
 
     The identity always commutes, so the equations have rank at most
-    dim^2 - 1, and `rank_of_rows` with that `stop_at` returns the rank
-    itself: a rank of dim^2 - 1 modulo its prime certifies it (rank mod p
-    never exceeds rank over Q), and anything less falls through to exact
-    elimination.
+    dim^2 - 1, and `rank_of_rows` stops adding rows once the rank reaches
+    that maximum (`stop_at`), where the commutant is the scalars.
     """
     rows: List[Dict[int, Fraction]] = []
     for M in mats:

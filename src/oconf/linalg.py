@@ -16,14 +16,6 @@ runs on ints, at no cost to exactness or to output (an int equals, hashes
 and prints like the integral Fraction).  A float has no `denominator`, so
 `canon` rejects it.  Since int / int is a float, a true division that may
 see two ints builds its Fraction explicitly: Fraction(a, b), never a / b.
-
-One shortcut is a certificate, not an approximation: `ModPRank` is the
-incremental rank of a growing span modulo the prime MODULUS.  Rank mod p
-never exceeds rank over Q, so once it reaches the largest rank possible it
-proves the rank over Q, and a caller may stop adding rows there.
-`rank_of_rows`, told that largest rank (`stop_at`), runs the rows through
-it first; any other outcome (a deficient span, an unlucky prime, a
-denominator divisible by p) goes to `EchelonBasis`.
 """
 
 from __future__ import annotations
@@ -33,8 +25,6 @@ from math import gcd, lcm
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 Entry = Tuple[int, int]
-
-MODULUS = 2**61 - 1  # prime of rank_of_rows' full-rank certificate
 
 
 def canon(x):
@@ -100,12 +90,7 @@ class SparseMat:
         raise TypeError("SparseMat is not hashable")
 
     def __add__(self, other: "SparseMat") -> "SparseMat":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("shape mismatch")
-        data = dict(self.data)
-        for k, v in other.data.items():
-            data[k] = data.get(k, 0) + v
-        return SparseMat(self.rows, self.cols, data)
+        return self.add_scaled(other, 1)
 
     def add_scaled(self, other: "SparseMat", c) -> "SparseMat":
         """self + c * other, touching only the entries of other.
@@ -131,7 +116,7 @@ class SparseMat:
         return SparseMat._trusted(self.rows, self.cols, data)
 
     def __sub__(self, other: "SparseMat") -> "SparseMat":
-        return self + other.scale(-1)
+        return self.add_scaled(other, -1)
 
     def __neg__(self) -> "SparseMat":
         return self.scale(-1)
@@ -234,12 +219,10 @@ class SparseMat:
 
 
 def _clear_row(row: Dict[int, Fraction]) -> Dict[int, int]:
-    """Scale a rational row to primitive integers (span-preserving)."""
-    row = {j: v for j, v in row.items() if v != 0}
-    if not row:
-        return {}
+    """Scale a rational row to primitive integers (span-preserving), dropping
+    its zeros; an empty row gives {} (lcm() is 1 and gcd() is 0)."""
     den = lcm(*(v.denominator for v in row.values()))
-    ints = {j: v.numerator * (den // v.denominator) for j, v in row.items()}
+    ints = {j: v.numerator * (den // v.denominator) for j, v in row.items() if v}
     g = gcd(*ints.values())
     return {j: v // g for j, v in ints.items()} if g > 1 else ints
 
@@ -334,94 +317,11 @@ class EchelonBasis:
         return x
 
 
-class ModPRank:
-    """Incremental rank of a growing row span modulo the prime MODULUS.
-
-    Each added rational row is reduced against rows with leading 1, kept by
-    their leading column.  The rank of rows mod p is at most their rank over
-    Q, so `rank` is a lower bound for the rank over Q of every row added,
-    and reaching a known maximum certifies it.  A row with a denominator
-    divisible by p has no image mod p: it sets `failed`, and from then on
-    `add` does nothing, so `rank` stays a lower bound that certifies only
-    what it already did.
-    """
-
-    __slots__ = ("pivots", "inverses", "failed")
-
-    def __init__(self):
-        self.pivots: Dict[int, Dict[int, int]] = {}  # leading column -> row with lead 1
-        self.inverses: Dict[int, int] = {1: 1}  # denominator -> its inverse mod p
-        self.failed = False
-
-    @property
-    def rank(self) -> int:
-        return len(self.pivots)
-
-    def add(self, vec: Dict[int, Fraction]) -> bool:
-        """Extend the span by vec mod p; True iff that raised the rank."""
-        if self.failed:
-            return False
-        p, inverses, pivots = MODULUS, self.inverses, self.pivots
-        row = {}
-        for j, v in vec.items():
-            d = v.denominator
-            inv = inverses.get(d)
-            if inv is None:
-                if d % p == 0:
-                    self.failed = True
-                    return False
-                inv = inverses[d] = pow(d, -1, p)
-            w = v.numerator * inv % p
-            if w:
-                row[j] = w
-        while row:
-            lead = min(row)
-            prow = pivots.get(lead)
-            if prow is None:
-                inv = pow(row[lead], -1, p)
-                pivots[lead] = {j: w * inv % p for j, w in row.items()}
-                return True
-            c = row[lead]
-            for j, pw in prow.items():
-                w = (row.get(j, 0) - c * pw) % p
-                if w:
-                    row[j] = w
-                else:
-                    del row[j]
-        return False
-
-
-def _full_rank_mod_p(rows: Sequence[Dict[int, Fraction]], stop_at: int) -> bool:
-    """True if the rows reach rank stop_at modulo MODULUS (hence over Q).
-
-    False is no verdict: the rank may be lower, the prime unlucky, or some
-    denominator divisible by the prime.  The verdict does not depend on the
-    row order, so the shortest rows go first, which keeps the fill-in low.
-    """
-    eng = ModPRank()
-    for vec in sorted(rows, key=len):
-        if eng.add(vec):
-            if eng.rank == stop_at:
-                return True
-        elif eng.failed:
-            return False
-    return False
-
-
 def rank_of_rows(rows: Iterable[Dict[int, Fraction]], stop_at: Optional[int] = None) -> int:
     """Rank of the rational row span; `stop_at` allows early exit once the
-    rank reaches a known maximum, and then min(rank, stop_at) is returned.
-
-    With `stop_at`, rank stop_at modulo MODULUS is certificate enough, since
-    rank mod p <= rank over Q; only otherwise do the rows go through exact
-    elimination.
-    """
+    rank reaches a known maximum, and then min(rank, stop_at) is returned."""
     if stop_at == 0:
         return 0
-    if stop_at is not None:
-        rows = list(rows)
-        if _full_rank_mod_p(rows, stop_at):
-            return stop_at
     eb = EchelonBasis()
     for r in rows:
         if eb.add(r) and eb.rank == stop_at:

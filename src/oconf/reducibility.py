@@ -22,14 +22,12 @@ to weight spaces, so N_nu is spanned by the J_i(u) with
 wt(u) + wt(J_i) = nu, and dim M - rank N is the sum over dominant nu of
 |W nu| (dim M_nu - rank N_nu).  This is exact at every b.
 
-A block closes as soon as its rank is certified, and no more of its
-columns are built.  Its columns arrive label by label and go into a rank
-modulo a prime (`linalg.ModPRank`).  Rank mod p never exceeds rank over Q,
-and rank N_nu never exceeds dim M_nu, so a rank mod p of dim M_nu proves
-rank N_nu = dim M_nu whatever the columns not yet built.  A block still
-open after the last label gets exact elimination over all of its columns,
-so a deficient block (at a critical b) gets its exact rank, as does a
-full block that the prime failed to certify.
+Each block is one exact span (`linalg.EchelonBasis`), and its columns
+arrive label by label.  rank N_nu never exceeds dim M_nu, so a block
+closes as soon as its exact rank reaches dim M_nu, and no more of its
+columns are built.  A block still open after the last label holds all of
+its columns, so its rank is the exact rank of N_nu: a deficient block (at
+a critical b) counts its exact deficit.
 
 The scan builds its own module from (mu, b): it builds only the J columns
 it needs, at its own b, so a shared base would save it little.  Detection,
@@ -53,7 +51,6 @@ from typing import Dict, List, Optional, Tuple
 
 from .linalg import (
     EchelonBasis,
-    ModPRank,
     SparseMat,
     nullspace_of_rows,
     rank_of_rows,
@@ -155,8 +152,8 @@ def _j_span_rank(mod: ConformalModule, level: int) -> int:
     sources: Dict[Tuple[int, ...], List[int]] = {}
     for u, w in enumerate(mod.slice_weights(level)):
         sources.setdefault(w, []).append(u)
-    # open blocks: the mod-p rank of the columns so far, and the columns
-    blocks = {nu: (ModPRank(), []) for nu in sorted(dims) if orbit[nu]}
+    # open blocks: the exact span of their columns so far
+    blocks = {nu: EchelonBasis() for nu in sorted(dims) if orbit[nu]}
     for lbl, d in zip(mod.j_labels, mod.var_weights()):
         if not blocks:
             break
@@ -171,14 +168,13 @@ def _j_span_rank(mod: ConformalModule, level: int) -> int:
             if vec:
                 new.setdefault(nu, []).append(vec)
         for nu, vecs in new.items():
-            eng, kept = blocks[nu]
-            kept.extend(vecs)
+            span = blocks[nu]
             for vec in sorted(vecs, key=len):
-                if eng.add(vec) and eng.rank == dims[nu]:
-                    del blocks[nu]  # certified: rank N_nu = dim M_nu
+                if span.add(vec) and span.rank == dims[nu]:
+                    del blocks[nu]  # rank N_nu = dim M_nu, its largest
                     break
-    # a block still open takes exact elimination over all of its columns
-    deficit = sum(orbit[nu] * (dims[nu] - rank_of_rows(kept)) for nu, (_, kept) in blocks.items())
+    # a block still open has taken all of its columns
+    deficit = sum(orbit[nu] * (dims[nu] - span.rank) for nu, span in blocks.items())
     return mod.slice_dim(k) - deficit
 
 

@@ -16,7 +16,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Dict, List
 
-from .linalg import SparseMat, charpoly, nullspace_of_rows
+from .linalg import SparseMat, charpoly, rank_of_rows
 from .irreps import CapExceeded, build_irrep, casimir_matrix, tensor_with_natural
 from .mixed import ConformalModule
 from .ortho import casimir_pairs
@@ -95,9 +95,9 @@ def verify_charpoly_lemma(mu: WeightVec) -> Dict[str, object]:
     eig_ok = True
     for lam, mult in spec.entries:
         shifted = otm.matrix - eye.scale(lam)
-        kern = nullspace_of_rows(shifted.row_vectors(), shifted.cols)
-        eig_dims[str(lam)] = len(kern)
-        if len(kern) != mult:
+        nullity = shifted.cols - rank_of_rows(shifted.row_vectors())
+        eig_dims[str(lam)] = nullity
+        if nullity != mult:
             eig_ok = False
     return {
         "mu": str(mu),

@@ -274,7 +274,7 @@ def test_kron_sum_entries_are_canonical():
 def test_commutant_dimension_of_a_reducible_module(monkeypatch):
     # V(e1) (x) V(e1) = V(2e1) + V(e1+e2) + V(e1-e2) + V(0) for D2, dims
     # 9 + 3 + 3 + 1: the commutant has dimension 4, so the equations have
-    # rank 252 < 16^2 - 1 and the mod-p certificate must fall through
+    # rank 252 < 16^2 - 1 and the early exit at stop_at never fires
     tm = tensor_with_natural(build_irrep(parse_weight("1,0", "D")))
     mats = list(tm.rep.values())
     assert irreps._commutant_dimension(mats, tm.dim) == 4

@@ -6,11 +6,8 @@ from fractions import Fraction
 import pytest
 
 from oconf.linalg import (
-    MODULUS,
     EchelonBasis,
-    ModPRank,
     SparseMat,
-    _full_rank_mod_p,
     canon,
     charpoly,
     nullspace_of_rows,
@@ -203,15 +200,18 @@ def test_from_entries_sums_repeats_and_drops_zeros():
 
 
 def test_add_scaled_matches_add_and_scale():
+    # against dense sums; + and - are add_scaled with c = 1 and c = -1
     rng = random.Random(8)
     for _ in range(30):
         n, m = rng.randint(1, 6), rng.randint(1, 6)
         A = dense_random(rng, n, m, density=0.5)
         C = dense_random(rng, n, m, density=rng.choice([0.0, 0.3]))
-        for c in [Fraction(0), Fraction(1), Fraction(-3, 7), 2]:
-            got = A.add_scaled(C, c)
-            assert got == A + C.scale(c)
-            assert all(is_canonical(v) for v in got.data.values())
+        a, x = A.to_dense(), C.to_dense()
+        for c in [Fraction(0), Fraction(1), Fraction(-3, 7), 2, -1]:
+            want = [[u + c * v for u, v in zip(ru, rv)] for ru, rv in zip(a, x)]
+            for got in [A.add_scaled(C, c)] + [A + C] * (c == 1) + [A - C] * (c == -1):
+                assert got.to_dense() == want and 0 not in got.data.values()
+                assert all(is_canonical(v) for v in got.data.values())
 
 
 def test_add_scaled_drops_cancelled_entries():
@@ -422,50 +422,26 @@ def test_coordinates_match_sympy(sympy):
         assert eb.rank == r  # a query never extends the basis
 
 
-# -- the mod-p full-rank certificate of rank_of_rows ---------------------------
+# -- the early exit of rank_of_rows ------------------------------------------
 
 
 def test_rank_certificate_falls_back_when_the_prime_divides_an_entry():
-    rows = [{0: Fraction(MODULUS)}, {1: Fraction(1)}]  # rank 2 over Q, 1 mod p
-    assert not _full_rank_mod_p(rows, 2)
+    rows = [{0: Fraction(2**61 - 1)}, {1: Fraction(1)}]  # rank 2 over Q, 1 mod 2**61 - 1
     assert rank_of_rows(rows, stop_at=2) == 2
 
 
 def test_rank_certificate_falls_back_on_a_denominator_divisible_by_the_prime():
-    rows = [{0: Fraction(1, MODULUS), 1: Fraction(1)}, {1: Fraction(1)}]
-    assert not _full_rank_mod_p(rows, 2)
+    rows = [{0: Fraction(1, 2**61 - 1), 1: Fraction(1)}, {1: Fraction(1)}]
     assert rank_of_rows(rows, stop_at=2) == 2
 
 
 def test_rank_certificate_returns_the_exact_rank_when_deficient():
     rows = [{0: Fraction(1), 1: Fraction(2)}, {0: Fraction(-1, 3), 1: Fraction(-2, 3)}, {2: Fraction(5, 7)}]
-    assert not _full_rank_mod_p(rows, 3)
     assert rank_of_rows(rows, stop_at=3) == 2
     assert rank_of_rows(iter(rows), stop_at=3) == 2  # one-shot iterables are fine
     assert rank_of_rows(rows, stop_at=1) == 1
     assert rank_of_rows(rows, stop_at=0) == 0
     assert rank_of_rows([{0: Fraction(1)}], stop_at=0) == 0
-
-
-def test_mod_p_rank_fails_on_a_denominator_divisible_by_the_prime():
-    eng = ModPRank()
-    assert eng.add({0: Fraction(1), 1: Fraction(2)})
-    assert not eng.failed
-    assert not eng.add({1: Fraction(1, MODULUS)})
-    assert eng.failed
-    assert not eng.add({1: Fraction(1)})  # a failed engine adds nothing more
-    assert eng.rank == 1
-
-
-def test_mod_p_rank_matches_the_rank_of_the_certificate_rows():
-    # a lower bound everywhere, the rank itself where the prime is not unlucky
-    unlucky = [{0: Fraction(MODULUS)}, {1: Fraction(1)}]
-    deficient = [{0: Fraction(1), 1: Fraction(2)}, {0: Fraction(-1, 3), 1: Fraction(-2, 3)}, {2: Fraction(5, 7)}]
-    for rows, want in [(unlucky, 1), (deficient, 2)] + [(M.row_vectors(), None) for M in oracle_matrices(107)]:
-        eng = ModPRank()
-        raised = [eng.add(r) for r in rows]
-        assert eng.rank == sum(raised) == (rank_of_rows(rows) if want is None else want)
-        assert eng.rank <= rank_of_rows(rows) and not eng.failed
 
 
 def test_rank_with_stop_at_matches_sympy(sympy):

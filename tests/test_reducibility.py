@@ -10,7 +10,7 @@ from types import SimpleNamespace
 import pytest
 
 from oconf import reducibility
-from oconf.linalg import ModPRank, SparseMat, rank_of_rows, vectors_contained_in_span
+from oconf.linalg import SparseMat, rank_of_rows, vectors_contained_in_span
 from oconf.mixed import ConformalModule
 from oconf.ortho import build_conformal
 from oconf.poly import Poly
@@ -494,24 +494,6 @@ def test_weight_blocks_give_the_rank_of_full_elimination():
             assert [_j_span_rank(sib, level) for level in range(deg)] == want, (series, w, b)
             deficient += sum(not r.full for r in scan.records)
     assert deficient == 83
-
-
-class _NeverCertifies(ModPRank):
-    def add(self, vec):
-        return False
-
-
-def test_open_blocks_take_the_exact_rank(monkeypatch):
-    # with no mod-p certificate every block stays open to the last label and
-    # takes exact elimination, deficient or not
-    monkeypatch.setattr(reducibility, "ModPRank", _NeverCertifies)
-    for series, w, deg in BLOCK_GRID[::2]:
-        mu = parse_weight(w, series)
-        base = ConformalModule(mu, F(1, 3))
-        for b in [F(1, 3)] + [-lam for lam, _ in omega_tilde_spectrum(mu).entries]:
-            sib = base.at(b)
-            want = [_j_span_rank_by_elimination(sib, level) for level in range(deg)]
-            assert [_j_span_rank(sib, level) for level in range(deg)] == want, (series, w, b)
 
 
 def test_a_certified_block_asks_for_no_more_columns(monkeypatch):
