@@ -63,11 +63,12 @@ class SparseMat:
     @classmethod
     def from_entries(cls, rows: int, cols: int, entries: Iterable[Tuple[Entry, Fraction]]) -> "SparseMat":
         """The matrix whose (i, j) entry is the sum of the values given for
-        (i, j): one accumulator, not a chain of whole-matrix additions."""
+        (i, j): one accumulator, not a chain of whole-matrix additions.  Each
+        value and partial sum is canonical, so no integral Fraction is added."""
         data: Dict[Entry, Fraction] = {}
         for key, v in entries:
             w = data.get(key)
-            data[key] = v if w is None else w + v
+            data[key] = canon(v) if w is None else canon(w + v)
         return cls(rows, cols, data)
 
     @classmethod
@@ -135,11 +136,14 @@ class SparseMat:
         by_row: Dict[int, List[Tuple[int, Fraction]]] = {}
         for (r, c), v in other.data.items():
             by_row.setdefault(r, []).append((c, v))
+        # each product and partial sum is canonical, as in `from_entries`
         data: Dict[Entry, Fraction] = {}
         for (i, k), a in self.data.items():
             for (j, b) in by_row.get(k, ()):
                 key = (i, j)
-                data[key] = data.get(key, 0) + a * b
+                p = canon(a * b)
+                w = data.get(key)
+                data[key] = p if w is None else canon(w + p)
         return SparseMat(self.rows, other.cols, data)
 
     def transpose(self) -> "SparseMat":
@@ -169,8 +173,9 @@ class SparseMat:
                 by_row.setdefault(r, []).append((c, -v if negate else v))
             for (i, k), a in left.data.items():
                 for j, b in by_row.get(k, ()):
+                    p = canon(a * b)
                     w = data.get((i, j))
-                    data[(i, j)] = a * b if w is None else w + a * b
+                    data[(i, j)] = p if w is None else canon(w + p)
         return SparseMat(self.rows, self.cols, data)
 
     def row_vectors(self) -> List[Dict[int, Fraction]]:
@@ -189,7 +194,8 @@ class SparseMat:
         """Matrix times each sparse column vector.
 
         The matrix is indexed by column once per batch, so each product then
-        costs only the entries in the vector's columns, not nnz(M).
+        costs only the entries in the vector's columns, not nnz(M).  Each
+        product and partial sum is canonical, as in `from_entries`.
         """
         by_col: Dict[int, List[Tuple[int, Fraction]]] = {}
         for (i, j), v in self.data.items():
@@ -199,9 +205,10 @@ class SparseMat:
             acc: Dict[int, Fraction] = {}
             for j, c in vec.items():
                 for i, v in by_col.get(j, ()):
+                    p = canon(v * c)
                     w = acc.get(i)
-                    acc[i] = v * c if w is None else w + v * c
-            out.append({i: canon(v) for i, v in acc.items() if v})
+                    acc[i] = p if w is None else canon(w + p)
+            out.append({i: v for i, v in acc.items() if v})
         return out
 
     def apply(self, vec: Dict[int, Fraction]) -> Dict[int, Fraction]:

@@ -43,13 +43,17 @@ DEFAULT_SLICE_CAP = 4096
 
 
 class ExtendedOp:
-    """Vector field plus polynomial-coefficient gl part (and nothing else)."""
+    """Vector field plus polynomial-coefficient gl part (and nothing else).
 
-    __slots__ = ("num_vars", "field", "gl")
+    Immutable by convention, like `DiffOp`: `_images` memoizes the field
+    applied to each gl exponent that a bracket has needed."""
+
+    __slots__ = ("num_vars", "field", "gl", "_images")
 
     def __init__(self, num_vars: int, fld: DiffOp, gl: Optional[Dict[Exps, SparseMat]] = None):
         self.num_vars = num_vars
         self.field = fld
+        self._images: Dict[Exps, Poly] = {}
         self.gl = {}
         for e, M in (gl or {}).items():
             if M.rows != num_vars or M.cols != num_vars:
@@ -65,6 +69,13 @@ class ExtendedOp:
     def scale(self, c) -> "ExtendedOp":
         return ExtendedOp(self.num_vars, self.field.scale(c), {e: M.scale(c) for e, M in self.gl.items()})
 
+    def _field_image(self, e: Exps) -> Poly:
+        """The vector field applied to x^e, computed once per exponent."""
+        hit = self._images.get(e)
+        if hit is None:
+            hit = self._images[e] = self.field.apply(Poly.monomial(self.num_vars, e))
+        return hit
+
     def bracket(self, other: "ExtendedOp") -> "ExtendedOp":
         """[d1+A1, d2+A2] = [d1,d2] + [A1,A2] + d1(A2) - d2(A1)."""
         nv = self.num_vars
@@ -79,10 +90,10 @@ class ExtendedOp:
             for e2, M2 in other.gl.items():
                 acc(tuple(a + b for a, b in zip(e1, e2)), M1.bracket(M2))
         for e2, M2 in other.gl.items():
-            for de, c in self.field.apply(Poly.monomial(nv, e2)).terms.items():
+            for de, c in self._field_image(e2).terms.items():
                 acc(de, M2.scale(c))
         for e1, M1 in self.gl.items():
-            for de, c in other.field.apply(Poly.monomial(nv, e1)).terms.items():
+            for de, c in other._field_image(e1).terms.items():
                 acc(de, M1.scale(-c))
         return ExtendedOp(nv, fld, gl)
 
@@ -461,13 +472,17 @@ class ConformalModule:
         key = (label, k)
         hit = base._central.get(key)
         if hit is None:
-            p = Poly(self.num_vars, {ge: central for ge, central, _ in _split(self.n, self.series, label)})
+            p = self.central_poly(label)
             if p.terms:
                 hit = base.mult_matrix(p, k)
             else:
                 hit = SparseMat(self.slice_dim(k + self.degree_shift(label)), self.slice_dim(k))
             base._central[key] = hit
         return hit
+
+    def central_poly(self, label: str) -> Poly:
+        """The label's central polynomial sum_g central_g x^g (b-free)."""
+        return Poly(self.num_vars, {ge: central for ge, central, _ in _split(self.n, self.series, label)})
 
     def mult_matrix(self, p: Poly, k: int) -> SparseMat:
         """Multiplication by a homogeneous polynomial, slice k -> k + deg p."""

@@ -193,9 +193,15 @@ class Poly:
 
 
 class DiffOp:
-    """Normal-ordered polynomial-coefficient differential operator."""
+    """Normal-ordered polynomial-coefficient differential operator.
 
-    __slots__ = ("num_vars", "terms")
+    Immutable by convention: no caller changes `terms` (or a Poly in it)
+    after construction.  The operator memoizes its integer-scaled terms
+    (`_scaled_terms`) on first use in a composition or commutator, which
+    relies on that.
+    """
+
+    __slots__ = ("num_vars", "terms", "_scaled")
 
     def __init__(self, num_vars: int, terms: Optional[Dict[Exps, Poly]] = None):
         self.num_vars = num_vars
@@ -208,12 +214,13 @@ class DiffOp:
             if not p.is_zero():
                 clean[beta] = p
         self.terms = clean
+        self._scaled = None
 
     @classmethod
     def _trusted(cls, num_vars: int, terms: Dict[Exps, Poly]) -> "DiffOp":
         """Wrap terms already known to be nonzero Polys of the right arity."""
         op = object.__new__(cls)
-        op.num_vars, op.terms = num_vars, terms
+        op.num_vars, op.terms, op._scaled = num_vars, terms, None
         return op
 
     @classmethod
@@ -315,10 +322,14 @@ _Acc = Dict[Exps, Dict[Exps, int]]
 
 def _scaled_terms(op: DiffOp) -> Tuple[int, _ScaledTerms]:
     """(den, terms): den is the lcm of the coefficient denominators and terms
-    lists (beta, [(exponent, den * coefficient)]) with integer values."""
-    den = lcm(*(c.denominator for p in op.terms.values() for c in p.terms.values()))
-    return den, [(beta, [(e, c.numerator * (den // c.denominator)) for e, c in p.terms.items()])
-                 for beta, p in op.terms.items()]
+    lists (beta, [(exponent, den * coefficient)]) with integer values.
+    Computed once per operator and kept in its `_scaled` slot."""
+    hit = op._scaled
+    if hit is None:
+        den = lcm(*(c.denominator for p in op.terms.values() for c in p.terms.values()))
+        hit = op._scaled = den, [(beta, [(e, c.numerator * (den // c.denominator)) for e, c in p.terms.items()])
+                                 for beta, p in op.terms.items()]
+    return hit
 
 
 @lru_cache(maxsize=4096)

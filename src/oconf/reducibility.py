@@ -241,17 +241,27 @@ def detect_submodule(mod: ConformalModule, max_degree: int) -> Optional[Submodul
 
 def verify_submodule_closure(witness: SubmoduleWitness) -> Dict[str, bool]:
     """Check the witness is closed under every generator of its module,
-    within truncation."""
+    within truncation.
+
+    A target slice that the witness fills (the exact rank of its basis
+    there is the slice dimension) contains every image, so no (label, k)
+    landing in it computes an image or builds a matrix; every other image
+    is tested against the exact span of its target slice.
+    """
     mod = witness.module
-    spans = {k: EchelonBasis(vecs) for k, vecs in witness.basis.items()}
+    spans = {}  # the slices the witness does not fill
+    for k, vecs in witness.basis.items():
+        span = EchelonBasis(vecs)
+        if span.rank < mod.slice_dim(k):
+            spans[k] = span
     results = {}
     for lbl in mod.conf.labels():
         shift = mod.degree_shift(lbl)
         ok = True
         for k, vecs in witness.basis.items():
             kt = k + shift
-            if kt < 0 or kt > witness.max_degree or not vecs:
-                continue
+            if kt not in spans or kt > witness.max_degree or not vecs:
+                continue  # outside the truncation, or a full target slice
             images = mod.action_matrix(lbl, k).apply_all(vecs)
             if not all(spans[kt].contains(v) for v in images):
                 ok = False

@@ -14,11 +14,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Dict, List
+from typing import Dict, List, Tuple
 
 from .linalg import SparseMat, charpoly, rank_of_rows
 from .irreps import CapExceeded, build_irrep, casimir_matrix, tensor_with_natural
 from .mixed import ConformalModule
+from .poly import Poly
 from .ortho import casimir_pairs
 from .weights import (
     Spectrum,
@@ -114,50 +115,62 @@ def verify_charpoly_lemma(mu: WeightVec) -> Dict[str, object]:
     }
 
 
-def _assemble_t(mod: ConformalModule, k: int, matrix_of) -> SparseMat:
-    """sum_i (M_i x_{n+i} + M_{n+i} x_i) (+ M_0 x_0 for the odd series) from
-    slice k to slice k+2, where M_i = matrix_of(J_i, k+1).
-
-    Multiplying by x_idx only relabels: it sends x^e (x) v in slice k to
-    x^(e + u_idx) (x) v.  So column x^e (x) v of M x_idx is column
-    x^(e + u_idx) (x) v of M on slice k+1, and the sum is assembled by
-    walking each M once and sending its columns divisible by x_idx back to
-    slice k.
-    """
-    if k < 0:
-        raise ValueError(f"slice degree k must be >= 0, got {k}")
-    n, dv = mod.n, mod.dim_v
+def _t_terms(mod: ConformalModule) -> List[Tuple[str, int]]:
+    """T's terms (J label, position of the variable it multiplies):
+    J_i x_{n+i} and J_{n+i} x_i, plus J_0 x_0 for the odd series."""
+    n = mod.n
     terms = [("J_0", 0)] if mod.series == "B" else []
     for i in range(1, n + 1):
         terms += [(f"J_{i}", n + i), (f"J_{n + i}", i)]
-    monos_up = mod.monomials_of(k + 1)
-    index = mod.mono_index(k)
-
-    def entries():
-        for label, idx in terms:
-            pos = mod.conf.var_pos(idx)
-            down = {}  # slice-(k+1) monomial -> slice-k monomial, divided by x_idx
-            for m1, e in enumerate(monos_up):
-                if e[pos]:
-                    down[m1] = index[e[:pos] + (e[pos] - 1,) + e[pos + 1:]]
-            for (row, col), v in matrix_of(label, k + 1).data.items():
-                m0 = down.get(col // dv)
-                if m0 is not None:
-                    yield (row, m0 * dv + col % dv), v
-
-    return SparseMat.from_entries(mod.slice_dim(k + 2), mod.slice_dim(k), entries())
+    return [(label, mod.conf.var_pos(idx)) for label, idx in terms]
 
 
 def invariant_t_matrix(mod: ConformalModule, k: int) -> SparseMat:
     """T = sum_i (J_i x_{n+i} + J_{n+i} x_i) (+ J_0 x_0 for the odd series)
-    as a map from slice k to slice k+2."""
-    return _assemble_t(mod, k, mod.action_matrix)
+    as a map from slice k to slice k+2.
+
+    Multiplying by x_idx only relabels: it sends x^e (x) v in slice k to
+    x^(e + u_idx) (x) v.  So column x^e (x) v of M x_idx is column
+    x^(e + u_idx) (x) v of J_i's matrix M on slice k+1, and T reads only
+    the columns of M at monomials divisible by x_idx.  Just those are built
+    (`ConformalModule.action_columns`), each sent back to its slice-k
+    column; no whole slice-(k+1) matrix is built or stored.
+    """
+    if k < 0:
+        raise ValueError(f"slice degree k must be >= 0, got {k}")
+    dv = mod.dim_v
+    monos_up = mod.monomials_of(k + 1)
+    index = mod.mono_index(k)
+
+    def entries():
+        for label, pos in _t_terms(mod):
+            cols: List[int] = []  # slice-(k+1) columns divisible by x_idx
+            dest: List[int] = []  # the slice-k column each is sent back to
+            for m1, e in enumerate(monos_up):
+                if e[pos]:
+                    m0 = index[e[:pos] + (e[pos] - 1,) + e[pos + 1:]]
+                    cols.extend(range(m1 * dv, m1 * dv + dv))
+                    dest.extend(range(m0 * dv, m0 * dv + dv))
+            for col, vec in zip(dest, mod.action_columns(label, k + 1, cols)):
+                for row, v in vec.items():
+                    yield (row, col), v
+
+    return SparseMat.from_entries(mod.slice_dim(k + 2), mod.slice_dim(k), entries())
 
 
 def central_t_matrix(mod: ConformalModule, k: int) -> SparseMat:
     """T_C, the b-coefficient of T: T is linear in the action matrices, so
-    T at b is T at the module's own charge plus (b - mod.b) T_C."""
-    return _assemble_t(mod, k, mod.central_part)
+    T at b is T at the module's own charge plus (b - mod.b) T_C.
+
+    The b-coefficient of J_i multiplies by its central polynomial p_i
+    (`ConformalModule.central_part`), so T_C multiplies by the single
+    polynomial sum_i p_i x_idx, from slice k to slice k+2."""
+    if k < 0:
+        raise ValueError(f"slice degree k must be >= 0, got {k}")
+    q = Poly.zero(mod.num_vars)
+    for label, pos in _t_terms(mod):
+        q = q + mod.central_poly(label) * Poly.var(mod.num_vars, pos)
+    return mod.mult_matrix(q, k)  # J_i has central polynomial x_i, so q != 0
 
 
 def t_scalar(mod: ConformalModule, k: int) -> Fraction:
@@ -191,11 +204,17 @@ def verify_t_operator(mu: WeightVec, b, k: int) -> Dict[str, object]:
 def t_operator_sweep(base: ConformalModule, k: int, bs) -> Dict[Fraction, bool]:
     """T == t_scalar * eta on slice k at every b in bs, from one module.
 
-    T(b) = T(b0) + (b - b0) T_C is formed exactly for each b and compared
-    with the predicted multiple of eta.
+    Both sides are affine in b: T(b) = T0 + (b - b0) T_C, and the scalar
+    is s(b) = s(b0) + (b - b0) slope, the slope read off `t_scalar` at
+    b0 + 1.  So T(b) - s(b) eta = E0 + (b - b0) E_C with the b-free parts
+    E0 = T0 - s(b0) eta and E_C = T_C - slope eta, and each b is answered
+    exactly by whether E0 + (b - b0) E_C is the zero matrix.  Only these
+    two differences are built; no T(b) and no multiple of eta per b.
     """
-    T0 = invariant_t_matrix(base, k)
-    TC = central_t_matrix(base, k)
+    b0 = base.b
     eta_mult = base.mult_matrix(base.conf.eta(), k)
-    return {Fraction(b): T0.add_scaled(TC, Fraction(b) - base.b) == eta_mult.scale(t_scalar(base.at(b), k))
-            for b in bs}
+    s0 = t_scalar(base, k)
+    slope = t_scalar(base.at(b0 + 1), k) - s0
+    E0 = invariant_t_matrix(base, k).add_scaled(eta_mult, -s0)
+    EC = central_t_matrix(base, k).add_scaled(eta_mult, -slope)
+    return {b: E0.add_scaled(EC, b - b0).is_zero() for b in map(Fraction, bs)}

@@ -8,6 +8,13 @@ Laplacian commutator, whose stated closed form 1+2n+D does not match the
 defining normalizations (the exact commutator is 1+2n+2D), and the sharp
 mu=0 classification, which misses the special conformal weights; their
 corrected companions must pass.
+
+Checks that read the same exact object compute it once, through the
+module-level `lru_cache`s `_charpoly_report`, `_mu_zero_base`,
+`_mu_zero_witness` and `_mu_zero_quotient`.  What these return is shared
+and read-only: a check reads a report, module or witness and never alters
+it (a shared module only fills its own memos of exact matrices), so the
+checks give the same results in any order.
 """
 
 from __future__ import annotations
@@ -15,7 +22,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from types import MappingProxyType
-from typing import Callable, List, Mapping, Tuple
+from typing import Callable, List, Mapping, Optional, Tuple
 
 from . import mixed, reducibility, spectral
 from .irreps import build_irrep, omega_matrix
@@ -164,11 +171,24 @@ def check_scan_sufficiency() -> Tuple[bool, str]:
 
 
 @lru_cache(maxsize=None)
+def _mu_zero_base(series: str) -> mixed.ConformalModule:
+    """The mu=0 module at n=2 and b=0, one per series: every mu=0 module of
+    the two mu=0 checks is it or its sibling (read-only: they share it)."""
+    return mixed.ConformalModule(zero_weight(series, 2), 0)
+
+
+@lru_cache(maxsize=None)
+def _mu_zero_witness(series: str, b: Fraction) -> Optional[reducibility.SubmoduleWitness]:
+    """`detect_submodule` to degree 3 in the mu=0 module at b, computed once
+    for the two mu=0 checks that both read it (read-only: they share it)."""
+    return reducibility.detect_submodule(_mu_zero_base(series).at(b), 3)
+
+
+@lru_cache(maxsize=None)
 def _mu_zero_quotient(series: str) -> Mapping[int, Tuple[int, int]]:
     """Degree-4 generation dims of the mu=0, b=0 quotient at n=2, computed
     once for the two mu=0 checks that read it (read-only: they share it)."""
-    mod = mixed.ConformalModule(zero_weight(series, 2), 0)
-    return MappingProxyType(reducibility.generation_closure_scan(mod, 4))
+    return MappingProxyType(reducibility.generation_closure_scan(_mu_zero_base(series), 4))
 
 
 def check_mu_zero_classification() -> Tuple[bool, str]:
@@ -183,10 +203,8 @@ def check_mu_zero_classification() -> Tuple[bool, str]:
             good = all(rec.full for rec in r.records)
             ok &= good
             bits.append(f"{series} mu=0 b={b}: full rank {'ok' if good else 'FAIL'}")
-        base = mixed.ConformalModule(zero_weight(series, 2), 0)  # one module for every b
         for b in [Fraction(0), Fraction(-1), Fraction(-2)]:
-            mod = base.at(b)
-            w = reducibility.detect_submodule(mod, 3)
+            w = _mu_zero_witness(series, b)
             good = w is not None and w.is_proper()
             if b == 0 and w is not None:
                 # exactly the constants line, quotient generated above it
@@ -208,7 +226,7 @@ def check_mu_zero_true_classification() -> Tuple[bool, str]:
         ("D", [Fraction(1, 2), Fraction(2), Fraction(5, 2)], [(Fraction(1), 2)]),
         ("B", [Fraction(1), Fraction(2), Fraction(5, 2)], [(Fraction(3, 2), 2), (Fraction(1, 2), 4)]),
     ]:
-        base = mixed.ConformalModule(zero_weight(series, 2), 0)  # one module for every b
+        base = _mu_zero_base(series)
         for b in good_bs:
             w = reducibility.detect_submodule(base.at(b), 3)
             good = w is None
@@ -225,7 +243,7 @@ def check_mu_zero_true_classification() -> Tuple[bool, str]:
                 f"{'ok' if good else 'FAIL'} (refutes the stated sharp classification)"
             )
         for b in [Fraction(0), Fraction(-1), Fraction(-2)]:
-            w = reducibility.detect_submodule(base.at(b), 3)
+            w = _mu_zero_witness(series, b)
             good = w is not None and w.is_proper()
             ok &= bool(good)
             bits.append(f"{series} b={b}: reducible {'ok' if good else 'FAIL'}")

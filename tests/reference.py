@@ -5,10 +5,11 @@ from fractions import Fraction
 from itertools import permutations, product
 from typing import Callable, Dict, FrozenSet, Iterator, List, Optional, Sequence, Set, Tuple
 
-from oconf.linalg import EchelonBasis, vectors_contained_in_span
+from oconf import spectral
+from oconf.linalg import EchelonBasis, SparseMat, vectors_contained_in_span
 from oconf.mixed import ConformalModule
 from oconf.reducibility import SEED_DEGREE, SLACK, SubmoduleWitness
-from oconf.weights import Spectrum
+from oconf.weights import Spectrum, WeightVec
 
 
 def is_canonical(v) -> bool:
@@ -129,6 +130,30 @@ def generation_closure_scan(mod: ConformalModule, max_degree: int) -> Dict[int, 
                     if add(kt, v):
                         changed = True
     return {k: (spans[k].rank, dims[k]) for k in range(max_degree + 1)}
+
+
+def t_matrix(mod: ConformalModule, k: int) -> SparseMat:
+    """T as the sum of products J (slice k+1) * (x multiplication on slice k),
+    every factor a whole matrix."""
+    n = mod.n
+    terms = [("J_0", 0)] if mod.series == "B" else []
+    for i in range(1, n + 1):
+        terms += [(f"J_{i}", n + i), (f"J_{n + i}", i)]
+    out = SparseMat(mod.slice_dim(k + 2), mod.slice_dim(k))
+    for label, idx in terms:
+        out = out + mod.action_matrix(label, k + 1) * mod.mult_matrix(mod.conf.x(idx), k)
+    return out
+
+
+def t_operator_sweep(mu: WeightVec, k: int, bs: Sequence) -> Dict[Fraction, bool]:
+    """T == t_scalar * eta on slice k for each b, in a fresh module at that
+    b: T(b) by `t_matrix` and the whole multiple of eta, compared."""
+    out = {}
+    for b in bs:
+        mod = ConformalModule(mu, b, slice_cap=spectral.T_SLICE_CAP)
+        eta = mod.mult_matrix(mod.conf.eta(), k)
+        out[Fraction(b)] = t_matrix(mod, k) == eta.scale(spectral.t_scalar(mod, k))
+    return out
 
 
 def submodule_closure_failures(witness: SubmoduleWitness) -> Set[str]:

@@ -165,3 +165,24 @@ def test_mu_zero_quotient_is_shared_read_only():
         q[4] = (35, 35)
     fresh = reducibility.generation_closure_scan(mixed.ConformalModule(zero_weight("D", 2), 0), 4)
     assert dict(q) == fresh and q[4] == (34, 35)
+
+
+def _clear_mu_zero_caches():
+    for cached in (suite._mu_zero_base, suite._mu_zero_witness, suite._mu_zero_quotient):
+        cached.cache_clear()
+
+
+def test_mu_zero_checks_agree_in_either_order():
+    # the two checks share one base per series and the b in {0, -1, -2}
+    # witnesses; neither changes what the other reads
+    checks = [suite.check_mu_zero_classification, suite.check_mu_zero_true_classification]
+    _clear_mu_zero_caches()
+    forward = [check() for check in checks]
+    _clear_mu_zero_caches()
+    backward = [check() for check in reversed(checks)][::-1]
+    assert forward == backward
+    assert [ok for ok, _ in forward] == [False, True]
+    w = suite._mu_zero_witness("D", Fraction(-1))
+    assert w.module.b == -1 and w.module._base is suite._mu_zero_base("D")
+    fresh = reducibility.detect_submodule(mixed.ConformalModule(zero_weight("D", 2), -1), 3)
+    assert (w.dims, w.basis) == (fresh.dims, fresh.basis)

@@ -281,6 +281,26 @@ def test_integral_fraction_scalars_cost_no_fraction_arithmetic():
                                      {(0, 0): 5, (0, 1): -1, (1, 1): 4}]
 
 
+def test_accumulators_add_no_integral_fraction():
+    # 2/3 * 3/2 is integral although neither operand is; every product and
+    # partial sum is canonical, so adding it to an int is int arithmetic
+    h, t = Fraction(2, 3), Fraction(3, 2)
+    A = SparseMat(2, 2, {(0, 0): h, (0, 1): 1})
+    B = SparseMat(2, 2, {(0, 0): t, (1, 0): 1, (1, 1): h})
+    with integral_fraction_ops() as count:
+        applied = A.apply_all([{0: t, 1: 1}, {1: 1, 0: t}])
+        summed = SparseMat.from_entries(1, 1, [((0, 0), Fraction(1, 2)), ((0, 0), Fraction(1, 2)), ((0, 0), 1)])
+        product = A * B
+        commutator = A.bracket(B)
+    assert count() == 0
+    assert applied == [{0: 2}, {0: 2}] and summed.data == {(0, 0): 2}
+    assert product.data == {(0, 0): 2, (0, 1): h}
+    assert commutator.data == {(0, 0): 1, (0, 1): Fraction(-5, 6), (1, 0): Fraction(-2, 3), (1, 1): -1}
+    for vals in [applied[0].values(), applied[1].values(), summed.data.values(), product.data.values(),
+                 commutator.data.values()]:
+        assert all(is_canonical(v) for v in vals)
+
+
 def test_float_entries_are_rejected():
     with pytest.raises(AttributeError):
         SparseMat(1, 1, {(0, 0): 0.5})

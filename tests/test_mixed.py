@@ -420,6 +420,29 @@ def test_module_and_embedding_do_no_integral_fraction_arithmetic():
     assert count() == 1 and F(2) * 3 == 6  # the count sees one and the operators are restored
 
 
+@pytest.mark.parametrize("n,series", [(2, "D"), (2, "B")])
+def test_shen_check_applies_each_field_to_each_exponent_once(n, series, monkeypatch):
+    # the brackets of all generator pairs reuse each embedding's images of
+    # the gl exponents; every one is still the field applied to x^e
+    seen = []
+    right = DiffOp.apply
+
+    def counted(self, f):
+        seen.append((repr(self), tuple(f.terms)))
+        return right(self, f)
+
+    from oconf import mixed
+
+    mixed._embed.cache_clear()
+    monkeypatch.setattr(DiffOp, "apply", counted)
+    assert verify_shen_monomorphism(n, series)["ok"]
+    assert seen and len(seen) == len(set(seen))
+    for lbl in build_conformal(n, series).labels():
+        emb = mixed._embed(n, series, lbl)
+        for e, image in emb._images.items():
+            assert image == right(emb.field, Poly.monomial(emb.num_vars, e))
+
+
 def test_shen_check_sees_a_wrong_gl_part_of_the_bracket(monkeypatch):
     # the left side embeds the field part of the right side, so only the gl
     # parts are compared; a bracket that gets its gl part wrong must fail

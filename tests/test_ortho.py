@@ -6,6 +6,8 @@ import pytest
 
 from oconf.linalg import SparseMat, rank_of_rows
 from oconf.ortho import (
+    ConformalBasis,
+    _report_entry,
     build_conformal,
     build_ortho,
     diffop_coeff_vector,
@@ -101,6 +103,34 @@ def test_bracket_tables_all_pass(n, series):
     rep = verify_bracket_tables(n, series)
     fails = [r for r in rep if r["status"] != "pass"]
     assert not fails, fails[:3]
+
+
+def test_report_entry_builds_the_difference_only_on_failure():
+    conf = build_conformal(2, "D")
+    a, b = conf.op("J_1"), conf.op("d_1")
+    same = a.scale(1)  # equal to a, another object
+    assert _report_entry("a=a", a, same) == {
+        "identity": "a=a", "status": "pass", "lhs": repr(a), "rhs": repr(same), "diff": "0"}
+    assert _report_entry("a=b", a, b) == {
+        "identity": "a=b", "status": "fail", "lhs": repr(a), "rhs": repr(b), "diff": repr(a - b)}
+
+
+def test_bracket_tables_build_each_rotation_once(monkeypatch):
+    calls = []
+    right = ConformalBasis.rotation
+
+    def counted(self, family, i, j):
+        calls.append((family, i, j))
+        return right(self, family, i, j)
+
+    for n, series in [(2, "D"), (2, "B")]:
+        build_conformal(n, series)  # the shared basis is built outside the count
+        monkeypatch.setattr(ConformalBasis, "rotation", counted)
+        calls.clear()
+        rep = verify_bracket_tables(n, series)
+        monkeypatch.setattr(ConformalBasis, "rotation", right)
+        assert calls and len(calls) == len(set(calls))
+        assert all(r["status"] == "pass" for r in rep)
 
 
 def test_theta_images_match_stated_table():

@@ -3,11 +3,11 @@
 import random
 from fractions import Fraction
 from itertools import product
-from math import comb, prod
+from math import comb, lcm, prod
 
 import pytest
 
-from oconf.poly import DiffOp, Poly, bracket, monomial_basis
+from oconf.poly import DiffOp, Poly, _scaled_terms, bracket, monomial_basis
 from reference import integral_fraction_ops, is_canonical
 
 
@@ -147,6 +147,25 @@ def test_bracket_is_the_difference_of_the_compositions(order):
         nv = rng.randint(1, 3)
         a, b = random_op_of_order(rng, nv, order), random_op_of_order(rng, nv, rng.randint(0, order))
         assert bracket(a, b) == a @ b - b @ a
+
+
+def test_scaled_terms_memo_equals_a_fresh_computation():
+    rng = random.Random(31)
+    for _ in range(60):
+        nv = rng.randint(1, 3)
+        op = random_fraction_op(rng, nv)
+        den, terms = memo = _scaled_terms(op)
+        assert _scaled_terms(op) is memo  # kept in the operator's slot
+        fresh = DiffOp(nv, op.terms)  # an equal operator with no memo
+        assert fresh._scaled is None and _scaled_terms(fresh) == memo
+        # den is the lcm of the denominators, and terms / den is the operator
+        assert den == lcm(*(c.denominator for c in coefficients(op)))
+        assert {beta: {e: Fraction(c, den) for e, c in p} for beta, p in terms} == {
+            beta: dict(p.terms) for beta, p in op.terms.items()}
+        # derived operators start without a memo, and use of the memo
+        # changes no product
+        assert op.scale(2)._scaled is None and (op @ op)._scaled is None
+        assert op @ fresh == leibniz_compose(op, op)
 
 
 def test_composition_is_associative_and_normal_ordered():

@@ -304,6 +304,60 @@ def test_closure_check_reports_a_missing_basis_vector():
     assert failing and len(failing) < len(w.module.conf.labels())
 
 
+@pytest.mark.parametrize("degree", [1, 4])
+def test_closure_check_matches_the_reference_on_a_broken_witness(degree):
+    # without one vector of slice 1 (full in the witness) or of slice 4
+    # (69 of 70), the failing labels are those of a fresh span per
+    # (label, degree), label by label
+    w = detect_submodule(ConformalModule(zero_weight("B", 2), F(1, 2)), 4)
+    broken = replace(w, basis={**w.basis, degree: w.basis[degree][:-1]})
+    rep = verify_submodule_closure(broken)
+    failing = reference.submodule_closure_failures(broken)
+    assert rep == {**{lbl: lbl not in failing for lbl in w.module.conf.labels()}, "ok": not failing}
+    assert failing and len(failing) < len(w.module.conf.labels())
+
+
+class _SpyModule:
+    """A module that records every action matrix asked of it."""
+
+    def __init__(self, mod):
+        self._mod = mod
+        self.asked = []
+
+    def __getattr__(self, name):
+        return getattr(self._mod, name)
+
+    def action_matrix(self, label, k):
+        self.asked.append((label, k))
+        return self._mod.action_matrix(label, k)
+
+
+def test_closure_check_computes_no_image_into_a_full_slice(monkeypatch):
+    # the suite's three closure witnesses: a target slice the witness fills
+    # gets no image and no matrix
+    calls, images = [], []
+    right = SparseMat.apply_all
+
+    def counted(self, vecs):
+        out = right(self, vecs)
+        calls.append(1)
+        images.extend(out)
+        return out
+
+    witnesses = [detect_submodule(ConformalModule(zero_weight(series, 2), b), deg)
+                 for series, b, deg in [("D", F(1), 2), ("B", F(3, 2), 2), ("B", F(1, 2), 4)]]
+    monkeypatch.setattr(SparseMat, "apply_all", counted)
+    for w in witnesses:
+        spy = _SpyModule(w.module)
+        before = len(calls)
+        assert verify_submodule_closure(replace(w, module=spy))["ok"]
+        assert len(spy.asked) == len(calls) - before
+        for label, k in spy.asked:
+            kt = k + spy.degree_shift(label)
+            assert w.dims[kt][0] < w.dims[kt][1], (w.module.b, label, k)
+    assert (len(calls), len(images)) == (43, 1192)  # every (label, k): 185 and 2,790
+
+
 def test_eta_multiple_lands_in_j_span():
     # for b with 2b+1-2n+l != 0: eta * (slice l-1) lies in sum_i J_i(slice l)
     mu = parse_weight("1,0", "D")

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from oconf import spectral
 from oconf.irreps import build_irrep, omega_matrix, tensor_with_natural
 from oconf.linalg import SparseMat, charpoly
 from oconf.mixed import ConformalModule
@@ -112,18 +113,6 @@ def test_t_operator_scalar_identity(series, b):
         assert T == eta_mult.scale(t_scalar(mod, k)), (series, b, k)
 
 
-def reference_t_matrix(mod, k):
-    """T as the sum of products J (slice k+1) * (x multiplication on slice k)."""
-    n = mod.n
-    terms = [("J_0", 0)] if mod.series == "B" else []
-    for i in range(1, n + 1):
-        terms += [(f"J_{i}", n + i), (f"J_{n + i}", i)]
-    out = SparseMat(mod.slice_dim(k + 2), mod.slice_dim(k))
-    for label, idx in terms:
-        out = out + mod.action_matrix(label, k + 1) * mod.mult_matrix(mod.conf.x(idx), k)
-    return out
-
-
 @pytest.mark.parametrize("series,mus", [("D", "1,0"), ("B", "1,0"), ("B", "1/2,1/2"), ("D", "1,0,0")])
 @pytest.mark.parametrize("b", [F(0), F(1, 3), F(-11, 7)])
 def test_t_assembly_matches_product_reference(series, mus, b):
@@ -131,7 +120,7 @@ def test_t_assembly_matches_product_reference(series, mus, b):
     fresh = ConformalModule(mu, b, slice_cap=8192)
     sibling = ConformalModule(mu, F(3, 7), slice_cap=8192).at(b)
     for k in range(4):
-        want = reference_t_matrix(fresh, k).data
+        want = reference.t_matrix(fresh, k).data
         for mod in (fresh, sibling):
             T = invariant_t_matrix(mod, k)
             assert T.data == want, (series, mus, b, k, mod is sibling)
@@ -160,6 +149,45 @@ def test_t_operator_sweep_matches_single_b_verification(series):
         sweep = t_operator_sweep(ConformalModule(mu, F(0), slice_cap=8192), k, bs)
         assert sweep == {b: verify_t_operator(mu, b, k)["match"] for b in bs}
         assert all(sweep.values())
+
+
+SWEEP_BS = [F(0), F(1), F(1, 3), F(-1, 2), F(1, 2), F(-11, 7)]
+
+
+@pytest.mark.parametrize("series", ["D", "B"])
+def test_t_operator_sweep_matches_fresh_modules(series):
+    # the sweep compares E0 + (b - b0) E_C with zero; the reference builds
+    # T and the multiple of eta whole, in a fresh module per b
+    mu = parse_weight("1,0", series)
+    for b0 in [F(0), F(3, 7)]:
+        for k in range(3):
+            sweep = t_operator_sweep(ConformalModule(mu, b0, slice_cap=8192), k, SWEEP_BS)
+            assert sweep == reference.t_operator_sweep(mu, k, SWEEP_BS), (b0, k)
+            assert all(sweep.values())
+
+
+@pytest.mark.parametrize("series", ["D", "B"])
+def test_t_operator_sweep_sees_a_wrong_scalar(series, monkeypatch):
+    # the slope comes from t_scalar, so a scalar off by a constant fails at
+    # every b, and one off by (b - 1) holds at b = 1 only
+    mu = parse_weight("1,0", series)
+    right = spectral.t_scalar
+    for wrong, want in [
+        (lambda mod, k: right(mod, k) + 1, {b: False for b in SWEEP_BS}),
+        (lambda mod, k: right(mod, k) + mod.b - 1, {b: b == 1 for b in SWEEP_BS}),
+    ]:
+        monkeypatch.setattr(spectral, "t_scalar", wrong)
+        for k in range(3):
+            sweep = t_operator_sweep(ConformalModule(mu, F(0), slice_cap=8192), k, SWEEP_BS)
+            assert sweep == want == reference.t_operator_sweep(mu, k, SWEEP_BS), k
+
+
+def test_t_assembly_stores_no_action_matrix():
+    # T reads only the J columns at monomials divisible by its variable
+    mod = ConformalModule(parse_weight("1,0", "B"), F(1, 3), slice_cap=8192)
+    for k in range(3):
+        assert invariant_t_matrix(mod, k).data == reference.t_matrix(ConformalModule(mod.mu, mod.b), k).data
+    assert not mod._act
 
 
 @pytest.mark.parametrize("k", [-1, -3])
