@@ -47,7 +47,6 @@ from .irreps import (
     CapExceeded,
     IrrepData,
     build_irrep,
-    load_irrep_json,
     omega_matrix,
     tensor_with_natural,
     validate_irrep,
@@ -60,7 +59,6 @@ from .mixed import (
     verify_shen_monomorphism,
 )
 from .spectral import (
-    OmegaTildeMatrix,
     closed_form_charpoly,
     invariant_t_matrix,
     omega_tilde_matrix,

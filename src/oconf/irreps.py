@@ -81,21 +81,6 @@ class IrrepData:
         }
 
 
-def load_irrep_json(doc: dict) -> IrrepData:
-    from .weights import parse_weight
-
-    series = doc["series"]
-    mu = parse_weight(doc["mu"], series)
-    ob = build_ortho(natural_dim(series, mu.n))
-    dim = doc["dim"]
-    rep = {}
-    for label, triplets in doc["matrices"].items():
-        data = {(int(i), int(j)): Fraction(v) for i, j, v in triplets}
-        rep[label] = SparseMat(dim, dim, data)
-    weights = [parse_weight(w, series) for w in doc["weights"]]
-    return IrrepData(mu, dim, weights, rep, doc["highest"], ob)
-
-
 def _natural_rep(ob: OrthoBasis) -> Dict[str, SparseMat]:
     """The defining representation of o(m)."""
     return {el.label: ob.matrix(i) for i, el in enumerate(ob.elements)}

@@ -27,7 +27,7 @@ from __future__ import annotations
 import copy
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from math import comb, lcm
 from operator import add
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -136,15 +136,11 @@ def shen_closed_forms(n: int, series: str) -> Dict[str, ExtendedOp]:
     conf = build_conformal(n, series)
     nv = conf.num_vars
     zero = (0,) * nv
-
-    def E(a: int, b: int, s: int = 1) -> SparseMat:
-        return SparseMat(nv, nv, {(conf.var_pos(a), conf.var_pos(b)): s})
-
+    E = build_ortho(nv).unit
     eye = SparseMat.identity(nv)
-    var_range = range(1, 2 * n + 1) if series == "D" else range(0, 2 * n + 1)
     out: Dict[str, ExtendedOp] = {}
     out["D"] = ExtendedOp(nv, conf.op("D"), {zero: eye})
-    for r in var_range:
+    for r in conf.var_labels:
         out[f"d_{r}"] = ExtendedOp(nv, conf.op(f"d_{r}"), {})
     for i in range(1, n + 1):
         for j in range(1, n + 1):
@@ -253,7 +249,7 @@ class ConformalModule:
         self.mu = mu
         self.series = mu.series
         self.n = mu.n
-        self.b = Fraction(b)
+        self.b = canon(Fraction(b))
         self.slice_cap = slice_cap
         self.conf = build_conformal(self.n, self.series)
         self.num_vars = self.conf.num_vars
@@ -270,25 +266,23 @@ class ConformalModule:
         self._piece_memo: Dict[str, list] = {}  # label -> _pieces(label), at this b
         self._small_labels = self.small.labels()
         # ordered by label index, matching the monomial variable order
-        if self.series == "D":
-            self.j_labels = [f"J_{r}" for r in range(1, 2 * self.n + 1)]
-        else:
-            self.j_labels = [f"J_{r}" for r in range(0, 2 * self.n + 1)]
+        self.j_labels = [f"J_{r}" for r in self.conf.var_labels]
 
     # -- bookkeeping -----------------------------------------------------------
 
     def monomials_of(self, k: int) -> List[Exps]:
-        if k < 0:
-            return []
         hit = self._monos.get(k)
         if hit is None:
-            hit = monomial_basis(self.num_vars, k)
+            hit = monomial_basis(self.num_vars, k) if k >= 0 else []
             self._monos[k] = hit
             self._mono_index[k] = {e: i for i, e in enumerate(hit)}
         return hit
 
     def slice_dim(self, k: int) -> int:
-        return len(self.monomials_of(k)) * self.dim_v
+        """dim A_k (x) V(mu), counted, not built: there are
+        C(k + m - 1, m - 1) monomials of degree k in m variables."""
+        m = self.num_vars
+        return comb(k + m - 1, m - 1) * self.dim_v if k >= 0 else 0
 
     def mono_index(self, k: int) -> Dict[Exps, int]:
         self.monomials_of(k)
@@ -321,6 +315,7 @@ class ConformalModule:
         return hit
 
     def check_cap(self, k: int):
+        """Raise CapExceeded if slice k is larger than the cap; builds nothing."""
         d = self.slice_dim(k)
         if d > self.slice_cap:
             raise CapExceeded(f"slice dimension {d} at degree {k} exceeds cap {self.slice_cap}")
@@ -360,7 +355,7 @@ class ConformalModule:
                 field.setdefault(tuple(a - b for a, b in zip(m, beta)), []).append((i, c))
         blocks: Dict[Exps, SparseMat] = {}
         for ge, central, coeffs in _split(self.n, self.series, label):
-            block = SparseMat.identity(self.dim_v).scale(central * canon(self.b))
+            block = SparseMat.identity(self.dim_v).scale(central * self.b)
             for sidx, sc in coeffs.items():
                 block = block + self.irrep.rep[self._small_labels[sidx]].scale(sc)
             blocks[ge] = block
@@ -401,17 +396,16 @@ class ConformalModule:
         data = self._stencil(label, k)
         # every v is a stored (so nonzero) entry of block + s I; row indexes
         # a monomial of slice kt and col one of slice k, and r, q < dv
-        return SparseMat._trusted(self.slice_dim(kt) if kt >= 0 else 0, self.slice_dim(k), data)
+        return SparseMat._trusted(self.slice_dim(kt), self.slice_dim(k), data)
 
     def _stencil(self, label: str, k: int, cols: Optional[Sequence[int]] = None) -> Dict[Tuple[int, int], Fraction]:
         """Entries of the generator's matrix from slice k: all of them, or
         those in the given columns only."""
         kt = k + self.degree_shift(label)
         self.check_cap(k)
-        if kt >= 0:
-            self.check_cap(kt)
+        self.check_cap(kt)
         monos = self.monomials_of(k)
-        tindex = self._mono_index.get(kt)
+        tindex = self.mono_index(kt)
         dv = self.dim_v
         if cols is None:
             sel: List[Tuple[int, Optional[set]]] = [(mi, None) for mi in range(len(monos))]
@@ -450,7 +444,7 @@ class ConformalModule:
         Its action at b is the base's action plus (b - base b) `central_part`.
         Nothing is cached beyond the modules the caller holds.
         """
-        b = Fraction(b)
+        b = canon(Fraction(b))
         if b == self.b:
             return self
         base = self._base or self
@@ -512,13 +506,14 @@ class ConformalModule:
             out = SparseMat.identity(self.dim_v)
         else:
             prev_cols = self.phi_matrix(k - 1).col_vectors()
+            prev_index = self.mono_index(k - 1)
             dv = self.dim_v
             # column x^e (x) v is J_i applied to column x^(e - u_i) (x) v of
             # phi_{k-1}, i the first variable of x^e; batched per J_i
             batches: Dict[int, Tuple[List[int], List[Dict[int, Fraction]]]] = {}
             for mi, e in enumerate(self.monomials_of(k)):
                 i = next(t for t, x in enumerate(e) if x > 0)
-                pcol = self._mono_index[k - 1][e[:i] + (e[i] - 1,) + e[i + 1:]] * dv
+                pcol = prev_index[e[:i] + (e[i] - 1,) + e[i + 1:]] * dv
                 cols, vecs = batches.setdefault(i, ([], []))
                 cols.extend(range(mi * dv, mi * dv + dv))
                 vecs.extend(prev_cols[pcol:pcol + dv])

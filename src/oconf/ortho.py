@@ -22,7 +22,7 @@ from typing import Dict, List, Optional, Tuple
 
 from .linalg import SparseMat, rank_of_rows
 from .poly import DiffOp, Poly, bracket
-from .weights import MIN_RANK, natural_dim
+from .weights import MIN_RANK, _rho_twice, natural_dim
 
 Root = Tuple[int, ...]  # integral, so ints (see `linalg.canon`)
 
@@ -78,6 +78,10 @@ class OrthoBasis:
     def labels(self) -> List[str]:
         return [e.label for e in self.elements]
 
+    def unit(self, a: int, b: int) -> SparseMat:
+        """The matrix unit E_{a,b}, in label indices."""
+        return SparseMat(self.m, self.m, {(self._pos(a), self._pos(b)): 1})
+
     def cartan_indices(self) -> List[int]:
         return [i for i, e in enumerate(self.elements) if e.kind == "cartan"]
 
@@ -121,20 +125,11 @@ class OrthoBasis:
 
 
 def _root_height(series: str, n: int, root: Root) -> int:
-    nz = [(i, c) for i, c in enumerate(root) if c != 0]
-    if len(nz) == 1:
-        (i, c) = nz[0]
-        if abs(c) == 1 and series == "B":
-            return n - i  # epsilon_{i+1} has height n-i in B_n
-        raise ValueError(f"unexpected root {root}")
-    (i, ci), (j, cj) = nz
-    i += 1
-    j += 1
-    if ci == 1 and cj == -1:
-        return j - i
-    if ci == 1 and cj == 1:
-        return (2 * n - i - j) if series == "D" else (2 * n - i - j + 2)
-    raise ValueError(f"root {root} is not positive")
+    """Height of a positive root: its pairing with rho-check, the half-sum
+    of the positive coroots.  2 rho-check is 2 rho for D, and 2 rho plus 1
+    in each coordinate for B (the short roots e_i have coroots 2 e_i)."""
+    shift = 1 if series == "B" else 0
+    return sum(c * (r + shift) for c, r in zip(root, _rho_twice(series, n))) // 2
 
 
 @lru_cache(maxsize=None)
@@ -250,6 +245,12 @@ class ConformalBasis:
     def labels(self) -> List[str]:
         return [lbl for lbl, _ in self.elements]
 
+    @property
+    def var_labels(self) -> range:
+        """The variables' label indices, in position order: 1..2n (D),
+        0..2n (B)."""
+        return range(1 if self.series == "D" else 0, 2 * self.n + 1)
+
     def var_pos(self, label_idx: int) -> int:
         return label_idx - 1 if self.series == "D" else label_idx
 
@@ -342,10 +343,9 @@ def build_conformal(n: int, series: str) -> ConformalBasis:
     num_vars = natural_dim(series, n)
     cb = ConformalBasis(series, n, num_vars, [])
     elements: List[Tuple[str, DiffOp]] = [("D", cb.euler())]
-    var_range = range(1, 2 * n + 1) if series == "D" else range(0, 2 * n + 1)
-    for r in var_range:
+    for r in cb.var_labels:
         elements.append((f"d_{r}", cb.partial(r)))
-    for r in var_range:
+    for r in cb.var_labels:
         elements.append((f"J_{r}", cb.special_conformal(r)))
     if series == "B":
         for s in range(1, 2 * n + 1):
@@ -458,7 +458,7 @@ def verify_bracket_tables(n: int, series: str) -> List[Dict[str, str]]:
     Dop = conf.euler()
     nv = conf.num_vars
     zero = DiffOp.zero(nv)
-    var_range = list(range(1, 2 * n + 1)) if series == "D" else list(range(0, 2 * n + 1))
+    var_range = conf.var_labels
     J = {r: conf.op(f"J_{r}") for r in var_range}
     P = {r: conf.op(f"d_{r}") for r in var_range}
     rotation = lru_cache(maxsize=None)(conf.rotation)  # each operator built once
@@ -573,11 +573,7 @@ def casimir_pairs(ob: OrthoBasis) -> List[Tuple[SparseMat, SparseMat]]:
     omega = sum over these pairs (M1, M2) of M1*M2 in U(o(m)); both orderings
     of each product appear as separate pairs.
     """
-    n = ob.n
-
-    def E(a: int, b: int) -> SparseMat:
-        return SparseMat(ob.m, ob.m, {(ob._pos(a), ob._pos(b)): 1})
-
+    n, E = ob.n, ob.unit
     pairs: List[Tuple[SparseMat, SparseMat]] = []
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):

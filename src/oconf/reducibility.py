@@ -109,8 +109,6 @@ class ScanRecord:
 class ScanResult:
     mu: WeightVec
     b: Fraction
-    series: str
-    n: int
     max_degree: int
     records: List[ScanRecord]
     phi_eigenvalues_k1: List[Tuple[Fraction, int]]
@@ -119,8 +117,8 @@ class ScanResult:
     def to_json_dict(self) -> dict:
         return {
             "schema": 1,
-            "series": self.series,
-            "n": self.n,
+            "series": self.mu.series,
+            "n": self.mu.n,
             "mu": str(self.mu),
             "b": str(self.b),
             "max_degree": self.max_degree,
@@ -144,7 +142,6 @@ def _j_span_rank(mod: ConformalModule, level: int) -> int:
     module docstring).  Only the columns J_i(u) of the dominant blocks are
     built, label by label, and only while the block is open."""
     k = level + 1
-    mod.check_cap(k)  # the larger slice: fail before any work
     dims: Dict[Tuple[int, ...], int] = {}
     for w in mod.slice_weights(k):
         dims[w] = dims.get(w, 0) + 1
@@ -201,7 +198,7 @@ def surjectivity_scan(mu: WeightVec, b, max_degree: int) -> ScanResult:
         verdict = "critical-b"
     else:
         verdict = f"irreducible-up-to-{max_degree}"
-    return ScanResult(mu, b, mu.series, mu.n, max_degree, records, phi_eigs, verdict)
+    return ScanResult(mu, b, max_degree, records, phi_eigs, verdict)
 
 
 @dataclass

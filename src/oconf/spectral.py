@@ -11,7 +11,6 @@ weight combinatorics only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from typing import Dict, List, Tuple
@@ -30,27 +29,19 @@ from .weights import (
 )
 
 
-@dataclass
-class OmegaTildeMatrix:
-    """Split Casimir on V(e1) (x) V(mu), natural factor realized on degree-one
-    polynomials (so the matrix matches the degree-one module slice)."""
-
-    dim: int
-    matrix: SparseMat
-
-
 # largest V(e1) (x) V(mu) whose split Casimir is assembled
 TENSOR_CAP = 4096
 
 
-def omega_tilde_matrix(mu: WeightVec) -> OmegaTildeMatrix:
+def omega_tilde_matrix(mu: WeightVec) -> SparseMat:
+    """Split Casimir on V(e1) (x) V(mu), natural factor realized on degree-one
+    polynomials (so the matrix matches the degree-one module slice)."""
     V = build_irrep(mu)
     dim = V.basis.m * V.dim
     if dim > TENSOR_CAP:
         raise CapExceeded(f"tensor dimension {dim} exceeds cap {TENSOR_CAP}")
-    out = SparseMat.from_entries(dim, dim, (
+    return SparseMat.from_entries(dim, dim, (
         e for M1, M2 in casimir_pairs(V.basis) for e in M1.kron(V.matrix_of(M2)).data.items()))
-    return OmegaTildeMatrix(dim, out)
 
 
 def closed_form_charpoly(spec: Spectrum) -> List[Fraction]:
@@ -78,7 +69,7 @@ def verify_charpoly_lemma(mu: WeightVec) -> Dict[str, object]:
     closed form, plus the half-difference consistency identity and the
     eigenspace-dimension cross-check against the Pieri multiplicities."""
     otm = omega_tilde_matrix(mu)
-    computed = charpoly(otm.matrix)
+    computed = charpoly(otm)
     spec = omega_tilde_spectrum(mu)
     closed = closed_form_charpoly(spec)
     match = computed == closed
@@ -90,12 +81,12 @@ def verify_charpoly_lemma(mu: WeightVec) -> Dict[str, object]:
     c_mu = casimir_eigenvalue(mu)
     eye = SparseMat.identity(tm.dim)
     half_diff = (big - eye.scale(c_e1) - eye.scale(c_mu)).scale(Fraction(1, 2))
-    consistency = half_diff == otm.matrix
+    consistency = half_diff == otm
 
     eig_dims = {}
     eig_ok = True
     for lam, mult in spec.entries:
-        shifted = otm.matrix - eye.scale(lam)
+        shifted = otm - eye.scale(lam)
         nullity = shifted.cols - rank_of_rows(shifted.row_vectors())
         eig_dims[str(lam)] = nullity
         if nullity != mult:
@@ -104,7 +95,7 @@ def verify_charpoly_lemma(mu: WeightVec) -> Dict[str, object]:
         "mu": str(mu),
         "series": mu.series,
         "n": mu.n,
-        "dim": otm.dim,
+        "dim": otm.rows,
         "charpoly_computed": [str(c) for c in computed],
         "charpoly_closed_form": [str(c) for c in closed],
         "match": match,
@@ -125,6 +116,11 @@ def _t_terms(mod: ConformalModule) -> List[Tuple[str, int]]:
     return [(label, mod.conf.var_pos(idx)) for label, idx in terms]
 
 
+def _check_degree(k: int):
+    if k < 0:
+        raise ValueError(f"slice degree k must be >= 0, got {k}")
+
+
 def invariant_t_matrix(mod: ConformalModule, k: int) -> SparseMat:
     """T = sum_i (J_i x_{n+i} + J_{n+i} x_i) (+ J_0 x_0 for the odd series)
     as a map from slice k to slice k+2.
@@ -136,8 +132,7 @@ def invariant_t_matrix(mod: ConformalModule, k: int) -> SparseMat:
     (`ConformalModule.action_columns`), each sent back to its slice-k
     column; no whole slice-(k+1) matrix is built or stored.
     """
-    if k < 0:
-        raise ValueError(f"slice degree k must be >= 0, got {k}")
+    _check_degree(k)
     dv = mod.dim_v
     monos_up = mod.monomials_of(k + 1)
     index = mod.mono_index(k)
@@ -165,8 +160,7 @@ def central_t_matrix(mod: ConformalModule, k: int) -> SparseMat:
     The b-coefficient of J_i multiplies by its central polynomial p_i
     (`ConformalModule.central_part`), so T_C multiplies by the single
     polynomial sum_i p_i x_idx, from slice k to slice k+2."""
-    if k < 0:
-        raise ValueError(f"slice degree k must be >= 0, got {k}")
+    _check_degree(k)
     q = Poly.zero(mod.num_vars)
     for label, pos in _t_terms(mod):
         q = q + mod.central_poly(label) * Poly.var(mod.num_vars, pos)
@@ -186,18 +180,16 @@ T_SLICE_CAP = 8192
 
 
 def verify_t_operator(mu: WeightVec, b, k: int) -> Dict[str, object]:
+    """T == t_scalar * eta on slice k: the sweep at the module's own b."""
     mod = ConformalModule(mu, b, slice_cap=T_SLICE_CAP)
-    T = invariant_t_matrix(mod, k)
-    scalar = t_scalar(mod, k)
-    eta_mult = mod.mult_matrix(mod.conf.eta(), k)
-    expected = eta_mult.scale(scalar)
+    match = t_operator_sweep(mod, k, [mod.b])[mod.b]
     return {
         "mu": str(mu),
         "series": mu.series,
         "b": str(mod.b),
         "k": k,
-        "scalar": str(scalar),
-        "match": T == expected,
+        "scalar": str(t_scalar(mod, k)),
+        "match": match,
     }
 
 
@@ -210,7 +202,13 @@ def t_operator_sweep(base: ConformalModule, k: int, bs) -> Dict[Fraction, bool]:
     E0 = T0 - s(b0) eta and E_C = T_C - slope eta, and each b is answered
     exactly by whether E0 + (b - b0) E_C is the zero matrix.  Only these
     two differences are built; no T(b) and no multiple of eta per b.
+
+    The degree and the caps are checked before anything is built: slice
+    k + 1, whose J columns T reads, then slice k + 2, where T lands.
     """
+    _check_degree(k)
+    base.check_cap(k + 1)
+    base.check_cap(k + 2)
     b0 = base.b
     eta_mult = base.mult_matrix(base.conf.eta(), k)
     s0 = t_scalar(base, k)

@@ -126,7 +126,7 @@ def check_phi_degree_one() -> Tuple[bool, str]:
         base = mixed.ConformalModule(mu, 0)
         for b in [Fraction(0), Fraction(1, 3), Fraction(-2)]:
             lhs = base.at(b).phi_matrix(1)
-            rhs = SparseMat.identity(otm.dim).scale(b) + otm.matrix
+            rhs = SparseMat.identity(otm.rows).scale(b) + otm
             good = lhs == rhs
             ok &= good
             bits.append(f"{mu.series} {mu} b={b}: {'ok' if good else 'FAIL'}")

@@ -262,31 +262,16 @@ def pieri_terms(mu: WeightVec) -> List[PieriTerm]:
     s = js.s
     nb = js.boundaries
     terms: List[PieriTerm] = []
-
-    def raise_at(i: int):
-        terms.append(PieriTerm("raise", i, mu.add_unit(i, +1)))
-
-    def lower_at(i: int):
-        terms.append(PieriTerm("lower", i, mu.add_unit(i, -1)))
-
     if mu.series == "D":
-        if t[n - 2] + t[n - 1] > 0:
-            lower_count = s
-        else:
-            lower_count = s - 2 + (1 if t[n - 1] == 0 else 0)
-        for i in range(1, max(lower_count, 0) + 1):
-            lower_at(nb[i])
-        for i in range(1, s + 1):
-            raise_at(1 + nb[i - 1])
+        lower_count = s if t[n - 2] + t[n - 1] > 0 else s - 2 + (1 if t[n - 1] == 0 else 0)
     else:
         if t[n - 1] != 0:
             terms.append(PieriTerm("same", 0, mu))
         lower_count = s - (1 if t[n - 1] == 0 else 0) - (1 if t[n - 1] == 1 else 0)
-        for i in range(1, max(lower_count, 0) + 1):
-            lower_at(nb[i])
-        for i in range(1, s + 1):
-            raise_at(1 + nb[i - 1])
-
+    for i in range(1, max(lower_count, 0) + 1):
+        terms.append(PieriTerm("lower", nb[i], mu.add_unit(nb[i], -1)))
+    for i in range(1, s + 1):
+        terms.append(PieriTerm("raise", 1 + nb[i - 1], mu.add_unit(1 + nb[i - 1], +1)))
     for t in terms:
         if not is_dominant(t.weight):
             raise AssertionError(f"Pieri produced non-dominant {t.weight} from {mu}")

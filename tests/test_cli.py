@@ -132,11 +132,30 @@ def test_build_irrep_json_round_trip(capsys, tmp_path):
     assert rc == 0
     with open(path) as fh:
         doc = json.load(fh)
-    from oconf.irreps import build_irrep, load_irrep_json
+    from oconf.irreps import build_irrep
     from oconf.weights import parse_weight
 
-    V = load_irrep_json(doc)
-    assert V.rep == build_irrep(parse_weight("1/2,1/2", "B")).rep
+    assert doc.pop("validation")["ok"]
+    assert doc == build_irrep(parse_weight("1/2,1/2", "B")).to_json_dict()
+
+
+def test_caps_are_checked_before_any_slice_is_built(capsys, monkeypatch):
+    # a slice above degree 40 is never enumerated: each verb refuses first
+    from oconf import mixed
+
+    real = mixed.monomial_basis
+
+    def bounded(nv, k):
+        if k > 40:
+            raise AssertionError(f"built the monomials of degree {k}")
+        return real(nv, k)
+
+    monkeypatch.setattr(mixed, "monomial_basis", bounded)
+    for argv in (["scan", "--series", "D", "--n", "3", "--b", "1", "--max-degree", "400"],
+                 ["harmonic", "--series", "D", "--n", "2", "--k", "400"],
+                 ["t-operator", "--series", "D", "--mu", "1,0", "--b", "1", "--k", "400"]):
+        assert main(argv) == 2, argv
+        assert capsys.readouterr().err.startswith("cap exceeded: slice dimension "), argv
 
 
 def test_harmonic_verb(capsys):

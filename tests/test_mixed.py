@@ -142,6 +142,23 @@ def test_module_axiom_for_big_algebra(series, mus, b, degrees):
                 assert comm == expected, (labels[i], labels[j], k)
 
 
+@pytest.mark.parametrize("series,mus", [("D", "1,0"), ("B", "1/2,1/2"), ("D", "0,0,0")])
+def test_slice_dim_counts_the_monomials(series, mus):
+    mod = ConformalModule(parse_weight(mus, series), F(1, 3))
+    for k in range(-2, 9):
+        assert mod.slice_dim(k) == len(mod.monomials_of(k)) * mod.dim_v, k
+
+
+def test_central_charge_is_canonical():
+    mu = parse_weight("1,0", "D")
+    mod = ConformalModule(mu, 3)
+    assert type(mod.b) is int and mod.b == 3
+    sib = ConformalModule(mu, F(1, 3)).at(F(6, 2))
+    assert type(sib.b) is int and sib.b == 3
+    assert type(sib.at(F(1, 3)).b) is F
+    assert mod.j_labels == [f"J_{r}" for r in mod.conf.var_labels]
+
+
 def test_phi_degree_zero_is_identity():
     mod = ConformalModule(parse_weight("1,1", "D"), F(2))
     assert mod.phi_matrix(0) == SparseMat.identity(3)
@@ -155,7 +172,7 @@ def test_phi_degree_one_is_b_plus_split_casimir():
         otm = omega_tilde_matrix(mu)
         for b in [F(0), F(1, 3), F(-2)]:
             mod = ConformalModule(mu, b)
-            assert mod.phi_matrix(1) == SparseMat.identity(otm.dim).scale(b) + otm.matrix
+            assert mod.phi_matrix(1) == SparseMat.identity(otm.rows).scale(b) + otm
 
 
 def test_phi_invertibility_signals_critical_b():

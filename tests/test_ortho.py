@@ -8,6 +8,7 @@ from oconf.linalg import SparseMat, rank_of_rows
 from oconf.ortho import (
     ConformalBasis,
     _report_entry,
+    _root_height,
     build_conformal,
     build_ortho,
     diffop_coeff_vector,
@@ -43,6 +44,53 @@ def test_root_space_decomposition(m):
             continue
         for t, h in enumerate(cartan):
             assert h.bracket(X) == X.scale(el.root[t])
+
+
+def _simple_root_coefficients(series, n, root):
+    """root in the simple roots e_i - e_(i+1) (i < n) and e_(n-1) + e_n (D)
+    or e_n (B), solved exactly."""
+    import sympy
+
+    simple = [[int(j == i) - int(j == i + 1) for j in range(n)] for i in range(n - 1)]
+    simple.append([int(j >= n - 2) for j in range(n)] if series == "D" else [int(j == n - 1) for j in range(n)])
+    return list(sympy.Matrix(simple).T.solve(sympy.Matrix(root)))
+
+
+@pytest.mark.parametrize("m", range(3, 15))
+def test_root_height_is_the_simple_root_coefficient_sum(m):
+    # the pairing with rho-check against the definition of the height; the
+    # positive root vectors come in order of height
+    ob = build_ortho(m)
+    pos = [el for el in ob.elements if el.kind == "pos"]
+    assert len(pos) == (len(ob) - ob.n) // 2
+    heights = []
+    for el in pos:
+        coeffs = _simple_root_coefficients(ob.series, ob.n, el.root)
+        assert all(c.is_integer and c >= 0 for c in coeffs), el.label
+        assert _root_height(ob.series, ob.n, el.root) == sum(coeffs), el.label
+        heights.append(sum(coeffs))
+    assert heights == sorted(heights) and heights[0] == 1
+
+
+@pytest.mark.parametrize("m", [3, 4, 5, 6, 7])
+def test_unit_is_the_matrix_unit_in_label_indices(m):
+    ob = build_ortho(m)
+    labels = range(1, m + 1) if m % 2 == 0 else range(0, m)
+    for a in labels:
+        for b in labels:
+            pos = (a - 1, b - 1) if m % 2 == 0 else (a, b)
+            assert ob.unit(a, b) == SparseMat(m, m, {pos: 1}), (a, b)
+
+
+@pytest.mark.parametrize("n,series,want", [(2, "D", range(1, 5)), (3, "D", range(1, 7)),
+                                           (1, "B", range(0, 3)), (2, "B", range(0, 5))])
+def test_var_labels_number_the_variables_in_position_order(n, series, want):
+    conf = build_conformal(n, series)
+    assert conf.var_labels == want
+    assert [conf.var_pos(r) for r in conf.var_labels] == list(range(conf.num_vars))
+    assert [lbl for lbl in conf.labels() if lbl.startswith("J_")] == [f"J_{r}" for r in want]
+    with pytest.raises(AttributeError):
+        conf.var_labels = range(3)  # derived from series and n
 
 
 def test_build_ortho_bracket_example():

@@ -378,7 +378,7 @@ def test_special_conformal_action_identity(series, mus):
     mu = parse_weight(mus, series)
     b = F(1, 3)
     mod = ConformalModule(mu, b)
-    otm = omega_tilde_matrix(mu).matrix
+    otm = omega_tilde_matrix(mu)
     n, nv = mod.n, mod.num_vars
     for level in [1, 2]:
         monos = mod.monomials_of(level)

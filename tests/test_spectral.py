@@ -35,14 +35,14 @@ def test_omega_examples():
 
 def test_omega_tilde_zero_on_trivial():
     otm = omega_tilde_matrix(zero_weight("D", 2))
-    assert otm.matrix.is_zero()
+    assert otm.is_zero()
 
 
 def test_omega_tilde_charpoly_example():
     # (t-1)^9 (t+1)^6 (t+3) for D n=2, mu = (1,0)
     otm = omega_tilde_matrix(parse_weight("1,0", "D"))
     spec = omega_tilde_spectrum(parse_weight("1,0", "D"))
-    assert charpoly(otm.matrix) == closed_form_charpoly(spec)
+    assert charpoly(otm) == closed_form_charpoly(spec)
     assert spec.entries == ((F(1), 9), (F(-1), 6), (F(-3), 1))
 
 
@@ -51,7 +51,7 @@ def test_omega_tilde_commutes_with_diagonal_action():
     otm = omega_tilde_matrix(mu)
     tm = tensor_with_natural(build_irrep(mu))
     for lbl, M in tm.rep.items():
-        assert otm.matrix * M == M * otm.matrix, lbl
+        assert otm * M == M * otm, lbl
 
 
 CHARPOLY_BATTERY = [
@@ -197,6 +197,32 @@ def test_t_operator_rejects_negative_degree(k):
         verify_t_operator(mu, F(1), k)
     with pytest.raises(ValueError, match="k must be >= 0"):
         invariant_t_matrix(ConformalModule(mu, F(1)), k)
+
+
+def test_t_operator_sweep_checks_caps_before_building(monkeypatch):
+    # the degree, then slice k + 1, then slice k + 2, before any monomial
+    from oconf import mixed
+    from oconf.irreps import CapExceeded
+
+    def spy(nv, k):
+        raise AssertionError(f"built the monomials of degree {k}")
+
+    monkeypatch.setattr(mixed, "monomial_basis", spy)
+    mu = parse_weight("1,0", "D")
+    with pytest.raises(ValueError, match="k must be >= 0, got -1"):
+        t_operator_sweep(ConformalModule(mu, F(1)), -1, [F(1)])
+    with pytest.raises(CapExceeded, match="slice dimension 52976 at degree 41 exceeds cap 8192"):
+        verify_t_operator(mu, F(1), 40)
+    # D(1,0): slice 3 has dim 80 and slice 4 has dim 140
+    with pytest.raises(CapExceeded, match="slice dimension 140 at degree 4 exceeds cap 100"):
+        t_operator_sweep(ConformalModule(mu, F(1), slice_cap=100), 2, [F(1)])
+
+
+def test_verify_t_operator_reads_the_sweep():
+    mu = parse_weight("1,0", "B")
+    r = verify_t_operator(mu, F(1, 3), 2)
+    assert r == {"mu": "1,0", "series": "B", "b": "1/3", "k": 2,
+                 "scalar": str(t_scalar(ConformalModule(mu, F(1, 3)), 2)), "match": True}
 
 
 def test_t_scalar_examples():
