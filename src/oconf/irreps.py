@@ -315,24 +315,56 @@ def omega_matrix(V: IrrepData) -> SparseMat:
 def _commutant_dimension(mats: Sequence[SparseMat], dim: int) -> int:
     """Dimension of {C : [M, C] = 0 for all M}, by exact elimination.
 
-    The identity always commutes, so the equations have rank at most
-    dim^2 - 1, and `rank_of_rows` stops adding rows once the rank reaches
-    that maximum (`stop_at`), where the commutant is the scalars.
+    Only the unknowns C[a, b] with a and b in one class are kept.  The
+    classes group the basis indexes by their entries in the diagonal
+    matrices among `mats` (for a weight basis, the weights), read from the
+    matrices themselves.  A diagonal M gives the equations
+    (M[a,a] - M[b,b]) C[a, b] = 0: every C[a, b] across two classes is
+    zero, and inside a class they read 0 = 0.  What is left is the
+    non-diagonal equations on the S = sum of squared class sizes unknowns
+    inside classes, and the commutant has dimension S minus their rank.
+    With no diagonal matrix there is one class, the whole dim^2 system.
+
+    The identity always commutes, so the rank is at most S - 1, and
+    `rank_of_rows` stops adding rows once it gets there (`stop_at`), where
+    the commutant is the scalars.  Short rows go in first.
     """
+    diagonal = [all(i == j for i, j in M.data) for M in mats]
+    classes: Dict[Tuple[Fraction, ...], List[int]] = {}
+    for a in range(dim):
+        key = tuple(M.data.get((a, a), 0) for M, diag in zip(mats, diagonal) if diag)
+        classes.setdefault(key, []).append(a)
+    # number the unknowns class by class; right[a] lists (b, column of
+    # C[a, b]) and left[b] lists (a, column of C[a, b]), for a, b in a class
+    right: List[List[Tuple[int, int]]] = [[] for _ in range(dim)]
+    left: List[List[Tuple[int, int]]] = [[] for _ in range(dim)]
+    S = 0
+    for members in classes.values():
+        for a in members:
+            for b in members:
+                right[a].append((b, S))
+                left[b].append((a, S))
+                S += 1
     rows: List[Dict[int, Fraction]] = []
-    for M in mats:
-        # equation rows of M C - C M = 0, unknowns C[(a,b)] flattened as a*dim+b
+    for M, diag in zip(mats, diagonal):
+        if diag:
+            continue
+        # rows of (M C - C M)[i, j] = sum_k M[i,k] C[k,j] - sum_k C[i,k] M[k,j]
         eq: Dict[Tuple[int, int], Dict[int, Fraction]] = {}
         for (i, k), v in M.data.items():
-            for b in range(dim):
-                eq.setdefault((i, b), {})[k * dim + b] = v  # one entry per (i, k)
+            for j, col in right[k]:
+                eq.setdefault((i, j), {})[col] = v  # one entry per (i, k)
         for (k, j), v in M.data.items():
-            for a in range(dim):
-                row = eq.setdefault((a, j), {})
-                w = row.get(a * dim + k)
-                row[a * dim + k] = -v if w is None else w - v
+            for i, col in left[k]:
+                row = eq.setdefault((i, j), {})
+                w = canon(row.get(col, 0) - v)
+                if w:
+                    row[col] = w
+                else:
+                    del row[col]
         rows.extend(r for r in eq.values() if r)
-    return dim * dim - rank_of_rows(rows, stop_at=dim * dim - 1)
+    rows.sort(key=len)
+    return S - rank_of_rows(rows, stop_at=S - 1)
 
 
 def validate_irrep(V: IrrepData) -> Dict[str, object]:

@@ -201,7 +201,9 @@ def t_operator_sweep(base: ConformalModule, k: int, bs) -> Dict[Fraction, bool]:
     b0 + 1.  So T(b) - s(b) eta = E0 + (b - b0) E_C with the b-free parts
     E0 = T0 - s(b0) eta and E_C = T_C - slope eta, and each b is answered
     exactly by whether E0 + (b - b0) E_C is the zero matrix.  Only these
-    two differences are built; no T(b) and no multiple of eta per b.
+    two differences are built; no T(b) and no multiple of eta per b.  The
+    slope, T_C and E_C are built only when some b differs from b0, so a
+    sweep at b0 alone (`verify_t_operator`) builds E0 only.
 
     The degree and the caps are checked before anything is built: slice
     k + 1, whose J columns T reads, then slice k + 2, where T lands.
@@ -210,9 +212,12 @@ def t_operator_sweep(base: ConformalModule, k: int, bs) -> Dict[Fraction, bool]:
     base.check_cap(k + 1)
     base.check_cap(k + 2)
     b0 = base.b
+    bs = [Fraction(b) for b in bs]
     eta_mult = base.mult_matrix(base.conf.eta(), k)
     s0 = t_scalar(base, k)
-    slope = t_scalar(base.at(b0 + 1), k) - s0
     E0 = invariant_t_matrix(base, k).add_scaled(eta_mult, -s0)
+    if all(b == b0 for b in bs):
+        return {b: E0.is_zero() for b in bs}
+    slope = t_scalar(base.at(b0 + 1), k) - s0
     EC = central_t_matrix(base, k).add_scaled(eta_mult, -slope)
-    return {b: E0.add_scaled(EC, b - b0).is_zero() for b in map(Fraction, bs)}
+    return {b: E0.add_scaled(EC, b - b0).is_zero() for b in bs}

@@ -156,6 +156,22 @@ def t_operator_sweep(mu: WeightVec, k: int, bs: Sequence) -> Dict[Fraction, bool
     return out
 
 
+def commutant_dimension(mats: Sequence[SparseMat], dim: int) -> int:
+    """dim {C : [M, C] = 0 for all M} from the whole dim^2 system: every M,
+    an equation (i, j) of M C - C M for every entry, unknowns C[a, b] at
+    column a * dim + b, and every row eliminated."""
+    span = EchelonBasis()
+    for M in mats:
+        for i in range(dim):
+            for j in range(dim):
+                row: Dict[int, Fraction] = {}
+                for k in range(dim):
+                    for col, v in ((k * dim + j, M.get(i, k)), (i * dim + k, -M.get(k, j))):
+                        row[col] = row.get(col, 0) + v
+                span.add({col: v for col, v in row.items() if v})
+    return dim * dim - span.rank
+
+
 def submodule_closure_failures(witness: SubmoduleWitness) -> Set[str]:
     """Labels whose generator takes some basis vector of the witness out of
     its span, one fresh span per (label, degree)."""

@@ -28,6 +28,7 @@ from oconf.weights import (
     weyl_orbit_size,
     zero_weight,
 )
+import reference
 from reference import integral_fraction_ops, is_canonical, solve_row_combination
 
 F = Fraction
@@ -272,8 +273,10 @@ def test_kron_sum_entries_are_canonical():
 
 def test_commutant_dimension_of_a_reducible_module(monkeypatch):
     # V(e1) (x) V(e1) = V(2e1) + V(e1+e2) + V(e1-e2) + V(0) for D2, dims
-    # 9 + 3 + 3 + 1: the commutant has dimension 4, so the equations have
-    # rank 252 < 16^2 - 1 and the early exit at stop_at never fires
+    # 9 + 3 + 3 + 1: the commutant has dimension 4.  Its weights are the
+    # four (+-2e_i) once, the four (+-e1 +-e2) twice and 0 four times, so
+    # 4 + 16 + 16 = 36 unknowns stay, the equations have rank 32 < 36 - 1,
+    # and the early exit at stop_at never fires
     tm = tensor_with_natural(build_irrep(parse_weight("1,0", "D")))
     mats = list(tm.rep.values())
     assert irreps._commutant_dimension(mats, tm.dim) == 4
@@ -281,3 +284,52 @@ def test_commutant_dimension_of_a_reducible_module(monkeypatch):
     assert irreps._commutant_dimension(mats, tm.dim) == 4
     V = build_irrep(parse_weight("2,1", "D"))
     assert irreps._commutant_dimension(list(V.rep.values()), V.dim) == 1
+
+
+def _conjugated(mats, dim):
+    # P M P^-1 with P = 1 + (ones on the superdiagonal), whose inverse has
+    # (-1)^(j-i) on and above the diagonal: integer, and only a zero M stays
+    # diagonal
+    P = SparseMat(dim, dim, {**{(i, i): 1 for i in range(dim)}, **{(i, i + 1): 1 for i in range(dim - 1)}})
+    P_inv = SparseMat(dim, dim, {(i, j): (-1) ** (j - i) for i in range(dim) for j in range(i, dim)})
+    assert P * P_inv == SparseMat.identity(dim)
+    return [P * M * P_inv for M in mats]
+
+
+COMMUTANT_CASES = [(s, w, False, 1) for s, w in LADDER] + [
+    ("D", "1,0", True, 4),  # V(e1) (x) V(e1) for D2, four summands
+    ("B", "1", True, 3),  # V(e1) (x) V(e1) for B1: 5 + 3 + 1
+]
+
+
+@pytest.mark.parametrize("series,mus,tensor,want", COMMUTANT_CASES)
+def test_commutant_matches_the_full_system(series, mus, tensor, want):
+    # the weight-class unknowns against every dim^2 unknown, and once more
+    # with no diagonal matrix, where one class holds them all
+    V = build_irrep(parse_weight(mus, series))
+    module = tensor_with_natural(V) if tensor else V
+    mats, dim = list(module.rep.values()), module.dim
+    conj = _conjugated(mats, dim)
+    assert not any(M.data and all(i == j for i, j in M.data) for M in conj)
+    for ms in (mats, conj):
+        assert irreps._commutant_dimension(ms, dim) == reference.commutant_dimension(ms, dim) == want
+
+
+@pytest.mark.parametrize("series,mus", [("B", "3/2,1/2"), ("D", "3,1,0")])
+def test_commutant_keeps_only_the_weight_class_unknowns(series, mus, monkeypatch):
+    # sum over the weights nu of m_nu^2 unknowns, not dim^2: 24 of 256 for
+    # B(3/2,1/2), 577 of 30,625 for D(3,1,0)
+    calls = []
+
+    def spy(rows, stop_at=None):
+        rows = list(rows)
+        calls.append((rows, stop_at))
+        return rank_of_rows(rows, stop_at)
+
+    V = build_irrep(parse_weight(mus, series))
+    S = sum(m * m for m in Counter(V.weights).values())
+    monkeypatch.setattr(irreps, "rank_of_rows", spy)
+    assert validate_irrep(V)["irreducible"]
+    (rows, stop_at), = calls
+    assert stop_at == S - 1 == {"B": 23, "D": 576}[series]
+    assert all(col < S for row in rows for col in row)

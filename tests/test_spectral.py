@@ -225,6 +225,22 @@ def test_verify_t_operator_reads_the_sweep():
                  "scalar": str(t_scalar(ConformalModule(mu, F(1, 3)), 2)), "match": True}
 
 
+def test_single_b_t_operator_builds_no_central_part(monkeypatch):
+    # at the module's own b the slope term is multiplied by 0, so the verb
+    # builds no T_C; the suite's sweep over three b still does
+    from oconf import suite
+
+    def spy(mod, k):
+        raise AssertionError("built T_C")
+
+    monkeypatch.setattr(spectral, "central_t_matrix", spy)
+    mu = parse_weight("1,0", "B")
+    assert verify_t_operator(mu, F(1, 3), 2)["match"]
+    assert t_operator_sweep(ConformalModule(mu, F(1, 3)), 2, [F(1, 3), F(1, 3)]) == {F(1, 3): True}
+    with pytest.raises(AssertionError, match="built T_C"):
+        suite.check_t_operator()
+
+
 def test_t_scalar_examples():
     # D n=2, b=1, k=0: 2b+2-2n+k = 0, so T vanishes
     mod = ConformalModule(parse_weight("1,0", "D"), F(1))
