@@ -34,7 +34,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .linalg import SparseMat, canon
 from .ortho import OrthoBasis, _unit, build_conformal, build_ortho
 from .poly import DiffOp, Poly, bracket as dbracket, monomial_basis
-from .weights import WeightVec, natural_dim
+from .weights import Twice, WeightVec, natural_dim
 from .irreps import CapExceeded, IrrepData, build_irrep
 
 Exps = Tuple[int, ...]
@@ -237,6 +237,18 @@ def _split(n: int, series: str, label: str) -> List[Tuple[Exps, Fraction, Dict[i
     return _embed(n, series, label).central_orthogonal_split(build_ortho(natural_dim(series, n)))
 
 
+def _by_column(M: SparseMat) -> Tuple[Tuple[Tuple[int, Fraction], ...], ...]:
+    """M's entries grouped by column, in M's order: item q holds the
+    (r, value) of column q; () for the zero matrix.  Tuples, so every empty
+    column is the one empty tuple."""
+    if not M.data:
+        return ()
+    by_col: List[List[Tuple[int, Fraction]]] = [[] for _ in range(M.cols)]
+    for (r, q), v in M.data.items():
+        by_col[q].append((r, v))
+    return tuple(map(tuple, by_col))
+
+
 class ConformalModule:
     """A (x) V(mu) for one series, rank and central charge, built lazily.
 
@@ -256,13 +268,16 @@ class ConformalModule:
         self.small = build_ortho(natural_dim(self.series, self.n))
         self.irrep: IrrepData = build_irrep(mu)
         self.dim_v = self.irrep.dim
+        self.irrep_classes: Dict[Twice, List[int]] = {}  # doubled weight -> ascending r of v_r
+        for r, w in enumerate(self.irrep.weights):
+            self.irrep_classes.setdefault(w.twice, []).append(r)
         self._monos: Dict[int, List[Exps]] = {}
         self._mono_index: Dict[int, Dict[Exps, int]] = {}
         self._act: Dict[Tuple[str, int], SparseMat] = {}
         self._phi: Dict[int, SparseMat] = {}
         self._base: Optional[ConformalModule] = None  # set on siblings only
         self._central: Dict[Tuple[str, int], SparseMat] = {}  # b-coefficients, built on demand
-        self._weights: Dict[int, List[Tuple[int, ...]]] = {}  # b-free, shared with siblings
+        self._classes: Dict[int, Dict[Twice, List[int]]] = {}  # b-free, shared with siblings
         self._piece_memo: Dict[str, list] = {}  # label -> _pieces(label), at this b
         self._small_labels = self.small.labels()
         # ordered by label index, matching the monomial variable order
@@ -297,21 +312,24 @@ class ConformalModule:
         zero = [(0,) * n] * (self.num_vars - 2 * n)  # x_0 comes first in B
         return zero + [tuple(s if i == a else 0 for i in range(n)) for a, s in axes]
 
-    def slice_weights(self, k: int) -> List[Tuple[int, ...]]:
-        """Doubled o(n)-weight of each basis index mi * dim_v + r of slice k:
-        sum_v e_v wt(x_v) + wt(v_r).  The Cartan elements A_{i,i} act on
-        this basis diagonally, with the halved coordinates as eigenvalues:
-        x^e has the doubled weight 2 (e_i - e_(n+i)) in coordinate i."""
-        hit = self._weights.get(k)
+    def weight_classes(self, k: int) -> Dict[Twice, List[int]]:
+        """The monomials of degree k grouped by doubled o(n)-weight: the
+        weight of x^e maps to the ascending indexes mi of the monomials that
+        have it.  x^e has the doubled weight 2 (e_i - e_(n+i)) in coordinate
+        i, and x^e (x) v_r (index mi * dim_v + r) the weight of x^e plus
+        that of v_r; the Cartan elements A_{i,i} act on the slice basis
+        diagonally, with the halved coordinates as eigenvalues."""
+        hit = self._classes.get(k)
         if hit is None:
             n = self.n
             off = self.num_vars - 2 * n  # B's x_0 comes first
-            rws = [w.twice for w in self.irrep.weights]
-            hit = []
-            for e in self.monomials_of(k):
-                m = [2 * (e[off + i] - e[off + n + i]) for i in range(n)]
-                hit.extend(tuple(x + y for x, y in zip(m, r)) for r in rws)
-            self._weights[k] = hit
+            monos = self.monomials_of(k)
+            axes = list(zip(*monos)) if monos else [()] * self.num_vars  # axes[v]: x_v's exponent in each
+            weights = zip(*[[2 * (p - q) for p, q in zip(axes[off + i], axes[off + n + i])] for i in range(n)])
+            hit = {}
+            for mi, w in enumerate(weights):
+                hit.setdefault(w, []).append(mi)
+            self._classes[k] = hit
         return hit
 
     def check_cap(self, k: int):
@@ -343,7 +361,9 @@ class ConformalModule:
         shift, x^e (x) v goes to x^(e + shift) (x) (block + s I) v with
         s = sum(numerator * e_i) / denominator.  The pieces do not depend
         on the degree, so they are computed once per label; the memo, filled
-        by `_stencil`, maps a numerator to the entries of block + s I.
+        by `_stencil`, maps a numerator to the entries of block + s I grouped
+        by column (`_by_column`), so a caller that wants some columns touches
+        only theirs.
         """
         hit = self._piece_memo.get(label)
         if hit is not None:
@@ -383,56 +403,62 @@ class ConformalModule:
         return out
 
     def action_columns(self, label: str, k: int, cols: Sequence[int]) -> List[Dict[int, Fraction]]:
-        """Columns `cols` of `action_matrix(label, k)`, as sparse dicts, built
-        by the stencil loop alone (on a sibling too: `at` gives it its own
+        """Columns `cols` of `action_matrix(label, k)`, as sparse dicts, in the
+        order asked (a repeated column is the same dict), built by the
+        stencil loop alone (on a sibling too: `at` gives it its own
         `_pieces`)."""
+        dv = self.dim_v
         out: Dict[int, Dict[int, Fraction]] = {c: {} for c in cols}
-        for (row, col), v in self._stencil(label, k, cols).items():
-            out[col][row] = v
+        dests: Dict[int, List[Tuple[int, Dict[int, Fraction]]]] = {}  # mi -> (q, column q's dict)
+        for c, vec in out.items():
+            dests.setdefault(c // dv, []).append((c % dv, vec))
+        for row, mi, by_col in self._stencil(label, k, sorted(dests)):
+            for q, vec in dests[mi]:
+                for r, v in by_col[q]:
+                    vec[row + r] = v
         return [out[c] for c in cols]
 
     def _build_action(self, label: str, k: int) -> SparseMat:
         kt = k + self.degree_shift(label)
-        data = self._stencil(label, k)
+        dv = self.dim_v
+        data: Dict[Tuple[int, int], Fraction] = {}
+        for row, mi, by_col in self._stencil(label, k):
+            col = mi * dv  # column mi * dv + q, q counting up through by_col
+            for entries in by_col:
+                for r, v in entries:
+                    data[(row + r, col)] = v
+                col += 1
         # every v is a stored (so nonzero) entry of block + s I; row indexes
         # a monomial of slice kt and col one of slice k, and r, q < dv
         return SparseMat._trusted(self.slice_dim(kt), self.slice_dim(k), data)
 
-    def _stencil(self, label: str, k: int, cols: Optional[Sequence[int]] = None) -> Dict[Tuple[int, int], Fraction]:
-        """Entries of the generator's matrix from slice k: all of them, or
-        those in the given columns only."""
+    def _stencil(self, label: str, k: int, mis: Optional[Sequence[int]] = None):
+        """Yield (row, mi, by_col) for every piece of the generator and every
+        monomial index mi of slice k (all, or those in `mis`, ascending)
+        whose block + s I is nonzero:
+        column mi * dim_v + q of the matrix from slice k holds the (r, v) of
+        by_col[q] at rows row + r.  One piece's rows never meet another's
+        (their shifts differ)."""
         kt = k + self.degree_shift(label)
         self.check_cap(k)
         self.check_cap(kt)
         monos = self.monomials_of(k)
         tindex = self.mono_index(kt)
         dv = self.dim_v
-        if cols is None:
-            sel: List[Tuple[int, Optional[set]]] = [(mi, None) for mi in range(len(monos))]
-        else:
-            qs_of: Dict[int, set] = {}
-            for c in cols:
-                qs_of.setdefault(c // dv, set()).add(c % dv)
-            sel = sorted(qs_of.items())
+        if mis is None:
+            mis = range(len(monos))
         eye = SparseMat.identity(dv)
-        data: Dict[Tuple[int, int], Fraction] = {}
-        for sh, den, nums, block, entries_of in self._pieces(label):
-            for mi, qs in sel:
+        for sh, den, nums, block, by_num in self._pieces(label):
+            for mi in mis:
                 e = monos[mi]
                 num = 0
                 for i, c in nums:
                     num += c * e[i]
-                entries = entries_of.get(num)
-                if entries is None:
-                    entries = list((block + eye.scale(Fraction(num, den))).data.items())
-                    entries_of[num] = entries
-                if entries:  # else x^(e + sh) may not even be a monomial
-                    row = tindex[tuple(map(add, e, sh))] * dv
-                    col = mi * dv
-                    for (r, q), v in entries:
-                        if qs is None or q in qs:
-                            data[(row + r, col + q)] = v
-        return data
+                by_col = by_num.get(num)
+                if by_col is None:
+                    by_col = by_num[num] = _by_column(block + eye.scale(Fraction(num, den)))
+                if by_col:  # else x^(e + sh) may not even be a monomial
+                    yield tindex[tuple(map(add, e, sh))] * dv, mi, by_col
 
     # -- other central charges -----------------------------------------------------
 

@@ -22,6 +22,15 @@ to weight spaces, so N_nu is spanned by the J_i(u) with
 wt(u) + wt(J_i) = nu, and dim M - rank N is the sum over dominant nu of
 |W nu| (dim M_nu - rank N_nu).  This is exact at every b.
 
+The weights are counted by class, never per basis index.  x^e (x) v_r
+has the weight of x^e plus that of v_r, so the scan reads the monomials
+of each degree grouped by weight (`ConformalModule.weight_classes`) and
+V(mu)'s weights grouped once (`irrep_classes`).  dim M_nu is their
+convolution, sum over the weights w of V(mu) of |class(nu - w)| times the
+multiplicity of w, taken at the dominant nu only; the sources of a block,
+the indexes mi * dim V + r of weight nu - wt(J_i) in slice k-1, are listed
+only for the nu - wt(J_i) that an open block reads.
+
 Each block is one exact span (`linalg.EchelonBasis`), and its columns
 arrive label by label.  rank N_nu never exceeds dim M_nu, so a block
 closes as soon as its exact rank reaches dim M_nu, and no more of its
@@ -47,6 +56,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import islice
+from operator import add, sub
 from typing import Dict, List, Optional, Tuple
 
 from .linalg import (
@@ -136,43 +146,65 @@ def _dominant_orbit_size(series: str, nu: Twice) -> int:
     return weyl_orbit_size_twice(series, nu) if is_dominant_twice(series, nu) else 0
 
 
+def _dominant_dims(mod: ConformalModule, k: int) -> Dict[Twice, int]:
+    """dim M_nu of slice k at every dominant nu that occurs: the monomial
+    weight classes convolved with those of V(mu), one coordinate at a time."""
+    classes = mod.weight_classes(k)
+    sizes = [len(mis) for mis in classes.values()]
+    axes = list(zip(*classes))  # axes[i]: coordinate i of each class weight
+    dims: Dict[Twice, int] = {}
+    for w, rs in mod.irrep_classes.items():
+        shifted = zip(*[[c + x for c in axis] for axis, x in zip(axes, w)])  # class weight + w
+        for nu, size in zip(shifted, sizes):
+            if _dominant_orbit_size(mod.series, nu):
+                dims[nu] = dims.get(nu, 0) + size * len(rs)
+    return dims
+
+
 def _j_span_rank(mod: ConformalModule, level: int) -> int:
     """Rank of N = sum_i J_i(slice level) inside M = slice level+1, as
     dim M - sum over dominant nu of |W nu| (dim M_nu - rank N_nu) (see the
     module docstring).  Only the columns J_i(u) of the dominant blocks are
     built, label by label, and only while the block is open."""
-    k = level + 1
-    dims: Dict[Tuple[int, ...], int] = {}
-    for w in mod.slice_weights(k):
-        dims[w] = dims.get(w, 0) + 1
-    orbit = {nu: _dominant_orbit_size(mod.series, nu) for nu in dims}
-    sources: Dict[Tuple[int, ...], List[int]] = {}
-    for u, w in enumerate(mod.slice_weights(level)):
-        sources.setdefault(w, []).append(u)
+    dv = mod.dim_v
+    dims = _dominant_dims(mod, level + 1)
+    below = mod.weight_classes(level)
+    sources: Dict[Twice, List[int]] = {}
+
+    def sources_of(w: Twice) -> List[int]:
+        """The ascending indexes mi * dv + r of weight w in slice level."""
+        hit = sources.get(w)
+        if hit is None:
+            hit = sources[w] = sorted([
+                mi * dv + r
+                for rw, rs in mod.irrep_classes.items()
+                for mi in below.get(tuple(map(sub, w, rw)), ())
+                for r in rs
+            ])
+        return hit
+
     # open blocks: the exact span of their columns so far
-    blocks = {nu: EchelonBasis() for nu in sorted(dims) if orbit[nu]}
+    blocks = {nu: EchelonBasis() for nu in sorted(dims)}
     for lbl, d in zip(mod.j_labels, mod.var_weights()):
         if not blocks:
             break
         cols: List[int] = []
-        owners: List[Tuple[int, ...]] = []
+        ends: List[Tuple[Twice, int]] = []  # block nu owns cols[previous end:end]
         for nu in blocks:
-            src = sources.get(tuple(a - b for a, b in zip(nu, d)), ())
-            cols.extend(src)
-            owners.extend([nu] * len(src))
-        new: Dict[Tuple[int, ...], List[Dict[int, Fraction]]] = {}
-        for nu, vec in zip(owners, mod.action_columns(lbl, level, cols)):
-            if vec:
-                new.setdefault(nu, []).append(vec)
-        for nu, vecs in new.items():
+            cols.extend(sources_of(tuple(map(sub, nu, d))))
+            ends.append((nu, len(cols)))
+        vecs = mod.action_columns(lbl, level, cols)
+        start = 0
+        for nu, end in ends:
             span = blocks[nu]
-            for vec in sorted(vecs, key=len):
+            for vec in sorted(filter(None, vecs[start:end]), key=len):
                 if span.add(vec) and span.rank == dims[nu]:
                     del blocks[nu]  # rank N_nu = dim M_nu, its largest
                     break
+            start = end
     # a block still open has taken all of its columns
-    deficit = sum(orbit[nu] * (dims[nu] - span.rank) for nu, span in blocks.items())
-    return mod.slice_dim(k) - deficit
+    deficit = sum(_dominant_orbit_size(mod.series, nu) * (dims[nu] - span.rank) for nu, span in blocks.items())
+    return mod.slice_dim(level + 1) - deficit
 
 
 def surjectivity_scan(mu: WeightVec, b, max_degree: int) -> ScanResult:

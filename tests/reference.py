@@ -132,6 +132,18 @@ def generation_closure_scan(mod: ConformalModule, max_degree: int) -> Dict[int, 
     return {k: (spans[k].rank, dims[k]) for k in range(max_degree + 1)}
 
 
+def slice_weights(mod: ConformalModule, k: int) -> List[Tuple[int, ...]]:
+    """Doubled o(n)-weight of each basis index mi * dim_v + r of slice k, one
+    per index: sum_v e_v wt(x_v) + wt(v_r), from `var_weights`."""
+    out = []
+    for e in mod.monomials_of(k):
+        m = [0] * mod.n
+        for ev, wv in zip(e, mod.var_weights()):
+            m = [a + ev * c for a, c in zip(m, wv)]
+        out.extend(tuple(a + c for a, c in zip(m, w.twice)) for w in mod.irrep.weights)
+    return out
+
+
 def t_matrix(mod: ConformalModule, k: int) -> SparseMat:
     """T as the sum of products J (slice k+1) * (x multiplication on slice k),
     every factor a whole matrix."""

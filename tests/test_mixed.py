@@ -1,6 +1,7 @@
 """Mixed-product embedding and the graded conformal module machinery."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -15,8 +16,9 @@ from oconf.mixed import (
 )
 from oconf.ortho import build_conformal, theta_images
 from oconf.poly import DiffOp, Poly, bracket
+from oconf.reducibility import _dominant_dims, _dominant_orbit_size
 from oconf.weights import parse_weight, zero_weight
-from reference import integral_fraction_ops, is_canonical
+from reference import integral_fraction_ops, is_canonical, slice_weights
 
 F = Fraction
 
@@ -360,12 +362,39 @@ def test_slice_weights_are_the_cartan_diagonal(series, mus):
     # A_{i,i} is diagonal on the basis, with coordinate i of the weight
     mod = ConformalModule(parse_weight(mus, series), F(-11, 7))
     for k in range(4):
-        wts = mod.slice_weights(k)
-        assert len(wts) == mod.slice_dim(k) and mod.slice_weights(k) is wts
+        wts = slice_weights(mod, k)
+        assert len(wts) == mod.slice_dim(k)
         for i in range(1, mod.n + 1):
             M = mod.action_matrix(f"A_{{{i},{i}}}", k)
             assert all(r == c for r, c in M.data)
             assert [2 * M.get(t, t) for t in range(len(wts))] == [w[i - 1] for w in wts], (i, k)
+
+
+@pytest.mark.parametrize("series,mus,degree", [
+    ("D", "1,0", 5), ("D", "1/2,-1/2", 4), ("D", "1,0,0", 4), ("D", "1/2,1/2,1/2", 4), ("D", "1/2,1/2,1/2,1/2", 3),
+    ("B", "1", 5), ("B", "1/2", 5), ("B", "1/2,1/2", 4), ("B", "1,0", 4), ("B", "1/2,1/2,1/2", 3),
+])
+def test_weight_classes_match_the_per_index_weights(series, mus, degree):
+    # the classes, expanded by V(mu)'s weights, group the per-index oracle,
+    # and their convolution counts it at every dominant weight
+    base = ConformalModule(parse_weight(mus, series), F(1, 3))
+    dv = base.dim_v
+    for k in range(degree + 1):
+        classes = base.weight_classes(k)
+        assert base.weight_classes(k) is classes and base.at(F(-2)).weight_classes(k) is classes
+        assert all(mis == sorted(mis) for mis in classes.values())
+        want: dict = {}
+        for u, w in enumerate(slice_weights(base, k)):
+            want.setdefault(w, []).append(u)
+        got: dict = {}
+        for m, mis in classes.items():
+            for r, w in enumerate(base.irrep.weights):
+                nu = tuple(a + c for a, c in zip(m, w.twice))
+                got.setdefault(nu, []).extend(mi * dv + r for mi in mis)
+        assert {w: sorted(us) for w, us in got.items()} == want, k
+        counts = Counter(slice_weights(base, k))
+        dominant = {nu: c for nu, c in counts.items() if _dominant_orbit_size(series, nu)}
+        assert _dominant_dims(base, k) == dominant and dominant, k
 
 
 @pytest.mark.parametrize("series,mus", [("D", "1,0"), ("B", "1/2,1/2"), ("D", "0,0")])
@@ -378,8 +407,12 @@ def test_action_columns_match_action_matrix(series, mus):
         for label in fresh.conf.labels():
             want = full.action_matrix(label, k).col_vectors()
             cols = sorted(rng.sample(range(len(want)), len(want) // 3))
+            shuffled = list(range(len(want))) + [rng.randrange(len(want))]
+            rng.shuffle(shuffled)
             for mod in (fresh, sib):
                 assert mod.action_columns(label, k, cols) == [want[c] for c in cols], (label, k)
+                assert mod.action_columns(label, k, shuffled) == [want[c] for c in shuffled], (label, k)
+                assert mod.action_columns(label, k, range(len(want))) == want, (label, k)
                 assert (label, k) not in mod._act
 
 

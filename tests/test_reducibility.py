@@ -479,7 +479,7 @@ def test_scan_json_round_trip():
 
 
 def test_every_cap_raises_cap_exceeded(monkeypatch):
-    from oconf import spectral
+    from oconf import mixed, spectral
     from oconf.irreps import CapExceeded, build_irrep, tensor_with_natural
 
     mu = parse_weight("1,0", "D")
@@ -492,6 +492,13 @@ def test_every_cap_raises_cap_exceeded(monkeypatch):
         ConformalModule(mu, F(1), slice_cap=39).action_matrix("J_1", 1)
     with pytest.raises(CapExceeded, match="slice dimension 5456 at degree 30 exceeds cap 4096"):
         harmonic_decompose(30, 2, "D")
+
+    def spy(nv, k):
+        raise AssertionError(f"built the monomials of degree {k}")
+
+    monkeypatch.setattr(mixed, "monomial_basis", spy)  # a whole matrix too checks before it builds
+    with pytest.raises(CapExceeded, match="slice dimension 40 at degree 2 exceeds cap 39"):
+        ConformalModule(mu, F(1), slice_cap=39).action_matrix("A_{1,1}", 2)
 
 
 def test_b_sweep_in_one_module_matches_fresh_modules():
@@ -557,9 +564,9 @@ def test_a_certified_block_asks_for_no_more_columns(monkeypatch):
     mod = ConformalModule(mu, b)
     reach = 0
     for level in range(deg):
-        dominant = {nu for nu in mod.slice_weights(level + 1) if _dominant_orbit_size("D", nu)}
+        dominant = {nu for nu in reference.slice_weights(mod, level + 1) if _dominant_orbit_size("D", nu)}
         for d in mod.var_weights():
-            targets = [tuple(a + c for a, c in zip(w, d)) for w in mod.slice_weights(level)]
+            targets = [tuple(a + c for a, c in zip(w, d)) for w in reference.slice_weights(mod, level)]
             reach += sum(t in dominant for t in targets)
     asked = []
     columns = ConformalModule.action_columns
@@ -571,3 +578,16 @@ def test_a_certified_block_asks_for_no_more_columns(monkeypatch):
     monkeypatch.setattr(ConformalModule, "action_columns", counted)
     assert surjectivity_scan(mu, b, deg).verdict == f"irreducible-up-to-{deg}"
     assert (sum(asked), reach) == (669, 1572)
+
+
+@pytest.mark.parametrize("series,w,b,deg,deficits", [
+    ("D", "0,0", -1, 6, {2: 9, 6: 1}),
+    ("B", "1/2,1/2", -1, 7, {7: 4}),
+    ("D", "1,0", 1, 2, {1: 6, 2: 4}),
+])
+def test_open_blocks_count_the_exact_deficit(series, w, b, deg, deficits):
+    # blocks still open after the last label, past the first deficient degree
+    scan = surjectivity_scan(parse_weight(w, series), b, deg)
+    assert [r.k for r in scan.records] == list(range(1, deg + 1))
+    assert {r.k: r.dim - r.rank for r in scan.records if not r.full} == deficits
+    assert scan.verdict == "proper-submodule-found"
