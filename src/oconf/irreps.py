@@ -32,14 +32,14 @@ lists them in decreasing order, which is the order of the doubled keys.
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from operator import add, sub
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Tuple
 
-from .linalg import EchelonBasis, SparseMat, canon, nullspace_of_rows, rank_of_rows
+from .linalg import EchelonBasis, SparseMat, canon, nullspace_of_rows
 from .ortho import OrthoBasis, build_ortho, casimir_pairs
 from .weights import Twice, WeightVec, casimir_eigenvalue, doubled, is_dominant, natural_dim, weyl_dim
 
@@ -312,64 +312,32 @@ def omega_matrix(V: IrrepData) -> SparseMat:
     return casimir_matrix(V.basis, V.rep, V.dim)
 
 
-def _commutant_dimension(mats: Sequence[SparseMat], dim: int) -> int:
-    """Dimension of {C : [M, C] = 0 for all M}, by exact elimination.
+def _commutant_dimension(ob: OrthoBasis, rep: Dict[str, SparseMat], dim: int) -> int:
+    """dim End(V) for a representation V in a weight basis, where each
+    element of ob acts by rep[label], from its highest-weight vectors.
 
-    Only the unknowns C[a, b] with a and b in one class are kept.  The
-    classes group the basis indexes by their entries in the diagonal
-    matrices among `mats` (for a weight basis, the weights), read from the
-    matrices themselves.  A diagonal M gives the equations
-    (M[a,a] - M[b,b]) C[a, b] = 0: every C[a, b] across two classes is
-    zero, and inside a class they read 0 = 0.  What is left is the
-    non-diagonal equations on the S = sum of squared class sizes unknowns
-    inside classes, and the commutant has dimension S minus their rank.
-    With no diagonal matrix there is one class, the whole dim^2 system.
-
-    The identity always commutes, so the rank is at most S - 1, and
-    `rank_of_rows` stops adding rows once it gets there (`stop_at`), where
-    the commutant is the scalars.  Short rows go in first.
+    V is the sum of m_nu copies of V(nu) (Weyl), so dim End(V) is the sum
+    of the m_nu^2 (Schur), and m_nu is the dimension of the weight-nu
+    vectors that every positive root vector kills (Humphreys, GTM 9, 6.3
+    and 20).  A positive root vector maps weight nu to nu + alpha, so each
+    of its rows lies in one weight space, and in each weight space the
+    non-pivot columns of all those rows number m_nu.  The weight classes
+    are read from the diagonal matrices, not from the builder;
+    `validate_irrep` checks apart that V is a representation and that its
+    Cartan matrices are diagonal.  In a basis with no diagonal matrix
+    there is one class, and the result is (sum of the m_nu)^2: at least
+    dim End(V), and 1 exactly when V is irreducible.
     """
-    diagonal = [all(i == j for i, j in M.data) for M in mats]
-    classes: Dict[Tuple[Fraction, ...], List[int]] = {}
-    for a in range(dim):
-        key = tuple(M.data.get((a, a), 0) for M, diag in zip(mats, diagonal) if diag)
-        classes.setdefault(key, []).append(a)
-    # number the unknowns class by class; right[a] lists (b, column of
-    # C[a, b]) and left[b] lists (a, column of C[a, b]), for a, b in a class
-    right: List[List[Tuple[int, int]]] = [[] for _ in range(dim)]
-    left: List[List[Tuple[int, int]]] = [[] for _ in range(dim)]
-    S = 0
-    for members in classes.values():
-        for a in members:
-            for b in members:
-                right[a].append((b, S))
-                left[b].append((a, S))
-                S += 1
-    rows: List[Dict[int, Fraction]] = []
-    for M, diag in zip(mats, diagonal):
-        if diag:
-            continue
-        # rows of (M C - C M)[i, j] = sum_k M[i,k] C[k,j] - sum_k C[i,k] M[k,j]
-        eq: Dict[Tuple[int, int], Dict[int, Fraction]] = {}
-        for (i, k), v in M.data.items():
-            for j, col in right[k]:
-                eq.setdefault((i, j), {})[col] = v  # one entry per (i, k)
-        for (k, j), v in M.data.items():
-            for i, col in left[k]:
-                row = eq.setdefault((i, j), {})
-                w = canon(row.get(col, 0) - v)
-                if w:
-                    row[col] = w
-                else:
-                    del row[col]
-        rows.extend(r for r in eq.values() if r)
-    rows.sort(key=len)
-    return S - rank_of_rows(rows, stop_at=S - 1)
+    diagonal = [M for M in rep.values() if all(i == j for i, j in M.data)]
+    span = EchelonBasis(r for el in ob.elements if el.kind == "pos" for r in rep[el.label].row_vectors() if r)
+    free = Counter(tuple(M.get(a, a) for M in diagonal) for a in range(dim) if a not in span.rows)
+    return sum(m * m for m in free.values())
 
 
 def validate_irrep(V: IrrepData) -> Dict[str, object]:
     """Independent checks: homomorphism, weight diagonality, highest-weight
-    annihilation, Casimir scalar, and irreducibility via the commutant."""
+    annihilation, Casimir scalar, and irreducibility by the dimension of
+    the commutant, counted from the highest-weight vectors."""
     ob = V.basis
     report: Dict[str, object] = {}
     hom_fail = []
@@ -405,7 +373,7 @@ def validate_irrep(V: IrrepData) -> Dict[str, object]:
     report["casimir_value"] = expected
     report["casimir_scalar_ok"] = omega == SparseMat.identity(V.dim).scale(expected)
 
-    comm = _commutant_dimension([V.rep[l] for l in labels], V.dim)
+    comm = _commutant_dimension(ob, V.rep, V.dim)
     report["commutant_dimension"] = comm
     report["irreducible"] = comm == 1
     report["ok"] = bool(

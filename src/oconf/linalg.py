@@ -324,16 +324,9 @@ class EchelonBasis:
         return x
 
 
-def rank_of_rows(rows: Iterable[Dict[int, Fraction]], stop_at: Optional[int] = None) -> int:
-    """Rank of the rational row span; `stop_at` allows early exit once the
-    rank reaches a known maximum, and then min(rank, stop_at) is returned."""
-    if stop_at == 0:
-        return 0
-    eb = EchelonBasis()
-    for r in rows:
-        if eb.add(r) and eb.rank == stop_at:
-            break
-    return eb.rank
+def rank_of_rows(rows: Iterable[Dict[int, Fraction]]) -> int:
+    """Rank of the rational row span."""
+    return EchelonBasis(rows).rank
 
 
 def nullspace_of_rows(rows: Sequence[Dict[int, Fraction]], ncols: int) -> List[Dict[int, Fraction]]:

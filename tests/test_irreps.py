@@ -16,7 +16,7 @@ from oconf.irreps import (
     tensor_with_natural,
     validate_irrep,
 )
-from oconf.linalg import SparseMat, rank_of_rows
+from oconf.linalg import EchelonBasis, SparseMat
 from oconf.ortho import build_ortho
 from oconf.weights import (
     casimir_eigenvalue,
@@ -271,19 +271,15 @@ def test_kron_sum_entries_are_canonical():
     assert got.data == {(0, 0): 1, (3, 3): -1} and all(type(v) is int for v in got.data.values())
 
 
-def test_commutant_dimension_of_a_reducible_module(monkeypatch):
+def test_commutant_dimension_of_a_reducible_module():
     # V(e1) (x) V(e1) = V(2e1) + V(e1+e2) + V(e1-e2) + V(0) for D2, dims
-    # 9 + 3 + 3 + 1: the commutant has dimension 4.  Its weights are the
-    # four (+-2e_i) once, the four (+-e1 +-e2) twice and 0 four times, so
-    # 4 + 16 + 16 = 36 unknowns stay, the equations have rank 32 < 36 - 1,
-    # and the early exit at stop_at never fires
-    tm = tensor_with_natural(build_irrep(parse_weight("1,0", "D")))
-    mats = list(tm.rep.values())
-    assert irreps._commutant_dimension(mats, tm.dim) == 4
-    monkeypatch.setattr(irreps, "rank_of_rows", lambda rows, stop_at=None: rank_of_rows(rows))
-    assert irreps._commutant_dimension(mats, tm.dim) == 4
+    # 9 + 3 + 3 + 1: four highest-weight vectors, of weights 2e1, e1+e2,
+    # e1-e2 and 0, one of each, so the commutant has dimension 4
+    V = build_irrep(parse_weight("1,0", "D"))
+    tm = tensor_with_natural(V)
+    assert irreps._commutant_dimension(V.basis, tm.rep, tm.dim) == 4
     V = build_irrep(parse_weight("2,1", "D"))
-    assert irreps._commutant_dimension(list(V.rep.values()), V.dim) == 1
+    assert irreps._commutant_dimension(V.basis, V.rep, V.dim) == 1
 
 
 def _conjugated(mats, dim):
@@ -296,40 +292,53 @@ def _conjugated(mats, dim):
     return [P * M * P_inv for M in mats]
 
 
+# (series, weight, natural factors tensored onto V(mu), commutant dimension)
 COMMUTANT_CASES = [(s, w, False, 1) for s, w in LADDER] + [
     ("D", "1,0", True, 4),  # V(e1) (x) V(e1) for D2, four summands
     ("B", "1", True, 3),  # V(e1) (x) V(e1) for B1: 5 + 3 + 1
+    ("B", "1", 2, 15),  # V(e1)^(x3) for B1: 7 + 2 x 5 + 3 x 3 + 1, so 1 + 4 + 9 + 1
 ]
 
 
-@pytest.mark.parametrize("series,mus,tensor,want", COMMUTANT_CASES)
-def test_commutant_matches_the_full_system(series, mus, tensor, want):
-    # the weight-class unknowns against every dim^2 unknown, and once more
-    # with no diagonal matrix, where one class holds them all
+@pytest.mark.parametrize("series,mus,naturals,want", COMMUTANT_CASES)
+def test_commutant_matches_the_full_system(series, mus, naturals, want):
+    # the highest-weight count against every dim^2 unknown of the commutant.
+    # Conjugated, the commutant keeps its dimension, but no matrix is
+    # diagonal and every highest-weight vector falls in one class: the
+    # count is (sum of the m_nu)^2, at least the commutant and 1 exactly
+    # when it is
     V = build_irrep(parse_weight(mus, series))
-    module = tensor_with_natural(V) if tensor else V
-    mats, dim = list(module.rep.values()), module.dim
+    rep, dim = V.rep, V.dim
+    for _ in range(naturals):
+        rep, dim = irreps._kron_sum(irreps._natural_rep(V.basis), rep), V.basis.m * dim
+    mats = list(rep.values())
+    assert irreps._commutant_dimension(V.basis, rep, dim) == reference.commutant_dimension(mats, dim) == want
     conj = _conjugated(mats, dim)
     assert not any(M.data and all(i == j for i, j in M.data) for M in conj)
-    for ms in (mats, conj):
-        assert irreps._commutant_dimension(ms, dim) == reference.commutant_dimension(ms, dim) == want
+    got = irreps._commutant_dimension(V.basis, dict(zip(rep, conj)), dim)
+    assert got >= want
+    assert (got == 1) == (want == 1)
 
 
 @pytest.mark.parametrize("series,mus", [("B", "3/2,1/2"), ("D", "3,1,0")])
-def test_commutant_keeps_only_the_weight_class_unknowns(series, mus, monkeypatch):
-    # sum over the weights nu of m_nu^2 unknowns, not dim^2: 24 of 256 for
-    # B(3/2,1/2), 577 of 30,625 for D(3,1,0)
-    calls = []
+def test_commutant_eliminates_only_the_positive_root_rows(series, mus, monkeypatch):
+    # one echelon form, of the nonzero rows of the positive-root matrices
+    # (38 rows of 16 columns for B(3/2,1/2), 769 of 175 for D(3,1,0)), and
+    # its one non-pivot column is the highest-weight vector: no commutant
+    # unknowns
+    spans = []
 
-    def spy(rows, stop_at=None):
-        rows = list(rows)
-        calls.append((rows, stop_at))
-        return rank_of_rows(rows, stop_at)
+    class Spy(EchelonBasis):
+        def __init__(self, vectors=()):
+            self.given = list(vectors)
+            super().__init__(self.given)
+            spans.append(self)
 
     V = build_irrep(parse_weight(mus, series))
-    S = sum(m * m for m in Counter(V.weights).values())
-    monkeypatch.setattr(irreps, "rank_of_rows", spy)
+    rows = [r for el in V.basis.elements if el.kind == "pos" for r in V.rep[el.label].row_vectors() if r]
+    monkeypatch.setattr(irreps, "EchelonBasis", Spy)
     assert validate_irrep(V)["irreducible"]
-    (rows, stop_at), = calls
-    assert stop_at == S - 1 == {"B": 23, "D": 576}[series]
-    assert all(col < S for row in rows for col in row)
+    span, = spans
+    assert len(span.given) == len(rows) == {"B": 38, "D": 769}[series]
+    assert sorted(sorted(r.items()) for r in span.given) == sorted(sorted(r.items()) for r in rows)
+    assert [a for a in range(V.dim) if a not in span.rows] == [V.highest]

@@ -10,7 +10,7 @@ from types import SimpleNamespace
 import pytest
 
 from oconf import reducibility
-from oconf.linalg import SparseMat, rank_of_rows, vectors_contained_in_span
+from oconf.linalg import EchelonBasis, SparseMat, rank_of_rows, vectors_contained_in_span
 from oconf.mixed import ConformalModule
 from oconf.ortho import build_conformal
 from oconf.poly import Poly
@@ -522,9 +522,14 @@ def test_b_sweep_in_one_module_matches_fresh_modules():
 
 
 def _j_span_rank_by_elimination(mod, level):
-    """The scan rank without weight blocks: every J column, one elimination."""
+    """The scan rank without weight blocks: every J column, one elimination,
+    which stops once the span fills the slice."""
     vectors = [v for lbl in mod.j_labels for v in mod.action_matrix(lbl, level).col_vectors() if v]
-    return rank_of_rows(vectors, stop_at=mod.slice_dim(level + 1))
+    span, full = EchelonBasis(), mod.slice_dim(level + 1)
+    for v in vectors:
+        if span.add(v) and span.rank == full:
+            break
+    return span.rank
 
 
 # (series, weight, scanned degree): integral, spin and mu = 0 weights
