@@ -442,10 +442,20 @@ def test_coordinates_match_sympy(sympy):
         assert eb.rank == r  # a query never extends the basis
 
 
-def test_rank_of_rows_edge_cases():
-    # an entry and a denominator of 2**61 - 1, and a rank-deficient triple
-    assert rank_of_rows([{0: Fraction(2**61 - 1)}, {1: Fraction(1)}]) == 2
-    assert rank_of_rows([{0: Fraction(1, 2**61 - 1), 1: Fraction(1)}, {1: Fraction(1)}]) == 2
+# -- rank_of_rows on inputs that once defeated a mod-p rank certificate -------
+
+
+def test_rank_certificate_falls_back_when_the_prime_divides_an_entry():
+    rows = [{0: Fraction(2**61 - 1)}, {1: Fraction(1)}]  # rank 2 over Q, 1 mod 2**61 - 1
+    assert rank_of_rows(rows) == 2
+
+
+def test_rank_certificate_falls_back_on_a_denominator_divisible_by_the_prime():
+    rows = [{0: Fraction(1, 2**61 - 1), 1: Fraction(1)}, {1: Fraction(1)}]
+    assert rank_of_rows(rows) == 2
+
+
+def test_rank_certificate_returns_the_exact_rank_when_deficient():
     rows = [{0: Fraction(1), 1: Fraction(2)}, {0: Fraction(-1, 3), 1: Fraction(-2, 3)}, {2: Fraction(5, 7)}]
     assert rank_of_rows(rows) == 2
     assert rank_of_rows(iter(rows)) == 2  # one-shot iterables are fine
