@@ -282,10 +282,9 @@ def build_irrep(mu: WeightVec, cap: int = DEFAULT_DIM_CAP) -> IrrepData:
     """Construct V(mu) with explicit matrices for every basis element.
 
     `cap` bounds dim V(mu) only; the smaller weights of the recursion are
-    built whatever their dimension, and are not cached.
+    built whatever their dimension, and are not cached.  A weight that is
+    not dominant is rejected by `weyl_dim`.
     """
-    if not is_dominant(mu):
-        raise ValueError(f"{mu} is not dominant")
     dim = weyl_dim(mu)
     if dim > cap:
         raise CapExceeded(f"dim V(mu) = {dim} exceeds cap {cap}")

@@ -55,7 +55,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import islice
 from operator import add, sub
 from typing import Dict, List, Optional, Tuple
 
@@ -300,7 +299,6 @@ def verify_submodule_closure(witness: SubmoduleWitness) -> Dict[str, bool]:
 
 
 SEED_DEGREE = 1
-SLACK = 2
 
 
 def generation_closure_scan(mod: ConformalModule, max_degree: int) -> Dict[int, Tuple[int, int]]:
@@ -308,45 +306,42 @@ def generation_closure_scan(mod: ConformalModule, max_degree: int) -> Dict[int, 
     degree by degree.
 
     SEED_DEGREE is 1 because the check is on the quotient by the constants
-    line, whose lowest slice is degree 1.  The closure under every generator
-    works inside degrees <= max_degree + SLACK: generation can climb with
-    the special conformal operators J and come back down with the
-    translations d, so a pure level-by-level J-span can undercount, and
-    SLACK = 2 leaves room for that round trip.  Returns
+    line, whose lowest slice is degree 1.  Returns
     {k: (generated dim, slice dim)} for k <= max_degree.
 
-    Each generator meets each basis vector once.  A slice's echelon rows,
-    in the order they were added, are a basis of its span that only grows;
-    each (generator, slice) pair remembers how many of them it has pushed
-    and applies the generator to the new ones only.  A pass that adds
-    nothing ends the loop: every pair has then pushed every row, unless its
-    target slice is already full.
+    The submodule is built in PBW order, exactly.  The algebra is
+    span(J) + l + span(d), where l (o(n) and D) is the degree-0 part and
+    span(J), span(d) are abelian, so U(g) = U(J) U(l) U(d).  The seed, a
+    whole slice, is l-stable, and [l, d] lies in span(d), [l, J] in
+    span(J), so every d-image and J-image of an l-stable space is again
+    l-stable: U(l) adds nothing, and the submodule is U(J) U(d)(seed).
+    One pass down carries the seed by the d's into degrees SEED_DEGREE-1
+    .. 0, one pass up adds J(part k-1) to part k for k = 1 .. max_degree;
+    no degree-0 generator is applied and no slice above max_degree is
+    reached.  A target slice takes no more images once it is full.
     """
-    top = max_degree + SLACK
-    spans = {k: EchelonBasis() for k in range(top + 1)}
-    dims = {k: mod.slice_dim(k) for k in range(top + 1)}
+    dims = {k: mod.slice_dim(k) for k in range(max(max_degree, SEED_DEGREE) + 1)}
+    spans = {k: EchelonBasis() for k in dims}
     for i in range(dims[SEED_DEGREE]):
         spans[SEED_DEGREE].add({i: 1})
     labels = mod.conf.labels()
-    pushed: Dict[Tuple[str, int], int] = {}
-    changed = True
-    while changed:
-        changed = False
+
+    def push(shift: int, k: int):
+        """Add the images of slice k's span under the generators of
+        degree shift to the span of slice k + shift."""
+        rows, target, full = list(spans[k].rows.values()), spans[k + shift], dims[k + shift]
         for lbl in labels:
-            shift = mod.degree_shift(lbl)
-            for k in range(top + 1):
-                kt = k + shift
-                if kt < 0 or kt > top or spans[kt].rank == dims[kt]:
-                    continue
-                done = pushed.get((lbl, k), 0)
-                if done == spans[k].rank:
-                    continue
-                pushed[lbl, k] = spans[k].rank
-                # all images are taken before any is added
-                new = list(islice(spans[k].rows.values(), done, None))
-                for v in mod.action_matrix(lbl, k).apply_all(new):
-                    if spans[kt].rank < dims[kt] and spans[kt].add(v):
-                        changed = True
+            if not rows or target.rank == full:
+                return
+            if mod.degree_shift(lbl) == shift:
+                for v in mod.action_matrix(lbl, k).apply_all(rows):
+                    if target.add(v) and target.rank == full:
+                        break
+
+    for k in range(SEED_DEGREE, 0, -1):
+        push(-1, k)
+    for k in range(1, max_degree + 1):
+        push(1, k - 1)
     return {k: (spans[k].rank, dims[k]) for k in range(max_degree + 1)}
 
 

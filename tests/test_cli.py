@@ -107,6 +107,19 @@ def test_weight_rank_below_the_series_minimum_exits_2(capsys, verb):
     assert captured.err == "error: the rank 1 of --mu 1 is below the least rank 2 of series D\n"
 
 
+@pytest.mark.parametrize("verb", [
+    ["build-irrep"], ["charpoly"], ["pieri"], ["scan", "--n", "2", "--b", "1"], ["t-operator", "--b", "1"],
+    ["classify", "--n", "2", "--b", "1"],
+])
+def test_weight_that_is_not_dominant_exits_2(capsys, verb):
+    # one message for a weight that is not dominant, whichever verb reads it
+    rc = main([verb[0], "--series", "D", "--mu", "1/2,0"] + verb[1:])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err == "error: weight 1/2,0 is not dominant for series D\n"
+
+
 @pytest.mark.parametrize("verb", [["scan", "--b", "1", "--max-degree", "1"], ["classify", "--b", "1"]])
 def test_zero_mu_shorthand_takes_the_rank_of_n(capsys, verb):
     # with --n, --mu 0 is the zero weight of rank n, not a weight of rank 1
