@@ -332,6 +332,9 @@ def main(argv: Optional[list] = None) -> int:
         return 2
     except ValueError as exc:
         return _fail_usage(str(exc))
+    except OSError as exc:  # the verbs read no files: `--output` or standard output failed
+        target = "standard output" if exc.filename is None else exc.filename
+        return _fail_usage(f"cannot write {target}: {exc.strerror}")
 
 
 if __name__ == "__main__":

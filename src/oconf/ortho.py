@@ -593,6 +593,20 @@ def casimir_pairs(ob: OrthoBasis) -> List[Tuple[SparseMat, SparseMat]]:
     return pairs
 
 
+@lru_cache(maxsize=None)
+def casimir_terms(m: int) -> Tuple[Tuple[str, str, int], ...]:
+    """`casimir_pairs` of o(m) as (label a, label b, c): each factor is +-1
+    times one basis element, so the pair (M1, M2) is c X_a X_b.  Expanded
+    once per m, so a Casimir is a sum of products of two module matrices."""
+    ob = build_ortho(m)
+    labels = ob.labels()
+    terms = []
+    for M1, M2 in casimir_pairs(ob):
+        ((a, c1),), ((b, c2),) = ob.expand(M1).items(), ob.expand(M2).items()
+        terms.append((labels[a], labels[b], c1 * c2))
+    return tuple(terms)
+
+
 def diffop_coeff_vector(op: DiffOp) -> Dict[Tuple, Fraction]:
     """Flatten a DiffOp to a coefficient vector keyed by (deriv, monomial)."""
     vec = {}

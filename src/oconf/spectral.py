@@ -19,7 +19,7 @@ from .linalg import SparseMat, charpoly, rank_of_rows
 from .irreps import CapExceeded, build_irrep, casimir_matrix, tensor_with_natural
 from .mixed import ConformalModule
 from .poly import Poly
-from .ortho import casimir_pairs
+from .ortho import casimir_terms
 from .weights import (
     Spectrum,
     WeightVec,
@@ -40,8 +40,9 @@ def omega_tilde_matrix(mu: WeightVec) -> SparseMat:
     dim = V.basis.m * V.dim
     if dim > TENSOR_CAP:
         raise CapExceeded(f"tensor dimension {dim} exceeds cap {TENSOR_CAP}")
+    ob = V.basis
     return SparseMat.from_entries(dim, dim, (
-        e for M1, M2 in casimir_pairs(V.basis) for e in M1.kron(V.matrix_of(M2)).data.items()))
+        (key, c * v) for a, b, c in casimir_terms(ob.m) for key, v in ob.matrix(a).kron(V.rep[b]).data.items()))
 
 
 def closed_form_charpoly(spec: Spectrum) -> List[Fraction]:

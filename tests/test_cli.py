@@ -265,3 +265,22 @@ def test_suite_json_matches_golden(capsys):
     rc, out = run(capsys, ["suite", "--format", "json"])
     assert rc == 0
     assert out == golden.read_text()
+
+
+def test_build_irrep_json_matches_golden(capsys):
+    # B(3/2,1/2), byte for byte: the basis, every matrix entry and the
+    # validation report of the verb
+    golden = Path(__file__).resolve().parent / "golden" / "build-irrep-B-3_2-1_2.json"
+    rc, out = run(capsys, ["build-irrep", "--series", "B", "--mu", "3/2,1/2", "--format", "json"])
+    assert rc == 0
+    assert out == golden.read_text()
+
+
+def test_unwritable_output_is_a_usage_error(capsys, tmp_path):
+    # a missing directory is not a failed check: exit 2, one line, no traceback
+    path = tmp_path / "missing" / "x.json"
+    rc = main(["build-irrep", "--mu", "1,0", "--output", str(path)])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert captured.err == f"error: cannot write {path}: No such file or directory\n"
+    assert not path.exists()

@@ -1,8 +1,10 @@
 """Highest-weight construction: dimensions, weights, matrices, persistence."""
 
+import hashlib
 import itertools
 import json
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -336,9 +338,99 @@ def test_commutant_eliminates_only_the_positive_root_rows(series, mus, monkeypat
 
     V = build_irrep(parse_weight(mus, series))
     rows = [r for el in V.basis.elements if el.kind == "pos" for r in V.rep[el.label].row_vectors() if r]
+    irreps._generator_pairs(V.basis.m)  # the generator proof's echelon form, made once per m
     monkeypatch.setattr(irreps, "EchelonBasis", Spy)
     assert validate_irrep(V)["irreducible"]
     span, = spans
     assert len(span.given) == len(rows) == {"B": 38, "D": 769}[series]
     assert sorted(sorted(r.items()) for r in span.given) == sorted(sorted(r.items()) for r in rows)
     assert [a for a in range(V.dim) if a not in span.rows] == [V.highest]
+
+
+def _simple_root_labels(ob):
+    # the positive roots that are no sum of two positive roots, and their
+    # negatives: read from the roots alone, not from heights
+    pos = {el.root for el in ob.elements if el.kind == "pos"}
+    simple = {r for r in pos if not any(tuple(a - b for a, b in zip(r, q)) in pos for q in pos)}
+    return {el.label for el in ob.elements
+            if el.root is not None and (el.root in simple or tuple(-c for c in el.root) in simple)}
+
+
+@pytest.mark.parametrize("m", [4, 6, 8, 10, 3, 5, 7, 9, 11])  # D n=2..5, B n=1..5
+def test_simple_root_vectors_generate(m):
+    ob = build_ortho(m)
+    labels = ob.labels()
+    gens = [i for i, label in enumerate(labels) if label in _simple_root_labels(ob)]
+    assert len(gens) == 2 * ob.n
+    assert irreps._generated_dimension(ob, gens) == len(ob)
+    # the positive ones alone generate only the positive root vectors
+    raising = [i for i in gens if ob.elements[i].kind == "pos"]
+    assert irreps._generated_dimension(ob, raising) == sum(el.kind == "pos" for el in ob.elements)
+    pairs = irreps._generator_pairs(m)
+    rest = len(ob) - len(gens)
+    assert len(pairs) == len(ob) * (len(ob) - 1) // 2 - rest * (rest - 1) // 2
+    assert all(i < j and (i in gens or j in gens) for i, j in pairs)
+
+
+@pytest.mark.parametrize("series,mus", [("D", "1,0,0"), ("B", "1,0")])
+def test_homomorphism_check_catches_a_wrong_matrix(series, mus):
+    # doubling any root vector's matrix breaks rho[x, y] = [rho x, rho y]:
+    # a non-generator's through the pairs it shares with a generator, and
+    # every failure listed is such a pair
+    V = build_irrep(parse_weight(mus, series))
+    gens = _simple_root_labels(V.basis)
+    assert validate_irrep(V)["homomorphism_ok"]
+    for el in V.basis.elements:
+        if el.kind == "cartan":
+            continue
+        bad = replace(V, rep={**V.rep, el.label: V.rep[el.label].scale(2)})
+        report = validate_irrep(bad)
+        assert report["homomorphism_ok"] is False and report["ok"] is False, el.label
+        assert report["homomorphism_failures"]
+        assert all(a in gens or b in gens for a, b in report["homomorphism_failures"])
+        if el.label in gens:
+            assert any(el.label in pair for pair in report["homomorphism_failures"])
+
+
+def test_recursion_builds_each_weight_once(monkeypatch):
+    # the ladder passes through 12 distinct nonzero weights; built cold, each
+    # is one cyclic module (19 without the cache: D(1,0) four times, B(1,0)
+    # three, D(1,1) and D(1,0,0) twice)
+    built = []
+    init = irreps._CyclicModule.__init__
+
+    def spy(self, mu):
+        built.append(mu)
+        init(self, mu)
+
+    monkeypatch.setattr(irreps._CyclicModule, "__init__", spy)
+    build_irrep.cache_clear()
+    irreps._build.cache_clear()
+    for series, mus in LADDER:
+        build_irrep(parse_weight(mus, series))
+    assert len(built) == len(set(built)) == 12
+
+
+# sha256 of json.dumps(build_irrep(mu).to_json_dict(), sort_keys=True), as
+# recorded before the recursion was cached
+IRREP_SHA256 = {
+    ("B", "1,0"): "fa82ce58d9b49a8dbd4f01665fba896561189b07311b12f7873de7343be17aa9",
+    ("B", "1,1"): "2252a8c2ae2c12bed408b99142318d083655edec86d13a7364d6beab42fa621b",
+    ("B", "1/2,1/2"): "683db65c80ff965d61bab0dbbf39232d02434761248769c07ad20b31f4539ee1",
+    ("B", "1/2,1/2,1/2"): "2183eeb9628327967479b5ed65624c33157ad736fd2f288c1b871b0132e3e508",
+    ("B", "3/2,1/2"): "84c32a058585252decbaa64eff7c3fe164f689e241dc7868837168bb4a4198f1",
+    ("D", "1,0"): "867249e850c3690889c7eb46f9b270b1b1919916d6863460bed061bea01202f4",
+    ("D", "1,0,0"): "0de7b63e2f001c5e429173f593040cb30a7ab020d23f9a65a247aeb66bc50fc3",
+    ("D", "1,1"): "6022ca96b4241f0d836b5ad679c0d974dbf0af2bd9f572b8e6e81329c79965d7",
+    ("D", "1,1,1"): "4fffd39652fffd72a97cb74188b951a92971b4311c5e82ff3f064fe2c606111e",
+    ("D", "2,0"): "4165ac7b9be2bcba78c03382a6c811cd2dfa38bfe50f0456eb0adc3d6b3e343e",
+    ("D", "2,1"): "a9a814f1eefa452cecfc6a1fce19aae4bbd60a6778b16bd9454bc20f1453f23b",
+    ("D", "3,1,0"): "0f722d190d094a8bca13e157bb9ead07d96801401ceeea6b780096ff21033ae2",
+}
+
+
+@pytest.mark.parametrize("series,mus", sorted(IRREP_SHA256))
+def test_irrep_json_is_pinned(series, mus):
+    doc = build_irrep(parse_weight(mus, series)).to_json_dict()
+    digest = hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
+    assert digest == IRREP_SHA256[(series, mus)]
