@@ -10,7 +10,9 @@ identifies it with o(2n+2) (resp. o(2n+3)).
 
 Every identity the construction relies on is re-checked mechanically by
 `verify_bracket_tables` / `verify_theta_homomorphism`, which return pass/fail
-reports rather than trusting the algebra.
+reports rather than trusting the algebra; `bracket_identities` yields the
+bracket identities unformatted, for callers that read only whether they
+hold.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from .linalg import SparseMat, rank_of_rows
 from .poly import DiffOp, Poly, bracket
@@ -451,10 +453,11 @@ def _report_entry(identity: str, lhs: DiffOp, rhs: DiffOp) -> Dict[str, str]:
     }
 
 
-def verify_bracket_tables(n: int, series: str) -> List[Dict[str, str]]:
-    """Exact commutator check of every stated identity among the generators."""
+def bracket_identities(n: int, series: str) -> Iterator[Tuple[str, DiffOp, DiffOp]]:
+    """Every stated identity among the generators, as (name, lhs, rhs): the
+    exact commutator and its stated value.  The identity holds iff lhs ==
+    rhs; each operator is built once."""
     conf = build_conformal(n, series)
-    out: List[Dict[str, str]] = []
     Dop = conf.euler()
     nv = conf.num_vars
     zero = DiffOp.zero(nv)
@@ -463,28 +466,25 @@ def verify_bracket_tables(n: int, series: str) -> List[Dict[str, str]]:
     P = {r: conf.op(f"d_{r}") for r in var_range}
     rotation = lru_cache(maxsize=None)(conf.rotation)  # each operator built once
 
-    def check(name: str, lhs: DiffOp, rhs: DiffOp):
-        out.append(_report_entry(name, lhs, rhs))
-
     def delta(a: int, b: int) -> Fraction:
         return Fraction(1 if a == b else 0)
 
     for a in var_range:
         for c in var_range:
             if a <= c:
-                check(f"[J_{a},J_{c}]=0", bracket(J[a], J[c]), zero)
-                check(f"[d_{a},d_{c}]=0", bracket(P[a], P[c]), zero)
+                yield (f"[J_{a},J_{c}]=0", bracket(J[a], J[c]), zero)
+                yield (f"[d_{a},d_{c}]=0", bracket(P[a], P[c]), zero)
     rng = range(1, n + 1)
     for k in rng:
         for i in rng:
-            check(f"[d_{k},J_{n + i}]=C_{{{i},{k}}}", bracket(P[k], J[n + i]), rotation("C", i, k))
-            check(f"[d_{n + k},J_{i}]=B_{{{i},{k}}}", bracket(P[n + k], J[i]), rotation("B", i, k))
-            check(
+            yield (f"[d_{k},J_{n + i}]=C_{{{i},{k}}}", bracket(P[k], J[n + i]), rotation("C", i, k))
+            yield (f"[d_{n + k},J_{i}]=B_{{{i},{k}}}", bracket(P[n + k], J[i]), rotation("B", i, k))
+            yield (
                 f"[d_{k},J_{i}]=delta*D+A_{{{i},{k}}}",
                 bracket(P[k], J[i]),
                 Dop.scale(delta(k, i)) + rotation("A", i, k),
             )
-            check(
+            yield (
                 f"[d_{n + k},J_{n + i}]=delta*D-A_{{{k},{i}}}",
                 bracket(P[n + k], J[n + i]),
                 Dop.scale(delta(k, i)) - rotation("A", k, i),
@@ -493,66 +493,66 @@ def verify_bracket_tables(n: int, series: str) -> List[Dict[str, str]]:
         for i in rng:
             for j in rng:
                 Aij = rotation("A", i, j)
-                check(f"[d_{k},A_{{{i},{j}}}]=delta*d_{j}", bracket(P[k], Aij), P[j].scale(delta(k, i)))
-                check(
+                yield (f"[d_{k},A_{{{i},{j}}}]=delta*d_{j}", bracket(P[k], Aij), P[j].scale(delta(k, i)))
+                yield (
                     f"[d_{n + k},A_{{{i},{j}}}]=-delta*d_{n + i}",
                     bracket(P[n + k], Aij),
                     P[n + i].scale(-delta(k, j)),
                 )
-                check(f"[J_{k},A_{{{i},{j}}}]=-delta*J_{i}", bracket(J[k], Aij), J[i].scale(-delta(k, j)))
-                check(f"[J_{n + k},A_{{{i},{j}}}]=delta*J_{n + j}", bracket(J[n + k], Aij), J[n + j].scale(delta(k, i)))
+                yield (f"[J_{k},A_{{{i},{j}}}]=-delta*J_{i}", bracket(J[k], Aij), J[i].scale(-delta(k, j)))
+                yield (f"[J_{n + k},A_{{{i},{j}}}]=delta*J_{n + j}", bracket(J[n + k], Aij), J[n + j].scale(delta(k, i)))
                 if i < j:
                     Bij = rotation("B", i, j)
                     Cij = rotation("C", i, j)
-                    check(
+                    yield (
                         f"[d_{k},B_{{{i},{j}}}]",
                         bracket(P[k], Bij),
                         P[n + j].scale(delta(k, i)) - P[n + i].scale(delta(k, j)),
                     )
-                    check(f"[d_{k},C_{{{i},{j}}}]=0", bracket(P[k], Cij), zero)
-                    check(f"[d_{n + k},B_{{{i},{j}}}]=0", bracket(P[n + k], Bij), zero)
-                    check(
+                    yield (f"[d_{k},C_{{{i},{j}}}]=0", bracket(P[k], Cij), zero)
+                    yield (f"[d_{n + k},B_{{{i},{j}}}]=0", bracket(P[n + k], Bij), zero)
+                    yield (
                         f"[d_{n + k},C_{{{i},{j}}}]",
                         bracket(P[n + k], Cij),
                         P[j].scale(delta(k, i)) - P[i].scale(delta(k, j)),
                     )
-                    check(f"[J_{k},B_{{{i},{j}}}]=0", bracket(J[k], Bij), zero)
-                    check(
+                    yield (f"[J_{k},B_{{{i},{j}}}]=0", bracket(J[k], Bij), zero)
+                    yield (
                         f"[J_{k},C_{{{i},{j}}}]",
                         bracket(J[k], Cij),
                         J[n + j].scale(delta(k, i)) - J[n + i].scale(delta(k, j)),
                     )
-                    check(
+                    yield (
                         f"[J_{n + k},B_{{{i},{j}}}]",
                         bracket(J[n + k], Bij),
                         J[j].scale(delta(k, i)) - J[i].scale(delta(k, j)),
                     )
-                    check(f"[J_{n + k},C_{{{i},{j}}}]=0", bracket(J[n + k], Cij), zero)
+                    yield (f"[J_{n + k},C_{{{i},{j}}}]=0", bracket(J[n + k], Cij), zero)
     for k in var_range:
-        check(f"[D,J_{k}]=J_{k}", bracket(Dop, J[k]), J[k])
-        check(f"[d_{k},D]=d_{k}", bracket(P[k], Dop), P[k])
+        yield (f"[D,J_{k}]=J_{k}", bracket(Dop, J[k]), J[k])
+        yield (f"[d_{k},D]=d_{k}", bracket(P[k], Dop), P[k])
 
     if series == "B":
         K = {s: conf.op(f"K_{s}") for s in range(1, 2 * n + 1)}
-        check("[d_0,J_0]=D", bracket(P[0], J[0]), Dop)
+        yield ("[d_0,J_0]=D", bracket(P[0], J[0]), Dop)
         for i in rng:
-            check(f"[d_0,J_{n + i}]=-K_{i}", bracket(P[0], J[n + i]), -K[i])
-            check(f"[d_0,J_{i}]=-K_{n + i}", bracket(P[0], J[i]), -K[n + i])
-            check(f"[d_0,K_{i}]=d_{i}", bracket(P[0], K[i]), P[i])
-            check(f"[d_0,K_{n + i}]=d_{n + i}", bracket(P[0], K[n + i]), P[n + i])
-            check(f"[d_{i},J_0]=K_{i}", bracket(P[i], J[0]), K[i])
-            check(f"[d_{n + i},J_0]=K_{n + i}", bracket(P[n + i], J[0]), K[n + i])
-            check(f"[J_0,K_{i}]=J_{n + i}", bracket(J[0], K[i]), J[n + i])
-            check(f"[J_0,K_{n + i}]=J_{i}", bracket(J[0], K[n + i]), J[i])
+            yield (f"[d_0,J_{n + i}]=-K_{i}", bracket(P[0], J[n + i]), -K[i])
+            yield (f"[d_0,J_{i}]=-K_{n + i}", bracket(P[0], J[i]), -K[n + i])
+            yield (f"[d_0,K_{i}]=d_{i}", bracket(P[0], K[i]), P[i])
+            yield (f"[d_0,K_{n + i}]=d_{n + i}", bracket(P[0], K[n + i]), P[n + i])
+            yield (f"[d_{i},J_0]=K_{i}", bracket(P[i], J[0]), K[i])
+            yield (f"[d_{n + i},J_0]=K_{n + i}", bracket(P[n + i], J[0]), K[n + i])
+            yield (f"[J_0,K_{i}]=J_{n + i}", bracket(J[0], K[i]), J[n + i])
+            yield (f"[J_0,K_{n + i}]=J_{i}", bracket(J[0], K[n + i]), J[i])
             for j in rng:
-                check(f"[d_{i},K_{j}]=0", bracket(P[i], K[j]), zero)
-                check(f"[d_{n + i},K_{n + j}]=0", bracket(P[n + i], K[n + j]), zero)
-                check(f"[d_{i},K_{n + j}]=-delta*d_0", bracket(P[i], K[n + j]), P[0].scale(-delta(i, j)))
-                check(f"[d_{n + i},K_{j}]=-delta*d_0", bracket(P[n + i], K[j]), P[0].scale(-delta(i, j)))
-                check(f"[J_{i},K_{j}]=-delta*J_0", bracket(J[i], K[j]), J[0].scale(-delta(i, j)))
-                check(f"[J_{n + i},K_{n + j}]=-delta*J_0", bracket(J[n + i], K[n + j]), J[0].scale(-delta(i, j)))
-                check(f"[J_{i},K_{n + j}]=0", bracket(J[i], K[n + j]), zero)
-                check(f"[J_{n + i},K_{j}]=0", bracket(J[n + i], K[j]), zero)
+                yield (f"[d_{i},K_{j}]=0", bracket(P[i], K[j]), zero)
+                yield (f"[d_{n + i},K_{n + j}]=0", bracket(P[n + i], K[n + j]), zero)
+                yield (f"[d_{i},K_{n + j}]=-delta*d_0", bracket(P[i], K[n + j]), P[0].scale(-delta(i, j)))
+                yield (f"[d_{n + i},K_{j}]=-delta*d_0", bracket(P[n + i], K[j]), P[0].scale(-delta(i, j)))
+                yield (f"[J_{i},K_{j}]=-delta*J_0", bracket(J[i], K[j]), J[0].scale(-delta(i, j)))
+                yield (f"[J_{n + i},K_{n + j}]=-delta*J_0", bracket(J[n + i], K[n + j]), J[0].scale(-delta(i, j)))
+                yield (f"[J_{i},K_{n + j}]=0", bracket(J[i], K[n + j]), zero)
+                yield (f"[J_{n + i},K_{j}]=0", bracket(J[n + i], K[j]), zero)
         # [d_0, o(2n)|_A] = [J_0, o(2n)|_A] = 0
         small_rots: List[Tuple[str, DiffOp]] = []
         for i in rng:
@@ -562,9 +562,13 @@ def verify_bracket_tables(n: int, series: str) -> List[Dict[str, str]]:
                     small_rots.append((f"B_{{{i},{j}}}", rotation("B", i, j)))
                     small_rots.append((f"C_{{{i},{j}}}", rotation("C", i, j)))
         for lbl, op in small_rots:
-            check(f"[d_0,{lbl}]=0", bracket(P[0], op), zero)
-            check(f"[J_0,{lbl}]=0", bracket(J[0], op), zero)
-    return out
+            yield (f"[d_0,{lbl}]=0", bracket(P[0], op), zero)
+            yield (f"[J_0,{lbl}]=0", bracket(J[0], op), zero)
+
+
+def verify_bracket_tables(n: int, series: str) -> List[Dict[str, str]]:
+    """Exact commutator check of every stated identity among the generators."""
+    return [_report_entry(*identity) for identity in bracket_identities(n, series)]
 
 
 def casimir_pairs(ob: OrthoBasis) -> List[Tuple[SparseMat, SparseMat]]:

@@ -22,6 +22,20 @@ to weight spaces, so N_nu is spanned by the J_i(u) with
 wt(u) + wt(J_i) = nu, and dim M - rank N is the sum over dominant nu of
 |W nu| (dim M_nu - rank N_nu).  This is exact at every b.
 
+One block decides whether N = M.  Every weight of slice k lies in one
+class modulo the root lattice, that of mu + k e_1 (x^e (x) v_r has the
+weight of v_r, congruent to mu, plus k weights +-e_i or 0, each
+congruent to e_1), and the class has a least dominant weight nu_c
+(`weights.minimal_dominant_twice`): 0 or e_1 for integral weights,
+(1/2, ..., 1/2, +-1/2) for spin weights.  Every dominant lambda of the
+class lies above nu_c (Humphreys, GTM 9, 13.4 Lemma B), so nu_c is a
+weight of V(lambda) (21.3).  The quotient Q = M / N is a
+finite-dimensional o(n)-module whose weights lie in the class, so if Q
+is nonzero it has a summand V(lambda) and Q_nu_c is nonzero.  Hence
+N = M iff N_nu_c = M_nu_c: the scan eliminates the block of nu_c first,
+and opens the other dominant blocks only when that one falls short, to
+count the exact deficit.
+
 The weights are counted by class, never per basis index.  x^e (x) v_r
 has the weight of x^e plus that of v_r, so the scan reads the monomials
 of each degree grouped by weight (`ConformalModule.weight_classes`) and
@@ -36,7 +50,8 @@ arrive label by label.  rank N_nu never exceeds dim M_nu, so a block
 closes as soon as its exact rank reaches dim M_nu, and no more of its
 columns are built.  A block still open after the last label holds all of
 its columns, so its rank is the exact rank of N_nu: a deficient block (at
-a critical b) counts its exact deficit.
+a critical b) counts its exact deficit, nu_c's included, whose span is
+kept when the other blocks are opened.
 
 The scan builds its own module from (mu, b): it builds only the J columns
 it needs, at its own b, so a shared base would save it little.  Detection,
@@ -55,7 +70,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from operator import add, sub
+from operator import sub
 from typing import Dict, List, Optional, Tuple
 
 from .linalg import (
@@ -74,6 +89,7 @@ from .weights import (
     WeightVec,
     critical_b_set,
     is_dominant_twice,
+    minimal_dominant_twice,
     omega_tilde_spectrum,
     weyl_orbit_size_twice,
     zero_weight,
@@ -163,7 +179,10 @@ def _dominant_dims(mod: ConformalModule, k: int) -> Dict[Twice, int]:
 def _j_span_rank(mod: ConformalModule, level: int) -> int:
     """Rank of N = sum_i J_i(slice level) inside M = slice level+1, as
     dim M - sum over dominant nu of |W nu| (dim M_nu - rank N_nu) (see the
-    module docstring).  Only the columns J_i(u) of the dominant blocks are
+    module docstring).  The block of nu_c, the least dominant weight of
+    the slice's class, goes first: if it closes, N = M and no other block
+    is opened.  Otherwise the other dominant blocks are opened too, nu_c's
+    span is kept, and the exact deficit is counted.  Only the columns J_i(u) of open blocks are
     built, label by label, and only while the block is open."""
     dv = mod.dim_v
     dims = _dominant_dims(mod, level + 1)
@@ -182,27 +201,36 @@ def _j_span_rank(mod: ConformalModule, level: int) -> int:
             ])
         return hit
 
-    # open blocks: the exact span of their columns so far
-    blocks = {nu: EchelonBasis() for nu in sorted(dims)}
-    for lbl, d in zip(mod.j_labels, mod.var_weights()):
-        if not blocks:
-            break
-        cols: List[int] = []
-        ends: List[Tuple[Twice, int]] = []  # block nu owns cols[previous end:end]
-        for nu in blocks:
-            cols.extend(sources_of(tuple(map(sub, nu, d))))
-            ends.append((nu, len(cols)))
-        vecs = mod.action_columns(lbl, level, cols)
-        start = 0
-        for nu, end in ends:
-            span = blocks[nu]
-            for vec in sorted(filter(None, vecs[start:end]), key=len):
-                if span.add(vec) and span.rank == dims[nu]:
-                    del blocks[nu]  # rank N_nu = dim M_nu, its largest
-                    break
-            start = end
-    # a block still open has taken all of its columns
-    deficit = sum(_dominant_orbit_size(mod.series, nu) * (dims[nu] - span.rank) for nu, span in blocks.items())
+    def fill(nus: List[Twice]) -> Dict[Twice, EchelonBasis]:
+        """Open the blocks nus and feed them their columns; return the blocks
+        still open after the last label, each holding all of its columns."""
+        blocks = {nu: EchelonBasis() for nu in nus}
+        for lbl, d in zip(mod.j_labels, mod.var_weights()):
+            if not blocks:
+                break
+            cols: List[int] = []
+            ends: List[Tuple[Twice, int]] = []  # block nu owns cols[previous end:end]
+            for nu in blocks:
+                cols.extend(sources_of(tuple(map(sub, nu, d))))
+                ends.append((nu, len(cols)))
+            vecs = mod.action_columns(lbl, level, cols)
+            start = 0
+            for nu, end in ends:
+                span = blocks[nu]
+                for vec in sorted(filter(None, vecs[start:end]), key=len):
+                    if span.add(vec) and span.rank == dims[nu]:
+                        del blocks[nu]  # rank N_nu = dim M_nu, its largest
+                        break
+                start = end
+        return blocks
+
+    top = mod.mu.twice  # slice level+1 lies in the class of mu + (level+1) e_1
+    nu_c = minimal_dominant_twice(mod.series, (top[0] + 2 * (level + 1),) + top[1:])
+    deficient = fill([nu_c])
+    if not deficient:
+        return mod.slice_dim(level + 1)  # Q_nu_c = 0, so Q = M / N = 0
+    deficient.update(fill([nu for nu in sorted(dims) if nu != nu_c]))
+    deficit = sum(_dominant_orbit_size(mod.series, nu) * (dims[nu] - span.rank) for nu, span in deficient.items())
     return mod.slice_dim(level + 1) - deficit
 
 

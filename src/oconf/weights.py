@@ -124,6 +124,25 @@ def is_dominant_twice(series: str, t: Twice) -> bool:
     return (t[n - 2] + t[n - 1] if series == "D" else t[n - 1]) >= 0
 
 
+def minimal_dominant_twice(series: str, t: Twice) -> Twice:
+    """The least dominant weight congruent to the doubled weight t modulo
+    the root lattice, doubled.
+
+    The root lattice is Z^n for B and the integer vectors of even sum for
+    D.  So B has two classes, integral and spin, with least dominant
+    weights 0 and (1/2, ..., 1/2); D has four: integral of even or odd sum
+    (0 or e_1) and spin of sum n/2 or n/2 - 1 modulo 2 ((1/2, ..., 1/2) or
+    (1/2, ..., 1/2, -1/2)).  Every dominant weight of the class lies above
+    it (Humphreys, GTM 9, 13.4 Lemma B), so it is a weight of every V(lambda)
+    with lambda in the class (21.3)."""
+    n = len(t)
+    if t[0] & 1:  # spin
+        return (1,) * (n - 1) + (-1 if series == "D" and (sum(t) - n) % 4 else 1,)
+    if series == "D" and sum(t) % 4:
+        return (2,) + (0,) * (n - 1)
+    return (0,) * n
+
+
 def weyl_orbit_size(nu: WeightVec) -> int:
     """|W nu| for the Weyl group W of the series."""
     return weyl_orbit_size_twice(nu.series, nu.twice)

@@ -14,6 +14,7 @@ from oconf.mixed import ConformalModule
 from oconf.ortho import build_conformal
 from oconf.poly import Poly
 from oconf.reducibility import (
+    _dominant_dims,
     _dominant_orbit_size,
     _j_span_rank,
     classify_b,
@@ -25,7 +26,7 @@ from oconf.reducibility import (
     verify_submodule_closure,
 )
 from oconf.spectral import omega_tilde_matrix
-from oconf.weights import natural_dim, omega_tilde_spectrum, parse_weight, zero_weight
+from oconf.weights import minimal_dominant_twice, natural_dim, omega_tilde_spectrum, parse_weight, zero_weight
 import reference
 
 F = Fraction
@@ -544,9 +545,40 @@ def test_weight_blocks_give_the_rank_of_full_elimination():
     assert deficient == 83
 
 
+def test_the_least_dominant_block_decides_each_slice():
+    # every weight of slice k lies in the class of mu + k e_1 modulo the root
+    # lattice, and that class's least dominant weight nu_c is a weight of the
+    # slice; over the grid above, the rank of nu_c's block, read from whole
+    # action matrices, falls short exactly where the slice's rank does
+    deficient = 0
+    for series, w, deg in BLOCK_GRID:
+        mu = parse_weight(w, series)
+        base = ConformalModule(mu, F(1, 3))
+        rows = {}  # slice k -> its indexes of weight nu_c
+        for k in range(1, deg + 1):
+            weights = reference.slice_weights(base, k)
+            nu_c = minimal_dominant_twice(series, weights[0])
+            assert {minimal_dominant_twice(series, x) for x in weights} == {nu_c}, (series, w, k)
+            assert nu_c in _dominant_dims(base, k), (series, w, k)
+            rows[k] = {i for i, x in enumerate(weights) if x == nu_c}
+        bs = {F(1, 3), F(-2, 7), F(7, 2)} | {-lam for lam, _ in omega_tilde_spectrum(mu).entries}
+        bs |= {F(j, 2) for j in range(-12, 9)}
+        for b in sorted(bs):
+            sib = base.at(b)
+            for level in range(deg):
+                full = _j_span_rank_by_elimination(sib, level) == sib.slice_dim(level + 1)
+                block = rows[level + 1]
+                cols = [v for lbl in sib.j_labels for v in sib.action_matrix(lbl, level).col_vectors()]
+                block_full = rank_of_rows([{i: c for i, c in v.items() if i in block} for v in cols]) == len(block)
+                assert block_full == full, (series, w, b, level)
+                deficient += not full
+    assert deficient == 83
+
+
 def test_a_certified_block_asks_for_no_more_columns(monkeypatch):
     # D(1,0) at b = 1/3 to degree 8: the J columns that land in dominant
-    # blocks, against those the scan asks for
+    # blocks, against those the scan asks for; every slice is full, so the
+    # scan opens only the block of the least dominant weight of each slice
     mu, b, deg = parse_weight("1,0", "D"), F(1, 3), 8
     mod = ConformalModule(mu, b)
     reach = 0
@@ -564,7 +596,7 @@ def test_a_certified_block_asks_for_no_more_columns(monkeypatch):
 
     monkeypatch.setattr(ConformalModule, "action_columns", counted)
     assert surjectivity_scan(mu, b, deg).verdict == f"irreducible-up-to-{deg}"
-    assert (sum(asked), reach) == (669, 1572)
+    assert (sum(asked), reach) == (130, 1572)
 
 
 @pytest.mark.parametrize("series,w,b,deg,deficits", [

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from oconf.irreps import build_irrep
 from oconf.mixed import ConformalModule
 from oconf.reducibility import _dominant_orbit_size
 from oconf.weights import (
@@ -17,6 +18,7 @@ from oconf.weights import (
     is_dominant,
     is_dominant_twice,
     jump_sequence,
+    minimal_dominant_twice,
     omega_tilde_spectrum,
     parse_weight,
     pieri_decompose,
@@ -249,6 +251,37 @@ def test_dominant_orbit_lookups_match_the_fraction_reference(series, w, degree):
             c = tuple(F(x, 2) for x in nu)
             want = len(fraction_weyl_orbit(series, c)) if fraction_is_dominant(series, c) else 0
             assert _dominant_orbit_size(series, nu) == want, (k, nu)
+
+
+def simple_root_coefficients(series, t):
+    """Coefficients of the doubled weight t in the simple roots e_i - e_(i+1)
+    and e_(n-1) + e_n (D) or e_n (B), from the partial sums of its
+    coordinates."""
+    n = len(t)
+    partial = [F(s, 2) for s in itertools.accumulate(t)]  # c_1 + ... + c_i
+    if series == "B":
+        return partial
+    return partial[: n - 2] + [(partial[n - 2] - F(t[n - 1], 2)) / 2, partial[n - 1] / 2]
+
+
+@pytest.mark.parametrize("series,n", [("D", 2), ("D", 3), ("B", 1), ("B", 2), ("B", 3)])
+def test_least_dominant_weight_lies_below_its_class(series, n):
+    # the least dominant weight m of t's class is dominant, t - m is a sum of
+    # simple roots with nonnegative integer coefficients, and m is a weight
+    # of V(t): every dominant t of the box, integral and spin
+    classes = set()
+    for t in itertools.product(range(-6, 7), repeat=n):
+        if not is_dominant_twice(series, t):
+            continue
+        m = minimal_dominant_twice(series, t)
+        assert is_dominant_twice(series, m), t
+        coeffs = simple_root_coefficients(series, [a - b for a, b in zip(t, m)])
+        assert all(c.denominator == 1 and c >= 0 for c in coeffs), (t, m, coeffs)
+        mu = WeightVec.from_twice(series, t)
+        if weyl_dim(mu) <= 64:
+            assert m in {w.twice for w in build_irrep(mu).weights}, (t, m)
+        classes.add(m)
+    assert len(classes) == (4 if series == "D" else 2)
 
 
 def test_twice_is_derived_and_not_compared():
