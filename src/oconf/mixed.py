@@ -12,19 +12,10 @@ the central charge b.  The module A (x) V(mu) is materialized degree by
 degree: each graded slice A_k (x) V(mu) carries exact action matrices for
 every generator, and the comparison map phi sending x^a (x) v to J^a(1 (x) v)
 is realized as a matrix per degree.
-
-Since b enters every generator only through that scalar term, the action at
-b is the action at any other charge b0 plus (b - b0) times a b-free matrix C
-(`ConformalModule.central_part`): multiplication by the generator's central
-polynomial sum_g c_g x^g, built like every other slice multiplication by
-`ConformalModule.mult_matrix`.  `ConformalModule.at(b)` uses this: the
-module at b reuses the b-free state and the computed matrices of the module
-at b0 and adds the sparse correction.
 """
 
 from __future__ import annotations
 
-import copy
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, lcm
@@ -237,6 +228,23 @@ def _split(n: int, series: str, label: str) -> List[Tuple[Exps, Fraction, Dict[i
     return _embed(n, series, label).central_orthogonal_split(build_ortho(natural_dim(series, n)))
 
 
+@lru_cache(maxsize=None)
+def _field_shifts(n: int, series: str, label: str) -> Dict[Exps, Tuple[int, List[Tuple[int, int]]]]:
+    """The generator's vector field by exponent shift, shared by every module
+    of this series and rank: shift -> (denominator, numerators), the terms
+    c x^m of f_i with m - u_i = shift as (i, c * denominator)."""
+    field: Dict[Exps, List[Tuple[int, Fraction]]] = {}
+    for beta, p in _embed(n, series, label).field.terms.items():
+        i = beta.index(1)
+        for m, c in p.terms.items():
+            field.setdefault(tuple(a - b for a, b in zip(m, beta)), []).append((i, c))
+    out = {}
+    for sh, terms in field.items():
+        den = lcm(*(c.denominator for _, c in terms))
+        out[sh] = (den, [(i, int(c * den)) for i, c in terms])
+    return out
+
+
 def _by_column(M: SparseMat) -> Tuple[Tuple[Tuple[int, Fraction], ...], ...]:
     """M's entries grouped by column, in M's order: item q holds the
     (r, value) of column q; () for the zero matrix.  Tuples, so every empty
@@ -253,8 +261,7 @@ class ConformalModule:
     """A (x) V(mu) for one series, rank and central charge, built lazily.
 
     Slice k has the basis x^e (x) v_r, monomial-major: x^e (x) v_r has index
-    mono_index(k)[e] * dim V + r.  `at(b)` gives the same module at another
-    central charge (a sibling).
+    mono_index(k)[e] * dim V + r.
     """
 
     def __init__(self, mu: WeightVec, b, slice_cap: int = DEFAULT_SLICE_CAP):
@@ -275,9 +282,7 @@ class ConformalModule:
         self._mono_index: Dict[int, Dict[Exps, int]] = {}
         self._act: Dict[Tuple[str, int], SparseMat] = {}
         self._phi: Dict[int, SparseMat] = {}
-        self._base: Optional[ConformalModule] = None  # set on siblings only
-        self._central: Dict[Tuple[str, int], SparseMat] = {}  # b-coefficients, built on demand
-        self._classes: Dict[int, Dict[Twice, List[int]]] = {}  # b-free, shared with siblings
+        self._classes: Dict[int, Dict[Twice, List[int]]] = {}
         self._piece_memo: Dict[str, list] = {}  # label -> _pieces(label), at this b
         self._small_labels = self.small.labels()
         # ordered by label index, matching the monomial variable order
@@ -368,11 +373,7 @@ class ConformalModule:
         hit = self._piece_memo.get(label)
         if hit is not None:
             return hit
-        field: Dict[Exps, List[Tuple[int, Fraction]]] = {}
-        for beta, p in self.embed_of(label).field.terms.items():
-            i = beta.index(1)
-            for m, c in p.terms.items():
-                field.setdefault(tuple(a - b for a, b in zip(m, beta)), []).append((i, c))
+        field = _field_shifts(self.n, self.series, label)
         blocks: Dict[Exps, SparseMat] = {}
         for ge, central, coeffs in _split(self.n, self.series, label):
             block = SparseMat.identity(self.dim_v).scale(central * self.b)
@@ -381,9 +382,7 @@ class ConformalModule:
             blocks[ge] = block
         pieces = []
         for sh in sorted(set(field) | set(blocks)):
-            terms = field.get(sh, [])
-            den = lcm(*(c.denominator for _, c in terms))
-            nums = [(i, int(c * den)) for i, c in terms]
+            den, nums = field.get(sh, (1, []))
             pieces.append((sh, den, nums, blocks.get(sh, SparseMat(self.dim_v, self.dim_v)), {}))
         self._piece_memo[label] = pieces
         return pieces
@@ -392,21 +391,14 @@ class ConformalModule:
         """Matrix of the generator from slice k to slice k + shift."""
         key = (label, k)
         hit = self._act.get(key)
-        if hit is not None:
-            return hit
-        base = self._base
-        if base is None:
-            out = self._build_action(label, k)
-        else:
-            out = base.action_matrix(label, k).add_scaled(base.central_part(label, k), self.b - base.b)
-        self._act[key] = out
-        return out
+        if hit is None:
+            hit = self._act[key] = self._build_action(label, k)
+        return hit
 
     def action_columns(self, label: str, k: int, cols: Sequence[int]) -> List[Dict[int, Fraction]]:
         """Columns `cols` of `action_matrix(label, k)`, as sparse dicts, in the
         order asked (a repeated column is the same dict), built by the
-        stencil loop alone (on a sibling too: `at` gives it its own
-        `_pieces`)."""
+        stencil loop alone."""
         dv = self.dim_v
         out: Dict[int, Dict[int, Fraction]] = {c: {} for c in cols}
         dests: Dict[int, List[Tuple[int, Dict[int, Fraction]]]] = {}  # mi -> (q, column q's dict)
@@ -460,48 +452,11 @@ class ConformalModule:
                 if by_col:  # else x^(e + sh) may not even be a monomial
                     yield tindex[tuple(map(add, e, sh))] * dv, mi, by_col
 
-    # -- other central charges -----------------------------------------------------
-
-    def at(self, b) -> "ConformalModule":
-        """This module at central charge b: a sibling of the base module.
-
-        The sibling shares the base's b-free state (monomials, irrep, bases)
-        and its computed action matrices, and keeps its own matrices and phi.
-        Its action at b is the base's action plus (b - base b) `central_part`.
-        Nothing is cached beyond the modules the caller holds.
-        """
-        b = canon(Fraction(b))
-        if b == self.b:
-            return self
-        base = self._base or self
-        if b == base.b:
-            return base
-        sib = copy.copy(base)  # shallow: the b-free state is shared
-        sib.b, sib._base, sib._act, sib._phi, sib._piece_memo = b, base, {}, {}, {}
-        return sib
-
-    def central_part(self, label: str, k: int) -> SparseMat:
-        """The b-coefficient C of the generator from slice k (b-free).
-
-        In `_pieces` b only scales `central * I` in the block of each central
-        shift x^g, so C multiplies by the label's central polynomial
-        sum_g central_g x^g (`mult_matrix`); a label with no central part
-        gets the zero matrix.  Built on the base, on demand.
-        """
-        base = self._base or self
-        key = (label, k)
-        hit = base._central.get(key)
-        if hit is None:
-            p = self.central_poly(label)
-            if p.terms:
-                hit = base.mult_matrix(p, k)
-            else:
-                hit = SparseMat(self.slice_dim(k + self.degree_shift(label)), self.slice_dim(k))
-            base._central[key] = hit
-        return hit
+    # -- multiplication by polynomials -------------------------------------------
 
     def central_poly(self, label: str) -> Poly:
-        """The label's central polynomial sum_g central_g x^g (b-free)."""
+        """The label's central polynomial sum_g central_g x^g (b-free): b
+        enters the generator's action only as b times multiplication by it."""
         return Poly(self.num_vars, {ge: central for ge, central, _ in _split(self.n, self.series, label)})
 
     def mult_matrix(self, p: Poly, k: int) -> SparseMat:

@@ -53,11 +53,11 @@ its columns, so its rank is the exact rank of N_nu: a deficient block (at
 a critical b) counts its exact deficit, nu_c's included, whose span is
 kept when the other blocks are opened.
 
-The scan builds its own module from (mu, b): it builds only the J columns
-it needs, at its own b, so a shared base would save it little.  Detection,
-closure and generation read whole action matrices, so they take a built
-module (a sweep over b shares one base through `ConformalModule.at`), and a
-witness carries the module it lives in.
+The scan builds its own module from (mu, b) and only the J columns it
+needs.  Detection, closure and generation read whole action matrices, so
+they take a built module, and a witness carries the module it lives in.
+Detection and the closure scan generate a submodule by one PBW pass
+(`_generate`), from slice 0 and from slice SEED_DEGREE.
 
 For mu = 0 the harmonic layers explain the graded structure — and the
 scans refute the stated sharp classification at the special conformal
@@ -236,9 +236,9 @@ def _j_span_rank(mod: ConformalModule, level: int) -> int:
 
 def surjectivity_scan(mu: WeightVec, b, max_degree: int) -> ScanResult:
     """Rank of the J-span at every level 1..max_degree, with verdict."""
-    mod = ConformalModule(mu, b)
     if max_degree < 1:
         raise ValueError(f"max degree must be at least 1, got {max_degree}")
+    mod = ConformalModule(mu, b)
     b = mod.b
     mod.check_cap(max_degree)  # slices grow with the degree: fail before any work
     records = []
@@ -276,22 +276,17 @@ class SubmoduleWitness:
 
 def detect_submodule(mod: ConformalModule, max_degree: int) -> Optional[SubmoduleWitness]:
     """Explicit graded basis of U(J)(1 (x) V(mu)) up to max_degree when it is
-    proper there; None when it exhausts every slice."""
-    dims: Dict[int, Tuple[int, int]] = {}
-    basis: Dict[int, List[Dict[int, Fraction]]] = {}
-    proper = False
-    for k in range(0, max_degree + 1):
-        phi = mod.phi_matrix(k)
-        cols = [c for c in phi.col_vectors() if c]
-        # independent column selection for a clean graded basis
-        span = EchelonBasis()
-        chosen = [c for c in cols if span.add(c)]
-        dims[k] = (len(chosen), mod.slice_dim(k))
-        basis[k] = chosen
-        if len(chosen) < mod.slice_dim(k):
-            proper = True
-    if not proper:
+    proper there; None when it exhausts every slice.
+
+    The submodule generated by slice 0 is U(J)(1 (x) V(mu)): the d's kill
+    slice 0, so `_generate` has nothing to lower, and the basis of degree k
+    is the exact span of J(degree k-1), the span of the columns of
+    `phi_matrix(k)`."""
+    spans = _generate(mod, max_degree, 0)
+    dims = {k: (spans[k].rank, mod.slice_dim(k)) for k in range(max_degree + 1)}
+    if all(r == d for r, d in dims.values()):
         return None
+    basis = {k: list(spans[k].rows.values()) for k in dims}
     return SubmoduleWitness(mod, max_degree, dims, basis)
 
 
@@ -329,13 +324,9 @@ def verify_submodule_closure(witness: SubmoduleWitness) -> Dict[str, bool]:
 SEED_DEGREE = 1
 
 
-def generation_closure_scan(mod: ConformalModule, max_degree: int) -> Dict[int, Tuple[int, int]]:
-    """Dimensions of the submodule generated by the whole slice SEED_DEGREE,
-    degree by degree.
-
-    SEED_DEGREE is 1 because the check is on the quotient by the constants
-    line, whose lowest slice is degree 1.  Returns
-    {k: (generated dim, slice dim)} for k <= max_degree.
+def _generate(mod: ConformalModule, max_degree: int, seed: int) -> Dict[int, EchelonBasis]:
+    """The submodule generated by the whole slice `seed`, one exact span per
+    degree 0 .. max(max_degree, seed), generated up to max_degree.
 
     The submodule is built in PBW order, exactly.  The algebra is
     span(J) + l + span(d), where l (o(n) and D) is the degree-0 part and
@@ -343,15 +334,19 @@ def generation_closure_scan(mod: ConformalModule, max_degree: int) -> Dict[int, 
     whole slice, is l-stable, and [l, d] lies in span(d), [l, J] in
     span(J), so every d-image and J-image of an l-stable space is again
     l-stable: U(l) adds nothing, and the submodule is U(J) U(d)(seed).
-    One pass down carries the seed by the d's into degrees SEED_DEGREE-1
-    .. 0, one pass up adds J(part k-1) to part k for k = 1 .. max_degree;
-    no degree-0 generator is applied and no slice above max_degree is
-    reached.  A target slice takes no more images once it is full.
+    One pass down carries the seed by the d's into degrees seed-1 .. 0,
+    one pass up adds J(part k-1) to part k for k = 1 .. max_degree; no
+    degree-0 generator is applied and no slice above max(max_degree, seed)
+    is reached.  A target slice takes no more images once it is full.
     """
-    dims = {k: mod.slice_dim(k) for k in range(max(max_degree, SEED_DEGREE) + 1)}
+    if max_degree < 0:
+        raise ValueError(f"max degree must be at least 0, got {max_degree}")
+    top = max(max_degree, seed)
+    mod.check_cap(top)  # slices grow with the degree: fail before any work
+    dims = {k: mod.slice_dim(k) for k in range(top + 1)}
     spans = {k: EchelonBasis() for k in dims}
-    for i in range(dims[SEED_DEGREE]):
-        spans[SEED_DEGREE].add({i: 1})
+    for i in range(dims[seed]):
+        spans[seed].add({i: 1})
     labels = mod.conf.labels()
 
     def push(shift: int, k: int):
@@ -366,11 +361,23 @@ def generation_closure_scan(mod: ConformalModule, max_degree: int) -> Dict[int, 
                     if target.add(v) and target.rank == full:
                         break
 
-    for k in range(SEED_DEGREE, 0, -1):
+    for k in range(seed, 0, -1):
         push(-1, k)
     for k in range(1, max_degree + 1):
         push(1, k - 1)
-    return {k: (spans[k].rank, dims[k]) for k in range(max_degree + 1)}
+    return spans
+
+
+def generation_closure_scan(mod: ConformalModule, max_degree: int) -> Dict[int, Tuple[int, int]]:
+    """Dimensions of the submodule generated by the whole slice SEED_DEGREE,
+    degree by degree (`_generate`).
+
+    SEED_DEGREE is 1 because the check is on the quotient by the constants
+    line, whose lowest slice is degree 1.  Returns
+    {k: (generated dim, slice dim)} for k <= max_degree.
+    """
+    spans = _generate(mod, max_degree, SEED_DEGREE)
+    return {k: (spans[k].rank, mod.slice_dim(k)) for k in range(max_degree + 1)}
 
 
 # ---------------------------------------------------------------------------

@@ -159,7 +159,7 @@ def central_t_matrix(mod: ConformalModule, k: int) -> SparseMat:
     T at b is T at the module's own charge plus (b - mod.b) T_C.
 
     The b-coefficient of J_i multiplies by its central polynomial p_i
-    (`ConformalModule.central_part`), so T_C multiplies by the single
+    (`ConformalModule.central_poly`), so T_C multiplies by the single
     polynomial sum_i p_i x_idx, from slice k to slice k+2."""
     _check_degree(k)
     q = Poly.zero(mod.num_vars)
@@ -198,13 +198,14 @@ def t_operator_sweep(base: ConformalModule, k: int, bs) -> Dict[Fraction, bool]:
     """T == t_scalar * eta on slice k at every b in bs, from one module.
 
     Both sides are affine in b: T(b) = T0 + (b - b0) T_C, and the scalar
-    is s(b) = s(b0) + (b - b0) slope, the slope read off `t_scalar` at
-    b0 + 1.  So T(b) - s(b) eta = E0 + (b - b0) E_C with the b-free parts
-    E0 = T0 - s(b0) eta and E_C = T_C - slope eta, and each b is answered
-    exactly by whether E0 + (b - b0) E_C is the zero matrix.  Only these
-    two differences are built; no T(b) and no multiple of eta per b.  The
-    slope, T_C and E_C are built only when some b differs from b0, so a
-    sweep at b0 alone (`verify_t_operator`) builds E0 only.
+    is s(b) = s(b0) + (b - b0) slope, the slope read off `t_scalar` in the
+    module at b0 + 1 (which builds no slice for it).  So T(b) - s(b) eta =
+    E0 + (b - b0) E_C with the b-free parts E0 = T0 - s(b0) eta and
+    E_C = T_C - slope eta, and each b is answered exactly by whether
+    E0 + (b - b0) E_C is the zero matrix.  Only these two differences are
+    built; no T(b) and no multiple of eta per b.  The slope, T_C and E_C
+    are built only when some b differs from b0, so a sweep at b0 alone
+    (`verify_t_operator`) builds E0 only.
 
     The degree and the caps are checked before anything is built: slice
     k + 1, whose J columns T reads, then slice k + 2, where T lands.
@@ -219,6 +220,6 @@ def t_operator_sweep(base: ConformalModule, k: int, bs) -> Dict[Fraction, bool]:
     E0 = invariant_t_matrix(base, k).add_scaled(eta_mult, -s0)
     if all(b == b0 for b in bs):
         return {b: E0.is_zero() for b in bs}
-    slope = t_scalar(base.at(b0 + 1), k) - s0
+    slope = t_scalar(ConformalModule(base.mu, b0 + 1, base.slice_cap), k) - s0
     EC = central_t_matrix(base, k).add_scaled(eta_mult, -slope)
     return {b: E0.add_scaled(EC, b - b0).is_zero() for b in bs}

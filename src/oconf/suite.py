@@ -10,11 +10,12 @@ mu=0 classification, which misses the special conformal weights; their
 corrected companions must pass.
 
 Checks that read the same exact object compute it once, through the
-module-level `lru_cache`s `_charpoly_report`, `_mu_zero_base`,
-`_mu_zero_witness` and `_mu_zero_quotient`.  What these return is shared
-and read-only: a check reads a report, module or witness and never alters
-it (a shared module only fills its own memos of exact matrices), so the
-checks give the same results in any order.
+module-level `lru_cache`s `_charpoly_report`, `_mu_zero_witness` and
+`_mu_zero_quotient`.  What these return is shared and read-only: a check
+reads a report or witness and never alters it (a witness's module only
+fills its own memos of exact matrices), so the checks give the same
+results in any order.  Every other module is built at its own b, where
+the check needs it.
 """
 
 from __future__ import annotations
@@ -126,9 +127,8 @@ def check_phi_degree_one() -> Tuple[bool, str]:
     ok = True
     for mu in [parse_weight("1,0", "D"), parse_weight("1/2,1/2", "B")]:
         otm = spectral.omega_tilde_matrix(mu)
-        base = mixed.ConformalModule(mu, 0)
         for b in [Fraction(0), Fraction(1, 3), Fraction(-2)]:
-            lhs = base.at(b).phi_matrix(1)
+            lhs = mixed.ConformalModule(mu, b).phi_matrix(1)
             rhs = SparseMat.identity(otm.rows).scale(b) + otm
             good = lhs == rhs
             ok &= good
@@ -174,24 +174,18 @@ def check_scan_sufficiency() -> Tuple[bool, str]:
 
 
 @lru_cache(maxsize=None)
-def _mu_zero_base(series: str) -> mixed.ConformalModule:
-    """The mu=0 module at n=2 and b=0, one per series: every mu=0 module of
-    the two mu=0 checks is it or its sibling (read-only: they share it)."""
-    return mixed.ConformalModule(zero_weight(series, 2), 0)
-
-
-@lru_cache(maxsize=None)
 def _mu_zero_witness(series: str, b: Fraction) -> Optional[reducibility.SubmoduleWitness]:
     """`detect_submodule` to degree 3 in the mu=0 module at b, computed once
     for the two mu=0 checks that both read it (read-only: they share it)."""
-    return reducibility.detect_submodule(_mu_zero_base(series).at(b), 3)
+    return reducibility.detect_submodule(mixed.ConformalModule(zero_weight(series, 2), b), 3)
 
 
 @lru_cache(maxsize=None)
 def _mu_zero_quotient(series: str) -> Mapping[int, Tuple[int, int]]:
     """Degree-4 generation dims of the mu=0, b=0 quotient at n=2, computed
     once for the two mu=0 checks that read it (read-only: they share it)."""
-    return MappingProxyType(reducibility.generation_closure_scan(_mu_zero_base(series), 4))
+    mod = mixed.ConformalModule(zero_weight(series, 2), 0)
+    return MappingProxyType(reducibility.generation_closure_scan(mod, 4))
 
 
 def check_mu_zero_classification() -> Tuple[bool, str]:
@@ -229,14 +223,14 @@ def check_mu_zero_true_classification() -> Tuple[bool, str]:
         ("D", [Fraction(1, 2), Fraction(2), Fraction(5, 2)], [(Fraction(1), 2)]),
         ("B", [Fraction(1), Fraction(2), Fraction(5, 2)], [(Fraction(3, 2), 2), (Fraction(1, 2), 4)]),
     ]:
-        base = _mu_zero_base(series)
+        mu0 = zero_weight(series, 2)
         for b in good_bs:
-            w = reducibility.detect_submodule(base.at(b), 3)
+            w = reducibility.detect_submodule(mixed.ConformalModule(mu0, b), 3)
             good = w is None
             ok &= good
             bits.append(f"{series} b={b}: generated to degree 3 {'ok' if good else 'FAIL'}")
         for b, deg in bad_extra:
-            w = reducibility.detect_submodule(base.at(b), deg)
+            w = reducibility.detect_submodule(mixed.ConformalModule(mu0, b), deg)
             good = w is not None and w.dims[deg][0] == w.dims[deg][1] - 1
             if good:
                 good &= reducibility.verify_submodule_closure(w)["ok"]

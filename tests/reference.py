@@ -137,6 +137,17 @@ def generation_closure_scan(mod: ConformalModule, max_degree: int) -> Dict[int, 
     return {k: (spans[k].rank, dims[k]) for k in range(max_degree + 1)}
 
 
+def phi_column_submodule(mod: ConformalModule, max_degree: int) -> Dict[int, List[Dict[int, Fraction]]]:
+    """U(J)(1 (x) V(mu)) by the comparison map: the independent columns of
+    `phi_matrix(k)`, the J^a (1 (x) v), picked in column order, per degree
+    0 .. max_degree."""
+    basis = {}
+    for k in range(max_degree + 1):
+        span = EchelonBasis()
+        basis[k] = [c for c in mod.phi_matrix(k).col_vectors() if c and span.add(c)]
+    return basis
+
+
 def slice_weights(mod: ConformalModule, k: int) -> List[Tuple[int, ...]]:
     """Doubled o(n)-weight of each basis index mi * dim_v + r of slice k, one
     per index: sum_v e_v wt(x_v) + wt(v_r), from `var_weights`."""

@@ -168,13 +168,13 @@ def test_mu_zero_quotient_is_shared_read_only():
 
 
 def _clear_mu_zero_caches():
-    for cached in (suite._mu_zero_base, suite._mu_zero_witness, suite._mu_zero_quotient):
+    for cached in (suite._mu_zero_witness, suite._mu_zero_quotient):
         cached.cache_clear()
 
 
 def test_mu_zero_checks_agree_in_either_order():
-    # the two checks share one base per series and the b in {0, -1, -2}
-    # witnesses; neither changes what the other reads
+    # the two checks share the b in {0, -1, -2} witnesses and the b = 0
+    # quotients; neither changes what the other reads
     checks = [suite.check_mu_zero_classification, suite.check_mu_zero_true_classification]
     _clear_mu_zero_caches()
     forward = [check() for check in checks]
@@ -183,6 +183,6 @@ def test_mu_zero_checks_agree_in_either_order():
     assert forward == backward
     assert [ok for ok, _ in forward] == [False, True]
     w = suite._mu_zero_witness("D", Fraction(-1))
-    assert w.module.b == -1 and w.module._base is suite._mu_zero_base("D")
+    assert w.module.b == -1 and w.module.mu == zero_weight("D", 2)
     fresh = reducibility.detect_submodule(mixed.ConformalModule(zero_weight("D", 2), -1), 3)
     assert (w.dims, w.basis) == (fresh.dims, fresh.basis)

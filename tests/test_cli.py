@@ -227,6 +227,14 @@ def test_scan_rejects_nonpositive_max_degree(capsys, degree):
     assert "max degree" in captured.err
 
 
+def test_scan_checks_the_degree_before_building_the_module(capsys):
+    # V(3,3,3,3) is over the irrep cap, but the degree is refused first
+    rc = main(["scan", "--series", "D", "--mu", "3,3,3,3", "--b", "1", "--max-degree", "0"])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert captured.err == "error: max degree must be at least 1, got 0\n"
+
+
 def test_scan_rejects_mu_length_differing_from_n(capsys):
     rc = main(["scan", "--n", "3", "--mu", "1,0", "--b", "1/3", "--max-degree", "1"])
     err = capsys.readouterr().err

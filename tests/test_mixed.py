@@ -82,11 +82,12 @@ def test_slice_degree_shifts():
 def test_central_element_acts_by_b():
     # the hidden central element acts by b, so D at b1 and at b2 differ by
     # (b1 - b2) Id on every slice
-    base = ConformalModule(parse_weight("1,0", "D"), F(7, 2))
+    mu = parse_weight("1,0", "D")
     for b1, b2 in [(F(7, 2), F(0)), (F(1), F(-11, 7)), (F(2, 5), F(7, 2))]:
+        mod1, mod2 = ConformalModule(mu, b1), ConformalModule(mu, b2)
         for k in range(3):
-            diff = base.at(b1).action_matrix("D", k) - base.at(b2).action_matrix("D", k)
-            assert diff == SparseMat.identity(base.slice_dim(k)).scale(b1 - b2), (b1, b2, k)
+            diff = mod1.action_matrix("D", k) - mod2.action_matrix("D", k)
+            assert diff == SparseMat.identity(mod1.slice_dim(k)).scale(b1 - b2), (b1, b2, k)
 
 
 def test_special_conformal_on_bottom_of_trivial_module():
@@ -155,9 +156,8 @@ def test_central_charge_is_canonical():
     mu = parse_weight("1,0", "D")
     mod = ConformalModule(mu, 3)
     assert type(mod.b) is int and mod.b == 3
-    sib = ConformalModule(mu, F(1, 3)).at(F(6, 2))
-    assert type(sib.b) is int and sib.b == 3
-    assert type(sib.at(F(1, 3)).b) is F
+    assert type(ConformalModule(mu, F(6, 2)).b) is int
+    assert type(ConformalModule(mu, F(1, 3)).b) is F
     assert mod.j_labels == [f"J_{r}" for r in mod.conf.var_labels]
 
 
@@ -262,12 +262,17 @@ def reference_action_matrix(mod, label, k):
 
 @pytest.mark.parametrize("series,mus", [("D", "1,0"), ("B", "1/2,1/2"), ("D", "0,0"), ("D", "1,0,0")])
 def test_action_matrix_matches_per_monomial_reference(series, mus):
-    mod = ConformalModule(parse_weight(mus, series), F(-11, 7))
+    mu = parse_weight(mus, series)
+    for b in [F(-11, 7), F(0), F(1)]:
+        mod = ConformalModule(mu, b)
+        for k in range(4):
+            for label in mod.conf.labels():
+                M = mod.action_matrix(label, k)
+                assert M == reference_action_matrix(mod, label, k), (b, label, k)
+                assert all(is_canonical(v) for v in M.data.values())
+    # D acts on slice k by k + b, so at b = -k it vanishes and stores nothing
     for k in range(4):
-        for label in mod.conf.labels():
-            M = mod.action_matrix(label, k)
-            assert M == reference_action_matrix(mod, label, k), (label, k)
-            assert all(is_canonical(v) for v in M.data.values())
+        assert ConformalModule(mu, -k).action_matrix("D", k).data == {}, k
 
 
 def test_b_independent_structure_is_shared_across_b():
@@ -284,77 +289,6 @@ def test_b_independent_structure_is_shared_across_b():
     for k in range(4):
         for label in second.conf.labels():
             assert second.action_matrix(label, k) == reference_action_matrix(second, label, k), (label, k)
-
-
-SIBLING_WEIGHTS = [("D", "1,0"), ("B", "1/2,1/2"), ("D", "0,0"), ("D", "1,0,0")]
-SIBLING_BS = [F(0), F(1), F(-11, 7)]
-
-
-@pytest.mark.parametrize("series,mus", SIBLING_WEIGHTS)
-def test_sibling_action_matches_fresh_module_and_reference(series, mus):
-    mu = parse_weight(mus, series)
-    bases = [ConformalModule(mu, b0) for b0 in (F(0), F(3, 7))]
-    for b in SIBLING_BS:
-        fresh = ConformalModule(mu, b)
-        sibs = [base.at(b) for base in bases]
-        for k in range(4):
-            for label in fresh.conf.labels():
-                want = fresh.action_matrix(label, k)
-                assert want.data == reference_action_matrix(fresh, label, k).data, (label, k)
-                for sib in sibs:
-                    M = sib.action_matrix(label, k)
-                    assert M.data == want.data and (M.rows, M.cols) == (want.rows, want.cols), (b, label, k)
-                    assert all(is_canonical(v) for v in M.data.values())
-
-
-@pytest.mark.parametrize("series,mus", SIBLING_WEIGHTS)
-def test_sibling_drops_cancelled_entries(series, mus):
-    # D acts on slice k by k + b, so it vanishes at b = -k
-    base = ConformalModule(parse_weight(mus, series), F(3, 7))
-    for k in range(4):
-        M = base.at(-k).action_matrix("D", k)
-        assert M.data == {} and M == SparseMat(base.slice_dim(k), base.slice_dim(k)), k
-
-
-@pytest.mark.parametrize("series,mus", [("D", "1,0"), ("B", "1/2,1/2"), ("D", "0,0")])
-def test_sibling_phi_matches_fresh_module(series, mus):
-    mu = parse_weight(mus, series)
-    base = ConformalModule(mu, F(3, 7))
-    for b in SIBLING_BS + [F(3)]:
-        fresh, sib = ConformalModule(mu, b), base.at(b)
-        for k in range(4):
-            assert sib.phi_matrix(k) == fresh.phi_matrix(k), (b, k)
-
-
-def test_siblings_share_the_base_state():
-    mu = parse_weight("1,0", "D")
-    base = ConformalModule(mu, F(3, 7))
-    sib = base.at(F(-2))
-    assert sib.b == F(-2) and base.b == F(3, 7)
-    assert sib.irrep is base.irrep and sib.monomials_of(3) is base.monomials_of(3)
-    # a sibling of a sibling is a sibling of the base; the base's own b gives the base
-    assert sib.at(F(3, 7)) is base and base.at(F(3, 7)) is base and sib.at(F(-2)) is sib
-    assert sib.at(F(5)).action_matrix("D", 1) == ConformalModule(mu, F(5)).action_matrix("D", 1)
-    # generators without a central part act by the base's own matrices
-    for k in range(3):
-        assert sib.action_matrix("A_{1,2}", k) is base.action_matrix("A_{1,2}", k)
-        assert sib.action_matrix("d_1", k) is base.action_matrix("d_1", k)
-        assert sib.central_part("A_{1,2}", k).is_zero()
-        assert not sib.central_part("J_1", k).is_zero()
-
-
-def test_single_b_module_builds_no_central_part(monkeypatch):
-    from oconf.reducibility import surjectivity_scan
-    from oconf.spectral import verify_t_operator
-
-    def forbidden(self, label, k):
-        raise AssertionError("a single-b module built a central part")
-
-    monkeypatch.setattr(ConformalModule, "central_part", forbidden)
-    mu = parse_weight("1,0", "D")
-    assert surjectivity_scan(mu, F(1, 3), 3).verdict == "irreducible-up-to-3"
-    assert verify_t_operator(mu, F(1, 3), 2)["match"]
-    ConformalModule(mu, F(2)).phi_matrix(2)
 
 
 @pytest.mark.parametrize("series,mus", [("D", "1,0"), ("B", "1/2,1/2"), ("B", "1"), ("D", "1,0,0"), ("D", "1/2,1/2,1/2")])
@@ -381,7 +315,7 @@ def test_weight_classes_match_the_per_index_weights(series, mus, degree):
     dv = base.dim_v
     for k in range(degree + 1):
         classes = base.weight_classes(k)
-        assert base.weight_classes(k) is classes and base.at(F(-2)).weight_classes(k) is classes
+        assert base.weight_classes(k) is classes
         assert all(mis == sorted(mis) for mis in classes.values())
         want: dict = {}
         for u, w in enumerate(slice_weights(base, k)):
@@ -401,46 +335,36 @@ def test_weight_classes_match_the_per_index_weights(series, mus, degree):
 def test_action_columns_match_action_matrix(series, mus):
     mu = parse_weight(mus, series)
     rng = random.Random(5)
-    fresh, full = ConformalModule(mu, F(-11, 7)), ConformalModule(mu, F(-11, 7))
-    sib = ConformalModule(mu, F(3)).at(F(-11, 7))
+    mod, full = ConformalModule(mu, F(-11, 7)), ConformalModule(mu, F(-11, 7))
     for k in range(3):
-        for label in fresh.conf.labels():
+        for label in mod.conf.labels():
             want = full.action_matrix(label, k).col_vectors()
             cols = sorted(rng.sample(range(len(want)), len(want) // 3))
             shuffled = list(range(len(want))) + [rng.randrange(len(want))]
             rng.shuffle(shuffled)
-            for mod in (fresh, sib):
-                assert mod.action_columns(label, k, cols) == [want[c] for c in cols], (label, k)
-                assert mod.action_columns(label, k, shuffled) == [want[c] for c in shuffled], (label, k)
-                assert mod.action_columns(label, k, range(len(want))) == want, (label, k)
-                assert (label, k) not in mod._act
-
-
-@pytest.mark.parametrize("series,mus", [("D", "1,0"), ("B", "1/2,1/2"), ("D", "0,0")])
-def test_sibling_columns_after_the_base_filled_its_memo(series, mus):
-    # each piece keeps its entries of block + s I, and the block holds b:
-    # the base fills that memo at its own b first, then its matrices read
-    # it, and a sibling must neither reuse it nor leave a stale one
-    mu = parse_weight(mus, series)
-    base = ConformalModule(mu, F(3, 7))
-    cols = {k: range(base.slice_dim(k)) for k in range(4)}
-    for mod in (base, base.at(F(0)), base.at(F(-11, 7))):
-        fresh = ConformalModule(mu, mod.b)
-        for label in base.conf.labels():
-            for k in cols:
-                want = fresh.action_matrix(label, k)
-                assert mod.action_columns(label, k, cols[k]) == want.col_vectors(), (mod.b, label, k)
-                assert mod.action_matrix(label, k) == want, (mod.b, label, k)
+            assert mod.action_columns(label, k, cols) == [want[c] for c in cols], (label, k)
+            assert mod.action_columns(label, k, shuffled) == [want[c] for c in shuffled], (label, k)
+            assert mod.action_columns(label, k, range(len(want))) == want, (label, k)
+            assert (label, k) not in mod._act
+    # the columns filled each piece's memo of block + s I; the whole
+    # matrices read it
+    for k in range(3):
+        for label in mod.conf.labels():
+            assert mod.action_matrix(label, k) == full.action_matrix(label, k), (label, k)
 
 
 @pytest.mark.parametrize("series,mus", [("D", "1,0"), ("B", "1/2,1/2"), ("D", "0,0")])
 def test_module_matrices_are_canonical(series, mus):
-    base = ConformalModule(parse_weight(mus, series), F(3, 7))
-    for mod in [base] + [base.at(b) for b in SIBLING_BS]:
+    mu = parse_weight(mus, series)
+    for b in [F(3, 7), F(0), F(1), F(-11, 7)]:
+        mod = ConformalModule(mu, b)
         for k in range(4):
             mats = [mod.phi_matrix(k)]
             for label in mod.conf.labels():
-                mats += [mod.action_matrix(label, k), mod.central_part(label, k)]
+                mats.append(mod.action_matrix(label, k))
+                p = mod.central_poly(label)
+                if p.terms:
+                    mats.append(mod.mult_matrix(p, k))
             for M in mats:
                 assert all(is_canonical(v) for v in M.data.values()), (mod.b, k)
 
@@ -454,7 +378,7 @@ def test_module_and_embedding_do_no_integral_fraction_arithmetic():
 
     mu = parse_weight("1,0", "D")
     ConformalModule(mu, 0)
-    for cached in (build_conformal, mixed._embed, mixed._split):
+    for cached in (build_conformal, mixed._embed, mixed._split, mixed._field_shifts):
         cached.cache_clear()
     with integral_fraction_ops() as count:
         for b in (F(0), F(-11, 7)):

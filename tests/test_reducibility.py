@@ -228,7 +228,7 @@ def test_mu_zero_b_minus_one_eta_line():
     scale = None
     for k, v in vec.items():
         assert k in eta_vec
-        s = v / eta_vec[k]
+        s = F(v) / eta_vec[k]
         scale = s if scale is None else scale
         assert s == scale
 
@@ -253,6 +253,48 @@ def test_submodule_witness_closed_under_all_generators(series, b):
 def test_closure_scan_matches_the_full_pass_reference(series, mus, b):
     mod = ConformalModule(parse_weight(mus, series), b)
     assert generation_closure_scan(mod, 3) == reference.generation_closure_scan(mod, 3)
+
+
+@pytest.mark.parametrize("series,mus,b,deg", [
+    *[(s, "0,0", b, 4 if b == F(1, 2) else 3)
+      for s in ["D", "B"] for b in [F(0), F(-1), F(-2), F(1), F(1, 2), F(3, 2)]],
+    ("D", "1,0", F(3), 2), ("D", "0,0,0", F(1), 4), ("D", "0,0,0", F(2), 2),
+])
+def test_detection_matches_the_phi_column_reference(series, mus, b, deg):
+    # the PBW pass from slice 0 spans what the columns of phi span, slice by
+    # slice, and the witness lives in the module it was given
+    mod = ConformalModule(parse_weight(mus, series), b)
+    want = reference.phi_column_submodule(mod, deg)
+    w = detect_submodule(mod, deg)
+    if w is None:
+        assert all(len(want[k]) == mod.slice_dim(k) for k in want), (series, mus, b)
+        return
+    assert w.module is mod and w.max_degree == deg
+    assert w.dims == {k: (len(vecs), mod.slice_dim(k)) for k, vecs in want.items()}
+    for k, vecs in want.items():
+        assert len(w.basis[k]) == len(vecs) and vectors_contained_in_span(w.basis[k], vecs), k
+
+
+@pytest.mark.parametrize("generate", [detect_submodule, generation_closure_scan])
+def test_generation_rejects_a_negative_degree(generate):
+    mod = ConformalModule(zero_weight("D", 2), F(1))
+    with pytest.raises(ValueError, match="max degree must be at least 0, got -1"):
+        generate(mod, -1)
+
+
+@pytest.mark.parametrize("generate", [detect_submodule, generation_closure_scan])
+def test_generation_checks_slice_cap_before_any_degree(generate, monkeypatch):
+    # D mu=0: slice 4 has dim 35, over a cap of 20; no slice may be built
+    from oconf import mixed
+    from oconf.irreps import CapExceeded
+
+    def spy(nv, k):
+        raise AssertionError(f"built the monomials of degree {k}")
+
+    mod = ConformalModule(zero_weight("D", 2), F(1), slice_cap=20)
+    monkeypatch.setattr(mixed, "monomial_basis", spy)
+    with pytest.raises(CapExceeded, match="slice dimension 35 at degree 4 exceeds cap 20"):
+        generate(mod, 4)
 
 
 def test_closure_check_reports_a_missing_basis_vector():
@@ -484,26 +526,6 @@ def test_every_cap_raises_cap_exceeded(monkeypatch):
         ConformalModule(mu, F(1), slice_cap=39).action_matrix("A_{1,1}", 2)
 
 
-def test_b_sweep_in_one_module_matches_fresh_modules():
-    # scan ranks, witnesses, closures and quotients computed in siblings of
-    # one base agree with those computed in a fresh module per b
-    for series in ["D", "B"]:
-        mu0 = zero_weight(series, 2)
-        base = ConformalModule(mu0, F(5, 2))
-        for b in [F(0), F(1), F(1, 2), F(-1), F(5, 2)]:
-            mod, fresh_mod = base.at(b), ConformalModule(mu0, b)
-            scan = surjectivity_scan(mu0, b, 3)
-            assert [_j_span_rank(mod, level) for level in range(3)] == [r.rank for r in scan.records]
-            w = detect_submodule(mod, 3)
-            fresh = detect_submodule(fresh_mod, 3)
-            assert (w is None) == (fresh is None), (series, b)
-            if w is not None:
-                assert w.module is mod and fresh.module is fresh_mod
-                assert (w.dims, w.basis) == (fresh.dims, fresh.basis)
-                assert verify_submodule_closure(w) == verify_submodule_closure(fresh)
-        assert generation_closure_scan(base.at(0), 3) == generation_closure_scan(ConformalModule(mu0, F(0)), 3)
-
-
 def _j_span_rank_by_elimination(mod, level):
     """The scan rank without weight blocks: every J column, one elimination,
     which stops once the span fills the slice."""
@@ -527,20 +549,19 @@ BLOCK_GRID = [
 
 def test_weight_blocks_give_the_rank_of_full_elimination():
     # at generic b, at every -lambda of the degree-one spectrum and on the
-    # half-integers where the critical ladders lie; the scan runs in a fresh
-    # module, the weight blocks and the full elimination in a sibling
+    # half-integers where the critical ladders lie; the scan runs in its own
+    # module, the weight blocks and the full elimination in another
     deficient = 0
     for series, w, deg in BLOCK_GRID:
         mu = parse_weight(w, series)
         bs = {F(1, 3), F(-2, 7), F(7, 2)} | {-lam for lam, _ in omega_tilde_spectrum(mu).entries}
         bs |= {F(j, 2) for j in range(-12, 9)}
-        base = ConformalModule(mu, F(1, 3))
         for b in sorted(bs):
-            sib = base.at(b)
+            mod = ConformalModule(mu, b)
             scan = surjectivity_scan(mu, b, deg)
-            want = [_j_span_rank_by_elimination(sib, level) for level in range(deg)]
+            want = [_j_span_rank_by_elimination(mod, level) for level in range(deg)]
             assert [r.rank for r in scan.records] == want, (series, w, b)
-            assert [_j_span_rank(sib, level) for level in range(deg)] == want, (series, w, b)
+            assert [_j_span_rank(mod, level) for level in range(deg)] == want, (series, w, b)
             deficient += sum(not r.full for r in scan.records)
     assert deficient == 83
 
@@ -564,11 +585,11 @@ def test_the_least_dominant_block_decides_each_slice():
         bs = {F(1, 3), F(-2, 7), F(7, 2)} | {-lam for lam, _ in omega_tilde_spectrum(mu).entries}
         bs |= {F(j, 2) for j in range(-12, 9)}
         for b in sorted(bs):
-            sib = base.at(b)
+            mod = ConformalModule(mu, b)
             for level in range(deg):
-                full = _j_span_rank_by_elimination(sib, level) == sib.slice_dim(level + 1)
+                full = _j_span_rank_by_elimination(mod, level) == mod.slice_dim(level + 1)
                 block = rows[level + 1]
-                cols = [v for lbl in sib.j_labels for v in sib.action_matrix(lbl, level).col_vectors()]
+                cols = [v for lbl in mod.j_labels for v in mod.action_matrix(lbl, level).col_vectors()]
                 block_full = rank_of_rows([{i: c for i, c in v.items() if i in block} for v in cols]) == len(block)
                 assert block_full == full, (series, w, b, level)
                 deficient += not full
