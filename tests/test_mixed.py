@@ -262,17 +262,12 @@ def reference_action_matrix(mod, label, k):
 
 @pytest.mark.parametrize("series,mus", [("D", "1,0"), ("B", "1/2,1/2"), ("D", "0,0"), ("D", "1,0,0")])
 def test_action_matrix_matches_per_monomial_reference(series, mus):
-    mu = parse_weight(mus, series)
-    for b in [F(-11, 7), F(0), F(1)]:
-        mod = ConformalModule(mu, b)
-        for k in range(4):
-            for label in mod.conf.labels():
-                M = mod.action_matrix(label, k)
-                assert M == reference_action_matrix(mod, label, k), (b, label, k)
-                assert all(is_canonical(v) for v in M.data.values())
-    # D acts on slice k by k + b, so at b = -k it vanishes and stores nothing
+    mod = ConformalModule(parse_weight(mus, series), F(-11, 7))
     for k in range(4):
-        assert ConformalModule(mu, -k).action_matrix("D", k).data == {}, k
+        for label in mod.conf.labels():
+            M = mod.action_matrix(label, k)
+            assert M == reference_action_matrix(mod, label, k), (label, k)
+            assert all(is_canonical(v) for v in M.data.values())
 
 
 def test_b_independent_structure_is_shared_across_b():
@@ -289,6 +284,74 @@ def test_b_independent_structure_is_shared_across_b():
     for k in range(4):
         for label in second.conf.labels():
             assert second.action_matrix(label, k) == reference_action_matrix(second, label, k), (label, k)
+
+
+# Siblings: modules of one mu at different b.  They share the b-free caches
+# (_embed, _split, _field_shifts), and each keeps its own b-dependent pieces.
+SIBLING_WEIGHTS = [("D", "1,0"), ("B", "1/2,1/2"), ("D", "0,0"), ("D", "1,0,0")]
+SIBLING_BS = [F(0), F(1), F(-11, 7)]
+
+
+def clear_shared_caches():
+    from oconf import mixed
+
+    for cached in (mixed._embed, mixed._split, mixed._field_shifts):
+        cached.cache_clear()
+
+
+@pytest.mark.parametrize("series,mus", SIBLING_WEIGHTS)
+def test_sibling_action_matches_fresh_module_and_reference(series, mus):
+    # a module built after siblings at other b filled the shared caches acts
+    # as one built from empty caches, and as the per-monomial reference
+    mu = parse_weight(mus, series)
+    for b0 in (F(0), F(3, 7)):
+        base = ConformalModule(mu, b0)
+        for k in range(4):
+            for label in base.conf.labels():
+                base.action_matrix(label, k)
+    for b in SIBLING_BS:
+        sib = ConformalModule(mu, b)
+        for k in range(4):
+            for label in sib.conf.labels():
+                sib.action_matrix(label, k)
+        clear_shared_caches()
+        fresh = ConformalModule(mu, b)
+        for k in range(4):
+            for label in fresh.conf.labels():
+                want = fresh.action_matrix(label, k)
+                assert want.data == reference_action_matrix(fresh, label, k).data, (b, label, k)
+                M = sib.action_matrix(label, k)
+                assert M.data == want.data and (M.rows, M.cols) == (want.rows, want.cols), (b, label, k)
+                assert all(is_canonical(v) for v in M.data.values())
+
+
+@pytest.mark.parametrize("series,mus", SIBLING_WEIGHTS)
+def test_sibling_drops_cancelled_entries(series, mus):
+    # D acts on slice k by k + b, so it vanishes at b = -k
+    mu = parse_weight(mus, series)
+    base = ConformalModule(mu, F(3, 7))
+    for k in range(4):
+        base.action_matrix("D", k)
+    for k in range(4):
+        M = ConformalModule(mu, -k).action_matrix("D", k)
+        assert M.data == {} and M == SparseMat(base.slice_dim(k), base.slice_dim(k)), k
+
+
+@pytest.mark.parametrize("series,mus", [("D", "1,0"), ("B", "1/2,1/2"), ("D", "0,0")])
+def test_sibling_columns_after_the_base_filled_its_memo(series, mus):
+    # each piece keeps its entries of block + s I, and the block holds b:
+    # the base fills that memo at its own b first, then its matrices read
+    # it, and a sibling must neither reuse it nor leave a stale one
+    mu = parse_weight(mus, series)
+    base = ConformalModule(mu, F(3, 7))
+    cols = {k: range(base.slice_dim(k)) for k in range(4)}
+    for mod in (base, ConformalModule(mu, F(0)), ConformalModule(mu, F(-11, 7))):
+        fresh = ConformalModule(mu, mod.b)
+        for label in base.conf.labels():
+            for k in cols:
+                want = fresh.action_matrix(label, k)
+                assert mod.action_columns(label, k, cols[k]) == want.col_vectors(), (mod.b, label, k)
+                assert mod.action_matrix(label, k) == want, (mod.b, label, k)
 
 
 @pytest.mark.parametrize("series,mus", [("D", "1,0"), ("B", "1/2,1/2"), ("B", "1"), ("D", "1,0,0"), ("D", "1/2,1/2,1/2")])
@@ -346,11 +409,6 @@ def test_action_columns_match_action_matrix(series, mus):
             assert mod.action_columns(label, k, shuffled) == [want[c] for c in shuffled], (label, k)
             assert mod.action_columns(label, k, range(len(want))) == want, (label, k)
             assert (label, k) not in mod._act
-    # the columns filled each piece's memo of block + s I; the whole
-    # matrices read it
-    for k in range(3):
-        for label in mod.conf.labels():
-            assert mod.action_matrix(label, k) == full.action_matrix(label, k), (label, k)
 
 
 @pytest.mark.parametrize("series,mus", [("D", "1,0"), ("B", "1/2,1/2"), ("D", "0,0")])
