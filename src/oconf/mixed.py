@@ -245,7 +245,10 @@ def _field_shifts(n: int, series: str, label: str) -> Dict[Exps, Tuple[int, List
     return out
 
 
-def _by_column(M: SparseMat) -> Tuple[Tuple[Tuple[int, Fraction], ...], ...]:
+Columns = Tuple[Tuple[Tuple[int, Fraction], ...], ...]
+
+
+def _by_column(M: SparseMat) -> Columns:
     """M's entries grouped by column, in M's order: item q holds the
     (r, value) of column q; () for the zero matrix.  Tuples, so every empty
     column is the one empty tuple."""
@@ -255,6 +258,29 @@ def _by_column(M: SparseMat) -> Tuple[Tuple[Tuple[int, Fraction], ...], ...]:
     for (r, q), v in M.data.items():
         by_col[q].append((r, v))
     return tuple(map(tuple, by_col))
+
+
+def _shifted_columns(by_col: Columns, dim: int, s) -> Columns:
+    """`_by_column(block + s I)` from by_col = `_by_column(block)`, block
+    being dim x dim: column q keeps its entries in order with s added to
+    the diagonal one, drops that entry if it cancels, and ends with (q, s)
+    if block has no diagonal entry there."""
+    s = canon(s)
+    out = []
+    for q, col in enumerate(by_col or ((),) * dim):
+        shifted = []
+        diagonal = False
+        for r, v in col:
+            if r == q:
+                diagonal = True
+                v = canon(v + s)
+                if not v:
+                    continue
+            shifted.append((r, v))
+        if s and not diagonal:
+            shifted.append((q, s))
+        out.append(tuple(shifted))
+    return tuple(out) if any(out) else ()
 
 
 class ConformalModule:
@@ -355,9 +381,9 @@ class ConformalModule:
 
     # -- action matrices ---------------------------------------------------------
 
-    def _pieces(self, label: str) -> List[Tuple[Exps, int, List[Tuple[int, int]], SparseMat, dict]]:
-        """The generator as (exponent shift, denominator, numerators, block,
-        memo).
+    def _pieces(self, label: str) -> List[Tuple[Exps, int, List[Tuple[int, int]], Columns, dict]]:
+        """The generator as (exponent shift, denominator, numerators, block
+        by column, memo).
 
         The vector field sum_i f_i d_i sends x^e to sum_i e_i f_i x^(e - u_i):
         a term c x^m of f_i moves x^e by the shift m - u_i with the scalar
@@ -365,10 +391,10 @@ class ConformalModule:
         M = (central * b) I + (orthogonal part acting through V(mu)).  Per
         shift, x^e (x) v goes to x^(e + shift) (x) (block + s I) v with
         s = sum(numerator * e_i) / denominator.  The pieces do not depend
-        on the degree, so they are computed once per label; the memo, filled
-        by `_stencil`, maps a numerator to the entries of block + s I grouped
-        by column (`_by_column`), so a caller that wants some columns touches
-        only theirs.
+        on the degree, so they are computed once per label, each block
+        grouped by column (`_by_column`); the memo, filled by `_stencil`,
+        maps a numerator to the columns of block + s I (`_shifted_columns`),
+        so a caller that wants some columns touches only theirs.
         """
         hit = self._piece_memo.get(label)
         if hit is not None:
@@ -383,7 +409,7 @@ class ConformalModule:
         pieces = []
         for sh in sorted(set(field) | set(blocks)):
             den, nums = field.get(sh, (1, []))
-            pieces.append((sh, den, nums, blocks.get(sh, SparseMat(self.dim_v, self.dim_v)), {}))
+            pieces.append((sh, den, nums, _by_column(blocks[sh]) if sh in blocks else (), {}))
         self._piece_memo[label] = pieces
         return pieces
 
@@ -439,8 +465,7 @@ class ConformalModule:
         dv = self.dim_v
         if mis is None:
             mis = range(len(monos))
-        eye = SparseMat.identity(dv)
-        for sh, den, nums, block, by_num in self._pieces(label):
+        for sh, den, nums, block_cols, by_num in self._pieces(label):
             for mi in mis:
                 e = monos[mi]
                 num = 0
@@ -448,7 +473,7 @@ class ConformalModule:
                     num += c * e[i]
                 by_col = by_num.get(num)
                 if by_col is None:
-                    by_col = by_num[num] = _by_column(block + eye.scale(Fraction(num, den)))
+                    by_col = by_num[num] = _shifted_columns(block_cols, dv, Fraction(num, den))
                 if by_col:  # else x^(e + sh) may not even be a monomial
                     yield tindex[tuple(map(add, e, sh))] * dv, mi, by_col
 

@@ -316,7 +316,8 @@ class ConformalBasis:
         raise ValueError(family)
 
     def special_conformal(self, r: int) -> DiffOp:
-        """J_r = x_r D - eta d_{r'} with r' the index paired by the metric."""
+        """J_r = x_r D - eta d_{r'} with r' the index paired by the metric,
+        D the basis's own Euler operator `op("D")`."""
         n = self.n
         if self.series == "B" and r == 0:
             partner = 0
@@ -324,7 +325,7 @@ class ConformalBasis:
             partner = n + r
         else:
             partner = r - n
-        return (DiffOp.mult(self.x(r)) @ self.euler()) - (DiffOp.mult(self.eta()) @ self.partial(partner))
+        return (DiffOp.mult(self.x(r)) @ self.op("D")) - (DiffOp.mult(self.eta()) @ self.partial(partner))
 
 
 def _unit(nv: int, pos: int, k: int = 1) -> Tuple[int, ...]:
@@ -345,6 +346,7 @@ def build_conformal(n: int, series: str) -> ConformalBasis:
     num_vars = natural_dim(series, n)
     cb = ConformalBasis(series, n, num_vars, [])
     elements: List[Tuple[str, DiffOp]] = [("D", cb.euler())]
+    cb.table.update(elements)  # D is built once: every J_r reads it
     for r in cb.var_labels:
         elements.append((f"d_{r}", cb.partial(r)))
     for r in cb.var_labels:
@@ -385,7 +387,7 @@ def theta_images(n: int, series: str) -> Tuple[OrthoBasis, ConformalBasis, Dict[
         if i <= n:
             img(lbl, conf.rotation("A", i, i))
         else:
-            img(lbl, -conf.euler())
+            img(lbl, -conf.op("D"))
     for i in range(1, N + 1):
         for j in range(1, N + 1):
             if i == j:
@@ -458,7 +460,7 @@ def bracket_identities(n: int, series: str) -> Iterator[Tuple[str, DiffOp, DiffO
     exact commutator and its stated value.  The identity holds iff lhs ==
     rhs; each operator is built once."""
     conf = build_conformal(n, series)
-    Dop = conf.euler()
+    Dop = conf.op("D")
     nv = conf.num_vars
     zero = DiffOp.zero(nv)
     var_range = conf.var_labels

@@ -41,7 +41,8 @@ has the weight of x^e plus that of v_r, so the scan reads the monomials
 of each degree grouped by weight (`ConformalModule.weight_classes`) and
 V(mu)'s weights grouped once (`irrep_classes`).  dim M_nu is their
 convolution, sum over the weights w of V(mu) of |class(nu - w)| times the
-multiplicity of w, taken at the dominant nu only; the sources of a block,
+multiplicity of w, taken at nu_c alone, and at every dominant nu only when
+nu_c's block falls short; the sources of a block,
 the indexes mi * dim V + r of weight nu - wt(J_i) in slice k-1, are listed
 only for the nu - wt(J_i) that an open block reads.
 
@@ -180,12 +181,15 @@ def _j_span_rank(mod: ConformalModule, level: int) -> int:
     """Rank of N = sum_i J_i(slice level) inside M = slice level+1, as
     dim M - sum over dominant nu of |W nu| (dim M_nu - rank N_nu) (see the
     module docstring).  The block of nu_c, the least dominant weight of
-    the slice's class, goes first: if it closes, N = M and no other block
-    is opened.  Otherwise the other dominant blocks are opened too, nu_c's
-    span is kept, and the exact deficit is counted.  Only the columns J_i(u) of open blocks are
-    built, label by label, and only while the block is open."""
+    the slice's class, goes first, and only its dimension is counted: dim
+    M_nu_c = sum over the weights w of V(mu) of |class(nu_c - w)| times the
+    multiplicity of w.  If the block closes, N = M and no other block is
+    opened or counted.  Otherwise the dimensions of every dominant block
+    are counted (`_dominant_dims`), the other blocks are opened too, nu_c's
+    span is kept, and the exact deficit is counted.  Only the columns
+    J_i(u) of open blocks are built, label by label, and only while the
+    block is open."""
     dv = mod.dim_v
-    dims = _dominant_dims(mod, level + 1)
     below = mod.weight_classes(level)
     sources: Dict[Twice, List[int]] = {}
 
@@ -201,10 +205,11 @@ def _j_span_rank(mod: ConformalModule, level: int) -> int:
             ])
         return hit
 
-    def fill(nus: List[Twice]) -> Dict[Twice, EchelonBasis]:
-        """Open the blocks nus and feed them their columns; return the blocks
-        still open after the last label, each holding all of its columns."""
-        blocks = {nu: EchelonBasis() for nu in nus}
+    def fill(dims: Dict[Twice, int]) -> Dict[Twice, EchelonBasis]:
+        """Open the blocks nu of dimension dims[nu] and feed them their
+        columns; return the blocks still open after the last label, each
+        holding all of its columns."""
+        blocks = {nu: EchelonBasis() for nu in dims}
         for lbl, d in zip(mod.j_labels, mod.var_weights()):
             if not blocks:
                 break
@@ -226,10 +231,13 @@ def _j_span_rank(mod: ConformalModule, level: int) -> int:
 
     top = mod.mu.twice  # slice level+1 lies in the class of mu + (level+1) e_1
     nu_c = minimal_dominant_twice(mod.series, (top[0] + 2 * (level + 1),) + top[1:])
-    deficient = fill([nu_c])
+    above = mod.weight_classes(level + 1)
+    dim_c = sum(len(above.get(tuple(map(sub, nu_c, w)), ())) * len(rs) for w, rs in mod.irrep_classes.items())
+    deficient = fill({nu_c: dim_c})
     if not deficient:
         return mod.slice_dim(level + 1)  # Q_nu_c = 0, so Q = M / N = 0
-    deficient.update(fill([nu for nu in sorted(dims) if nu != nu_c]))
+    dims = _dominant_dims(mod, level + 1)
+    deficient.update(fill({nu: dims[nu] for nu in sorted(dims) if nu != nu_c}))
     deficit = sum(_dominant_orbit_size(mod.series, nu) * (dims[nu] - span.rank) for nu, span in deficient.items())
     return mod.slice_dim(level + 1) - deficit
 
@@ -426,11 +434,11 @@ def laplacian_eta_commutator(n: int, series: str) -> Dict[str, DiffOp]:
     lhs = bracket(lap, eta_mult)
     one = DiffOp.identity(conf.num_vars)
     if series == "D":
-        stated = one.scale(n) + conf.euler()
+        stated = one.scale(n) + conf.op("D")
         true_form = stated
     else:
-        stated = one.scale(1 + 2 * n) + conf.euler()
-        true_form = one.scale(1 + 2 * n) + conf.euler().scale(2)
+        stated = one.scale(1 + 2 * n) + conf.op("D")
+        true_form = one.scale(1 + 2 * n) + conf.op("D").scale(2)
     return {"commutator": lhs, "stated": stated, "true": true_form}
 
 

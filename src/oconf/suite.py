@@ -11,11 +11,12 @@ corrected companions must pass.
 
 Checks that read the same exact object compute it once, through the
 module-level `lru_cache`s `_charpoly_report`, `_mu_zero_witness` and
-`_mu_zero_quotient`.  What these return is shared and read-only: a check
-reads a report or witness and never alters it (a witness's module only
-fills its own memos of exact matrices), so the checks give the same
-results in any order.  Every other module is built at its own b, where
-the check needs it.
+`_mu_zero_quotient`, and the b=0 witness and quotient share one module
+(`_mu_zero_module`).  What these return is shared and read-only: a check
+reads a report or witness and never alters it (a module only fills its
+own memos of exact matrices), so the checks give the same results in any
+order.  Every other module is built at its own b, where the check needs
+it.
 """
 
 from __future__ import annotations
@@ -174,18 +175,25 @@ def check_scan_sufficiency() -> Tuple[bool, str]:
 
 
 @lru_cache(maxsize=None)
+def _mu_zero_module(series: str) -> mixed.ConformalModule:
+    """The mu=0 module at n=2 and b=0, built once: the b=0 witness and the
+    quotient scan both act by its J's on slices 0-2."""
+    return mixed.ConformalModule(zero_weight(series, 2), 0)
+
+
+@lru_cache(maxsize=None)
 def _mu_zero_witness(series: str, b: Fraction) -> Optional[reducibility.SubmoduleWitness]:
     """`detect_submodule` to degree 3 in the mu=0 module at b, computed once
     for the two mu=0 checks that both read it (read-only: they share it)."""
-    return reducibility.detect_submodule(mixed.ConformalModule(zero_weight(series, 2), b), 3)
+    mod = _mu_zero_module(series) if b == 0 else mixed.ConformalModule(zero_weight(series, 2), b)
+    return reducibility.detect_submodule(mod, 3)
 
 
 @lru_cache(maxsize=None)
 def _mu_zero_quotient(series: str) -> Mapping[int, Tuple[int, int]]:
     """Degree-4 generation dims of the mu=0, b=0 quotient at n=2, computed
     once for the two mu=0 checks that read it (read-only: they share it)."""
-    mod = mixed.ConformalModule(zero_weight(series, 2), 0)
-    return MappingProxyType(reducibility.generation_closure_scan(mod, 4))
+    return MappingProxyType(reducibility.generation_closure_scan(_mu_zero_module(series), 4))
 
 
 def check_mu_zero_classification() -> Tuple[bool, str]:

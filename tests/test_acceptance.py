@@ -168,8 +168,21 @@ def test_mu_zero_quotient_is_shared_read_only():
 
 
 def _clear_mu_zero_caches():
-    for cached in (suite._mu_zero_witness, suite._mu_zero_quotient):
+    for cached in (suite._mu_zero_module, suite._mu_zero_witness, suite._mu_zero_quotient):
         cached.cache_clear()
+
+
+def test_mu_zero_b0_witness_and_quotient_share_one_module():
+    # one b=0 module per series, whichever reads it first: the quotient
+    # scan builds it without a witness, and the b=0 witness then lives in it
+    _clear_mu_zero_caches()
+    q = suite._mu_zero_quotient("B")
+    mod = suite._mu_zero_module("B")
+    assert mod.b == 0 and mod.mu == zero_weight("B", 2)
+    assert suite._mu_zero_witness("B", Fraction(0)).module is mod
+    assert suite._mu_zero_witness("B", Fraction(-1)).module is not mod
+    fresh = reducibility.generation_closure_scan(mixed.ConformalModule(zero_weight("B", 2), 0), 4)
+    assert dict(q) == fresh
 
 
 def test_mu_zero_checks_agree_in_either_order():

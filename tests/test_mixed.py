@@ -10,6 +10,8 @@ from oconf.linalg import SparseMat, rank_of_rows
 from oconf.mixed import (
     ConformalModule,
     ExtendedOp,
+    _by_column,
+    _shifted_columns,
     shen_closed_forms,
     shen_embed,
     verify_shen_monomorphism,
@@ -352,6 +354,28 @@ def test_sibling_columns_after_the_base_filled_its_memo(series, mus):
                 want = fresh.action_matrix(label, k)
                 assert mod.action_columns(label, k, cols[k]) == want.col_vectors(), (mod.b, label, k)
                 assert mod.action_matrix(label, k) == want, (mod.b, label, k)
+
+
+@pytest.mark.parametrize("series,mus", [("D", "1,0"), ("B", "1/2,1/2"), ("D", "1,0,0")])
+def test_shifted_columns_match_the_summed_block(series, mus):
+    # the stencil's columns of block + s I, built from the block's columns,
+    # are those of the summed matrix: at s = 0, at a fraction, and at every
+    # s that cancels a diagonal entry (all of them, for a scalar block)
+    cancelled = 0
+    for b in (F(0), F(1, 3), F(-1)):
+        mod = ConformalModule(parse_weight(mus, series), b)
+        dv = mod.dim_v
+        for label in mod.conf.labels():
+            for _, _, _, cols, _ in mod._pieces(label):
+                block = SparseMat(dv, dv, {(r, q): v for q, col in enumerate(cols) for r, v in col})
+                assert _by_column(block) == cols
+                diagonal = sorted({-block.get(q, q) for q in range(dv)} - {0})
+                for s in [F(0), F(2, 7)] + [F(c) for c in diagonal]:
+                    got = _shifted_columns(cols, dv, s)
+                    assert got == _by_column(block + SparseMat.identity(dv).scale(s)), (b, label, s)
+                    assert all(is_canonical(v) for col in got for _, v in col)
+                    cancelled += s != 0 and sum(map(len, got)) < sum(map(len, cols)) + dv
+    assert cancelled
 
 
 @pytest.mark.parametrize("series,mus", [("D", "1,0"), ("B", "1/2,1/2"), ("B", "1"), ("D", "1,0,0"), ("D", "1/2,1/2,1/2")])

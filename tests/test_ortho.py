@@ -133,6 +133,19 @@ def test_special_conformal_closed_form():
     assert J1 == direct
 
 
+@pytest.mark.parametrize("n,series", [(2, "D"), (3, "D"), (1, "B"), (2, "B")])
+def test_every_special_conformal_matches_a_fresh_euler_operator(n, series):
+    # the basis builds D once and every J_r reads it: each J_r is
+    # x_r D - eta d_(r') with D built afresh, r' paired with r by the metric
+    conf = build_conformal(n, series)
+    euler = conf.euler()
+    assert conf.op("D") == euler
+    for r in conf.var_labels:
+        partner = r if r == 0 else n + r if r <= n else r - n
+        direct = (DiffOp.mult(conf.x(r)) @ euler) - (DiffOp.mult(conf.eta()) @ conf.partial(partner))
+        assert conf.op(f"J_{r}") == direct, r
+
+
 def test_conformal_generators_independent():
     for n, series in [(2, "D"), (2, "B")]:
         conf = build_conformal(n, series)

@@ -1,10 +1,12 @@
 """Irreducibility scans, submodule witnesses, harmonics, classification."""
 
+import json
 import random
 from dataclasses import replace
 from fractions import Fraction
 from itertools import accumulate
 from math import comb
+from pathlib import Path
 
 import pytest
 
@@ -618,6 +620,27 @@ def test_a_certified_block_asks_for_no_more_columns(monkeypatch):
     monkeypatch.setattr(ConformalModule, "action_columns", counted)
     assert surjectivity_scan(mu, b, deg).verdict == f"irreducible-up-to-{deg}"
     assert (sum(asked), reach) == (130, 1572)
+
+
+def test_only_a_deficient_slice_counts_every_dominant_block(monkeypatch):
+    # while nu_c's block closes, only its dimension is counted: the
+    # irreducible D(1,0) scan at b = 1/3 never convolves the dominant
+    # dimensions, and the B(1/2,1/2) scan at b = -1 does so at its one
+    # deficient degree, with the records of its golden file
+    calls = []
+    dominant_dims = reducibility._dominant_dims
+
+    def spy(mod, k):
+        calls.append(k)
+        return dominant_dims(mod, k)
+
+    monkeypatch.setattr(reducibility, "_dominant_dims", spy)
+    assert surjectivity_scan(parse_weight("1,0", "D"), F(1, 3), 8).verdict == "irreducible-up-to-8"
+    assert calls == []
+    scan = surjectivity_scan(parse_weight("1/2,1/2", "B"), F(-1), 7)
+    golden = json.loads((Path(__file__).resolve().parent / "golden" / "scan-B-1_2-1_2-b-1-deg7.json").read_text())
+    assert scan.to_json_dict()["records"] == golden["records"]
+    assert calls == [7]
 
 
 @pytest.mark.parametrize("series,w,b,deg,deficits", [
