@@ -33,7 +33,6 @@ lists them in decreasing order, which is the order of the doubled keys.
 from __future__ import annotations
 
 from collections import Counter, deque
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from operator import add, sub
@@ -50,16 +49,19 @@ class CapExceeded(ValueError):
     """A requested module or slice is larger than its configured cap."""
 
 
-@dataclass
 class IrrepData:
     """V(mu) with its weight basis and one matrix per algebra basis element."""
 
-    mu: WeightVec
-    dim: int
-    weights: List[WeightVec]  # weight of each basis vector
-    rep: Dict[str, SparseMat]  # basis label -> dim x dim matrix
-    highest: int  # index of the highest-weight vector
-    basis: OrthoBasis
+    __slots__ = ("mu", "dim", "weights", "rep", "highest", "basis")
+
+    def __init__(self, mu: WeightVec, dim: int, weights: List[WeightVec], rep: Dict[str, SparseMat],
+                 highest: int, basis: OrthoBasis):
+        self.mu = mu
+        self.dim = dim
+        self.weights = weights  # weight of each basis vector
+        self.rep = rep  # basis label -> dim x dim matrix
+        self.highest = highest  # index of the highest-weight vector
+        self.basis = basis
 
     def to_json_dict(self) -> dict:
         mats = {}
@@ -428,12 +430,14 @@ def validate_irrep(V: IrrepData) -> Dict[str, object]:
     return report
 
 
-@dataclass
 class TensorModule:
     """V(e1) (x) V(mu) with the diagonal action, natural factor first."""
 
-    dim: int
-    rep: Dict[str, SparseMat]
+    __slots__ = ("dim", "rep")
+
+    def __init__(self, dim: int, rep: Dict[str, SparseMat]):
+        self.dim = dim
+        self.rep = rep
 
 
 def tensor_with_natural(V: IrrepData, cap: int = DEFAULT_DIM_CAP) -> TensorModule:

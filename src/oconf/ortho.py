@@ -17,7 +17,6 @@ hold.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Dict, Iterator, List, Optional, Tuple
@@ -29,25 +28,27 @@ from .weights import MIN_RANK, _rho_twice, natural_dim
 Root = Tuple[int, ...]  # integral, so ints (see `linalg.canon`)
 
 
-@dataclass(frozen=True)
 class BasisElement:
-    label: str
-    eterms: Tuple[Tuple[int, int, int], ...]  # (row, col, sign) in label indices
-    root: Optional[Root]  # None for Cartan elements
-    kind: str  # "cartan" | "pos" | "neg"
+    __slots__ = ("label", "eterms", "root", "kind")
+
+    def __init__(self, label: str, eterms: Tuple[Tuple[int, int, int], ...], root: Optional[Root], kind: str):
+        self.label = label
+        self.eterms = eterms  # (row, col, sign) in label indices
+        self.root = root  # None for Cartan elements
+        self.kind = kind  # "cartan" | "pos" | "neg"
 
 
-@dataclass
 class OrthoBasis:
     """Ordered basis of o(m,C): Cartan first, then positive root vectors by
     height, then the matching negatives."""
 
-    m: int
-    series: str
-    n: int
-    elements: List[BasisElement]
+    __slots__ = ("m", "series", "n", "elements", "index", "_lead", "_mats", "_bracket_cache")
 
-    def __post_init__(self):
+    def __init__(self, m: int, series: str, n: int, elements: List[BasisElement]):
+        self.m = m
+        self.series = series
+        self.n = n
+        self.elements = elements
         self.index = {e.label: i for i, e in enumerate(self.elements)}
         self._lead: Dict[Tuple[int, int], int] = {}
         for i, e in enumerate(self.elements):
@@ -222,7 +223,6 @@ def build_ortho(m: int) -> OrthoBasis:
 # Conformal differential-operator algebras
 
 
-@dataclass
 class ConformalBasis:
     """Generators of the conformal algebra over 2n (D) or 2n+1 (B) variables.
 
@@ -230,13 +230,14 @@ class ConformalBasis:
     x_0..x_2n for B (x_0 at position 0).
     """
 
-    series: str
-    n: int
-    num_vars: int
-    elements: List[Tuple[str, DiffOp]]
+    __slots__ = ("series", "n", "num_vars", "elements", "table")
 
-    def __post_init__(self):
-        self.table = dict(self.elements)
+    def __init__(self, series: str, n: int, num_vars: int, elements: List[Tuple[str, DiffOp]]):
+        self.series = series
+        self.n = n
+        self.num_vars = num_vars
+        self.elements = elements
+        self.table = dict(elements)
 
     def __len__(self):
         return len(self.elements)
@@ -364,7 +365,7 @@ def build_conformal(n: int, series: str) -> ConformalBasis:
         for j in range(i + 1, n + 1):
             elements.append((f"C_{{{i},{j}}}", cb.rotation("C", i, j)))
     cb.elements = elements
-    cb.__post_init__()
+    cb.table = dict(elements)
     return cb
 
 
@@ -373,8 +374,12 @@ def build_conformal(n: int, series: str) -> ConformalBasis:
 
 
 def theta_images(n: int, series: str) -> Tuple[OrthoBasis, ConformalBasis, Dict[str, DiffOp]]:
-    """The big orthogonal basis, the conformal basis, and the image table."""
+    """The big orthogonal basis, the conformal basis, and the image table.
+
+    Every image is a generator of the conformal basis, read from its table,
+    or its negative."""
     conf = build_conformal(n, series)
+    gen = conf.op
     ob = build_ortho(natural_dim(series, n) + 2)
     N = n + 1
     images: Dict[str, DiffOp] = {}
@@ -385,43 +390,43 @@ def theta_images(n: int, series: str) -> Tuple[OrthoBasis, ConformalBasis, Dict[
     for i in range(1, N + 1):
         lbl = f"E_{{{i},{i}}}-E_{{{N + i},{N + i}}}"
         if i <= n:
-            img(lbl, conf.rotation("A", i, i))
+            img(lbl, gen(f"A_{{{i},{i}}}"))
         else:
-            img(lbl, -conf.op("D"))
+            img(lbl, -gen("D"))
     for i in range(1, N + 1):
         for j in range(1, N + 1):
             if i == j:
                 continue
             lbl = f"E_{{{i},{j}}}-E_{{{N + j},{N + i}}}"
             if i <= n and j <= n:
-                img(lbl, conf.rotation("A", i, j))
+                img(lbl, gen(f"A_{{{i},{j}}}"))
             elif i == N and j <= n:
-                img(lbl, conf.partial(j))
+                img(lbl, gen(f"d_{j}"))
             elif i <= n and j == N:
-                img(lbl, -conf.special_conformal(i))
+                img(lbl, -gen(f"J_{i}"))
     for p in range(1, N + 1):
         for q in range(p + 1, N + 1):
             plus = f"E_{{{p},{N + q}}}-E_{{{q},{N + p}}}"
             minus = f"E_{{{N + p},{q}}}-E_{{{N + q},{p}}}"
             if q <= n:
-                img(plus, conf.rotation("B", p, q))
-                img(minus, conf.rotation("C", p, q))
+                img(plus, gen(f"B_{{{p},{q}}}"))
+                img(minus, gen(f"C_{{{p},{q}}}"))
             else:  # q == N
-                img(plus, -conf.partial(n + p))
-                img(minus, -conf.special_conformal(n + p))
+                img(plus, -gen(f"d_{n + p}"))
+                img(minus, -gen(f"J_{n + p}"))
     if series == "B":
         for i in range(1, N + 1):
             down = f"E_{{0,{i}}}-E_{{{N + i},0}}"
             up = f"E_{{0,{N + i}}}-E_{{{i},0}}"
             if i <= n:
-                img(down, conf.rotation("K", i, 0))
-                img(up, conf.rotation("K", n + i, 0))
+                img(down, gen(f"K_{i}"))
+                img(up, gen(f"K_{n + i}"))
             else:
                 # the homomorphism property forces -J_0 here: pairing against
                 # E_{0,2n+2}-E_{n+1,0} -> -d_0 gives [.,.] = -(E_{n+1,n+1}-E_{2n+2,2n+2})
                 # whose image is +D = [-d_0, -J_0]
-                img(down, -conf.special_conformal(0))
-                img(up, -conf.partial(0))
+                img(down, -gen("J_0"))
+                img(up, -gen("d_0"))
     missing = [e.label for e in ob.elements if e.label not in images]
     if missing:
         raise AssertionError(f"theta images missing for {missing}")

@@ -68,7 +68,6 @@ metric power eta^r becomes unreachable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from operator import sub
@@ -97,11 +96,13 @@ from .weights import (
 )
 
 
-@dataclass
 class Classification:
-    status: str  # "generic" | "excluded"
-    component: Optional[LadderSet]
-    exact: bool  # True when exclusion is equivalent to reducibility (mu = 0)
+    __slots__ = ("status", "component", "exact")
+
+    def __init__(self, status: str, component: Optional[LadderSet], exact: bool):
+        self.status = status  # "generic" | "excluded"
+        self.component = component
+        self.exact = exact  # True when exclusion is equivalent to reducibility (mu = 0)
 
     def describe(self) -> str:
         if self.status == "generic":
@@ -120,25 +121,30 @@ def classify_b(mu: WeightVec, b) -> Classification:
     return Classification("excluded", comp, cs.exact)
 
 
-@dataclass
 class ScanRecord:
-    k: int
-    dim: int
-    rank: int
+    __slots__ = ("k", "dim", "rank")
+
+    def __init__(self, k: int, dim: int, rank: int):
+        self.k = k
+        self.dim = dim
+        self.rank = rank
 
     @property
     def full(self) -> bool:
         return self.rank == self.dim
 
 
-@dataclass
 class ScanResult:
-    mu: WeightVec
-    b: Fraction
-    max_degree: int
-    records: List[ScanRecord]
-    phi_eigenvalues_k1: List[Tuple[Fraction, int]]
-    verdict: str
+    __slots__ = ("mu", "b", "max_degree", "records", "phi_eigenvalues_k1", "verdict")
+
+    def __init__(self, mu: WeightVec, b: Fraction, max_degree: int, records: List[ScanRecord],
+                 phi_eigenvalues_k1: List[Tuple[Fraction, int]], verdict: str):
+        self.mu = mu
+        self.b = b
+        self.max_degree = max_degree
+        self.records = records
+        self.phi_eigenvalues_k1 = phi_eigenvalues_k1
+        self.verdict = verdict
 
     def to_json_dict(self) -> dict:
         return {
@@ -268,15 +274,18 @@ def surjectivity_scan(mu: WeightVec, b, max_degree: int) -> ScanResult:
     return ScanResult(mu, b, max_degree, records, phi_eigs, verdict)
 
 
-@dataclass
 class SubmoduleWitness:
     """Graded basis, in `module`, of the submodule generated by 1 (x) V(mu),
     truncated."""
 
-    module: ConformalModule
-    max_degree: int
-    dims: Dict[int, Tuple[int, int]]  # k -> (submodule dim, slice dim)
-    basis: Dict[int, List[Dict[int, Fraction]]]
+    __slots__ = ("module", "max_degree", "dims", "basis")
+
+    def __init__(self, module: ConformalModule, max_degree: int, dims: Dict[int, Tuple[int, int]],
+                 basis: Dict[int, List[Dict[int, Fraction]]]):
+        self.module = module
+        self.max_degree = max_degree
+        self.dims = dims  # k -> (submodule dim, slice dim)
+        self.basis = basis
 
     def is_proper(self) -> bool:
         return any(r < d for r, d in self.dims.values())
@@ -392,20 +401,25 @@ def generation_closure_scan(mod: ConformalModule, max_degree: int) -> Dict[int, 
 # Harmonic decomposition (mu = 0 machinery)
 
 
-@dataclass
 class HarmonicBasis:
     """H_k = ker(Laplacian) on degree-k polynomials, with the eta-power
     filtration of the full degree-k space."""
 
-    series: str
-    n: int
-    k: int
-    monomials: List[Tuple[int, ...]]
-    harmonic: List[Dict[int, Fraction]]  # basis vectors over the monomials
-    layer_dims: List[int]  # dim eta^m H_{k-2m} for m = 0, 1, ...
-    filtration_dims: List[int]  # dim ker Delta^{r+1} for r = 0, 1, ...
-    decomposition_ok: bool
-    filtration_ok: bool
+    __slots__ = ("series", "n", "k", "monomials", "harmonic", "layer_dims", "filtration_dims",
+                 "decomposition_ok", "filtration_ok")
+
+    def __init__(self, series: str, n: int, k: int, monomials: List[Tuple[int, ...]],
+                 harmonic: List[Dict[int, Fraction]], layer_dims: List[int], filtration_dims: List[int],
+                 decomposition_ok: bool, filtration_ok: bool):
+        self.series = series
+        self.n = n
+        self.k = k
+        self.monomials = monomials
+        self.harmonic = harmonic  # basis vectors over the monomials
+        self.layer_dims = layer_dims  # dim eta^m H_{k-2m} for m = 0, 1, ...
+        self.filtration_dims = filtration_dims  # dim ker Delta^{r+1} for r = 0, 1, ...
+        self.decomposition_ok = decomposition_ok
+        self.filtration_ok = filtration_ok
 
 
 def _operator_matrix(op: DiffOp, mod: ConformalModule, k_from: int, k_to: int) -> SparseMat:

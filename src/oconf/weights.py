@@ -19,7 +19,6 @@ Fractions, the public view that prints, parses and serializes.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import factorial
 from operator import add, mul
@@ -36,26 +35,41 @@ def doubled(c) -> int:
     return 2 * c.numerator // c.denominator
 
 
-@dataclass(frozen=True)
 class WeightVec:
     """A weight sum mu_i e_i of o(2n) (series D) or o(2n+1) (series B).
 
-    `twice` is 2 mu as ints, derived from `coords`; it takes no part in
-    equality or hashing."""
+    Immutable, since weights key dicts and caches.  `twice` is 2 mu as
+    ints, derived from `coords`; it takes no part in equality or hashing."""
 
-    series: str
-    coords: Tuple[Fraction, ...]
-    twice: Twice = field(init=False, repr=False, compare=False)
+    __slots__ = ("series", "coords", "twice")
 
-    def __post_init__(self):
-        if self.series not in SERIES:
-            raise ValueError(f"unknown series {self.series!r}")
-        coords = tuple(Fraction(c) for c in self.coords)
+    def __init__(self, series: str, coords: Sequence):
+        if series not in SERIES:
+            raise ValueError(f"unknown series {series!r}")
+        coords = tuple(Fraction(c) for c in coords)
         for c in coords:
             if c.denominator not in (1, 2):
                 raise ValueError(f"coordinate {c} is not a half-integer")
+        object.__setattr__(self, "series", series)
         object.__setattr__(self, "coords", coords)
         object.__setattr__(self, "twice", tuple(map(doubled, coords)))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of an immutable WeightVec")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of an immutable WeightVec")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.series == other.series and self.coords == other.coords
+
+    def __hash__(self) -> int:
+        return hash((self.series, self.coords))
+
+    def __repr__(self) -> str:
+        return f"WeightVec(series={self.series!r}, coords={self.coords!r})"
 
     @classmethod
     def from_twice(cls, series: str, twice: Sequence[int]) -> "WeightVec":
@@ -175,11 +189,13 @@ def _require_dominant(mu: WeightVec):
         raise ValueError(f"weight {mu} is not dominant for series {mu.series}")
 
 
-@dataclass(frozen=True)
 class JumpSeq:
     """Block boundaries n_0=0 < n_1 < ... < n_s = n of equal coordinates."""
 
-    boundaries: Tuple[int, ...]
+    __slots__ = ("boundaries",)
+
+    def __init__(self, boundaries: Tuple[int, ...]):
+        self.boundaries = boundaries
 
     @property
     def s(self) -> int:
@@ -263,14 +279,16 @@ def casimir_eigenvalue(mu: WeightVec) -> Fraction:
 # Pieri decomposition of V(e1) (x) V(mu)
 
 
-@dataclass(frozen=True)
 class PieriTerm:
     """One summand of V(e1) (x) V(mu): kind 'raise'/'lower' at coordinate
     `index` (1-based), or kind 'same' (B series only)."""
 
-    kind: str
-    index: int
-    weight: WeightVec
+    __slots__ = ("kind", "index", "weight")
+
+    def __init__(self, kind: str, index: int, weight: WeightVec):
+        self.kind = kind
+        self.index = index
+        self.weight = weight
 
 
 def pieri_terms(mu: WeightVec) -> List[PieriTerm]:
@@ -308,11 +326,13 @@ def pieri_decompose(mu: WeightVec) -> List[WeightVec]:
 # Spectrum of the split Casimir on V(e1) (x) V(mu)
 
 
-@dataclass(frozen=True)
 class Spectrum:
     """Eigenvalues (distinct, descending) with multiplicities."""
 
-    entries: Tuple[Tuple[Fraction, int], ...]
+    __slots__ = ("entries",)
+
+    def __init__(self, entries: Tuple[Tuple[Fraction, int], ...]):
+        self.entries = entries
 
 
 def split_casimir_eigenvalue(mu: WeightVec, term: PieriTerm) -> Fraction:
@@ -351,13 +371,15 @@ def omega_tilde_spectrum(mu: WeightVec) -> Spectrum:
 # Excluded central-charge sets
 
 
-@dataclass(frozen=True)
 class LadderSet:
     """The set {base - k*step : k in N} of downward-shifted values."""
 
-    name: str
-    base: Fraction
-    step: Fraction
+    __slots__ = ("name", "base", "step")
+
+    def __init__(self, name: str, base: Fraction, step: Fraction):
+        self.name = name
+        self.base = base
+        self.step = step
 
     def contains(self, b: Fraction) -> bool:
         d = (self.base - Fraction(b)) / self.step
@@ -368,7 +390,6 @@ class LadderSet:
         return f"{self.name} = {self.base}-{lattice}"
 
 
-@dataclass(frozen=True)
 class CriticalSet:
     """Union of ladders excluded by the irreducibility theorems.
 
@@ -376,8 +397,11 @@ class CriticalSet:
     reducibility); for mu != 0 it is only known to be sufficient to avoid.
     """
 
-    components: Tuple[LadderSet, ...]
-    exact: bool
+    __slots__ = ("components", "exact")
+
+    def __init__(self, components: Tuple[LadderSet, ...], exact: bool):
+        self.components = components
+        self.exact = exact
 
     def violated(self, b: Fraction) -> Optional[LadderSet]:
         for comp in self.components:

@@ -1,6 +1,9 @@
 """Command-line front end: exit codes, determinism, output formats."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -307,3 +310,16 @@ def test_unwritable_output_is_a_usage_error(capsys, tmp_path):
     assert rc == 2 and captured.out == ""
     assert captured.err == f"error: cannot write {path}: No such file or directory\n"
     assert not path.exists()
+
+
+def test_startup_imports_neither_dataclasses_nor_inspect():
+    # each verb runs in a fresh interpreter, so every module the package
+    # imports is paid on every invocation; -S keeps a site .pth file from
+    # importing either module first
+    code = ("import sys, oconf, oconf.cli, oconf.suite; "
+            "print(sorted(m for m in ('dataclasses', 'inspect') if m in sys.modules))")
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=str(src)), timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"

@@ -4,7 +4,6 @@ import hashlib
 import itertools
 import json
 from collections import Counter
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -12,6 +11,7 @@ import pytest
 from oconf import irreps
 from oconf.cli import main
 from oconf.irreps import (
+    IrrepData,
     _spin_rep,
     build_irrep,
     omega_matrix,
@@ -383,7 +383,7 @@ def test_homomorphism_check_catches_a_wrong_matrix(series, mus):
     for el in V.basis.elements:
         if el.kind == "cartan":
             continue
-        bad = replace(V, rep={**V.rep, el.label: V.rep[el.label].scale(2)})
+        bad = IrrepData(V.mu, V.dim, V.weights, {**V.rep, el.label: V.rep[el.label].scale(2)}, V.highest, V.basis)
         report = validate_irrep(bad)
         assert report["homomorphism_ok"] is False and report["ok"] is False, el.label
         assert report["homomorphism_failures"]

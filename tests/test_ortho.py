@@ -206,6 +206,22 @@ def test_theta_images_match_stated_table():
     assert images["E_{0,1}-E_{4,0}"] == conf.rotation("K", 1, 0)
 
 
+@pytest.mark.parametrize("n,series", [(2, "D"), (2, "B")])
+def test_theta_images_read_the_generators_from_the_table(monkeypatch, n, series):
+    # every image is a generator of the shared conformal basis or its
+    # negative, so no rotation or J_r is built again
+    conf = build_conformal(n, series)  # the shared basis is built outside the count
+    calls = []
+    for name in ("rotation", "special_conformal"):
+        def counted(self, *args, name=name, right=getattr(ConformalBasis, name)):
+            calls.append((name, args))
+            return right(self, *args)
+        monkeypatch.setattr(ConformalBasis, name, counted)
+    ob, images_conf, images = theta_images(n, series)
+    assert calls == []
+    assert images_conf is conf and len(images) == len(ob)
+
+
 @pytest.mark.parametrize("n,series", [(2, "D"), (2, "B"), (3, "D")])
 def test_theta_homomorphism_and_injectivity(n, series):
     r = verify_theta_homomorphism(n, series)

@@ -2,7 +2,6 @@
 
 import json
 import random
-from dataclasses import replace
 from fractions import Fraction
 from itertools import accumulate
 from math import comb
@@ -16,6 +15,7 @@ from oconf.mixed import ConformalModule
 from oconf.ortho import build_conformal
 from oconf.poly import Poly
 from oconf.reducibility import (
+    SubmoduleWitness,
     _dominant_dims,
     _dominant_orbit_size,
     _j_span_rank,
@@ -305,7 +305,7 @@ def test_closure_check_reports_a_missing_basis_vector():
     # (label, degree)
     w = detect_submodule(ConformalModule(zero_weight("B", 2), F(1, 2)), 4)
     assert verify_submodule_closure(w)["ok"] and not reference.submodule_closure_failures(w)
-    broken = replace(w, basis={**w.basis, 3: w.basis[3][:-1]})
+    broken = SubmoduleWitness(w.module, w.max_degree, w.dims, {**w.basis, 3: w.basis[3][:-1]})
     rep = verify_submodule_closure(broken)
     failing = {lbl for lbl, good in rep.items() if lbl != "ok" and not good}
     assert rep["ok"] is False
@@ -319,7 +319,7 @@ def test_closure_check_matches_the_reference_on_a_broken_witness(degree):
     # (69 of 70), the failing labels are those of a fresh span per
     # (label, degree), label by label
     w = detect_submodule(ConformalModule(zero_weight("B", 2), F(1, 2)), 4)
-    broken = replace(w, basis={**w.basis, degree: w.basis[degree][:-1]})
+    broken = SubmoduleWitness(w.module, w.max_degree, w.dims, {**w.basis, degree: w.basis[degree][:-1]})
     rep = verify_submodule_closure(broken)
     failing = reference.submodule_closure_failures(broken)
     assert rep == {**{lbl: lbl not in failing for lbl in w.module.conf.labels()}, "ok": not failing}
@@ -359,7 +359,7 @@ def test_closure_check_computes_no_image_into_a_full_slice(monkeypatch):
     for w in witnesses:
         spy = _SpyModule(w.module)
         before = len(calls)
-        assert verify_submodule_closure(replace(w, module=spy))["ok"]
+        assert verify_submodule_closure(SubmoduleWitness(spy, w.max_degree, w.dims, w.basis))["ok"]
         assert len(spy.asked) == len(calls) - before
         for label, k in spy.asked:
             kt = k + spy.degree_shift(label)

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from oconf import irreps, ortho, reducibility, weights
 from oconf.irreps import build_irrep
 from oconf.mixed import ConformalModule
 from oconf.reducibility import _dominant_orbit_size
@@ -291,3 +292,31 @@ def test_twice_is_derived_and_not_compared():
     assert repr(mu) == "WeightVec(series='D', coords=(Fraction(3, 2), Fraction(-1, 2)))"
     assert mu.add_unit(2, 1).twice == (3, 1) and mu.add_unit(1, -1).coords == (F(1, 2), F(-1, 2))
     assert hash(mu) == hash(("D", mu.coords))  # the fields compared, as before `twice`
+    other = WeightVec("D", (F(3, 2), F(-1, 2)))
+    object.__setattr__(other, "twice", (0, 0))
+    assert other == mu and hash(other) == hash(mu) and {mu: 1}[other] == 1
+    assert mu != WeightVec("B", mu.coords) and mu != ("D", mu.coords)
+    for field, value in [("series", "B"), ("coords", (F(1), F(0))), ("twice", (2, 0))]:
+        with pytest.raises(AttributeError):  # a hashed record is immutable
+            setattr(mu, field, value)
+    with pytest.raises(AttributeError):
+        del mu.coords
+    assert (mu.series, mu.coords, mu.twice) == ("D", (F(3, 2), F(-1, 2)), (3, -1))
+
+
+# records of the engine that compare by value: a sample, and the fields compared
+VALUE_RECORDS = {WeightVec: (parse_weight("3/2,-1/2", "D"), ("series", "coords"))}
+
+
+def test_value_records_hash_their_compared_fields():
+    # a record keyed into a set, dict or lru_cache hashes as the tuple of the
+    # fields it compares, as the frozen records did, so set orders and cache
+    # keys stay as they were; every other record compares by identity
+    for mod in (weights, ortho, irreps, reducibility):
+        for cls in vars(mod).values():
+            if not isinstance(cls, type) or cls.__module__ != mod.__name__:
+                continue
+            if "__eq__" in vars(cls) or vars(cls).get("__hash__") is not None:
+                sample, fields = VALUE_RECORDS[cls]
+                assert hash(sample) == hash(tuple(getattr(sample, f) for f in fields)), cls
+                assert sample == type(sample)(*(getattr(sample, f) for f in fields)), cls
