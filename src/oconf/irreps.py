@@ -331,7 +331,7 @@ def _commutant_dimension(ob: OrthoBasis, rep: Dict[str, SparseMat], dim: int) ->
     return sum(m * m for m in free.values())
 
 
-def _generated_dimension(ob: OrthoBasis, gens: List[int]) -> int:
+def _subalgebra_dimension(ob: OrthoBasis, gens: List[int]) -> int:
     """dim of the subalgebra of o(m) that the basis elements `gens` generate.
 
     It is spanned by the brackets [s_1, [s_2, ..., s_k]] of generators, so
@@ -361,11 +361,11 @@ def _generated_dimension(ob: OrthoBasis, gens: List[int]) -> int:
 def _generator_pairs(m: int) -> Tuple[Tuple[int, int], ...]:
     """The basis pairs (i, j), i < j, of o(m) with i or j a simple root
     vector: a root vector of height +-1.  That these generate o(m) is
-    proved once per m by `_generated_dimension`, not assumed."""
+    proved once per m by `_subalgebra_dimension`, not assumed."""
     ob = build_ortho(m)
     gens = [i for i, el in enumerate(ob.elements)
             if el.root is not None and abs(_root_height(ob.series, ob.n, el.root)) == 1]
-    dim = _generated_dimension(ob, gens)
+    dim = _subalgebra_dimension(ob, gens)
     if dim != len(ob):
         raise AssertionError(f"the simple root vectors generate {dim} of the {len(ob)} dimensions of o({m})")
     return tuple((i, j) for i in range(len(ob)) for j in range(i + 1, len(ob)) if i in gens or j in gens)

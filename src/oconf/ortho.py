@@ -463,7 +463,7 @@ def _report_entry(identity: str, lhs: DiffOp, rhs: DiffOp) -> Dict[str, str]:
 def bracket_identities(n: int, series: str) -> Iterator[Tuple[str, DiffOp, DiffOp]]:
     """Every stated identity among the generators, as (name, lhs, rhs): the
     exact commutator and its stated value.  The identity holds iff lhs ==
-    rhs; each operator is built once."""
+    rhs; each operator is read from the table or built once."""
     conf = build_conformal(n, series)
     Dop = conf.op("D")
     nv = conf.num_vars
@@ -471,7 +471,13 @@ def bracket_identities(n: int, series: str) -> Iterator[Tuple[str, DiffOp, DiffO
     var_range = conf.var_labels
     J = {r: conf.op(f"J_{r}") for r in var_range}
     P = {r: conf.op(f"d_{r}") for r in var_range}
-    rotation = lru_cache(maxsize=None)(conf.rotation)  # each operator built once
+    build = lru_cache(maxsize=None)(conf.rotation)
+
+    def rotation(family: str, i: int, j: int) -> DiffOp:
+        """A_{i,j}, and B/C_{i,j} for i < j, from the table; others built once."""
+        if family == "A" or i < j:
+            return conf.op(f"{family}_{{{i},{j}}}")
+        return build(family, i, j)
 
     def delta(a: int, b: int) -> Fraction:
         return Fraction(1 if a == b else 0)

@@ -55,10 +55,8 @@ a critical b) counts its exact deficit, nu_c's included, whose span is
 kept when the other blocks are opened.
 
 The scan builds its own module from (mu, b) and only the J columns it
-needs.  Detection, closure and generation read whole action matrices, so
-they take a built module, and a witness carries the module it lives in.
-Detection and the closure scan generate a submodule by one PBW pass
-(`_generate`), from slice 0 and from slice SEED_DEGREE.
+needs.  Detection and closure read whole action matrices, so they take a
+built module, and a witness carries the module it lives in.
 
 For mu = 0 the harmonic layers explain the graded structure — and the
 scans refute the stated sharp classification at the special conformal
@@ -295,16 +293,31 @@ def detect_submodule(mod: ConformalModule, max_degree: int) -> Optional[Submodul
     """Explicit graded basis of U(J)(1 (x) V(mu)) up to max_degree when it is
     proper there; None when it exhausts every slice.
 
-    The submodule generated by slice 0 is U(J)(1 (x) V(mu)): the d's kill
-    slice 0, so `_generate` has nothing to lower, and the basis of degree k
-    is the exact span of J(degree k-1), the span of the columns of
-    `phi_matrix(k)`."""
-    spans = _generate(mod, max_degree, 0)
-    dims = {k: (spans[k].rank, mod.slice_dim(k)) for k in range(max_degree + 1)}
-    if all(r == d for r, d in dims.values()):
+    By PBW, U(g) = U(J) U(l) U(d), with l = o(n) + D the degree-0 part and
+    span(J), span(d) abelian.  The d's kill slice 0 and l keeps it, so the
+    submodule is U(J)(slice 0), built in one exact pass: part k is the span
+    of J(part k-1), the span of the columns of `phi_matrix(k)`.  No other
+    generator is applied, and a slice takes no more images once it is full.
+    """
+    if max_degree < 0:
+        raise ValueError(f"max degree must be at least 0, got {max_degree}")
+    mod.check_cap(max_degree)  # slices grow with the degree: fail before any work
+    dims = {k: mod.slice_dim(k) for k in range(max_degree + 1)}
+    spans = {k: EchelonBasis() for k in dims}
+    for i in range(dims[0]):
+        spans[0].add({i: 1})
+    for k in range(1, max_degree + 1):
+        rows, target = list(spans[k - 1].rows.values()), spans[k]
+        for lbl in mod.j_labels:
+            if not rows or target.rank == dims[k]:
+                break
+            for v in mod.action_matrix(lbl, k - 1).apply_all(rows):
+                if target.add(v) and target.rank == dims[k]:
+                    break
+    ranks = {k: (spans[k].rank, d) for k, d in dims.items()}
+    if all(r == d for r, d in ranks.values()):
         return None
-    basis = {k: list(spans[k].rows.values()) for k in dims}
-    return SubmoduleWitness(mod, max_degree, dims, basis)
+    return SubmoduleWitness(mod, max_degree, ranks, {k: list(spans[k].rows.values()) for k in dims})
 
 
 def verify_submodule_closure(witness: SubmoduleWitness) -> Dict[str, bool]:
@@ -336,65 +349,6 @@ def verify_submodule_closure(witness: SubmoduleWitness) -> Dict[str, bool]:
         results[lbl] = ok
     results["ok"] = all(results.values())
     return results
-
-
-SEED_DEGREE = 1
-
-
-def _generate(mod: ConformalModule, max_degree: int, seed: int) -> Dict[int, EchelonBasis]:
-    """The submodule generated by the whole slice `seed`, one exact span per
-    degree 0 .. max(max_degree, seed), generated up to max_degree.
-
-    The submodule is built in PBW order, exactly.  The algebra is
-    span(J) + l + span(d), where l (o(n) and D) is the degree-0 part and
-    span(J), span(d) are abelian, so U(g) = U(J) U(l) U(d).  The seed, a
-    whole slice, is l-stable, and [l, d] lies in span(d), [l, J] in
-    span(J), so every d-image and J-image of an l-stable space is again
-    l-stable: U(l) adds nothing, and the submodule is U(J) U(d)(seed).
-    One pass down carries the seed by the d's into degrees seed-1 .. 0,
-    one pass up adds J(part k-1) to part k for k = 1 .. max_degree; no
-    degree-0 generator is applied and no slice above max(max_degree, seed)
-    is reached.  A target slice takes no more images once it is full.
-    """
-    if max_degree < 0:
-        raise ValueError(f"max degree must be at least 0, got {max_degree}")
-    top = max(max_degree, seed)
-    mod.check_cap(top)  # slices grow with the degree: fail before any work
-    dims = {k: mod.slice_dim(k) for k in range(top + 1)}
-    spans = {k: EchelonBasis() for k in dims}
-    for i in range(dims[seed]):
-        spans[seed].add({i: 1})
-    labels = mod.conf.labels()
-
-    def push(shift: int, k: int):
-        """Add the images of slice k's span under the generators of
-        degree shift to the span of slice k + shift."""
-        rows, target, full = list(spans[k].rows.values()), spans[k + shift], dims[k + shift]
-        for lbl in labels:
-            if not rows or target.rank == full:
-                return
-            if mod.degree_shift(lbl) == shift:
-                for v in mod.action_matrix(lbl, k).apply_all(rows):
-                    if target.add(v) and target.rank == full:
-                        break
-
-    for k in range(seed, 0, -1):
-        push(-1, k)
-    for k in range(1, max_degree + 1):
-        push(1, k - 1)
-    return spans
-
-
-def generation_closure_scan(mod: ConformalModule, max_degree: int) -> Dict[int, Tuple[int, int]]:
-    """Dimensions of the submodule generated by the whole slice SEED_DEGREE,
-    degree by degree (`_generate`).
-
-    SEED_DEGREE is 1 because the check is on the quotient by the constants
-    line, whose lowest slice is degree 1.  Returns
-    {k: (generated dim, slice dim)} for k <= max_degree.
-    """
-    spans = _generate(mod, max_degree, SEED_DEGREE)
-    return {k: (spans[k].rank, mod.slice_dim(k)) for k in range(max_degree + 1)}
 
 
 # ---------------------------------------------------------------------------

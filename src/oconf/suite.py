@@ -11,12 +11,10 @@ corrected companions must pass.
 
 Checks that read the same exact object compute it once, through the
 module-level `lru_cache`s `_charpoly_report`, `_mu_zero_witness` and
-`_mu_zero_quotient`, and the b=0 witness and quotient share one module
-(`_mu_zero_module`).  What these return is shared and read-only: a check
+`_mu_zero_quotient`.  What these return is shared and read-only: a check
 reads a report or witness and never alters it (a module only fills its
 own memos of exact matrices), so the checks give the same results in any
-order.  Every other module is built at its own b, where the check needs
-it.
+order.  Every module is built at its own b, where the check needs it.
 """
 
 from __future__ import annotations
@@ -175,25 +173,26 @@ def check_scan_sufficiency() -> Tuple[bool, str]:
 
 
 @lru_cache(maxsize=None)
-def _mu_zero_module(series: str) -> mixed.ConformalModule:
-    """The mu=0 module at n=2 and b=0, built once: the b=0 witness and the
-    quotient scan both act by its J's on slices 0-2."""
-    return mixed.ConformalModule(zero_weight(series, 2), 0)
-
-
-@lru_cache(maxsize=None)
 def _mu_zero_witness(series: str, b: Fraction) -> Optional[reducibility.SubmoduleWitness]:
     """`detect_submodule` to degree 3 in the mu=0 module at b, computed once
     for the two mu=0 checks that both read it (read-only: they share it)."""
-    mod = _mu_zero_module(series) if b == 0 else mixed.ConformalModule(zero_weight(series, 2), b)
-    return reducibility.detect_submodule(mod, 3)
+    return reducibility.detect_submodule(mixed.ConformalModule(zero_weight(series, 2), b), 3)
 
 
 @lru_cache(maxsize=None)
 def _mu_zero_quotient(series: str) -> Mapping[int, Tuple[int, int]]:
-    """Degree-4 generation dims of the mu=0, b=0 quotient at n=2, computed
-    once for the two mu=0 checks that read it (read-only: they share it)."""
-    return MappingProxyType(reducibility.generation_closure_scan(_mu_zero_module(series), 4))
+    """{k: (rank, dim)}, k = 2..4, of the submodule that slice 1 generates
+    in the mu=0, b=0 quotient by the constants at n=2, computed once for the
+    two mu=0 checks that read it (read-only: they share it).
+
+    These are the scan's records 2..4, exactly, by PBW (U(g) = U(J) U(l)
+    U(d), and slice 1 is l-stable): at b = 0 the d's take slice 1 onto the
+    constants, and J kills them, so the submodule is U(J)(slice 1).  While
+    it fills every slice below k, its degree-k part is J(slice k-1), whose
+    rank is record k.  So every record up to the first deficient one is
+    exact, and the checks read no other."""
+    scan = reducibility.surjectivity_scan(zero_weight(series, 2), 0, 4)
+    return MappingProxyType({r.k: (r.rank, r.dim) for r in scan.records if r.k >= 2})
 
 
 def check_mu_zero_classification() -> Tuple[bool, str]:
@@ -215,7 +214,7 @@ def check_mu_zero_classification() -> Tuple[bool, str]:
                 # exactly the constants line, quotient generated above it
                 good &= w.dims[0] == (1, 1) and all(w.dims[k][0] == 0 for k in range(1, 4))
                 quot = _mu_zero_quotient(series)
-                good &= all(quot[k][0] == quot[k][1] for k in range(1, 5))
+                good &= all(r == d for r, d in quot.values())
             ok &= bool(good)
             bits.append(f"{series} mu=0 b={b}: proper submodule {'ok' if good else 'FAIL'}")
     return ok, "; ".join(bits)
@@ -254,7 +253,7 @@ def check_mu_zero_true_classification() -> Tuple[bool, str]:
             bits.append(f"{series} b={b}: reducible {'ok' if good else 'FAIL'}")
     # the D b=0 quotient stalls at the eta^2 line (34/35 at degree 4)
     quot = _mu_zero_quotient("D")
-    good = quot[4] == (34, 35) and all(quot[k][0] == quot[k][1] for k in range(1, 4))
+    good = quot[4] == (34, 35) and all(quot[k][0] == quot[k][1] for k in range(2, 4))
     ok &= good
     bits.append(f"D b=0 quotient degree-4 component: {quot[4][0]}/{quot[4][1]} {'ok' if good else 'FAIL'}")
     return ok, "; ".join(bits)

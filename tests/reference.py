@@ -8,7 +8,7 @@ from typing import Callable, Dict, FrozenSet, Iterator, List, Optional, Sequence
 from oconf import spectral
 from oconf.linalg import EchelonBasis, SparseMat, vectors_contained_in_span
 from oconf.mixed import ConformalModule
-from oconf.reducibility import SEED_DEGREE, SubmoduleWitness
+from oconf.reducibility import SubmoduleWitness
 from oconf.weights import Spectrum, WeightVec
 
 
@@ -106,12 +106,16 @@ def closed_form_charpoly(spec: Spectrum) -> List[Fraction]:
 # degrees above max_degree that the full passes also close: room for a
 # vector to climb by J and come back down by d
 SLACK = 2
+# the slice that `generation_closure_scan` seeds: the lowest slice of the
+# quotient by the constants line
+SEED_DEGREE = 1
 
 
 def generation_closure_scan(mod: ConformalModule, max_degree: int) -> Dict[int, Tuple[int, int]]:
-    """The generation dims of `reducibility.generation_closure_scan` by full
-    passes: every pass sends every echelon row of every slice up to
-    max_degree + SLACK through every generator, until a pass adds nothing."""
+    """{k: (generated dim, slice dim)} for k <= max_degree of the submodule
+    that the whole slice SEED_DEGREE generates, by full passes: every pass
+    sends every echelon row of every slice up to max_degree + SLACK through
+    every generator, until a pass adds nothing."""
     top = max_degree + SLACK
     spans = {k: EchelonBasis() for k in range(top + 1)}
     dims = {k: mod.slice_dim(k) for k in range(top + 1)}

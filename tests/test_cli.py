@@ -292,11 +292,13 @@ def test_build_irrep_json_matches_golden(capsys):
     ("scan-D-1_0-b1-deg2.json", ["--series", "D", "--mu", "1,0", "--b", "1", "--max-degree", "2"], 1),
     ("scan-B-1_2-1_2-b-1-deg7.json", ["--series", "B", "--mu", "1/2,1/2", "--b", "-1", "--max-degree", "7"], 1),
     ("scan-D-1_0-b8_7-deg12.json", ["--series", "D", "--mu", "1,0", "--b", "8/7", "--max-degree", "12"], 0),
+    ("scan-D-0_0-b0-deg4.json", ["--series", "D", "--n", "2", "--b", "0", "--max-degree", "4"], 1),
 ])
 def test_scan_json_matches_golden(capsys, golden, argv, code):
     # byte for byte: every slice full at a generic b, deficient from degree 1
-    # at b = 1, deficient only at the top degree, and full up to a top slice
-    # of dimension 1,820
+    # at b = 1, deficient only at the top degree, full up to a top slice of
+    # dimension 1,820, and the mu=0, b=0 records that the suite reads as the
+    # quotient by the constants (34 of 35 at degree 4)
     rc, out = run(capsys, ["scan", *argv, "--format", "json"])
     assert rc == code
     assert out == (Path(__file__).resolve().parent / "golden" / golden).read_text()

@@ -362,10 +362,10 @@ def test_simple_root_vectors_generate(m):
     labels = ob.labels()
     gens = [i for i, label in enumerate(labels) if label in _simple_root_labels(ob)]
     assert len(gens) == 2 * ob.n
-    assert irreps._generated_dimension(ob, gens) == len(ob)
+    assert irreps._subalgebra_dimension(ob, gens) == len(ob)
     # the positive ones alone generate only the positive root vectors
     raising = [i for i in gens if ob.elements[i].kind == "pos"]
-    assert irreps._generated_dimension(ob, raising) == sum(el.kind == "pos" for el in ob.elements)
+    assert irreps._subalgebra_dimension(ob, raising) == sum(el.kind == "pos" for el in ob.elements)
     pairs = irreps._generator_pairs(m)
     rest = len(ob) - len(gens)
     assert len(pairs) == len(ob) * (len(ob) - 1) // 2 - rest * (rest - 1) // 2

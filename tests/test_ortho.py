@@ -177,6 +177,8 @@ def test_report_entry_builds_the_difference_only_on_failure():
 
 
 def test_bracket_tables_build_each_rotation_once(monkeypatch):
+    # A_{i,j}, and B/C_{i,j} for i < j, are read from the table; every other
+    # rotation the identities pair is built once
     calls = []
     right = ConformalBasis.rotation
 
@@ -184,13 +186,14 @@ def test_bracket_tables_build_each_rotation_once(monkeypatch):
         calls.append((family, i, j))
         return right(self, family, i, j)
 
-    for n, series in [(2, "D"), (2, "B")]:
+    for n, series, built in [(2, "D", 6), (3, "D", 12), (1, "B", 2), (2, "B", 6)]:
         build_conformal(n, series)  # the shared basis is built outside the count
         monkeypatch.setattr(ConformalBasis, "rotation", counted)
         calls.clear()
         rep = verify_bracket_tables(n, series)
         monkeypatch.setattr(ConformalBasis, "rotation", right)
-        assert calls and len(calls) == len(set(calls))
+        assert len(calls) == len(set(calls)) == built, (series, n)
+        assert all(family != "A" and i >= j for family, i, j in calls)
         assert all(r["status"] == "pass" for r in rep)
 
 

@@ -21,7 +21,6 @@ from oconf.reducibility import (
     _j_span_rank,
     classify_b,
     detect_submodule,
-    generation_closure_scan,
     harmonic_decompose,
     laplacian_eta_commutator,
     surjectivity_scan,
@@ -106,6 +105,7 @@ def test_mu_zero_truly_irreducible_values():
 
 @pytest.mark.xfail(
     strict=True,
+    raises=AssertionError,
     reason="stated classification is refuted at the special conformal weight "
     "b = n-1 = 1: U(J)(1 (x) v0) is a proper submodule although 1 is not in -N",
 )
@@ -193,30 +193,43 @@ def test_mu_zero_b_zero_constants_line():
 
 @pytest.mark.xfail(
     strict=True,
+    raises=AssertionError,
     reason="the quotient A/C at b=0 is NOT irreducible for the D series at n=2: "
     "the submodule generated by A_1 misses the eta^2 line at degree 4",
 )
 def test_mu_zero_b_zero_quotient_full_rank_as_stated():
-    from oconf.reducibility import generation_closure_scan
-
-    dims = generation_closure_scan(ConformalModule(zero_weight("D", 2), F(0)), 4)
-    assert all(r == d for r, d in (dims[k] for k in range(1, 5)))
+    # the scan's records 2..4 are the quotient's (see the test below)
+    r = surjectivity_scan(zero_weight("D", 2), F(0), 4)
+    assert all(rec.full for rec in r.records[1:])
 
 
 def test_mu_zero_b_zero_quotient_truth():
-    from oconf.reducibility import generation_closure_scan
-
     # D series: the quotient's minimal submodule stalls at 34/35 in degree 4.
     # This is final, not a truncation artifact: by PBW, U(g) = U(J) U(l) U(d)
     # with l = o(n) + D, and the seed A_1 is l-stable, so the submodule is
-    # U(J) U(d)(A_1), whose degree-4 part is J(degree-3 part) = J(A_3): no
-    # path through a higher degree adds to it.
-    dims = generation_closure_scan(ConformalModule(zero_weight("D", 2), F(0)), 4)
-    assert dims[2] == (10, 10) and dims[3] == (20, 20) and dims[4] == (34, 35)
+    # U(J) U(d)(A_1) = U(J)(A_1) (the d's take A_1 to the constants, which J
+    # kills at b = 0), whose degree-4 part is J(degree-3 part) = J(A_3): no
+    # path through a higher degree adds to it.  While the degrees below are
+    # full, the scan's record k is the rank of that part.
+    r = surjectivity_scan(zero_weight("D", 2), F(0), 4)
+    assert [(rec.rank, rec.dim) for rec in r.records[1:]] == [(10, 10), (20, 20), (34, 35)]
     # B series: no break at integer b (the T scalar 2b-2n+k+1 is odd), so the
     # quotient really is generated to degree 4
-    dims = generation_closure_scan(ConformalModule(zero_weight("B", 2), F(0)), 4)
-    assert all(dims[k][0] == dims[k][1] for k in range(1, 5))
+    r = surjectivity_scan(zero_weight("B", 2), F(0), 4)
+    assert all(rec.full for rec in r.records[1:])
+
+
+@pytest.mark.parametrize("series,n,deg", [("D", 2, 4), ("B", 2, 4), ("D", 3, 4)])
+def test_mu_zero_b_zero_scan_reads_the_quotient(series, n, deg):
+    # the suite reads the b=0 quotient off the scan: records 2..deg are the
+    # full-pass dims of the submodule that slice 1 generates (B n=3 to
+    # degree 3 is a case of the test below)
+    mu0 = zero_weight(series, n)
+    want = reference.generation_closure_scan(ConformalModule(mu0, F(0)), deg)
+    got = {rec.k: (rec.rank, rec.dim) for rec in surjectivity_scan(mu0, F(0), deg).records}
+    assert {k: got[k] for k in range(2, deg + 1)} == {k: want[k] for k in range(2, deg + 1)}
+    if (series, n) == ("D", 2):
+        assert got[4] == (34, 35)
 
 
 def test_mu_zero_b_minus_one_eta_line():
@@ -253,8 +266,16 @@ def test_submodule_witness_closed_under_all_generators(series, b):
     + [("D", "0,0,0", F(0)), ("B", "0,0,0", F(0)), ("B", "1/2,1/2", F(-1)), ("B", "1,0", F(-1))],
 )
 def test_closure_scan_matches_the_full_pass_reference(series, mus, b):
-    mod = ConformalModule(parse_weight(mus, series), b)
-    assert generation_closure_scan(mod, 3) == reference.generation_closure_scan(mod, 3)
+    # by PBW the submodule that slice 1 generates is U(J)(slice 1) above
+    # degree 0, so while it fills every slice below k, its degree-k part is
+    # J(slice k-1): the scan's record k equals the full-pass dims there
+    mu = parse_weight(mus, series)
+    want = reference.generation_closure_scan(ConformalModule(mu, b), 3)
+    assert all(want[k][0] == want[k][1] for k in (0, 1))  # the d's take slice 1 onto slice 0
+    for rec in surjectivity_scan(mu, b, 3).records[1:]:
+        assert (rec.rank, rec.dim) == want[rec.k], rec.k
+        if not rec.full:
+            break
 
 
 @pytest.mark.parametrize("series,mus,b,deg", [
@@ -277,14 +298,14 @@ def test_detection_matches_the_phi_column_reference(series, mus, b, deg):
         assert len(w.basis[k]) == len(vecs) and vectors_contained_in_span(w.basis[k], vecs), k
 
 
-@pytest.mark.parametrize("generate", [detect_submodule, generation_closure_scan])
+@pytest.mark.parametrize("generate", [detect_submodule])
 def test_generation_rejects_a_negative_degree(generate):
     mod = ConformalModule(zero_weight("D", 2), F(1))
     with pytest.raises(ValueError, match="max degree must be at least 0, got -1"):
         generate(mod, -1)
 
 
-@pytest.mark.parametrize("generate", [detect_submodule, generation_closure_scan])
+@pytest.mark.parametrize("generate", [detect_submodule])
 def test_generation_checks_slice_cap_before_any_degree(generate, monkeypatch):
     # D mu=0: slice 4 has dim 35, over a cap of 20; no slice may be built
     from oconf import mixed
@@ -371,18 +392,16 @@ def test_closure_check_computes_no_image_into_a_full_slice(monkeypatch):
     ("D", "0,0", F(0), 4), ("B", "0,0", F(0), 4), ("D", "1,0", F(1), 3),
 ])
 def test_closure_scan_asks_only_for_pbw_ordered_matrices(series, mus, b, deg):
-    # U(J) U(d)(seed) is the whole submodule: the scan lowers the seed by d
-    # and raises by J below max_degree, and never applies o(n) or D
+    # U(J)(slice 0) is the whole submodule: detection raises by J below
+    # max_degree, and never applies d, o(n) or D
     mod = ConformalModule(parse_weight(mus, series), b)
     spy = _SpyModule(mod)
-    dims = generation_closure_scan(spy, deg)
-    assert dims == reference.generation_closure_scan(mod, deg)
-    assert dims[0] == (mod.slice_dim(0), mod.slice_dim(0))
+    w = detect_submodule(spy, deg)
+    want = {k: (len(vecs), mod.slice_dim(k)) for k, vecs in reference.phi_column_submodule(mod, deg).items()}
+    assert w.dims == want if w else all(r == d for r, d in want.values())
     assert spy.asked
     for label, k in spy.asked:
-        shift = mod.degree_shift(label)
-        assert shift, label
-        assert k <= reducibility.SEED_DEGREE if shift < 0 else k < deg, (label, k)
+        assert label in mod.j_labels and k < deg, (label, k)
 
 
 def test_eta_multiple_lands_in_j_span():
