@@ -2,7 +2,8 @@
 
 Exit codes: 0 when every requested check passes (or the scan verdict is
 irreducible/critical without a witness), 1 when a mathematical check fails
-or reducibility is found, 2 for usage errors or an exceeded cap.  JSON output is deterministic
+or reducibility is found, 2 for usage errors, 3 when a size cap is exceeded
+(the request is valid but too large to run).  JSON output is deterministic
 (no timings, sorted keys); text output includes per-check timing.
 """
 
@@ -329,7 +330,7 @@ def main(argv: Optional[list] = None) -> int:
         return COMMANDS[args.command](args)
     except CapExceeded as exc:
         print(f"cap exceeded: {exc}", file=sys.stderr)
-        return 2
+        return 3
     except ValueError as exc:
         return _fail_usage(str(exc))
     except OSError as exc:  # the verbs read no files: `--output` or standard output failed

@@ -146,10 +146,6 @@ class SparseMat:
                 data[key] = p if w is None else canon(w + p)
         return SparseMat(self.rows, other.cols, data)
 
-    def transpose(self) -> "SparseMat":
-        # the same nonzero values, each key swapped along with the shape
-        return SparseMat._trusted(self.cols, self.rows, {(j, i): v for (i, j), v in self.data.items()})
-
     def trace(self) -> Fraction:
         return canon(sum((v for (i, j), v in self.data.items() if i == j), 0))
 
@@ -409,13 +405,6 @@ def charpoly(M: SparseMat) -> List[Fraction]:
                 cur[i] -= coef * c
         p.append(cur)
     return [Fraction(q, den ** (n - i)) for i, q in enumerate(p[n])]
-
-
-def poly_eval(coeffs: Sequence[Fraction], x: Fraction) -> Fraction:
-    acc = Fraction(0)
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
 
 
 def _divisors(n: int, bound: int = 10**6) -> List[int]:

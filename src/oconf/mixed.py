@@ -376,9 +376,6 @@ class ConformalModule:
             return 1
         return 0
 
-    def embed_of(self, label: str) -> ExtendedOp:
-        return _embed(self.n, self.series, label)
-
     # -- action matrices ---------------------------------------------------------
 
     def _pieces(self, label: str) -> List[Tuple[Exps, int, List[Tuple[int, int]], Columns, dict]]:

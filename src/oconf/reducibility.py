@@ -47,12 +47,29 @@ the indexes mi * dim V + r of weight nu - wt(J_i) in slice k-1, are listed
 only for the nu - wt(J_i) that an open block reads.
 
 Each block is one exact span (`linalg.EchelonBasis`), and its columns
-arrive label by label.  rank N_nu never exceeds dim M_nu, so a block
-closes as soon as its exact rank reaches dim M_nu, and no more of its
-columns are built.  A block still open after the last label holds all of
-its columns, so its rank is the exact rank of N_nu: a deficient block (at
-a critical b) counts its exact deficit, nu_c's included, whose span is
-kept when the other blocks are opened.
+arrive label by label, in two passes over the labels.  rank N_nu never
+exceeds dim M_nu, so a block closes as soon as its exact rank reaches
+dim M_nu, and no more of its columns are built.  Pass 1 asks J_i only
+for its parent columns, the images of the x^e (x) v_r of slice k-1 with
+no variable before position i; pass 2 asks for the other columns of the
+blocks still open.  Why the parents first:
+- Each basis vector x^a (x) v_r of M_nu has exactly one parent column,
+  J_i(x^(a - u_i) (x) v_r) with i the first variable of a, so pass 1 asks
+  for exactly dim M_nu columns.
+- b enters J_i only as b x_i (x) 1 (the central polynomial of J_i is
+  x_i), so in the basis of M_nu these columns form S(b) = b I + C, with
+  C free of b, and det S(b) is monic in b.
+- So pass 1 closes the block with no dependent column unless -b is an
+  eigenvalue of C; only then does pass 2 add the rest.
+- In `monomial_basis`'s lex-descending order the parent sources of J_i
+  are the last C(k-1 + m-i-1, m-i-1) monomials of slice k-1 (m
+  variables), so a column index alone tells a parent.
+- The rank of a span does not depend on the order of its vectors, so
+  the order changes no rank.
+A block still open after pass 2 holds all of its columns, so its rank is
+the exact rank of N_nu: a deficient block (at a critical b) counts its
+exact deficit, nu_c's included, whose span is kept when the other blocks
+are opened.
 
 The scan builds its own module from (mu, b) and only the J columns it
 needs.  Detection and closure read whole action matrices, so they take a
@@ -66,8 +83,10 @@ metric power eta^r becomes unreachable.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from fractions import Fraction
 from functools import lru_cache
+from math import comb
 from operator import sub
 from typing import Dict, List, Optional, Tuple
 
@@ -192,7 +211,10 @@ def _j_span_rank(mod: ConformalModule, level: int) -> int:
     are counted (`_dominant_dims`), the other blocks are opened too, nu_c's
     span is kept, and the exact deficit is counted.  Only the columns
     J_i(u) of open blocks are built, label by label, and only while the
-    block is open."""
+    block is open: first the parent columns, u with no variable before
+    position i, which are one per basis vector of the block and form
+    b I + C with C free of b, so they close it unless -b is an eigenvalue
+    of C; then, to the blocks still open, the other columns."""
     dv = mod.dim_v
     below = mod.weight_classes(level)
     sources: Dict[Twice, List[int]] = {}
@@ -209,28 +231,39 @@ def _j_span_rank(mod: ConformalModule, level: int) -> int:
             ])
         return hit
 
+    m = mod.num_vars
+    # label i's parent sources, those with no variable before position i,
+    # are the last C(level + m-i-1, m-i-1) monomials of the slice
+    cuts = [mod.slice_dim(level) - comb(level + m - i - 1, m - i - 1) * dv for i in range(m)]
+
     def fill(dims: Dict[Twice, int]) -> Dict[Twice, EchelonBasis]:
         """Open the blocks nu of dimension dims[nu] and feed them their
-        columns; return the blocks still open after the last label, each
-        holding all of its columns."""
+        parent columns, then, to the blocks still open, the rest; return the
+        blocks still open after the last label, each holding all of its
+        columns."""
         blocks = {nu: EchelonBasis() for nu in dims}
-        for lbl, d in zip(mod.j_labels, mod.var_weights()):
-            if not blocks:
-                break
-            cols: List[int] = []
-            ends: List[Tuple[Twice, int]] = []  # block nu owns cols[previous end:end]
-            for nu in blocks:
-                cols.extend(sources_of(tuple(map(sub, nu, d))))
-                ends.append((nu, len(cols)))
-            vecs = mod.action_columns(lbl, level, cols)
-            start = 0
-            for nu, end in ends:
-                span = blocks[nu]
-                for vec in sorted(filter(None, vecs[start:end]), key=len):
-                    if span.add(vec) and span.rank == dims[nu]:
-                        del blocks[nu]  # rank N_nu = dim M_nu, its largest
-                        break
-                start = end
+        for parents in (True, False):
+            for lbl, d, cut in zip(mod.j_labels, mod.var_weights(), cuts):
+                if not blocks:
+                    return blocks
+                cols: List[int] = []
+                ends: List[Tuple[Twice, int]] = []  # block nu owns cols[previous end:end]
+                for nu in blocks:
+                    src = sources_of(tuple(map(sub, nu, d)))
+                    at = bisect_left(src, cut)
+                    cols.extend(src[at:] if parents else src[:at])
+                    ends.append((nu, len(cols)))
+                if not cols:
+                    continue
+                vecs = mod.action_columns(lbl, level, cols)
+                start = 0
+                for nu, end in ends:
+                    span = blocks[nu]
+                    for vec in sorted(filter(None, vecs[start:end]), key=len):
+                        if span.add(vec) and span.rank == dims[nu]:
+                            del blocks[nu]  # rank N_nu = dim M_nu, its largest
+                            break
+                    start = end
         return blocks
 
     top = mod.mu.twice  # slice level+1 lies in the class of mu + (level+1) e_1

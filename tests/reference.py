@@ -7,9 +7,28 @@ from typing import Callable, Dict, FrozenSet, Iterator, List, Optional, Sequence
 
 from oconf import spectral
 from oconf.linalg import EchelonBasis, SparseMat, vectors_contained_in_span
-from oconf.mixed import ConformalModule
+from oconf.mixed import ConformalModule, ExtendedOp, _embed
 from oconf.reducibility import SubmoduleWitness
 from oconf.weights import Spectrum, WeightVec
+
+
+def transpose(M: SparseMat) -> SparseMat:
+    """The transpose: each entry's key swapped along with the shape."""
+    return SparseMat(M.cols, M.rows, {(j, i): v for (i, j), v in M.data.items()})
+
+
+def poly_eval(coeffs: Sequence[Fraction], x: Fraction) -> Fraction:
+    """sum_i coeffs[i] x^i, by Horner's rule."""
+    acc = Fraction(0)
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
+
+
+def embed_of(mod: ConformalModule, label: str) -> ExtendedOp:
+    """The embedding of one of the module's generators, the one object that
+    every module of its series and rank shares, whatever its b."""
+    return _embed(mod.n, mod.series, label)
 
 
 def is_canonical(v) -> bool:

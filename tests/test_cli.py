@@ -170,7 +170,7 @@ def test_caps_are_checked_before_any_slice_is_built(capsys, monkeypatch):
     for argv in (["scan", "--series", "D", "--n", "3", "--b", "1", "--max-degree", "400"],
                  ["harmonic", "--series", "D", "--n", "2", "--k", "400"],
                  ["t-operator", "--series", "D", "--mu", "1,0", "--b", "1", "--k", "400"]):
-        assert main(argv) == 2, argv
+        assert main(argv) == 3, argv
         assert capsys.readouterr().err.startswith("cap exceeded: slice dimension "), argv
 
 
@@ -258,7 +258,7 @@ def test_scan_checks_slice_cap_before_any_degree(capsys, monkeypatch):
     monkeypatch.setattr(oconf.reducibility, "_j_span_rank", no_work)
     rc = main(["scan", "--mu", "1,0", "--b", "1/3", "--max-degree", "17"])
     captured = capsys.readouterr()
-    assert rc == 2
+    assert rc == 3
     assert captured.out == ""
     assert captured.err == "cap exceeded: slice dimension 4560 at degree 17 exceeds cap 4096\n"
 
@@ -266,7 +266,7 @@ def test_scan_checks_slice_cap_before_any_degree(capsys, monkeypatch):
 def test_exceeded_irrep_cap_is_labelled(capsys):
     rc = main(["build-irrep", "--mu", "2,0", "--cap", "5"])
     captured = capsys.readouterr()
-    assert rc == 2 and captured.out == ""
+    assert rc == 3 and captured.out == ""
     assert captured.err == "cap exceeded: dim V(mu) = 9 exceeds cap 5\n"
 
 
@@ -293,12 +293,15 @@ def test_build_irrep_json_matches_golden(capsys):
     ("scan-B-1_2-1_2-b-1-deg7.json", ["--series", "B", "--mu", "1/2,1/2", "--b", "-1", "--max-degree", "7"], 1),
     ("scan-D-1_0-b8_7-deg12.json", ["--series", "D", "--mu", "1,0", "--b", "8/7", "--max-degree", "12"], 0),
     ("scan-D-0_0-b0-deg4.json", ["--series", "D", "--n", "2", "--b", "0", "--max-degree", "4"], 1),
+    ("scan-D-1_0-b1-deg3.json", ["--series", "D", "--mu", "1,0", "--b", "1", "--max-degree", "3"], 1),
 ])
 def test_scan_json_matches_golden(capsys, golden, argv, code):
     # byte for byte: every slice full at a generic b, deficient from degree 1
     # at b = 1, deficient only at the top degree, full up to a top slice of
-    # dimension 1,820, and the mu=0, b=0 records that the suite reads as the
-    # quotient by the constants (34 of 35 at degree 4)
+    # dimension 1,820, the mu=0, b=0 records that the suite reads as the
+    # quotient by the constants (34 of 35 at degree 4), and b = 1 again to
+    # degree 3, full there although the parent columns of the least
+    # dominant block fall short of it
     rc, out = run(capsys, ["scan", *argv, "--format", "json"])
     assert rc == code
     assert out == (Path(__file__).resolve().parent / "golden" / golden).read_text()

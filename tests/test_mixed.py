@@ -20,7 +20,7 @@ from oconf.ortho import build_conformal, theta_images
 from oconf.poly import DiffOp, Poly, bracket
 from oconf.reducibility import _dominant_dims, _dominant_orbit_size
 from oconf.weights import parse_weight, zero_weight
-from reference import integral_fraction_ops, is_canonical, slice_weights
+from reference import embed_of, integral_fraction_ops, is_canonical, slice_weights
 
 F = Fraction
 
@@ -249,10 +249,10 @@ def reference_action_matrix(mod, label, k):
     small_labels = mod.small.labels()
     for mi, e in enumerate(monos):
         col = mi * dv
-        for de, c in mod.embed_of(label).field.apply(Poly.monomial(mod.num_vars, e)).terms.items():
+        for de, c in embed_of(mod, label).field.apply(Poly.monomial(mod.num_vars, e)).terms.items():
             for r in range(dv):
                 add((tindex[de] * dv + r, col + r), c)
-        for ge, central, coeffs in mod.embed_of(label).central_orthogonal_split(mod.small):
+        for ge, central, coeffs in embed_of(mod, label).central_orthogonal_split(mod.small):
             row = tindex[tuple(a + g for a, g in zip(e, ge))] * dv
             for r in range(dv):
                 add((row + r, col + r), central * mod.b)
@@ -282,7 +282,7 @@ def test_b_independent_structure_is_shared_across_b():
     assert second.conf is first.conf and second.small is first.small
     assert build_conformal(2, "D") is build_conformal(2, "D")
     for label in second.conf.labels():
-        assert second.embed_of(label) is first.embed_of(label)
+        assert embed_of(second, label) is embed_of(first, label)
     for k in range(4):
         for label in second.conf.labels():
             assert second.action_matrix(label, k) == reference_action_matrix(second, label, k), (label, k)

@@ -620,15 +620,20 @@ def test_the_least_dominant_block_decides_each_slice():
 def test_a_certified_block_asks_for_no_more_columns(monkeypatch):
     # D(1,0) at b = 1/3 to degree 8: the J columns that land in dominant
     # blocks, against those the scan asks for; every slice is full, so the
-    # scan opens only the block of the least dominant weight of each slice
+    # scan opens only the block of the least dominant weight nu_c of each
+    # slice, and its parent columns close it: one per basis vector of the
+    # block, dim M_nu_c in all
     mu, b, deg = parse_weight("1,0", "D"), F(1, 3), 8
     mod = ConformalModule(mu, b)
-    reach = 0
+    reach, dims_c = 0, []
     for level in range(deg):
-        dominant = {nu for nu in reference.slice_weights(mod, level + 1) if _dominant_orbit_size("D", nu)}
+        weights = reference.slice_weights(mod, level + 1)
+        dims_c.append(weights.count(minimal_dominant_twice("D", weights[0])))
+        dominant = {nu for nu in weights if _dominant_orbit_size("D", nu)}
         for d in mod.var_weights():
             targets = [tuple(a + c for a, c in zip(w, d)) for w in reference.slice_weights(mod, level)]
             reach += sum(t in dominant for t in targets)
+    assert dims_c == [4, 5, 8, 9, 12, 13, 16, 17]
     asked = []
     columns = ConformalModule.action_columns
 
@@ -638,7 +643,43 @@ def test_a_certified_block_asks_for_no_more_columns(monkeypatch):
 
     monkeypatch.setattr(ConformalModule, "action_columns", counted)
     assert surjectivity_scan(mu, b, deg).verdict == f"irreducible-up-to-{deg}"
-    assert (sum(asked), reach) == (130, 1572)
+    assert (sum(asked), reach) == (sum(dims_c), 1572) == (84, 1572)
+
+
+def test_parent_columns_short_of_the_block_fall_back_to_every_column(monkeypatch):
+    # D(1,0) at b = 1, degree 3: the parent columns of nu_c's block, one per
+    # basis vector x^a (x) v_r, J_i(x^(a - u_i) (x) v_r) with i the first
+    # variable of a, span only 6 of its 8 dimensions, since -b is an
+    # eigenvalue of their b-free part; the scan asks for the other columns
+    # of the block and still finds the slice full, as full elimination does
+    mu, b, level = parse_weight("1,0", "D"), F(1), 2
+    mod = ConformalModule(mu, b)
+    weights = reference.slice_weights(mod, level + 1)
+    nu_c = minimal_dominant_twice("D", weights[0])
+    block = [i for i, w in enumerate(weights) if w == nu_c]
+    dv, index = mod.dim_v, mod.mono_index(level)
+    parents = []
+    for i in block:
+        a, r = mod.monomials_of(level + 1)[i // dv], i % dv
+        v = next(t for t, x in enumerate(a) if x > 0)
+        src = index[a[:v] + (a[v] - 1,) + a[v + 1:]] * dv + r
+        col = mod.action_matrix(mod.j_labels[v], level).col_vectors()[src]
+        parents.append({q: c for q, c in col.items() if q in block})
+    assert (len(block), rank_of_rows(parents)) == (8, 6)
+
+    asked = []
+    columns = ConformalModule.action_columns
+
+    def counted(self, label, k, cols):
+        asked.append(len(cols))
+        return columns(self, label, k, cols)
+
+    monkeypatch.setattr(ConformalModule, "action_columns", counted)
+    fresh = ConformalModule(mu, b)
+    assert _j_span_rank(fresh, level) == _j_span_rank_by_elimination(mod, level) == 80 == mod.slice_dim(3)
+    assert sum(asked) > len(block)
+    scan = surjectivity_scan(mu, b, 3)
+    assert (scan.records[-1].rank, scan.records[-1].dim) == (80, 80)
 
 
 def test_only_a_deficient_slice_counts_every_dominant_block(monkeypatch):
