@@ -60,9 +60,8 @@ from .mixed import (
 )
 from .spectral import (
     closed_form_charpoly,
-    invariant_t_matrix,
     omega_tilde_matrix,
-    t_operator_sweep,
+    t_identity,
     t_scalar,
     verify_charpoly_lemma,
     verify_t_operator,

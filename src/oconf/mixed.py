@@ -290,12 +290,11 @@ class ConformalModule:
     mono_index(k)[e] * dim V + r.
     """
 
-    def __init__(self, mu: WeightVec, b, slice_cap: int = DEFAULT_SLICE_CAP):
+    def __init__(self, mu: WeightVec, b):
         self.mu = mu
         self.series = mu.series
         self.n = mu.n
         self.b = canon(Fraction(b))
-        self.slice_cap = slice_cap
         self.conf = build_conformal(self.n, self.series)
         self.num_vars = self.conf.num_vars
         self.small = build_ortho(natural_dim(self.series, self.n))
@@ -364,10 +363,10 @@ class ConformalModule:
         return hit
 
     def check_cap(self, k: int):
-        """Raise CapExceeded if slice k is larger than the cap; builds nothing."""
+        """Raise CapExceeded if slice k is larger than DEFAULT_SLICE_CAP; builds nothing."""
         d = self.slice_dim(k)
-        if d > self.slice_cap:
-            raise CapExceeded(f"slice dimension {d} at degree {k} exceeds cap {self.slice_cap}")
+        if d > DEFAULT_SLICE_CAP:
+            raise CapExceeded(f"slice dimension {d} at degree {k} exceeds cap {DEFAULT_SLICE_CAP}")
 
     def degree_shift(self, label: str) -> int:
         if label.startswith("d_"):

@@ -7,19 +7,26 @@ compared against the closed-form spectrum predicted by the Pieri
 decomposition.  The two routes are independent: one goes through explicit
 representation matrices and exact Hessenberg charpoly, the other through
 weight combinatorics only.
+
+The invariant T = sum_i (J_i x_{n+i} + J_{n+i} x_i) (+ J_0 x_0 for the odd
+series) is proved once per (n, series) to be (2b + c + k) eta on slice k of
+every A (x) V(mu), c = 2 - 2n (D) or 1 - 2n (B), by `_t_form`: its o(n) part
+cancels monomial by monomial (J_i x_{n+i} against J_{n+i} x_i), so V(mu) drops out.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import lcm
-from typing import Dict, List, Tuple
+from types import SimpleNamespace
+from typing import Dict, List, Optional, Tuple
 
 from .linalg import SparseMat, charpoly, rank_of_rows
 from .irreps import CapExceeded, build_irrep, casimir_matrix, tensor_with_natural
-from .mixed import ConformalModule
-from .poly import Poly
-from .ortho import casimir_terms
+from .mixed import ConformalModule, _split
+from .poly import DiffOp, Poly
+from .ortho import build_conformal, casimir_terms
 from .weights import (
     Spectrum,
     WeightVec,
@@ -107,65 +114,41 @@ def verify_charpoly_lemma(mu: WeightVec) -> Dict[str, object]:
     }
 
 
-def _t_terms(mod: ConformalModule) -> List[Tuple[str, int]]:
+def _t_terms(n: int, series: str) -> List[Tuple[str, int]]:
     """T's terms (J label, position of the variable it multiplies):
     J_i x_{n+i} and J_{n+i} x_i, plus J_0 x_0 for the odd series."""
-    n = mod.n
-    terms = [("J_0", 0)] if mod.series == "B" else []
+    terms = [("J_0", 0)] if series == "B" else []
     for i in range(1, n + 1):
         terms += [(f"J_{i}", n + i), (f"J_{n + i}", i)]
-    return [(label, mod.conf.var_pos(idx)) for label, idx in terms]
+    conf = build_conformal(n, series)
+    return [(label, conf.var_pos(idx)) for label, idx in terms]
 
 
-def _check_degree(k: int):
-    if k < 0:
-        raise ValueError(f"slice degree k must be >= 0, got {k}")
-
-
-def invariant_t_matrix(mod: ConformalModule, k: int) -> SparseMat:
-    """T = sum_i (J_i x_{n+i} + J_{n+i} x_i) (+ J_0 x_0 for the odd series)
-    as a map from slice k to slice k+2.
-
-    Multiplying by x_idx only relabels: it sends x^e (x) v in slice k to
-    x^(e + u_idx) (x) v.  So column x^e (x) v of M x_idx is column
-    x^(e + u_idx) (x) v of J_i's matrix M on slice k+1, and T reads only
-    the columns of M at monomials divisible by x_idx.  Just those are built
-    (`ConformalModule.action_columns`), each sent back to its slice-k
-    column; no whole slice-(k+1) matrix is built or stored.
-    """
-    _check_degree(k)
-    dv = mod.dim_v
-    monos_up = mod.monomials_of(k + 1)
-    index = mod.mono_index(k)
-
-    def entries():
-        for label, pos in _t_terms(mod):
-            cols: List[int] = []  # slice-(k+1) columns divisible by x_idx
-            dest: List[int] = []  # the slice-k column each is sent back to
-            for m1, e in enumerate(monos_up):
-                if e[pos]:
-                    m0 = index[e[:pos] + (e[pos] - 1,) + e[pos + 1:]]
-                    cols.extend(range(m1 * dv, m1 * dv + dv))
-                    dest.extend(range(m0 * dv, m0 * dv + dv))
-            for col, vec in zip(dest, mod.action_columns(label, k + 1, cols)):
-                for row, v in vec.items():
-                    yield (row, col), v
-
-    return SparseMat.from_entries(mod.slice_dim(k + 2), mod.slice_dim(k), entries())
-
-
-def central_t_matrix(mod: ConformalModule, k: int) -> SparseMat:
-    """T_C, the b-coefficient of T: T is linear in the action matrices, so
-    T at b is T at the module's own charge plus (b - mod.b) T_C.
-
-    The b-coefficient of J_i multiplies by its central polynomial p_i
-    (`ConformalModule.central_poly`), so T_C multiplies by the single
-    polynomial sum_i p_i x_idx, from slice k to slice k+2."""
-    _check_degree(k)
-    q = Poly.zero(mod.num_vars)
-    for label, pos in _t_terms(mod):
-        q = q + mod.central_poly(label) * Poly.var(mod.num_vars, pos)
-    return mod.mult_matrix(q, k)  # J_i has central polynomial x_i, so q != 0
+@lru_cache(maxsize=None)
+def _t_form(n: int, series: str) -> Optional[Tuple[Fraction, Fraction, Fraction]]:
+    """(s_b, s_k, s_0) with T = (s_b b + s_k k + s_0) eta on slice k of every
+    A (x) V(mu) at every b, else None.  J_r x_r' is its field part (x) 1
+    plus, per monomial, b central + orthogonal parts from `mixed._split`,
+    the data the module's action is built from; D is the Euler operator."""
+    conf = build_conformal(n, series)
+    nv = conf.num_vars
+    field, central, ortho = DiffOp.zero(nv), Poly.zero(nv), {}  # ortho: (exponent, o(n) index) -> coefficient
+    for label, pos in _t_terms(n, series):
+        field = field + conf.op(label) @ DiffOp.mult(Poly.var(nv, pos))
+        for e, c, coeffs in _split(n, series, label):
+            e = e[:pos] + (e[pos] + 1,) + e[pos + 1:]
+            central = central + Poly.monomial(nv, e, c)
+            for s, v in coeffs.items():
+                ortho[e, s] = ortho.get((e, s), 0) + v
+    eta = conf.eta()
+    m, c = next(iter(eta.terms.items()))  # the scalars are read at one monomial of eta
+    s_b = Fraction(central.terms.get(m, 0), c)
+    s_0 = Fraction(field.apply(Poly.const(nv, 1)).terms.get(m, 0), c)  # D 1 = 0
+    s_k = Fraction(field.apply(Poly.var(nv, 0)).terms.get((m[0] + 1,) + m[1:], 0), c) - s_0  # D x_0 = x_0
+    euler = conf.op("D").scale(s_k) + DiffOp.identity(nv).scale(s_0)
+    if any(ortho.values()) or central != eta.scale(s_b) or field != DiffOp.mult(eta) @ euler:
+        return None
+    return s_b, s_k, s_0
 
 
 def t_scalar(mod: ConformalModule, k: int) -> Fraction:
@@ -175,51 +158,20 @@ def t_scalar(mod: ConformalModule, k: int) -> Fraction:
     return 2 * mod.b - 2 * mod.n + k + 1
 
 
-# T on slice k lands in slice k + 2, so `verify_t_operator` (`oconf
-# t-operator`) allows slices twice the module default.
-T_SLICE_CAP = 8192
+def t_identity(n: int, series: str) -> bool:
+    """T == t_scalar * eta on every slice at every b: `_t_form` equals
+    t_scalar's coefficients, read at (b, k) = (0, 0), (1, 0), (0, 1)."""
+    def s(b, k):
+        return t_scalar(SimpleNamespace(series=series, n=n, b=Fraction(b)), k)
+    return _t_form(n, series) == (s(1, 0) - s(0, 0), s(0, 1) - s(0, 0), s(0, 0))
 
 
 def verify_t_operator(mu: WeightVec, b, k: int) -> Dict[str, object]:
-    """T == t_scalar * eta on slice k: the sweep at the module's own b."""
-    mod = ConformalModule(mu, b, slice_cap=T_SLICE_CAP)
-    match = t_operator_sweep(mod, k, [mod.b])[mod.b]
-    return {
-        "mu": str(mu),
-        "series": mu.series,
-        "b": str(mod.b),
-        "k": k,
-        "scalar": str(t_scalar(mod, k)),
-        "match": match,
-    }
-
-
-def t_operator_sweep(base: ConformalModule, k: int, bs) -> Dict[Fraction, bool]:
-    """T == t_scalar * eta on slice k at every b in bs, from one module.
-
-    Both sides are affine in b: T(b) = T0 + (b - b0) T_C, and the scalar
-    is s(b) = s(b0) + (b - b0) slope, the slope read off `t_scalar` in the
-    module at b0 + 1 (which builds no slice for it).  So T(b) - s(b) eta =
-    E0 + (b - b0) E_C with the b-free parts E0 = T0 - s(b0) eta and
-    E_C = T_C - slope eta, and each b is answered exactly by whether
-    E0 + (b - b0) E_C is the zero matrix.  Only these two differences are
-    built; no T(b) and no multiple of eta per b.  The slope, T_C and E_C
-    are built only when some b differs from b0, so a sweep at b0 alone
-    (`verify_t_operator`) builds E0 only.
-
-    The degree and the caps are checked before anything is built: slice
-    k + 1, whose J columns T reads, then slice k + 2, where T lands.
-    """
-    _check_degree(k)
-    base.check_cap(k + 1)
-    base.check_cap(k + 2)
-    b0 = base.b
-    bs = [Fraction(b) for b in bs]
-    eta_mult = base.mult_matrix(base.conf.eta(), k)
-    s0 = t_scalar(base, k)
-    E0 = invariant_t_matrix(base, k).add_scaled(eta_mult, -s0)
-    if all(b == b0 for b in bs):
-        return {b: E0.is_zero() for b in bs}
-    slope = t_scalar(ConformalModule(base.mu, b0 + 1, base.slice_cap), k) - s0
-    EC = central_t_matrix(base, k).add_scaled(eta_mult, -slope)
-    return {b: E0.add_scaled(EC, b - b0).is_zero() for b in bs}
+    """T == t_scalar * eta on slice k of A (x) V(mu) at b, by `_t_form` at
+    this b and k.  The module only validates mu and gives t_scalar its b."""
+    mod = ConformalModule(mu, b)
+    if k < 0:
+        raise ValueError(f"slice degree k must be >= 0, got {k}")
+    scalar, form = t_scalar(mod, k), _t_form(mod.n, mod.series)
+    match = form is not None and scalar == form[0] * mod.b + form[1] * k + form[2]
+    return {"mu": str(mu), "series": mu.series, "b": str(mod.b), "k": k, "scalar": str(scalar), "match": match}

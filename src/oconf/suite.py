@@ -140,14 +140,10 @@ def check_t_operator() -> Tuple[bool, str]:
     ok = True
     bs = [Fraction(0), Fraction(1), Fraction(1, 3)]
     for mu in [parse_weight("1,0", "D"), parse_weight("1,0", "B")]:
-        # one module per k for every b: T(b) = T(0) + b T_C
-        match = {k: spectral.t_operator_sweep(mixed.ConformalModule(mu, 0), k, bs)
-                 for k in range(0, 5)}
-        for b in bs:
-            for k in range(0, 5):
-                ok &= match[k][b]
-                if not match[k][b]:
-                    bits.append(f"{mu.series} {mu} b={b} k={k}: FAIL")
+        fails = [f"{mu.series} {mu} b={b} k={k}: FAIL" for b in bs for k in range(0, 5)
+                 if not spectral.verify_t_operator(mu, b, k)["match"]]
+        ok &= not fails
+        bits += fails
         bits.append(f"{mu.series} {mu}: k<=4, b in {{0,1,1/3}} ok")
     return ok, "; ".join(bits)
 

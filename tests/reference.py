@@ -201,7 +201,7 @@ def t_operator_sweep(mu: WeightVec, k: int, bs: Sequence) -> Dict[Fraction, bool
     b: T(b) by `t_matrix` and the whole multiple of eta, compared."""
     out = {}
     for b in bs:
-        mod = ConformalModule(mu, b, slice_cap=spectral.T_SLICE_CAP)
+        mod = ConformalModule(mu, b)
         eta = mod.mult_matrix(mod.conf.eta(), k)
         out[Fraction(b)] = t_matrix(mod, k) == eta.scale(spectral.t_scalar(mod, k))
     return out

@@ -168,10 +168,22 @@ def test_caps_are_checked_before_any_slice_is_built(capsys, monkeypatch):
 
     monkeypatch.setattr(mixed, "monomial_basis", bounded)
     for argv in (["scan", "--series", "D", "--n", "3", "--b", "1", "--max-degree", "400"],
-                 ["harmonic", "--series", "D", "--n", "2", "--k", "400"],
-                 ["t-operator", "--series", "D", "--mu", "1,0", "--b", "1", "--k", "400"]):
+                 ["harmonic", "--series", "D", "--n", "2", "--k", "400"]):
         assert main(argv) == 3, argv
         assert capsys.readouterr().err.startswith("cap exceeded: slice dimension "), argv
+
+
+def test_t_operator_builds_no_slice(capsys, monkeypatch):
+    # T's verdict is an identity in the operators, so no degree is refused
+    from oconf import mixed
+
+    def spy(nv, k):
+        raise AssertionError(f"built the monomials of degree {k}")
+
+    monkeypatch.setattr(mixed, "monomial_basis", spy)
+    rc, out = run(capsys, ["t-operator", "--series", "D", "--mu", "1,0", "--b", "1", "--k", "400"])
+    assert rc == 0
+    assert "T == scalar * eta: True" in out
 
 
 def test_harmonic_verb(capsys):
@@ -304,6 +316,17 @@ def test_scan_json_matches_golden(capsys, golden, argv, code):
     # dominant block fall short of it
     rc, out = run(capsys, ["scan", *argv, "--format", "json"])
     assert rc == code
+    assert out == (Path(__file__).resolve().parent / "golden" / golden).read_text()
+
+
+@pytest.mark.parametrize("golden,argv", [
+    ("t-operator-D-1_0-b2-k1.json", ["--series", "D", "--mu", "1,0", "--b", "2", "--k", "1"]),
+    ("t-operator-B-1_2-1_2-b1_3-k2.json", ["--series", "B", "--mu", "1/2,1/2", "--b", "1/3", "--k", "2"]),
+])
+def test_t_operator_json_matches_golden(capsys, golden, argv):
+    # byte for byte: the README example and a spin module at a rational b
+    rc, out = run(capsys, ["t-operator", *argv, "--format", "json"])
+    assert rc == 0
     assert out == (Path(__file__).resolve().parent / "golden" / golden).read_text()
 
 

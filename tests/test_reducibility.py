@@ -314,7 +314,8 @@ def test_generation_checks_slice_cap_before_any_degree(generate, monkeypatch):
     def spy(nv, k):
         raise AssertionError(f"built the monomials of degree {k}")
 
-    mod = ConformalModule(zero_weight("D", 2), F(1), slice_cap=20)
+    mod = ConformalModule(zero_weight("D", 2), F(1))
+    monkeypatch.setattr(mixed, "DEFAULT_SLICE_CAP", 20)
     monkeypatch.setattr(mixed, "monomial_basis", spy)
     with pytest.raises(CapExceeded, match="slice dimension 35 at degree 4 exceeds cap 20"):
         generate(mod, 4)
@@ -534,17 +535,18 @@ def test_every_cap_raises_cap_exceeded(monkeypatch):
     monkeypatch.setattr(spectral, "TENSOR_CAP", 15)
     with pytest.raises(CapExceeded, match="tensor dimension 16 exceeds cap 15"):
         omega_tilde_matrix(mu)
-    with pytest.raises(CapExceeded, match="slice dimension 40 at degree 2 exceeds cap 39"):
-        ConformalModule(mu, F(1), slice_cap=39).action_matrix("J_1", 1)
     with pytest.raises(CapExceeded, match="slice dimension 5456 at degree 30 exceeds cap 4096"):
         harmonic_decompose(30, 2, "D")
+    monkeypatch.setattr(mixed, "DEFAULT_SLICE_CAP", 39)
+    with pytest.raises(CapExceeded, match="slice dimension 40 at degree 2 exceeds cap 39"):
+        ConformalModule(mu, F(1)).action_matrix("J_1", 1)
 
     def spy(nv, k):
         raise AssertionError(f"built the monomials of degree {k}")
 
     monkeypatch.setattr(mixed, "monomial_basis", spy)  # a whole matrix too checks before it builds
     with pytest.raises(CapExceeded, match="slice dimension 40 at degree 2 exceeds cap 39"):
-        ConformalModule(mu, F(1), slice_cap=39).action_matrix("A_{1,1}", 2)
+        ConformalModule(mu, F(1)).action_matrix("A_{1,1}", 2)
 
 
 def _j_span_rank_by_elimination(mod, level):

@@ -8,12 +8,11 @@ from oconf import spectral
 from oconf.irreps import build_irrep, omega_matrix, tensor_with_natural
 from oconf.linalg import SparseMat, charpoly
 from oconf.mixed import ConformalModule
+from oconf.poly import DiffOp, Poly
 from oconf.spectral import (
-    central_t_matrix,
     closed_form_charpoly,
-    invariant_t_matrix,
     omega_tilde_matrix,
-    t_operator_sweep,
+    t_identity,
     t_scalar,
     verify_charpoly_lemma,
     verify_t_operator,
@@ -102,88 +101,119 @@ def test_eigenspace_dimensions_match_pieri_weyl_dims():
     assert r["eigenspace_dims"] == {"1/2": 16, "-2": 4}
 
 
+@pytest.mark.parametrize("series,n", [("D", 2), ("D", 3), ("D", 4), ("B", 1), ("B", 2), ("B", 3)])
+def test_t_identity_holds(series, n):
+    assert t_identity(n, series)
+
+
 @pytest.mark.parametrize("series", ["D", "B"])
 @pytest.mark.parametrize("b", [F(0), F(1), F(-1), F(1, 3), F(7, 2)])
 def test_t_operator_scalar_identity(series, b):
+    # n = 2: the scalar is 2b + 2 - 2n + k (D) or 2b - 2n + k + 1 (B)
     mu = parse_weight("1,0", series)
-    mod = ConformalModule(mu, b, slice_cap=8192)
     for k in range(0, 5):
-        T = invariant_t_matrix(mod, k)
-        eta_mult = mod.mult_matrix(mod.conf.eta(), k)
-        assert T == eta_mult.scale(t_scalar(mod, k)), (series, b, k)
+        r = verify_t_operator(mu, b, k)
+        assert r["match"] is True and r["scalar"] == str(2 * b + k - (2 if series == "D" else 3)), (series, b, k)
 
 
 @pytest.mark.parametrize("series,mus", [("D", "1,0"), ("B", "1,0"), ("B", "1/2,1/2"), ("D", "1,0,0")])
 @pytest.mark.parametrize("b", [F(0), F(1, 3), F(-11, 7)])
 def test_t_assembly_matches_product_reference(series, mus, b):
-    mu = parse_weight(mus, series)
-    mod = ConformalModule(mu, b, slice_cap=8192)
+    # end to end: T as whole J matrices of the module times x
+    # multiplications is t_scalar times eta, as the identity proves
+    mod = ConformalModule(parse_weight(mus, series), b)
     for k in range(4):
-        T = invariant_t_matrix(mod, k)
-        assert T.data == reference.t_matrix(mod, k).data, (series, mus, b, k)
-        assert (T.rows, T.cols) == (mod.slice_dim(k + 2), mod.slice_dim(k))
-
-
-@pytest.mark.parametrize("series,mus", [("D", "1,0"), ("B", "1,0"), ("B", "1/2,1/2")])
-def test_t_is_affine_in_b(series, mus):
-    # T(b) = T(b0) + (b - b0) T_C, entry for entry
-    mu = parse_weight(mus, series)
-    base = ConformalModule(mu, F(3, 7), slice_cap=8192)
-    for k in range(4):
-        T0, TC = invariant_t_matrix(base, k), central_t_matrix(base, k)
-        for b in [F(0), F(1), F(-11, 7), F(3, 7)]:
-            fresh = invariant_t_matrix(ConformalModule(mu, b, slice_cap=8192), k)
-            assert T0.add_scaled(TC, b - base.b).data == fresh.data, (b, k)
-
-
-@pytest.mark.parametrize("series", ["D", "B"])
-def test_t_operator_sweep_matches_single_b_verification(series):
-    mu = parse_weight("1,0", series)
-    # b = 1 - k/2 (D) and b = (3 - k)/2 (B) make the predicted scalar vanish
-    bs = [F(0), F(1), F(1, 3), F(-1, 2), F(1, 2)]
-    for k in range(3):
-        sweep = t_operator_sweep(ConformalModule(mu, F(0), slice_cap=8192), k, bs)
-        assert sweep == {b: verify_t_operator(mu, b, k)["match"] for b in bs}
-        assert all(sweep.values())
+        eta = mod.mult_matrix(mod.conf.eta(), k)
+        assert reference.t_matrix(mod, k) == eta.scale(t_scalar(mod, k)), (series, mus, b, k)
 
 
 SWEEP_BS = [F(0), F(1), F(1, 3), F(-1, 2), F(1, 2), F(-11, 7)]
 
 
 @pytest.mark.parametrize("series", ["D", "B"])
-def test_t_operator_sweep_matches_fresh_modules(series):
-    # the sweep compares E0 + (b - b0) E_C with zero; the reference builds
-    # T and the multiple of eta whole, in a fresh module per b
-    mu = parse_weight("1,0", series)
-    for b0 in [F(0), F(3, 7)]:
-        for k in range(3):
-            sweep = t_operator_sweep(ConformalModule(mu, b0, slice_cap=8192), k, SWEEP_BS)
-            assert sweep == reference.t_operator_sweep(mu, k, SWEEP_BS), (b0, k)
-            assert all(sweep.values())
-
-
-@pytest.mark.parametrize("series", ["D", "B"])
 def test_t_operator_sweep_sees_a_wrong_scalar(series, monkeypatch):
-    # the slope comes from t_scalar, so a scalar off by a constant fails at
-    # every b, and one off by (b - 1) holds at b = 1 only
+    # the verb swept over b agrees with whole matrices in a fresh module per
+    # b: a scalar off by a constant or by (b - 1) fails t_identity, which
+    # reads t_scalar at b = 0, 1; one off by b (b - 1) passes it, and the
+    # verb, which checks its own b too, still fails at every other b
     mu = parse_weight("1,0", series)
     right = spectral.t_scalar
-    for wrong, want in [
-        (lambda mod, k: right(mod, k) + 1, {b: False for b in SWEEP_BS}),
-        (lambda mod, k: right(mod, k) + mod.b - 1, {b: b == 1 for b in SWEEP_BS}),
+    for wrong, identity, want in [
+        (lambda mod, k: right(mod, k) + 1, False, {b: False for b in SWEEP_BS}),
+        (lambda mod, k: right(mod, k) + mod.b - 1, False, {b: b == 1 for b in SWEEP_BS}),
+        (lambda mod, k: right(mod, k) + mod.b * (mod.b - 1), True, {b: b in (0, 1) for b in SWEEP_BS}),
     ]:
         monkeypatch.setattr(spectral, "t_scalar", wrong)
+        for n in ([2, 3, 4] if series == "D" else [1, 2, 3]):
+            assert t_identity(n, series) is identity, n
         for k in range(3):
-            sweep = t_operator_sweep(ConformalModule(mu, F(0), slice_cap=8192), k, SWEEP_BS)
-            assert sweep == want == reference.t_operator_sweep(mu, k, SWEEP_BS), k
+            got = {b: verify_t_operator(mu, b, k)["match"] for b in SWEEP_BS}
+            assert got == want == reference.t_operator_sweep(mu, k, SWEEP_BS), k
 
 
-def test_t_assembly_stores_no_action_matrix():
-    # T reads only the J columns at monomials divisible by its variable
-    mod = ConformalModule(parse_weight("1,0", "B"), F(1, 3), slice_cap=8192)
-    for k in range(3):
-        assert invariant_t_matrix(mod, k).data == reference.t_matrix(ConformalModule(mod.mu, mod.b), k).data
-    assert not mod._act
+@pytest.fixture
+def fresh_t_form():
+    # _t_form is cached per rank: a patched T is proved afresh, and forgotten
+    spectral._t_form.cache_clear()
+    yield
+    spectral._t_form.cache_clear()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_t_identity_needs_the_j0_term(n, monkeypatch, fresh_t_form):
+    right = spectral._t_terms
+    monkeypatch.setattr(spectral, "_t_terms", lambda n, series: [t for t in right(n, series) if t[0] != "J_0"])
+    assert not t_identity(n, "B")
+
+
+# Each bend below changes one part of T only, away from the monomial of eta
+# that `_t_form` reads its scalars at (x_1 x_3 for D n=2, x_0^2 for B n=1),
+# so only the check of that part can see it.
+BENT_RANKS = [("D", 2), ("B", 1)]
+
+
+@pytest.mark.parametrize("series,n", BENT_RANKS)
+def test_t_identity_needs_the_orthogonal_parts_to_cancel(series, n, monkeypatch, fresh_t_form):
+    # one more o(n) coefficient in J_1's first monomial: V(mu) no longer drops out
+    right = spectral._split
+
+    def split(n, series, label):
+        out = list(right(n, series, label))
+        if label == "J_1":
+            e, c, coeffs = out[0]
+            out[0] = (e, c, {**coeffs, 0: coeffs.get(0, 0) + 1})
+        return out
+
+    monkeypatch.setattr(spectral, "_split", split)
+    assert not t_identity(n, series)
+
+
+@pytest.mark.parametrize("series,n", BENT_RANKS)
+def test_t_identity_needs_the_central_part_on_eta(series, n, monkeypatch, fresh_t_form):
+    # J_n's central coefficients doubled: b enters off the line of eta
+    right = spectral._split
+    label_n = f"J_{n}"
+    monkeypatch.setattr(spectral, "_split", lambda n, series, label: [
+        (e, 2 * c if label == label_n else c, coeffs) for e, c, coeffs in right(n, series, label)])
+    assert not t_identity(n, series)
+
+
+@pytest.mark.parametrize("series,n", BENT_RANKS)
+def test_t_identity_needs_the_field_part_on_eta(series, n, monkeypatch, fresh_t_form):
+    # J_n plus multiplication by the first variable: T's field part gains
+    # the product of that variable with x_{2n}, which eta does not contain
+    conf = spectral.build_conformal(n, series)
+    x = DiffOp.mult(Poly.var(conf.num_vars, 0))
+
+    class Bent:
+        def __getattr__(self, name):
+            return getattr(conf, name)
+
+        def op(self, label):
+            return conf.op(label) + x if label == f"J_{n}" else conf.op(label)
+
+    monkeypatch.setattr(spectral, "build_conformal", lambda n, series: Bent())
+    assert not t_identity(n, series)
 
 
 @pytest.mark.parametrize("k", [-1, -3])
@@ -191,57 +221,28 @@ def test_t_operator_rejects_negative_degree(k):
     mu = parse_weight("1,0", "D")
     with pytest.raises(ValueError, match="k must be >= 0"):
         verify_t_operator(mu, F(1), k)
-    with pytest.raises(ValueError, match="k must be >= 0"):
-        invariant_t_matrix(ConformalModule(mu, F(1)), k)
 
 
-def test_t_operator_sweep_checks_caps_before_building(monkeypatch):
-    # the degree, then slice k + 1, then slice k + 2, before any monomial
+def test_verify_t_operator_reads_the_identity(monkeypatch):
+    # no slice is built, however high k is
     from oconf import mixed
-    from oconf.irreps import CapExceeded
 
     def spy(nv, k):
         raise AssertionError(f"built the monomials of degree {k}")
 
+    mu = parse_weight("1,0", "B")
+    scalar = str(t_scalar(ConformalModule(mu, F(1, 3)), 2))
     monkeypatch.setattr(mixed, "monomial_basis", spy)
-    mu = parse_weight("1,0", "D")
-    with pytest.raises(ValueError, match="k must be >= 0, got -1"):
-        t_operator_sweep(ConformalModule(mu, F(1)), -1, [F(1)])
-    with pytest.raises(CapExceeded, match="slice dimension 52976 at degree 41 exceeds cap 8192"):
-        verify_t_operator(mu, F(1), 40)
-    # D(1,0): slice 3 has dim 80 and slice 4 has dim 140
-    with pytest.raises(CapExceeded, match="slice dimension 140 at degree 4 exceeds cap 100"):
-        t_operator_sweep(ConformalModule(mu, F(1), slice_cap=100), 2, [F(1)])
-
-
-def test_verify_t_operator_reads_the_sweep():
-    mu = parse_weight("1,0", "B")
     r = verify_t_operator(mu, F(1, 3), 2)
-    assert r == {"mu": "1,0", "series": "B", "b": "1/3", "k": 2,
-                 "scalar": str(t_scalar(ConformalModule(mu, F(1, 3)), 2)), "match": True}
-
-
-def test_single_b_t_operator_builds_no_central_part(monkeypatch):
-    # at the module's own b the slope term is multiplied by 0, so the verb
-    # builds no T_C; the suite's sweep over three b still does
-    from oconf import suite
-
-    def spy(mod, k):
-        raise AssertionError("built T_C")
-
-    monkeypatch.setattr(spectral, "central_t_matrix", spy)
-    mu = parse_weight("1,0", "B")
-    assert verify_t_operator(mu, F(1, 3), 2)["match"]
-    assert t_operator_sweep(ConformalModule(mu, F(1, 3)), 2, [F(1, 3), F(1, 3)]) == {F(1, 3): True}
-    with pytest.raises(AssertionError, match="built T_C"):
-        suite.check_t_operator()
+    assert r == {"mu": "1,0", "series": "B", "b": "1/3", "k": 2, "scalar": scalar, "match": True}
+    assert verify_t_operator(mu, F(1, 3), 400)["match"]
 
 
 def test_t_scalar_examples():
     # D n=2, b=1, k=0: 2b+2-2n+k = 0, so T vanishes
     mod = ConformalModule(parse_weight("1,0", "D"), F(1))
     assert t_scalar(mod, 0) == 0
-    assert invariant_t_matrix(mod, 0).is_zero()
+    assert reference.t_matrix(mod, 0).is_zero()
     # D n=2, b=2, k=1: scalar 3; B n=2, b=2, k=1: scalar 2
     assert t_scalar(ConformalModule(parse_weight("1,0", "D"), F(2)), 1) == 3
     assert t_scalar(ConformalModule(parse_weight("1,0", "B"), F(2)), 1) == 2
