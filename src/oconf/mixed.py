@@ -68,25 +68,25 @@ class ExtendedOp:
         return hit
 
     def bracket(self, other: "ExtendedOp") -> "ExtendedOp":
-        """[d1+A1, d2+A2] = [d1,d2] + [A1,A2] + d1(A2) - d2(A1)."""
+        """[d1+A1, d2+A2] = [d1,d2] + [A1,A2] + d1(A2) - d2(A1), the gl
+        entries listed per exponent and each matrix built once from them."""
         nv = self.num_vars
         fld = dbracket(self.field, other.field)
-        gl: Dict[Exps, SparseMat] = {}
+        gl: Dict[Exps, List[Tuple[Tuple[int, int], Fraction]]] = {}
 
-        def acc(e: Exps, M: SparseMat):
-            cur = gl.get(e)
-            gl[e] = M if cur is None else cur + M
+        def acc(e: Exps, M: SparseMat, c):
+            gl.setdefault(e, []).extend((key, c * v) for key, v in M.data.items())
 
         for e1, M1 in self.gl.items():
             for e2, M2 in other.gl.items():
-                acc(tuple(a + b for a, b in zip(e1, e2)), M1.bracket(M2))
+                acc(tuple(map(add, e1, e2)), M1.bracket(M2), 1)
         for e2, M2 in other.gl.items():
             for de, c in self._field_image(e2).terms.items():
-                acc(de, M2.scale(c))
+                acc(de, M2, c)
         for e1, M1 in self.gl.items():
             for de, c in other._field_image(e1).terms.items():
-                acc(de, M1.scale(-c))
-        return ExtendedOp(nv, fld, gl)
+                acc(de, M1, -c)
+        return ExtendedOp(nv, fld, {e: SparseMat.from_entries(nv, nv, entries) for e, entries in gl.items()})
 
     def central_orthogonal_split(self, ob: OrthoBasis) -> List[Tuple[Exps, Fraction, Dict[int, Fraction]]]:
         """Per monomial: (exponent, central coefficient, orthogonal coefficients).
@@ -105,21 +105,23 @@ class ExtendedOp:
 
 
 def shen_embed(xi: DiffOp) -> ExtendedOp:
-    """The mixed-product extension of a polynomial vector field."""
+    """The mixed-product extension of a polynomial vector field.
+
+    Each (exponent, i, j) entry is d_i(f_j) at one monomial, so it is set
+    once, and each gl matrix is built once from its entries."""
     if not xi.is_vector_field():
         raise ValueError("mixed-product embedding is defined for vector fields only")
     nv = xi.num_vars
-    gl: Dict[Exps, SparseMat] = {}
+    gl: Dict[Exps, Dict[Tuple[int, int], Fraction]] = {}
     for j in range(nv):
         fj = xi.coefficient_of_partial(j)
         if fj.is_zero():
             continue
         for i in range(nv):
-            dfj = fj.diff(i)
-            for e, c in dfj.terms.items():
-                M = gl.setdefault(e, SparseMat(nv, nv))
-                gl[e] = M + SparseMat(nv, nv, {(i, j): c})
-    return ExtendedOp(nv, xi, gl)
+            for e, c in fj.diff(i).terms.items():
+                gl.setdefault(e, {})[(i, j)] = c
+    # the entries are nonzero canonical Poly coefficients inside nv x nv
+    return ExtendedOp(nv, xi, {e: SparseMat._trusted(nv, nv, data) for e, data in gl.items()})
 
 
 def shen_closed_forms(n: int, series: str) -> Dict[str, ExtendedOp]:

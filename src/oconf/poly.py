@@ -17,6 +17,17 @@ either order, so they cancel exactly, whatever the operators' orders.  Each
 nonzero sum v becomes one v / (den_a * den_b) at the end, so the result is
 exact and in normal order.
 
+Inside the kernel every exponent tuple, of a monomial or of a derivative,
+is one packed int: entry i sits in bits [i * _BITS, (i + 1) * _BITS).
+Adding or subtracting two packed ints then adds or subtracts the tuples
+entry by entry, provided no field carries or borrows.  The kernel only ever
+adds two exponents of its operands (e1 + e2 - gamma, b1 + b2 - gamma) and
+only subtracts a gamma <= b1, e2 entry by entry, so a borrow cannot happen,
+and a carry cannot happen while every operand exponent is at most
+_EXP_LIMIT = 2^(_BITS - 1) - 1: each sum is then below 2^_BITS.  An operand
+with a larger (or a negative) exponent is refused with a ValueError before
+anything is packed.  The result is unpacked to tuples once per term.
+
 Every coefficient is canonical, as in `linalg` (`canon`): an int when it is
 integral, else a Fraction with denominator > 1; a float is rejected.  So
 v / den above is v // den when den divides v and Fraction(v, den)
@@ -29,7 +40,6 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 from math import comb, lcm, perm
-from operator import add, sub
 from typing import Dict, List, Optional, Tuple
 
 from .linalg import canon
@@ -316,65 +326,99 @@ class DiffOp:
         return " + ".join(bits)
 
 
-_ScaledTerms = List[Tuple[Exps, List[Tuple[Exps, int]]]]
-_Acc = Dict[Exps, Dict[Exps, int]]
+_ScaledTerms = List[Tuple[int, List[Tuple[int, int]]]]
+_Acc = Dict[int, Dict[int, int]]
+
+_BITS = 16  # field width of one packed exponent (module docstring)
+_EXP_LIMIT = (1 << (_BITS - 1)) - 1
+_MASK = (1 << _BITS) - 1
+
+
+def _pack(e: Exps) -> int:
+    """The exponent tuple e as one int, entry i in field i; raises
+    ValueError for an entry outside 0 .. _EXP_LIMIT, which could carry."""
+    v = 0
+    for i, a in enumerate(e):
+        if not 0 <= a <= _EXP_LIMIT:
+            raise ValueError(f"exponent {e} has an entry outside 0..{_EXP_LIMIT}, "
+                             f"which the composition kernel cannot pack")
+        v |= a << (i * _BITS)
+    return v
+
+
+def _unpack(v: int, shifts: range) -> Exps:
+    """The exponent tuple packed in v, one entry per shift in `shifts`."""
+    return tuple([(v >> s) & _MASK for s in shifts])
 
 
 def _scaled_terms(op: DiffOp) -> Tuple[int, _ScaledTerms]:
     """(den, terms): den is the lcm of the coefficient denominators and terms
-    lists (beta, [(exponent, den * coefficient)]) with integer values.
-    Computed once per operator and kept in its `_scaled` slot."""
+    lists (beta, [(exponent, den * coefficient)]) with integer values and
+    packed exponents.  Computed once per operator and kept in its `_scaled`
+    slot."""
     hit = op._scaled
     if hit is None:
         den = lcm(*(c.denominator for p in op.terms.values() for c in p.terms.values()))
-        hit = op._scaled = den, [(beta, [(e, c.numerator * (den // c.denominator)) for e, c in p.terms.items()])
+        hit = op._scaled = den, [(_pack(beta), [(_pack(e), c.numerator * (den // c.denominator))
+                                                for e, c in p.terms.items()])
                                  for beta, p in op.terms.items()]
     return hit
 
 
 @lru_cache(maxsize=4096)
-def _leibniz(b1: Exps, e2: Exps) -> Tuple[Tuple[Exps, Exps, int], ...]:
+def _leibniz(b1: int, e2: int) -> Tuple[Tuple[int, int, int], ...]:
     """d^b1 x^e2 = sum_gamma k x^(e2 - gamma) d^(b1 - gamma) over gamma <= b1, e2,
     with k = prod_i C(b1_i, g_i) (e2_i)_(g_i), (e)_(g) the falling factorial;
-    as (gamma, e2 - gamma, k) triples."""
+    as packed (gamma, e2 - gamma, k) triples, gamma = 0 first and in the
+    lexicographic order of the gamma tuples."""
+    # per field: the (packed g, factor) choices; a field where b1 or e2 is
+    # 0 allows only g = 0, so the choices stop at the last field both reach
+    fields = []
+    shift = 0
+    while b1 >> shift and e2 >> shift:
+        b, e = (b1 >> shift) & _MASK, (e2 >> shift) & _MASK
+        fields.append([(g << shift, comb(b, g) * perm(e, g)) for g in range(min(b, e) + 1)])
+        shift += _BITS
     out = []
-    for gamma in product(*[range(min(b, e) + 1) for b, e in zip(b1, e2)]):
-        k = 1
-        for b, e, g in zip(b1, e2, gamma):
-            if g:
-                k *= comb(b, g) * perm(e, g)
-        out.append((gamma, tuple(map(sub, e2, gamma)), k))
+    for choice in product(*fields):
+        gamma, k = 0, 1
+        for g, f in choice:
+            gamma += g
+            k *= f
+        out.append((gamma, e2 - gamma, k))
     return tuple(out)
 
 
 def _compose_into(acc: _Acc, left: _ScaledTerms, right: _ScaledTerms, sign: int, first: int = 0):
     """Add sign * (left . right) into acc, by one Leibniz pass per
     (b1, b2, e2): p1 d^b1 . c2 x^e2 d^b2 = sum_gamma k c2 p1 x^(e2 - gamma)
-    d^(b1 + b2 - gamma).  first = 1 leaves out the gamma = 0 term, which
-    `_leibniz` lists first."""
+    d^(b1 + b2 - gamma), all exponents packed.  first = 1 leaves out the
+    gamma = 0 term, which `_leibniz` lists first."""
     for b1, p1 in left:
         for b2, p2 in right:
-            b12 = tuple(map(add, b1, b2))
+            b12 = b1 + b2
             for e2, c2 in p2:
                 c2 *= sign
                 for gamma, de, k in _leibniz(b1, e2)[first:]:
                     k *= c2
-                    beta = tuple(map(sub, b12, gamma))
+                    beta = b12 - gamma
                     out = acc.get(beta)
                     if out is None:
                         out = acc[beta] = {}
                     for e1, c1 in p1:
-                        m = tuple(map(add, e1, de))
+                        m = e1 + de
                         out[m] = out.get(m, 0) + c1 * k
 
 
 def _finish(num_vars: int, acc: _Acc, den: int) -> DiffOp:
     """The DiffOp with coefficients acc / den, zero terms dropped."""
+    shifts = range(0, num_vars * _BITS, _BITS)
     terms = {}
     for beta, ints in acc.items():
-        coeffs = {m: v // den if v % den == 0 else Fraction(v, den) for m, v in ints.items() if v}
+        coeffs = {_unpack(m, shifts): v // den if v % den == 0 else Fraction(v, den)
+                  for m, v in ints.items() if v}
         if coeffs:
-            terms[beta] = Poly._trusted(num_vars, coeffs)
+            terms[_unpack(beta, shifts)] = Poly._trusted(num_vars, coeffs)
     return DiffOp._trusted(num_vars, terms)
 
 

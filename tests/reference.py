@@ -8,6 +8,8 @@ from typing import Callable, Dict, FrozenSet, Iterator, List, Optional, Sequence
 from oconf import spectral
 from oconf.linalg import EchelonBasis, SparseMat, vectors_contained_in_span
 from oconf.mixed import ConformalModule, ExtendedOp, _embed
+from oconf.ortho import OrthoBasis
+from oconf.poly import DiffOp, Poly, bracket
 from oconf.reducibility import SubmoduleWitness
 from oconf.weights import Spectrum, WeightVec
 
@@ -29,6 +31,72 @@ def embed_of(mod: ConformalModule, label: str) -> ExtendedOp:
     """The embedding of one of the module's generators, the one object that
     every module of its series and rank shares, whatever its b."""
     return _embed(mod.n, mod.series, label)
+
+
+def chained_shen_embed(xi: DiffOp) -> ExtendedOp:
+    """The mixed-product extension xi + sum_{i,j} d_i(f_j) E_{i,j}, one
+    single-entry matrix added at a time."""
+    if not xi.is_vector_field():
+        raise ValueError("mixed-product embedding is defined for vector fields only")
+    nv = xi.num_vars
+    gl: Dict[Tuple[int, ...], SparseMat] = {}
+    for j in range(nv):
+        fj = xi.coefficient_of_partial(j)
+        if fj.is_zero():
+            continue
+        for i in range(nv):
+            for e, c in fj.diff(i).terms.items():
+                M = gl.setdefault(e, SparseMat(nv, nv))
+                gl[e] = M + SparseMat(nv, nv, {(i, j): c})
+    return ExtendedOp(nv, xi, gl)
+
+
+def chained_extended_bracket(a: ExtendedOp, b: ExtendedOp) -> ExtendedOp:
+    """[d1+A1, d2+A2] = [d1,d2] + [A1,A2] + d1(A2) - d2(A1), one whole-matrix
+    addition per term, each field image applied afresh."""
+    nv = a.num_vars
+    gl: Dict[Tuple[int, ...], SparseMat] = {}
+
+    def acc(e, M):
+        cur = gl.get(e)
+        gl[e] = M if cur is None else cur + M
+
+    for e1, M1 in a.gl.items():
+        for e2, M2 in b.gl.items():
+            acc(tuple(x + y for x, y in zip(e1, e2)), M1.bracket(M2))
+    for e2, M2 in b.gl.items():
+        for de, c in a.field.apply(Poly.monomial(nv, e2)).terms.items():
+            acc(de, M2.scale(c))
+    for e1, M1 in a.gl.items():
+        for de, c in b.field.apply(Poly.monomial(nv, e1)).terms.items():
+            acc(de, M1.scale(-c))
+    return ExtendedOp(nv, bracket(a.field, b.field), gl)
+
+
+def lead_scan_expand(ob: OrthoBasis, M: SparseMat) -> Dict[int, Fraction]:
+    """Coefficients of M in the basis, read at every lead position in basis
+    order; raises ValueError if M is not in the span."""
+    coeffs = {}
+    for pos, idx in ob._lead.items():
+        v = M.get(*pos)
+        if v != 0:
+            coeffs[idx] = v
+    recon = SparseMat(ob.m, ob.m)
+    for idx, c in coeffs.items():
+        recon = recon + ob.matrix(idx).scale(c)
+    if recon != M:
+        raise ValueError("matrix is not in the span of the orthogonal basis")
+    return coeffs
+
+
+def chained_theta(ob: OrthoBasis, images: Dict[str, DiffOp], M: SparseMat) -> DiffOp:
+    """theta(M) = sum_idx c_idx theta(X_idx), one whole-operator addition per
+    coefficient of M."""
+    nv = next(iter(images.values())).num_vars
+    out = DiffOp.zero(nv)
+    for idx, c in lead_scan_expand(ob, M).items():
+        out = out + images[ob.elements[idx].label].scale(c)
+    return out
 
 
 def is_canonical(v) -> bool:

@@ -330,6 +330,20 @@ def test_t_operator_json_matches_golden(capsys, golden, argv):
     assert out == (Path(__file__).resolve().parent / "golden" / golden).read_text()
 
 
+@pytest.mark.parametrize("verb,series,n", [
+    ("verify-brackets", "D", "2"), ("verify-brackets", "D", "3"),
+    ("verify-brackets", "B", "1"), ("verify-brackets", "B", "2"),
+    ("verify-theta", "D", "2"), ("verify-theta", "B", "2"),
+    ("verify-shen", "D", "2"), ("verify-shen", "B", "2"),
+])
+def test_verify_json_matches_golden(capsys, verb, series, n):
+    # byte for byte: verify-brackets prints the repr of both sides of every
+    # identity, so it pins the composition kernel's output term by term
+    rc, out = run(capsys, [verb, "--series", series, "--n", n, "--format", "json"])
+    assert rc == 0
+    assert out == (Path(__file__).resolve().parent / "golden" / f"{verb}-{series}-n{n}.json").read_text()
+
+
 def test_unwritable_output_is_a_usage_error(capsys, tmp_path):
     # a missing directory is not a failed check: exit 2, one line, no traceback
     path = tmp_path / "missing" / "x.json"

@@ -20,7 +20,14 @@ from oconf.ortho import build_conformal, theta_images
 from oconf.poly import DiffOp, Poly, bracket
 from oconf.reducibility import _dominant_dims, _dominant_orbit_size
 from oconf.weights import parse_weight, zero_weight
-from reference import embed_of, integral_fraction_ops, is_canonical, slice_weights
+from reference import (
+    chained_extended_bracket,
+    chained_shen_embed,
+    embed_of,
+    integral_fraction_ops,
+    is_canonical,
+    slice_weights,
+)
 
 F = Fraction
 
@@ -32,6 +39,49 @@ def test_embed_fixes_translations_and_shifts_euler():
         assert e.field == conf.op(f"d_{r}") and not e.gl
     eD = shen_embed(conf.op("D"))
     assert eD.gl == {(0, 0, 0, 0): SparseMat.identity(4)}
+
+
+def same_extended_op(got, want):
+    # equal, with the gl exponents in the same order and canonical entries
+    assert got == want and list(got.gl) == list(want.gl)
+    assert all(is_canonical(v) for M in got.gl.values() for v in M.data.values())
+
+
+@pytest.mark.parametrize("n,series", [(2, "D"), (3, "D"), (1, "B"), (2, "B")])
+def test_embedding_and_bracket_equal_the_chained_reference(n, series):
+    # one accumulator per matrix against one whole-matrix addition per entry
+    conf = build_conformal(n, series)
+    labels = conf.labels()
+    embeds = {lbl: shen_embed(conf.op(lbl)) for lbl in labels}
+    for lbl in labels:
+        want = chained_shen_embed(conf.op(lbl))
+        same_extended_op(embeds[lbl], want)
+        assert all(list(M.data) == list(want.gl[e].data) for e, M in embeds[lbl].gl.items())
+    for a in labels:
+        for b in labels:
+            same_extended_op(embeds[a].bracket(embeds[b]), chained_extended_bracket(embeds[a], embeds[b]))
+
+
+def random_vector_field(rng, nv):
+    """sum_i f_i d_i with random rational f_i of degree <= 3, some f_i zero."""
+    terms = {}
+    for i in range(nv):
+        if rng.random() < 0.3:
+            continue
+        coeffs = {tuple(rng.randint(0, 3) for _ in range(nv)): F(rng.randint(-6, 6), rng.choice([1, 2, 3, 4]))
+                  for _ in range(rng.randint(1, 4))}
+        terms[tuple(int(j == i) for j in range(nv))] = Poly(nv, coeffs)
+    return DiffOp(nv, terms)
+
+
+def test_embedding_of_random_vector_fields_equals_the_chained_reference():
+    rng = random.Random(808)
+    for _ in range(150):
+        nv = rng.randint(1, 4)
+        xi, zeta = random_vector_field(rng, nv), random_vector_field(rng, nv)
+        a, b = shen_embed(xi), shen_embed(zeta)
+        same_extended_op(a, chained_shen_embed(xi))
+        same_extended_op(a.bracket(b), chained_extended_bracket(a, b))
 
 
 def test_embed_rejects_non_vector_fields():

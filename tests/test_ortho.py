@@ -18,7 +18,7 @@ from oconf.ortho import (
     verify_theta_homomorphism,
 )
 from oconf.poly import DiffOp, bracket
-from reference import transpose
+from reference import chained_theta, lead_scan_expand, transpose
 
 F = Fraction
 
@@ -231,6 +231,46 @@ def test_theta_homomorphism_and_injectivity(n, series):
     r = verify_theta_homomorphism(n, series)
     assert r["ok"], r["failures"][:3]
     assert r["independent_images"]
+
+
+@pytest.mark.parametrize("n,series", [(2, "D"), (3, "D"), (1, "B"), (2, "B")])
+def test_theta_and_expand_equal_the_chained_reference(n, series):
+    # theta on every basis element and every bracket of two, against one
+    # whole-operator addition per coefficient; expand, key order included,
+    # against a read of every lead position
+    ob, conf, images = theta_images(n, series)
+    mats = [ob.matrix(i) for i in range(len(ob))]
+    for M in mats + [a.bracket(b) for a in mats for b in mats]:
+        assert list(ob.expand(M).items()) == list(lead_scan_expand(ob, M).items())
+        assert theta(ob, images, M) == chained_theta(ob, images, M)
+    combo = SparseMat(ob.m, ob.m)
+    for i, M in enumerate(mats):  # every image, so terms of images overlap
+        combo = combo + M.scale(F((-1) ** i * (i + 1), 3))
+        assert theta(ob, images, combo) == chained_theta(ob, images, combo)
+
+
+@pytest.mark.parametrize("n,series", [(2, "D"), (2, "B")])
+def test_a_bent_theta_image_reports_what_the_chained_check_reports(monkeypatch, n, series):
+    # one image off by a term: each failing pair, with the repr of its
+    # difference, is what the whole-operator additions produce
+    from oconf import ortho
+
+    right = ortho.theta_images
+    ob, conf, images = right(n, series)
+    bent_label = ob.elements[len(ob) // 3].label
+    bent = dict(images)
+    bent[bent_label] = images[bent_label] + conf.op("d_1").scale(F(1, 2))
+    monkeypatch.setattr(ortho, "theta_images", lambda n_, s_: (ob, conf, bent))
+    want = []
+    for i, ei in enumerate(ob.elements):
+        for j, ej in enumerate(ob.elements):
+            if i < j:
+                diff = chained_theta(ob, bent, ob.matrix(i).bracket(ob.matrix(j))) - bracket(bent[ei.label], bent[ej.label])
+                if not diff.is_zero():
+                    want.append({"identity": f"theta[{ei.label},{ej.label}]", "status": "fail", "diff": repr(diff)})
+    r = verify_theta_homomorphism(n, series)
+    assert want and not r["ok"]
+    assert r["failures"] == want
 
 
 def test_theta_linear_extension():

@@ -7,7 +7,7 @@ from math import comb, lcm, prod
 
 import pytest
 
-from oconf.poly import DiffOp, Poly, _scaled_terms, bracket, monomial_basis
+from oconf.poly import _BITS, _EXP_LIMIT, DiffOp, Poly, _leibniz, _scaled_terms, bracket, monomial_basis
 from reference import integral_fraction_ops, is_canonical
 
 
@@ -149,6 +149,16 @@ def test_bracket_is_the_difference_of_the_compositions(order):
         assert bracket(a, b) == a @ b - b @ a
 
 
+def packed(e):
+    """The exponent tuple e as one int: entry i in field i of _BITS bits."""
+    return sum(a << (i * _BITS) for i, a in enumerate(e))
+
+
+def unpacked(v, nv):
+    """The exponent tuple packed in v, inverse to `packed`."""
+    return tuple((v >> (i * _BITS)) & ((1 << _BITS) - 1) for i in range(nv))
+
+
 def test_scaled_terms_memo_equals_a_fresh_computation():
     rng = random.Random(31)
     for _ in range(60):
@@ -158,14 +168,31 @@ def test_scaled_terms_memo_equals_a_fresh_computation():
         assert _scaled_terms(op) is memo  # kept in the operator's slot
         fresh = DiffOp(nv, op.terms)  # an equal operator with no memo
         assert fresh._scaled is None and _scaled_terms(fresh) == memo
-        # den is the lcm of the denominators, and terms / den is the operator
+        # den is the lcm of the denominators, and terms / den, its packed
+        # exponents unpacked, is the operator
         assert den == lcm(*(c.denominator for c in coefficients(op)))
-        assert {beta: {e: Fraction(c, den) for e, c in p} for beta, p in terms} == {
+        assert all(type(beta) is int and all(type(e) is int for e, _ in p) for beta, p in terms)
+        assert {unpacked(beta, nv): {unpacked(e, nv): Fraction(c, den) for e, c in p} for beta, p in terms} == {
             beta: dict(p.terms) for beta, p in op.terms.items()}
         # derived operators start without a memo, and use of the memo
         # changes no product
         assert op.scale(2)._scaled is None and (op @ op)._scaled is None
         assert op @ fresh == leibniz_compose(op, op)
+
+
+def test_leibniz_memo_is_bounded_and_equals_the_tuple_formula():
+    assert _leibniz.cache_info().maxsize == 4096
+    rng = random.Random(12)
+    for _ in range(200):
+        nv = rng.randint(1, 4)
+        b1 = tuple(rng.randint(0, 3) for _ in range(nv))
+        e2 = tuple(rng.randint(0, 3) for _ in range(nv))
+        got = _leibniz(packed(b1), packed(e2))
+        want = []
+        for gamma in product(*[range(min(b, e) + 1) for b, e in zip(b1, e2)]):
+            k = prod(comb(b, g) * prod(range(e - g + 1, e + 1)) for b, e, g in zip(b1, e2, gamma))
+            want.append((gamma, tuple(e - g for e, g in zip(e2, gamma)), k))
+        assert [(unpacked(g, nv), unpacked(de, nv), k) for g, de, k in got] == want
 
 
 def test_composition_is_associative_and_normal_ordered():
@@ -260,6 +287,75 @@ def test_composition_matches_leibniz_reference():
     for a, b in cases[-200:]:
         f = random_poly(rng, a.num_vars, deg=4, terms=4)
         assert (a @ b).apply(f) == a.apply(b.apply(f))
+
+
+# exponents at and next to the packing limit; two limit entries side by side
+# sum to 2 * _EXP_LIMIT in each field, which a carry would spill over
+LIMIT_EXPONENTS = (0, 1, 2, _EXP_LIMIT - 1, _EXP_LIMIT)
+
+
+def limit_op(rng, nv, high_derivatives):
+    """Random operator with entries from LIMIT_EXPONENTS: in its monomials,
+    derivative orders <= 2, or, with high_derivatives, in its derivative
+    orders, monomial exponents <= 2.  Two operators of one kind compose
+    with at most a few gammas per Leibniz term, so the reference stays
+    cheap."""
+    def small():
+        return tuple(rng.randint(0, 2) for _ in range(nv))
+
+    def high():
+        return tuple(rng.choice(LIMIT_EXPONENTS) for _ in range(nv))
+
+    terms = {}
+    for _ in range(rng.randint(1, 3)):
+        coeffs = {}
+        for _ in range(rng.randint(1, 3)):
+            coeffs[small() if high_derivatives else high()] = Fraction(rng.randint(-5, 5), rng.choice([1, 2, 3]))
+        terms[high() if high_derivatives else small()] = Poly(nv, coeffs)
+    return DiffOp(nv, terms)
+
+
+@pytest.mark.parametrize("high_derivatives", [False, True])
+def test_composition_at_the_packing_limit_matches_leibniz_reference(high_derivatives):
+    rng = random.Random(61 + high_derivatives)
+    for _ in range(150):
+        nv = rng.randint(1, 4)
+        a, b = limit_op(rng, nv, high_derivatives), limit_op(rng, nv, high_derivatives)
+        ab, ba = leibniz_compose(a, b), leibniz_compose(b, a)
+        assert (a @ b).terms == ab.terms
+        assert bracket(a, b).terms == (ab - ba).terms
+    # every field at the limit on both sides: each sum is 2 * _EXP_LIMIT
+    for nv in (1, 2, 5):
+        top = (_EXP_LIMIT,) * nv
+        x_top, d_top = DiffOp.mult(Poly.monomial(nv, top)), DiffOp(nv, {top: Poly.const(nv, 1)})
+        assert x_top @ x_top == DiffOp.mult(Poly.monomial(nv, (2 * _EXP_LIMIT,) * nv))
+        assert d_top @ d_top == DiffOp(nv, {(2 * _EXP_LIMIT,) * nv: Poly.const(nv, 1)})
+        assert x_top @ d_top == DiffOp(nv, {top: Poly.monomial(nv, top)})
+
+
+def composes_exactly_or_raises(compute, reference):
+    try:
+        got = compute()
+    except ValueError:
+        return
+    assert got == reference()
+
+
+@pytest.mark.parametrize("e", [_EXP_LIMIT + 1, _EXP_LIMIT + 2, (1 << _BITS) - 1, 1 << _BITS, (1 << _BITS) + 3])
+def test_an_exponent_past_the_packing_limit_composes_exactly_or_raises(e):
+    # a carry out of one field would move degree into the next variable and
+    # give a plausible wrong operator; the kernel must not return one
+    for nv in (1, 2, 3):
+        for pos in range(nv):
+            big = tuple(e if i == pos else 1 for i in range(nv))
+            x_big = DiffOp.mult(Poly.monomial(nv, big, Fraction(1, 3)))
+            d_big = DiffOp(nv, {big: Poly.monomial(nv, (0,) * nv, 2)})
+            small = DiffOp(nv, {tuple(int(i == pos) for i in range(nv)): Poly.monomial(nv, (1,) * nv)})
+            for a, b in [(x_big, x_big), (d_big, d_big), (x_big, d_big), (d_big, small), (small, x_big)]:
+                composes_exactly_or_raises(lambda: a @ b, lambda: leibniz_compose(a, b))
+            for a, b in [(x_big, x_big), (d_big, d_big), (d_big, small)]:
+                composes_exactly_or_raises(
+                    lambda: bracket(a, b), lambda: leibniz_compose(a, b) - leibniz_compose(b, a))
 
 
 def coefficients(op):
