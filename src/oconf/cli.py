@@ -99,6 +99,8 @@ def cmd_verify_shen(args) -> int:
 
 
 def cmd_build_irrep(args) -> int:
+    if args.cap < 1:
+        return _fail_usage(f"--cap {args.cap} is below 1: V(mu) has dimension at least 1")
     mu = _parse_mu(args)
     V = build_irrep(mu, args.cap)
     rep = validate_irrep(V)

@@ -13,16 +13,21 @@ vector, for a dominant lambda smaller than mu:
 
 V(mu) occurs once in V(lambda) (x) W, so the raising operators have a
 one-dimensional common kernel on the tensor's weight-mu space.  Its vector
-generates V(mu) under the lowering operators, applied breadth-first.  Each
-weight keeps one echelon form of its vectors so far, every row augmented by
-a 1 in a column of its own, so one reduction of an image either shows it
-new (it becomes the weight's next vector) or gives its coordinates in that
-weight's vectors.  Those coordinates are a generator's matrix column: the
-lowering columns come out of the generation itself, and every other column
-is one more reduction against the target weight's echelon form.  The cost
-follows dim V(lambda) (x) W, not the size of a Verma module.  Everything is
-exact, and the kernel dimension, the Weyl dimension and every solve are
-checked.  This is uniform over integer and spin (half-integer) weights.
+v0 generates V(mu) under the lowering operators alone (U(g) v0 =
+U(n^-) v0 by PBW; Humphreys, GTM 9, 20.2), applied breadth-first.  Each
+weight keeps one echelon form of its vectors so far, every row augmented
+by a 1 in a column of its own, so one reduction of an image F_i u either
+shows it new (the weight's next vector, with parent u) or gives its
+coordinates: the lowering matrices' columns.  The other matrices need no
+tensor arithmetic.  A Cartan matrix holds the weights on its diagonal.  A
+simple E_s kills v0, and E_s F_i u = F_i (E_s u) + [E_s, F_i] u, where
+[E_s, F_i] has Cartan and lowering terms only (s is simple), so E_s's
+columns follow down the generation tree.  Each other raising matrix is one
+bracket, rho(E_a) = [rho(E_s), rho(E_b)] / c for [E_s, E_b] = c E_a, in
+order of height.  The cost follows dim V(lambda) (x) W, not the size of a
+Verma module.  Everything is exact, and the kernel and Weyl dimensions are
+checked (`validate_irrep` checks the matrices apart), uniformly over
+integer and spin (half-integer) weights.
 
 Weights are doubled ints inside (`WeightVec.twice`, and twice each root):
 the per-weight dicts are keyed by them and shifted by integer sums.  Only
@@ -36,7 +41,7 @@ from collections import Counter, deque
 from fractions import Fraction
 from functools import lru_cache
 from operator import add, sub
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .linalg import EchelonBasis, SparseMat, canon, nullspace_of_rows
 from .ortho import OrthoBasis, _root_height, build_ortho, casimir_terms
@@ -152,12 +157,13 @@ class _CyclicModule:
     vector of weight mu (mu nonzero and dominant; see the module docstring).
 
     `vecs[nu]` lists its basis vectors of doubled weight nu in the order
-    found (generator i moves a vector's weight by `shifts[i]`), and
-    `spans[nu]` holds them as one echelon form whose rows are augmented by a
-    1 in column `width` + (the vector's index), so `spans[nu].coordinates`
-    solves any image for its coordinates by a single reduction.  `lowered`
-    keeps, per vector, the coordinates of its lowering images, found while
-    generating; `irrep` reuses them for the matrices.
+    found (generator i moves a vector's weight by `shifts[i]`).  While
+    generating, one echelon form per weight, each row augmented by a 1 in a
+    column of its own past the tensor's, solves any image for its
+    coordinates by a single reduction; the forms are dropped at the end.
+    `lowered` keeps, per vector, the coordinates of its lowering images, and
+    `parents` the (weight, index, generator) of the vector it was found as
+    an image of (None for v0); `irrep` builds every matrix from these.
     """
 
     def __init__(self, mu: WeightVec):
@@ -179,7 +185,7 @@ class _CyclicModule:
         ambient = [tensor[el.label] for el in ob.elements]
         self.cols = cols = [M.col_vectors() for M in ambient]
         cartan = [ambient[t] for t in ob.cartan_indices()]
-        width = self.width = ambient[0].rows
+        width = ambient[0].rows
         at_top = [k for k in range(width) if tuple(doubled(h.get(k, k)) for h in cartan) == top]
 
         # highest-weight vectors of weight mu: the raising operators' common kernel
@@ -199,26 +205,28 @@ class _CyclicModule:
         # breadth-first lowering; an image that is no combination of its
         # weight's vectors so far becomes the next vector of that weight
         self.vecs: Dict[Twice, List[Dict[int, Fraction]]] = {top: [v0]}
-        self.spans: Dict[Twice, EchelonBasis] = {top: EchelonBasis([{**v0, width: 1}])}
+        spans: Dict[Twice, EchelonBasis] = {top: EchelonBasis([{**v0, width: 1}])}
         self.lowered: Dict[Twice, List[Dict[int, Dict[int, Fraction]]]] = {top: [{}]}
-        queue = deque([(top, v0, self.lowered[top][0])])
+        self.parents: Dict[Twice, List[Optional[Tuple[Twice, int, int]]]] = {top: [None]}
+        queue = deque([(top, 0)])
         # the doubled weight shift of each generator: twice its root
         self.shifts = [(0,) * mu.n if el.root is None else tuple(2 * c for c in el.root) for el in ob.elements]
         lowering = [(i, self.shifts[i]) for i, el in enumerate(ob.elements) if el.kind == "neg"]
         while queue:
-            nu, vec, known = queue.popleft()
+            nu, c = queue.popleft()
+            vec, known = self.vecs[nu][c], self.lowered[nu][c]
             for i, root in lowering:
                 image = self.act(i, vec)
                 target = tuple(map(add, nu, root))
-                span = self.spans.setdefault(target, EchelonBasis())
+                span = spans.setdefault(target, EchelonBasis())
                 coeffs = span.coordinates(image, width)
                 if coeffs is None:
                     k = span.rank
                     span.add({**image, width + k: 1})
                     self.vecs.setdefault(target, []).append(image)
-                    fresh: Dict[int, Dict[int, Fraction]] = {}
-                    self.lowered.setdefault(target, []).append(fresh)
-                    queue.append((target, image, fresh))
+                    self.lowered.setdefault(target, []).append({})
+                    self.parents.setdefault(target, []).append((nu, c, i))
+                    queue.append((target, k))
                     coeffs = {k: 1}
                 known[i] = coeffs
 
@@ -235,8 +243,9 @@ class _CyclicModule:
         return {r: v for r, v in out.items() if v}
 
     def irrep(self) -> IrrepData:
-        """V(mu) in the basis of `vecs`, by weight in decreasing order; each
-        generator's matrix column is the coordinates of a vector's image."""
+        """V(mu) in the basis of `vecs`, by weight in decreasing order, from
+        the generation's data alone (see the module docstring): no image is
+        computed and no vector reduced."""
         mu, ob = self.mu, self.ob
         dim = weyl_dim(mu)
         offsets: Dict[Twice, int] = {}
@@ -247,24 +256,69 @@ class _CyclicModule:
         if len(weights) != dim:
             raise AssertionError(f"constructed dimension {len(weights)} != Weyl dimension {dim}")
 
-        rep: Dict[str, SparseMat] = {}
-        for i, (el, shift) in enumerate(zip(ob.elements, self.shifts)):
+        def matrix(shift: Twice, images: Dict[Twice, List[Dict[int, Fraction]]]) -> SparseMat:
+            # images[nu][c]: vector c of weight nu's image, in the vectors of weight nu + shift
             data: Dict[Tuple[int, int], Fraction] = {}
             for nu, off in offsets.items():
-                target = tuple(map(add, nu, shift))
-                span = self.spans.get(target, EchelonBasis())
-                base = offsets.get(target)
-                for col, (vec, known) in enumerate(zip(self.vecs[nu], self.lowered[nu])):
-                    coeffs = known.get(i)
-                    if coeffs is None:
-                        coeffs = span.coordinates(self.act(i, vec), self.width)
-                        if coeffs is None:
-                            raise AssertionError(f"{el.label} maps a vector of weight "
-                                             f"{WeightVec.from_twice(mu.series, nu)} outside the cyclic submodule")
+                base = offsets.get(tuple(map(add, nu, shift)))
+                for col, coeffs in enumerate(images[nu], off):
                     for row, x in coeffs.items():
-                        data[(base + row, off + col)] = x
-            rep[el.label] = SparseMat(dim, dim, data)
-        return IrrepData(mu, dim, weights, rep, offsets[mu.twice], ob)
+                        data[(base + row, col)] = x
+            return SparseMat(dim, dim, data)
+
+        rep: Dict[int, SparseMat] = {}
+        cartan = ob.cartan_indices()
+        for ci, t in enumerate(cartan):
+            rep[t] = SparseMat(dim, dim, {(k, k): w.coords[ci] for k, w in enumerate(weights)})
+        lowering = [i for i, el in enumerate(ob.elements) if el.kind == "neg"]
+        for i in lowering:
+            rep[i] = matrix(self.shifts[i], {nu: [known[i] for known in found] for nu, found in self.lowered.items()})
+
+        # a simple E_s down the generation tree: E_s v0 = 0, and for v = F_i u
+        # E_s v = F_i (E_s u) + [E_s, F_i] u
+        simple = [s for s, el in enumerate(ob.elements)
+                  if el.kind == "pos" and _root_height(ob.series, ob.n, el.root) == 1]
+        for s in simple:
+            up, images = self.shifts[s], {}
+            for nu in offsets:  # decreasing, so every parent comes first
+                found = images[nu] = []
+                for parent in self.parents[nu]:
+                    out: Dict[int, Fraction] = {}
+                    if parent is not None:
+                        pnu, pc, i = parent
+                        above = self.lowered.get(tuple(map(add, pnu, up)))
+                        parts = [(x, above[r][i]) for r, x in images[pnu][pc].items()]
+                        for k, a in ob.bracket_coeffs(s, i):  # Cartan and lowering terms, as s is simple
+                            kind = ob.elements[k].kind
+                            if kind == "pos":
+                                raise AssertionError(f"[{ob.elements[s].label}, {ob.elements[i].label}] has a raising term")
+                            parts.append((canon(Fraction(a * pnu[cartan.index(k)], 2)), {pc: 1}) if kind == "cartan"
+                                         else (a, self.lowered[pnu][pc][k]))
+                        for x, col in parts:
+                            for r, y in col.items():
+                                p = canon(x * y)
+                                w = out.get(r)
+                                out[r] = p if w is None else canon(w + p)
+                    found.append({r: x for r, x in sorted(out.items()) if x})
+            rep[s] = matrix(up, images)
+
+        # every other E_a as [rho(E_s), rho(E_b)] / c for [E_s, E_b] = c E_a,
+        # in order of height, so rho(E_b) is known
+        roots = {el.root: i for i, el in enumerate(ob.elements)}
+        for a, el in enumerate(ob.elements):
+            if el.kind == "pos" and a not in rep:
+                for s in simple:
+                    b = roots.get(tuple(map(sub, el.root, ob.elements[s].root)))
+                    if b is not None:
+                        break
+                (k, c), = ob.bracket_coeffs(s, b)
+                if k != a:
+                    raise AssertionError(f"[{ob.elements[s].label}, {ob.elements[b].label}] is no multiple of {el.label}")
+                M = rep[s].bracket(rep[b]).scale(Fraction(1, c))
+                # stored column by column, rows ascending, as every other matrix
+                rep[a] = SparseMat._trusted(dim, dim, dict(sorted(M.data.items(), key=lambda e: e[0][::-1])))
+        return IrrepData(mu, dim, weights, {el.label: rep[i] for i, el in enumerate(ob.elements)},
+                         offsets[mu.twice], ob)
 
 
 @lru_cache(maxsize=None)

@@ -5,13 +5,13 @@ from fractions import Fraction
 from itertools import permutations, product
 from typing import Callable, Dict, FrozenSet, Iterator, List, Optional, Sequence, Set, Tuple
 
-from oconf import spectral
+from oconf import irreps, spectral
 from oconf.linalg import EchelonBasis, SparseMat, vectors_contained_in_span
 from oconf.mixed import ConformalModule, ExtendedOp, _embed
 from oconf.ortho import OrthoBasis
 from oconf.poly import DiffOp, Poly, bracket
 from oconf.reducibility import SubmoduleWitness
-from oconf.weights import Spectrum, WeightVec
+from oconf.weights import Spectrum, WeightVec, weyl_dim
 
 
 def transpose(M: SparseMat) -> SparseMat:
@@ -127,6 +127,40 @@ def solve_row_combination(rows: Sequence[Dict[int, Fraction]], target: Dict[int,
         return None  # inconsistent
     x = eb.kernel_vector({n: Fraction(-1)})
     return [x.get(i, Fraction(0)) for i in range(n)]
+
+
+def solved_irrep(mu: WeightVec) -> dict:
+    """`build_irrep(mu).to_json_dict()` with every matrix column solved in
+    the tensor: each basis vector of the cyclic module is acted on by each
+    generator, and its image reduced against the target weight's vectors,
+    kept as one echelon form per weight whose rows are augmented by a 1 in a
+    column of their own (the builder's column solve before its matrices were
+    derived from the lowering pass)."""
+    if mu.is_zero():
+        return irreps.build_irrep(mu).to_json_dict()
+    cyc = irreps._CyclicModule(mu)
+    ob, dim, width = cyc.ob, weyl_dim(mu), len(cyc.cols[0])
+    offsets: Dict[Tuple[int, ...], int] = {}
+    weights: List[WeightVec] = []
+    spans: Dict[Tuple[int, ...], EchelonBasis] = {}
+    for nu in sorted(cyc.vecs, reverse=True):
+        offsets[nu] = len(weights)
+        weights.extend([WeightVec.from_twice(mu.series, nu)] * len(cyc.vecs[nu]))
+        spans[nu] = EchelonBasis({**vec, width + k: 1} for k, vec in enumerate(cyc.vecs[nu]))
+    assert len(weights) == dim
+    rep = {}
+    for i, (el, shift) in enumerate(zip(ob.elements, cyc.shifts)):
+        data: Dict[Tuple[int, int], Fraction] = {}
+        for nu, off in offsets.items():
+            target = tuple(a + b for a, b in zip(nu, shift))
+            span, base = spans.get(target, EchelonBasis()), offsets.get(target)
+            for col, vec in enumerate(cyc.vecs[nu]):
+                coeffs = span.coordinates(cyc.act(i, vec), width)
+                assert coeffs is not None, f"{el.label} maps a vector of weight {nu} outside the cyclic submodule"
+                for row, x in coeffs.items():
+                    data[(base + row, off + col)] = x
+        rep[el.label] = SparseMat(dim, dim, data)
+    return irreps.IrrepData(mu, dim, weights, rep, offsets[mu.twice], ob).to_json_dict()
 
 
 def fraction_is_dominant(series: str, c: Sequence[Fraction]) -> bool:

@@ -45,6 +45,11 @@ def test_usage_errors_exit_2(capsys):
     assert rc == 2
     rc = main(["scan", "--series", "D", "--mu", "1,0"])  # missing --b
     assert rc == 2
+    capsys.readouterr()
+    for cap in ["-1", "0"]:  # no V(mu) fits: a usage error, not an exceeded cap
+        rc = main(["build-irrep", "--mu", "1,0", "--cap", cap])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: --cap {cap} is below 1: V(mu) has dimension at least 1\n"
     with pytest.raises(SystemExit) as exc:
         main(["no-such-verb"])
     assert exc.value.code == 2
@@ -297,6 +302,17 @@ def test_build_irrep_json_matches_golden(capsys):
     rc, out = run(capsys, ["build-irrep", "--series", "B", "--mu", "3/2,1/2", "--format", "json"])
     assert rc == 0
     assert out == golden.read_text()
+
+
+@pytest.mark.parametrize("golden,series,mu", [
+    ("build-irrep-B-1_1_0.json", "B", "1,1,0"),  # short roots, long raising chains
+    ("build-irrep-D-1_2-1_2-1_2--1_2.json", "D", "1/2,1/2,1/2,-1/2"),  # rank-4 spin
+    ("build-irrep-B-1_2.json", "B", "1/2"),  # B n=1: simple roots only
+])
+def test_more_build_irrep_json_matches_golden(capsys, golden, series, mu):
+    rc, out = run(capsys, ["build-irrep", "--series", series, "--mu", mu, "--format", "json"])
+    assert rc == 0
+    assert out == (Path(__file__).resolve().parent / "golden" / golden).read_text()
 
 
 @pytest.mark.parametrize("golden,argv,code", [

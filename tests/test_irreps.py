@@ -217,7 +217,9 @@ def test_tensor_character_matches_pieri(series, mus):
     assert tensor == summands
 
 
-@pytest.mark.parametrize("series,mus", LADDER)
+# the nonzero weights of the battery, and one of rank 4
+@pytest.mark.parametrize("series,mus", sorted(set(LADDER + [(s, w) for s, w in MU_BATTERY if w != "0,0"]
+                                                  + [("D", "1,1,1,1")])))
 def test_matrix_columns_match_reference_solve(series, mus):
     # each column holds the coordinates of a basis vector's image in the
     # vectors of the target weight, as a fresh transposed solve finds them
@@ -238,6 +240,44 @@ def test_matrix_columns_match_reference_solve(series, mus):
                 ref = solve_row_combination(cyc.vecs.get(target, []), cyc.act(i, vec))
                 assert ref is not None
                 assert cols[offsets[nu] + col] == {offsets[target] + r: x for r, x in enumerate(ref) if x}
+
+
+# the ladder and the battery (the suite's weights among them), rank 1 to 4
+# of both series, spin weights, short roots and long raising chains
+ORACLE = sorted(set(LADDER + MU_BATTERY + [
+    ("D", "2,2"), ("D", "3,1"), ("B", "5/2,3/2"), ("B", "1/2"), ("B", "1"),
+    ("D", "1,1,0"), ("D", "2,1,1"), ("B", "1,1,0"),
+    ("D", "1,1,1,1"), ("D", "1/2,1/2,1/2,1/2"), ("D", "1/2,1/2,1/2,-1/2"),
+    ("B", "1/2,1/2,1/2,1/2"), ("B", "1,1,0,0"),
+]))
+
+
+@pytest.mark.parametrize("series,mus", ORACLE)
+def test_matrices_equal_the_tensor_solve(series, mus):
+    # the matrices read off the lowering pass are those that solving every
+    # column in the tensor gives, in the same basis
+    mu = parse_weight(mus, series)
+    assert build_irrep(mu).to_json_dict() == reference.solved_irrep(mu)
+
+
+@pytest.mark.parametrize("series,mus", [("D", "2,1"), ("B", "3/2,1/2"), ("D", "1,1,1"), ("B", "1,0")])
+def test_a_bent_lowering_coordinate_breaks_the_homomorphism(series, mus):
+    # the Cartan and raising matrices are derived from the lowering columns,
+    # so a wrong lowering coordinate must not be hidden by matrices that
+    # agree with it: doubling any one of them fails the homomorphism check
+    cyc = irreps._CyclicModule(parse_weight(mus, series))
+    bends = [(coeffs, r) for found in cyc.lowered.values() for known in found
+             for coeffs in known.values() for r in coeffs]
+    assert bends
+    for coeffs, r in bends:
+        x = coeffs[r]
+        coeffs[r] = 2 * x
+        try:
+            report = validate_irrep(cyc.irrep())
+        finally:
+            coeffs[r] = x
+        assert not report["homomorphism_ok"], r
+    assert validate_irrep(cyc.irrep())["ok"]
 
 
 def test_construction_does_no_integral_fraction_arithmetic():
