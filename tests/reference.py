@@ -135,9 +135,8 @@ def solved_irrep(mu: WeightVec) -> dict:
     generator, and its image reduced against the target weight's vectors,
     kept as one echelon form per weight whose rows are augmented by a 1 in a
     column of their own (the builder's column solve before its matrices were
-    derived from the lowering pass)."""
-    if mu.is_zero():
-        return irreps.build_irrep(mu).to_json_dict()
+    derived from the lowering pass).  mu is nonzero: V(0) is no cyclic
+    module."""
     cyc = irreps._CyclicModule(mu)
     ob, dim, width = cyc.ob, weyl_dim(mu), len(cyc.cols[0])
     offsets: Dict[Tuple[int, ...], int] = {}
