@@ -24,10 +24,13 @@ simple E_s kills v0, and E_s F_i u = F_i (E_s u) + [E_s, F_i] u, where
 [E_s, F_i] has Cartan and lowering terms only (s is simple), so E_s's
 columns follow down the generation tree.  Each other raising matrix is one
 bracket, rho(E_a) = [rho(E_s), rho(E_b)] / c for [E_s, E_b] = c E_a, in
-order of height.  The cost follows dim V(lambda) (x) W, not the size of a
-Verma module.  Everything is exact, and the kernel and Weyl dimensions are
-checked (`validate_irrep` checks the matrices apart), uniformly over
-integer and spin (half-integer) weights.
+order of height.  A generator acts on the tensor factor by factor,
+X (w (x) v) = (X w) (x) v + w (x) (X v), from the columns of its two
+factors' matrices: no tensor-space matrix is ever formed.  The cost
+follows dim V(lambda) (x) W, not the size of a Verma module.  Everything
+is exact, and the kernel and Weyl dimensions are checked (`validate_irrep`
+checks the matrices apart), uniformly over integer and spin
+(half-integer) weights.
 
 Weights are doubled ints inside (`WeightVec.twice`, and twice each root):
 the per-weight dicts are keyed by them and shifted by integer sums.  Only
@@ -126,38 +129,20 @@ def _spin_rep(ob: OrthoBasis) -> Dict[str, SparseMat]:
 
 
 def _kron_sum(left: Dict[str, SparseMat], right: Dict[str, SparseMat]) -> Dict[str, SparseMat]:
-    """The diagonal action rho_l(X) (x) 1 + 1 (x) rho_r(X), left factor first.
-
-    Written by relabelling: an entry (i, j) of rho_l(X) lands at
-    (i*d + s, j*d + s) for every index s < d = dim of the right factor, an
-    entry (a, b) of rho_r(X) at (i*d + a, i*d + b) for every left index i.
-    The two terms meet only on the diagonal, where Cartan entries can cancel.
-    """
-    dim_l = next(iter(left.values())).rows
-    dim_r = next(iter(right.values())).rows
-    out = {}
-    for label, M in left.items():
-        data = {(i * dim_r + s, j * dim_r + s): v for (i, j), v in M.data.items() for s in range(dim_r)}
-        for i in range(0, dim_l * dim_r, dim_r):
-            for (a, b), v in right[label].data.items():
-                key = (i + a, i + b)
-                w = data.get(key)
-                w = v if w is None else canon(w + v)
-                if w:
-                    data[key] = w
-                else:
-                    del data[key]
-        # keys in bounds, and every zero sum was removed
-        out[label] = SparseMat._trusted(dim_l * dim_r, dim_l * dim_r, data)
-    return out
+    """The diagonal action rho_l(X) (x) 1 + 1 (x) rho_r(X), left factor first."""
+    eye_l = SparseMat.identity(next(iter(left.values())).rows)
+    eye_r = SparseMat.identity(next(iter(right.values())).rows)
+    return {label: M.kron(eye_r) + eye_l.kron(right[label]) for label, M in left.items()}
 
 
 class _CyclicModule:
     """The cyclic submodule of V(lambda) (x) W generated by its highest-weight
     vector of weight mu (mu nonzero and dominant; see the module docstring).
 
-    `vecs[nu]` lists its basis vectors of doubled weight nu in the order
-    found (generator i moves a vector's weight by `shifts[i]`).  While
+    `cols[i]` is generator i as its factors' columns, W's then V(lambda)'s;
+    `act` applies it factor by factor, so the tensor's matrices are never
+    formed.  `vecs[nu]` lists its basis vectors of doubled weight nu in the
+    order found (generator i moves a vector's weight by `shifts[i]`).  While
     generating, one echelon form per weight, each row augmented by a 1 in a
     column of its own past the tensor's, solves any image for its
     coordinates by a single reduction; the forms are dropped at the end.
@@ -181,12 +166,14 @@ class _CyclicModule:
             factor = _spin_rep(ob)
             step = [1] * (mu.n - 1) + [1 if top[-1] > 0 else -1]
             lam = WeightVec.from_twice(mu.series, tuple(map(sub, top, step)))
-        tensor = _kron_sum(factor, _build(lam).rep)
-        ambient = [tensor[el.label] for el in ob.elements]
-        self.cols = cols = [M.col_vectors() for M in ambient]
-        cartan = [ambient[t] for t in ob.cartan_indices()]
-        width = ambient[0].rows
-        at_top = [k for k in range(width) if tuple(doubled(h.get(k, k)) for h in cartan) == top]
+        inner = _build(lam)
+        # index a*d + s is w_a (x) v_s, of weight wt(w_a) + wt(v_s)
+        self.cols = [(factor[el.label].col_vectors(), inner.rep[el.label].col_vectors()) for el in ob.elements]
+        m, d = len(self.cols[0][0]), inner.dim
+        cartan = [factor[ob.elements[t].label] for t in ob.cartan_indices()]
+        at_top = [a * d + s for a in range(m) for s, w in enumerate(inner.weights)
+                  if tuple(doubled(h.get(a, a)) + c for h, c in zip(cartan, w.twice)) == top]
+        width = m * d
 
         # highest-weight vectors of weight mu: the raising operators' common kernel
         eqs: List[Dict[int, Fraction]] = []
@@ -194,7 +181,7 @@ class _CyclicModule:
             if el.kind == "pos":
                 rows: Dict[int, Dict[int, Fraction]] = {}
                 for p, k in enumerate(at_top):
-                    for r, v in cols[i][k].items():
+                    for r, v in self.act(i, {k: 1}).items():
                         rows.setdefault(r, {})[p] = v
                 eqs.extend(rows.values())
         kernel = nullspace_of_rows(eqs, len(at_top))
@@ -231,15 +218,23 @@ class _CyclicModule:
                 known[i] = coeffs
 
     def act(self, i: int, vec: Dict[int, Fraction]) -> Dict[int, Fraction]:
-        """Generator i of the tensor action applied to vec.  Every product
+        """Generator i of the tensor action applied to vec, factor by factor:
+        X (w_a (x) v_s) = (X w_a) (x) v_s + w_a (x) (X v_s).  Every product
         and partial sum is canonical, so no integral Fraction is added."""
         out: Dict[int, Fraction] = {}
-        cols = self.cols[i]
+        left, right = self.cols[i]
+        d = len(right)
         for k, x in vec.items():
-            for r, v in cols[k].items():
-                p = canon(x * v)
-                w = out.get(r)
-                out[r] = p if w is None else canon(w + p)
+            a, s = divmod(k, d)
+            base = k - s
+            for r, v in left[a].items():
+                key, p = r * d + s, canon(x * v)
+                w = out.get(key)
+                out[key] = p if w is None else canon(w + p)
+            for r, v in right[s].items():
+                key, p = base + r, canon(x * v)
+                w = out.get(key)
+                out[key] = p if w is None else canon(w + p)
         return {r: v for r, v in out.items() if v}
 
     def irrep(self) -> IrrepData:
@@ -449,22 +444,12 @@ def validate_irrep(V: IrrepData) -> Dict[str, object]:
     report["homomorphism_ok"] = not hom_fail
     report["homomorphism_failures"] = hom_fail
 
-    diag_ok = True
-    for ci, idx in enumerate(ob.cartan_indices()):
-        M = V.rep[labels[idx]]
-        for (r, c), v in M.data.items():
-            if r != c or v != V.weights[r].coords[ci]:
-                diag_ok = False
-    report["cartan_diagonal_ok"] = diag_ok
-
-    hw_ok = True
-    for i, el in enumerate(ob.elements):
-        if el.kind != "pos":
-            continue
-        col = {r for (r, c) in V.rep[el.label].data if c == V.highest}
-        if col:
-            hw_ok = False
-    report["highest_weight_annihilated"] = hw_ok
+    report["cartan_diagonal_ok"] = diag_ok = all(
+        V.rep[labels[t]] == SparseMat(V.dim, V.dim, {(k, k): w.coords[ci] for k, w in enumerate(V.weights)})
+        for ci, t in enumerate(ob.cartan_indices()))
+    # every positive root vector kills the highest-weight vector: no entry in its column
+    report["highest_weight_annihilated"] = hw_ok = not any(
+        c == V.highest for el in ob.elements if el.kind == "pos" for _, c in V.rep[el.label].data)
 
     omega = omega_matrix(V)
     expected = casimir_eigenvalue(V.mu)

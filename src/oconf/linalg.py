@@ -14,8 +14,9 @@ vector or coordinate -- is canonical (`canon`): an int when it is
 integral, else a Fraction with denominator > 1.  So integral arithmetic
 runs on ints, at no cost to exactness or to output (an int equals, hashes
 and prints like the integral Fraction).  A float has no `denominator`, so
-`canon` rejects it.  Since int / int is a float, a true division that may
-see two ints builds its Fraction explicitly: Fraction(a, b), never a / b.
+`canon` rejects it, and `exact_scalar` refuses one from a caller.  Since
+int / int is a float, a true division that may see two ints builds its
+Fraction explicitly: Fraction(a, b), never a / b.
 """
 
 from __future__ import annotations
@@ -31,6 +32,14 @@ def canon(x):
     """The canonical form of an exact scalar: an int when x is integral,
     else x itself (a Fraction with denominator > 1)."""
     return x.numerator if x.denominator == 1 else x
+
+
+def exact_scalar(x):
+    """A caller's int, Fraction or string such as "1/3" in canonical form;
+    a float, whose binary value is not the number written, is a TypeError."""
+    if isinstance(x, float):
+        raise TypeError(f"{x!r} is a float; give an int, a Fraction or a string such as '1/3'")
+    return canon(Fraction(x))
 
 
 class SparseMat:
@@ -97,8 +106,8 @@ class SparseMat:
         """self + c * other, touching only the entries of other.
 
         The sum of a large matrix and a sparse correction costs a dict copy
-        plus one product and one sum per entry of the correction; entries
-        that cancel are dropped.
+        plus a product and a sum per entry of the correction (neither for a
+        new entry at c = 1); entries that cancel are dropped.
         """
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch")
@@ -108,7 +117,7 @@ class SparseMat:
         data = dict(self.data)
         for key, v in other.data.items():
             w = data.get(key)
-            w = canon(c * v if w is None else w + c * v)
+            w = (v if c == 1 else canon(c * v)) if w is None else canon(w + c * v)
             if w:
                 data[key] = w
             else:
@@ -150,12 +159,13 @@ class SparseMat:
         return canon(sum((v for (i, j), v in self.data.items() if i == j), 0))
 
     def kron(self, other: "SparseMat") -> "SparseMat":
+        rows, cols, entries = other.rows, other.cols, other.data.items()
         data = {}
         for (i, j), a in self.data.items():
-            for (r, s), b in other.data.items():
-                data[(i * other.rows + r, j * other.cols + s)] = canon(a * b)
-        # each key is set once, to a product of two nonzeros; i * other.rows + r
-        # < self.rows * other.rows, and likewise for columns
+            i, j = i * rows, j * cols
+            data.update({(i + r, j + s): b if a == 1 else canon(a * b) for (r, s), b in entries})
+        # each key is set once, to a product of two nonzeros (b itself, canonical,
+        # where a = 1); i * rows + r < self.rows * rows, and likewise for columns
         return SparseMat._trusted(self.rows * other.rows, self.cols * other.cols, data)
 
     def bracket(self, other: "SparseMat") -> "SparseMat":

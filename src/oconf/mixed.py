@@ -22,7 +22,7 @@ from math import comb, lcm
 from operator import add
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .linalg import SparseMat, canon
+from .linalg import SparseMat, canon, exact_scalar
 from .ortho import OrthoBasis, _unit, build_conformal, build_ortho
 from .poly import DiffOp, Poly, bracket as dbracket, monomial_basis
 from .weights import Twice, WeightVec, natural_dim
@@ -296,7 +296,7 @@ class ConformalModule:
         self.mu = mu
         self.series = mu.series
         self.n = mu.n
-        self.b = canon(Fraction(b))
+        self.b = exact_scalar(b)
         self.conf = build_conformal(self.n, self.series)
         self.num_vars = self.conf.num_vars
         self.small = build_ortho(natural_dim(self.series, self.n))

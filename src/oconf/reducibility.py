@@ -93,6 +93,7 @@ from typing import Dict, List, Optional, Tuple
 from .linalg import (
     EchelonBasis,
     SparseMat,
+    exact_scalar,
     nullspace_of_rows,
     rank_of_rows,
     vectors_contained_in_span,
@@ -130,7 +131,7 @@ class Classification:
 
 def classify_b(mu: WeightVec, b) -> Classification:
     """Test b against the excluded central-charge set of the series."""
-    b = Fraction(b)
+    b = exact_scalar(b)
     cs = critical_b_set(mu)
     comp = cs.violated(b)
     if comp is None:

@@ -24,6 +24,8 @@ from math import factorial
 from operator import add, mul
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from .linalg import exact_scalar
+
 SERIES = ("D", "B")
 MIN_RANK = {"D": 2, "B": 1}  # the least rank n of D_n = o(2n) and B_n = o(2n+1)
 
@@ -382,7 +384,7 @@ class LadderSet:
         self.step = step
 
     def contains(self, b: Fraction) -> bool:
-        d = (self.base - Fraction(b)) / self.step
+        d = (self.base - exact_scalar(b)) / self.step
         return d.denominator == 1 and d >= 0
 
     def describe(self) -> str:

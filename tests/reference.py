@@ -138,7 +138,8 @@ def solved_irrep(mu: WeightVec) -> dict:
     derived from the lowering pass).  mu is nonzero: V(0) is no cyclic
     module."""
     cyc = irreps._CyclicModule(mu)
-    ob, dim, width = cyc.ob, weyl_dim(mu), len(cyc.cols[0])
+    (left, right), ob, dim = cyc.cols[0], cyc.ob, weyl_dim(mu)
+    width = len(left) * len(right)  # dim W (x) V(lambda)
     offsets: Dict[Tuple[int, ...], int] = {}
     weights: List[WeightVec] = []
     spans: Dict[Tuple[int, ...], EchelonBasis] = {}

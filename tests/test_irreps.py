@@ -282,6 +282,63 @@ def test_a_bent_lowering_coordinate_breaks_the_homomorphism(series, mus):
     assert validate_irrep(cyc.irrep())["ok"]
 
 
+# the ladder, the spin factors of ranks 1 and 4, and a wide natural factor
+FACTORED = sorted(set(LADDER + [
+    ("B", "1/2"), ("D", "1/2,1/2,1/2,1/2"), ("D", "1/2,1/2,1/2,-1/2"), ("B", "1/2,1/2,1/2,1/2"),
+    ("D", "1,1,1,1"),
+]))
+
+
+def _cyclic_and_inner(mu):
+    # the cyclic module of mu, and the V(lambda) its constructor asked for:
+    # the first _build call, as a cold V(lambda) makes calls of its own
+    asked, build = [], irreps._build
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(irreps, "_build", lambda lam: asked.append(lam) or build(lam))
+        cyc = irreps._CyclicModule(mu)
+    return cyc, build(asked[0])
+
+
+@pytest.mark.parametrize("series,mus", FACTORED)
+def test_act_equals_the_materialized_tensor(series, mus):
+    # the factor-by-factor action against the whole tensor matrix
+    # rho_W(X) (x) 1 + 1 (x) rho_lambda(X), on every stored vector and every
+    # unit vector, entry order included
+    mu = parse_weight(mus, series)
+    cyc, V = _cyclic_and_inner(mu)
+    factor = (_spin_rep if mu.twice[-1] % 2 else irreps._natural_rep)(cyc.ob)
+    tensor = irreps._kron_sum(factor, V.rep)
+    width = len(cyc.cols[0][0]) * V.dim
+    vecs = [vec for found in cyc.vecs.values() for vec in found] + [{k: 1} for k in range(width)]
+    for i, el in enumerate(cyc.ob.elements):
+        T = tensor[el.label]
+        assert T.rows == width
+        want = [list(image.items()) for image in T.apply_all(vecs)]
+        assert [list(cyc.act(i, vec).items()) for vec in vecs] == want, el.label
+
+
+def test_cold_builds_form_no_tensor_matrix(monkeypatch):
+    # each generator acts on V(lambda) (x) W through its two factors' columns,
+    # dim W and dim V(lambda) of them: no Kronecker product is formed
+    def forbidden(*args):
+        raise AssertionError("a tensor-space matrix was formed")
+
+    mus = [parse_weight(w, s) for s, w in FACTORED]
+    monkeypatch.setattr(irreps, "_kron_sum", forbidden)
+    monkeypatch.setattr(SparseMat, "kron", forbidden)
+    build_irrep.cache_clear()
+    irreps._build.cache_clear()
+    for mu in mus:
+        assert build_irrep(mu).dim == weyl_dim(mu)
+    monkeypatch.undo()
+    for mu in mus:
+        with monkeypatch.context() as m:
+            m.setattr(SparseMat, "kron", forbidden)
+            cyc, V = _cyclic_and_inner(mu)
+        dim_w = 2**mu.n if mu.twice[-1] % 2 else natural_dim(mu.series, mu.n)
+        assert all((len(left), len(right)) == (dim_w, V.dim) for left, right in cyc.cols)
+
+
 def test_construction_does_no_integral_fraction_arithmetic():
     # weights are doubled ints and roots ints inside the builder, and every
     # image is summed in canonical scalars: a cold V(mu), with its recursion,
@@ -434,6 +491,29 @@ def test_homomorphism_check_catches_a_wrong_matrix(series, mus):
             assert any(el.label in pair for pair in report["homomorphism_failures"])
 
 
+def test_validation_flags_a_bent_cartan_or_highest_weight_column():
+    # an off-diagonal, a wrong or a missing Cartan entry, and an entry in the
+    # highest-weight column of a raising matrix, each fail exactly their own check
+    V = build_irrep(parse_weight("2,1", "D"))
+    ob = V.basis
+    h = ob.labels()[ob.cartan_indices()[0]]
+    e = next(el.label for el in ob.elements if el.kind == "pos")
+    k = next(k for k, w in enumerate(V.weights) if w.coords[0])  # h's diagonal entry k is nonzero
+
+    def report(label, entry, x):
+        M = V.rep[label] + SparseMat(V.dim, V.dim, {entry: x})
+        return validate_irrep(IrrepData(V.mu, V.dim, V.weights, {**V.rep, label: M}, V.highest, ob))
+
+    assert validate_irrep(V)["cartan_diagonal_ok"] and validate_irrep(V)["highest_weight_annihilated"]
+    for label, entry, x, key in ((h, (0, 1), 1, "cartan_diagonal_ok"), (h, (k, k), 1, "cartan_diagonal_ok"),
+                                 (h, (k, k), -V.weights[k].coords[0], "cartan_diagonal_ok"),
+                                 (e, (1, V.highest), 1, "highest_weight_annihilated")):
+        got = report(label, entry, x)
+        assert got[key] is False and got["ok"] is False, (label, entry, x)
+        other = {"cartan_diagonal_ok", "highest_weight_annihilated"} - {key}
+        assert all(got[name] for name in other), (label, entry, x)
+
+
 def test_recursion_builds_each_weight_once(monkeypatch):
     # the ladder passes through 12 distinct nonzero weights; built cold, each
     # is one cyclic module (19 without the cache: D(1,0) four times, B(1,0)
@@ -468,6 +548,10 @@ IRREP_SHA256 = {
     ("D", "2,0"): "4165ac7b9be2bcba78c03382a6c811cd2dfa38bfe50f0456eb0adc3d6b3e343e",
     ("D", "2,1"): "a9a814f1eefa452cecfc6a1fce19aae4bbd60a6778b16bd9454bc20f1453f23b",
     ("D", "3,1,0"): "0f722d190d094a8bca13e157bb9ead07d96801401ceeea6b780096ff21033ae2",
+    # wide V(lambda), recorded before the tensor was acted on factor by factor
+    ("D", "31,31"): "0c596fb4379c0d0093d097471895e2edefb517c58c0f1811e8ea620d3324c568",
+    ("D", "2,2,-2"): "dbb9c7486e38ea6dbf48cd10432b2649410ee54757f31ccf1baeff7d9dd2c745",
+    ("B", "2,1,1"): "e1661ab1d6d602167362054a9233f648aace5388361970a9ea3402a9b95e5e8d",
 }
 
 

@@ -10,6 +10,7 @@ from oconf.linalg import (
     SparseMat,
     canon,
     charpoly,
+    exact_scalar,
     nullspace_of_rows,
     rank_of_rows,
     rational_roots,
@@ -213,6 +214,22 @@ def test_add_scaled_matches_add_and_scale():
                 assert all(is_canonical(v) for v in got.data.values())
 
 
+def test_kron_matches_the_entrywise_definition():
+    # (A (x) B)[i*p + r, j*q + s] = A[i, j] B[r, s], stored factor entry by
+    # factor entry; span 1 makes most entries +-1, and 1 is the factor that
+    # needs no product
+    rng = random.Random(12)
+    for _ in range(30):
+        n, m, p, q = (rng.randint(1, 4) for _ in range(4))
+        A = dense_random(rng, n, m, span=rng.choice([1, 6]))
+        B = dense_random(rng, p, q, span=rng.choice([1, 6]))
+        for L, R in ((A, B), (A, SparseMat.identity(p)), (SparseMat.identity(n), B)):
+            K = L.kron(R)
+            want = [((i * R.rows + r, j * R.cols + s), a * b) for (i, j), a in L.data.items() for (r, s), b in R.data.items()]
+            assert (K.rows, K.cols) == (L.rows * R.rows, L.cols * R.cols)
+            assert list(K.data.items()) == want and all(is_canonical(v) for v in K.data.values())
+
+
 def test_add_scaled_drops_cancelled_entries():
     A = SparseMat(2, 2, {(0, 0): Fraction(3), (1, 1): Fraction(1, 2)})
     C = SparseMat.identity(2)
@@ -307,6 +324,16 @@ def test_float_entries_are_rejected():
     with pytest.raises(AttributeError):
         canon(1.0)
     assert type(canon(Fraction(6, 3))) is int and canon(Fraction(1, 3)) == Fraction(1, 3) and canon(True) == 1
+
+
+def test_exact_scalar_keeps_ints_fractions_and_strings_and_refuses_floats():
+    # 0.1 would become 3602879701896397/36028797018963968, not 1/10
+    for x in (0.1, 0.5, 2.0, float("inf")):
+        with pytest.raises(TypeError, match="float"):
+            exact_scalar(x)
+    got = [exact_scalar(x) for x in (3, -2, Fraction(6, 3), Fraction(1, 3), "1/3", "-4", "2/2")]
+    assert got == [3, -2, 2, Fraction(1, 3), Fraction(1, 3), -4, 1]
+    assert all(is_canonical(x) for x in got)
 
 
 def test_echelon_outputs_are_canonical():

@@ -26,11 +26,38 @@ from oconf.reducibility import (
     surjectivity_scan,
     verify_submodule_closure,
 )
-from oconf.spectral import omega_tilde_matrix
+from oconf.spectral import omega_tilde_matrix, verify_t_operator
 from oconf.weights import minimal_dominant_twice, natural_dim, omega_tilde_spectrum, parse_weight, zero_weight
 import reference
 
 F = Fraction
+
+
+# each entry point that takes a central charge from a caller
+FLOAT_B_CALLS = {
+    "scan": lambda mu: surjectivity_scan(mu, 0.1, 2),
+    "detect-submodule": lambda mu: detect_submodule(ConformalModule(mu, 0.5), 2),
+    "t-operator": lambda mu: verify_t_operator(mu, 0.5, 1),
+    "classify": lambda mu: classify_b(mu, 0.1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FLOAT_B_CALLS))
+def test_a_float_central_charge_is_refused(name):
+    # a float's binary value is not the b it was written for: 0.1 read
+    # exactly is 3602879701896397/36028797018963968
+    with pytest.raises(TypeError, match="float"):
+        FLOAT_B_CALLS[name](parse_weight("1,0", "D"))
+
+
+def test_exact_central_charges_are_accepted_in_every_form():
+    mu = parse_weight("1,0", "D")
+    for b, want in ((1, 1), (F(2, 2), 1), (F(1, 3), F(1, 3)), ("1/3", F(1, 3)), ("-2", -2)):
+        got = ConformalModule(mu, b).b
+        assert got == want and type(got) is type(want), b
+        assert surjectivity_scan(mu, b, 1).b == want
+        assert classify_b(mu, b).describe() == classify_b(mu, want).describe()
+    assert [classify_b(mu, b).status for b in (1, "1/2", F(1, 3))] == ["excluded", "excluded", "generic"]
 
 
 def test_scan_generic_full_rank():
