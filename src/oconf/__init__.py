@@ -10,7 +10,7 @@ spectral and rank computations that verify the irreducibility theory degree
 by degree.  Everything is checked mechanically; no identity is trusted.
 """
 
-from .linalg import SparseMat, charpoly, rational_roots
+from .linalg import SparseMat, charpoly
 from .poly import DiffOp, Poly, bracket, monomial_basis
 from .weights import (
     CriticalSet,
@@ -48,7 +48,6 @@ from .irreps import (
     IrrepData,
     build_irrep,
     omega_matrix,
-    tensor_with_natural,
     validate_irrep,
 )
 from .mixed import (

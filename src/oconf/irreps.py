@@ -128,13 +128,6 @@ def _spin_rep(ob: OrthoBasis) -> Dict[str, SparseMat]:
     return rep
 
 
-def _kron_sum(left: Dict[str, SparseMat], right: Dict[str, SparseMat]) -> Dict[str, SparseMat]:
-    """The diagonal action rho_l(X) (x) 1 + 1 (x) rho_r(X), left factor first."""
-    eye_l = SparseMat.identity(next(iter(left.values())).rows)
-    eye_r = SparseMat.identity(next(iter(right.values())).rows)
-    return {label: M.kron(eye_r) + eye_l.kron(right[label]) for label, M in left.items()}
-
-
 class _CyclicModule:
     """The cyclic submodule of V(lambda) (x) W generated by its highest-weight
     vector of weight mu (mu nonzero and dominant; see the module docstring).
@@ -467,23 +460,3 @@ def validate_irrep(V: IrrepData) -> Dict[str, object]:
         and report["irreducible"]
     )
     return report
-
-
-class TensorModule:
-    """V(e1) (x) V(mu) with the diagonal action, natural factor first."""
-
-    __slots__ = ("dim", "rep")
-
-    def __init__(self, dim: int, rep: Dict[str, SparseMat]):
-        self.dim = dim
-        self.rep = rep
-
-
-def tensor_with_natural(V: IrrepData, cap: int = DEFAULT_DIM_CAP) -> TensorModule:
-    ob = V.basis
-    m = ob.m
-    dim = m * V.dim
-    if dim > cap:
-        raise CapExceeded(f"tensor dimension {dim} exceeds cap {cap}")
-    rep = _kron_sum(_natural_rep(ob), V.rep)
-    return TensorModule(dim, rep)

@@ -1,12 +1,17 @@
 """The quadratic Casimir, the split Casimir on tensor modules, and the
 degree-two invariant operator on the generalized conformal module.
 
-The split Casimir matrix is assembled term by term from its definition (the
-tensor factors act independently); its characteristic polynomial is then
-compared against the closed-form spectrum predicted by the Pieri
-decomposition.  The two routes are independent: one goes through explicit
-representation matrices and exact Hessenberg charpoly, the other through
-weight combinatorics only.
+The split Casimir Omega~ = sum over `casimir_terms` (a, b, c) of
+c W(a) (x) V(b), W the natural module, has its exact Hessenberg charpoly
+compared against the closed form that the Pieri decomposition predicts, a
+route through weight combinatorics only.  The half-difference identity
+Omega~ = (Cas(W (x) V) - Cas_W - Cas_V) / 2 needs no tensor-space
+representation: X acts by W(X) (x) 1 + 1 (x) V(X), so Cas(W (x) V) =
+Cas_W (x) 1 + 1 (x) Cas_V + sum c (W(a) (x) V(b) + W(b) (x) V(a)), the
+same matrix, entry for entry, as the Casimir of the diagonal action's
+matrices (`tensor_casimir`).  Cas_W and Cas_V come from their matrices, so
+a bent factor shows, and the mirror half is summed on its own, not taken
+to be Omega~ by the symmetry of `casimir_terms`.
 
 The invariant T = sum_i (J_i x_{n+i} + J_{n+i} x_i) (+ J_0 x_0 for the odd
 series) is proved once per (n, series) to be (2b + c + k) eta on slice k of
@@ -18,12 +23,13 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain
 from math import lcm
 from types import SimpleNamespace
 from typing import Dict, List, Optional, Tuple
 
 from .linalg import SparseMat, charpoly, rank_of_rows
-from .irreps import CapExceeded, build_irrep, casimir_matrix, tensor_with_natural
+from .irreps import CapExceeded, IrrepData, _natural_rep, build_irrep, casimir_matrix
 from .mixed import ConformalModule, _split
 from .poly import DiffOp, Poly
 from .ortho import build_conformal, casimir_terms
@@ -50,6 +56,18 @@ def omega_tilde_matrix(mu: WeightVec) -> SparseMat:
     ob = V.basis
     return SparseMat.from_entries(dim, dim, (
         (key, c * v) for a, b, c in casimir_terms(ob.m) for key, v in ob.matrix(a).kron(V.rep[b]).data.items()))
+
+
+def tensor_casimir(V: IrrepData, otm: SparseMat) -> SparseMat:
+    """Cas(W (x) V), W the natural module, from the factors and otm, the sum
+    over W(a) (x) V(b): Cas_W (x) 1 + 1 (x) Cas_V + otm + its mirror."""
+    ob, d = V.basis, V.dim
+    W = _natural_rep(ob)
+    mirror = ((key, c * v) for a, b, c in casimir_terms(ob.m) for key, v in W[b].kron(V.rep[a]).data.items())
+    return SparseMat.from_entries(otm.rows, otm.cols, chain(
+        casimir_matrix(ob, W, ob.m).kron(SparseMat.identity(d)).data.items(),
+        SparseMat.identity(ob.m).kron(casimir_matrix(ob, V.rep, d)).data.items(),
+        otm.data.items(), mirror))
 
 
 def closed_form_charpoly(spec: Spectrum) -> List[Fraction]:
@@ -82,12 +100,10 @@ def verify_charpoly_lemma(mu: WeightVec) -> Dict[str, object]:
     closed = closed_form_charpoly(spec)
     match = computed == closed
 
-    V = build_irrep(mu)
-    tm = tensor_with_natural(V, TENSOR_CAP)
-    big = casimir_matrix(V.basis, tm.rep, tm.dim)  # the diagonal action's Casimir
+    big = tensor_casimir(build_irrep(mu), otm)  # the diagonal action's Casimir
     c_e1 = casimir_eigenvalue(epsilon(mu.series, mu.n, 1))
     c_mu = casimir_eigenvalue(mu)
-    eye = SparseMat.identity(tm.dim)
+    eye = SparseMat.identity(otm.rows)
     half_diff = (big - eye.scale(c_e1) - eye.scale(c_mu)).scale(Fraction(1, 2))
     consistency = half_diff == otm
 

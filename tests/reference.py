@@ -3,9 +3,11 @@
 from contextlib import contextmanager
 from fractions import Fraction
 from itertools import permutations, product
+from math import lcm
 from typing import Callable, Dict, FrozenSet, Iterator, List, Optional, Sequence, Set, Tuple
 
 from oconf import irreps, spectral
+from oconf.irreps import IrrepData
 from oconf.linalg import EchelonBasis, SparseMat, vectors_contained_in_span
 from oconf.mixed import ConformalModule, ExtendedOp, _embed
 from oconf.ortho import OrthoBasis
@@ -222,6 +224,115 @@ def closed_form_charpoly(spec: Spectrum) -> List[Fraction]:
                 nxt[i] -= lam * c
             coeffs = nxt
     return coeffs
+
+
+def _divisors(n: int, bound: int = 10**6) -> List[int]:
+    """Positive divisors of |n| via trial division up to `bound`.
+
+    If an unfactored cofactor remains it is treated as prime (its proper
+    divisors beyond the bound are not enumerated).
+    """
+    n = abs(n)
+    if n == 0:
+        return []
+    factors: Dict[int, int] = {}
+    d = 2
+    while d * d <= n and d <= bound:
+        while n % d == 0:
+            factors[d] = factors.get(d, 0) + 1
+            n //= d
+        d += 1 if d == 2 else 2
+    if n > 1:
+        factors[n] = factors.get(n, 0) + 1
+    divs = [1]
+    for pr, e in factors.items():
+        divs = [dd * pr**i for dd in divs for i in range(e + 1)]
+    return sorted(set(divs))
+
+
+def rational_roots(coeffs: Sequence[Fraction]) -> Tuple[List[Tuple[Fraction, int]], List[Fraction]]:
+    """All rational roots (with multiplicity) of a polynomial, plus remainder.
+
+    Roots are found by the rational-root theorem over a denominator-cleared
+    copy and removed by synthetic division; the returned remainder has no
+    rational roots (or none findable within the divisor bound).
+    """
+    work = list(coeffs)
+    while work and work[-1] == 0:
+        work.pop()
+    if not work:
+        raise ValueError("zero polynomial")
+    roots: List[Tuple[Fraction, int]] = []
+    # strip t = 0 roots
+    zmult = 0
+    while work[0] == 0:
+        work.pop(0)
+        zmult += 1
+    if zmult:
+        roots.append((Fraction(0), zmult))
+
+    def deflate(poly: List[Fraction], r: Fraction) -> Optional[List[Fraction]]:
+        # synthetic division by (t - r); None if r is not a root
+        out = [Fraction(0)] * (len(poly) - 1)
+        acc = Fraction(0)
+        for i in range(len(poly) - 1, 0, -1):
+            acc = acc * r + poly[i]
+            out[i - 1] = acc
+        if acc * r + poly[0] != 0:
+            return None
+        return out
+
+    while len(work) > 1:
+        den = 1
+        for c in work:
+            den = lcm(den, c.denominator)
+        ints = [int(c * den) for c in work]
+        cands: List[Fraction] = []
+        for p in _divisors(ints[0]):
+            for q in _divisors(ints[-1]):
+                cands.append(Fraction(p, q))
+                cands.append(Fraction(-p, q))
+        found = None
+        for cand in sorted(set(cands), key=lambda f: (abs(f), f < 0)):
+            nxt = deflate(work, cand)
+            if nxt is not None:
+                found = cand
+                mult = 1
+                work = nxt
+                while len(work) > 1:
+                    nxt = deflate(work, cand)
+                    if nxt is None:
+                        break
+                    work = nxt
+                    mult += 1
+                roots.append((cand, mult))
+                break
+        if found is None:
+            break
+    roots.sort(key=lambda t: t[0])
+    return roots, work
+
+
+def kron_sum(left: Dict[str, SparseMat], right: Dict[str, SparseMat]) -> Dict[str, SparseMat]:
+    """The diagonal action rho_l(X) (x) 1 + 1 (x) rho_r(X), left factor first."""
+    eye_l = SparseMat.identity(next(iter(left.values())).rows)
+    eye_r = SparseMat.identity(next(iter(right.values())).rows)
+    return {label: M.kron(eye_r) + eye_l.kron(right[label]) for label, M in left.items()}
+
+
+class TensorModule:
+    """V(e1) (x) V(mu) with the diagonal action, natural factor first."""
+
+    __slots__ = ("dim", "rep")
+
+    def __init__(self, dim: int, rep: Dict[str, SparseMat]):
+        self.dim = dim
+        self.rep = rep
+
+
+def tensor_with_natural(V: IrrepData) -> TensorModule:
+    """V(e1) (x) V(mu) as one tensor-space matrix per generator."""
+    return TensorModule(V.basis.m * V.dim, kron_sum(irreps._natural_rep(V.basis), V.rep))
 
 
 # degrees above max_degree that the full passes also close: room for a

@@ -315,6 +315,22 @@ def test_more_build_irrep_json_matches_golden(capsys, golden, series, mu):
     assert out == (Path(__file__).resolve().parent / "golden" / golden).read_text()
 
 
+@pytest.mark.parametrize("golden,series,mu", [
+    ("charpoly-D-1_0.json", "D", "1,0"),
+    ("charpoly-D-1_1_0.json", "D", "1,1,0"),  # rank 3, dimension 90
+    ("charpoly-B-1_1.json", "B", "1,1"),
+    ("charpoly-B-1_2-1_2.json", "B", "1/2,1/2"),  # spin
+    ("charpoly-D-1_2--1_2.json", "D", "1/2,-1/2"),
+    ("charpoly-D-0_0.json", "D", "0,0"),  # the trivial module: a zero split Casimir
+])
+def test_charpoly_json_matches_golden(capsys, golden, series, mu):
+    # byte for byte: both charpolys, the half-difference identity and the
+    # eigenspace dimensions
+    rc, out = run(capsys, ["charpoly", "--series", series, "--mu", mu, "--format", "json"])
+    assert rc == 0
+    assert out == (Path(__file__).resolve().parent / "golden" / golden).read_text()
+
+
 @pytest.mark.parametrize("golden,argv,code", [
     ("scan-D-1_0-b1_3-deg8.json", ["--series", "D", "--mu", "1,0", "--b", "1/3", "--max-degree", "8"], 0),
     ("scan-D-1_0-b1-deg2.json", ["--series", "D", "--mu", "1,0", "--b", "1", "--max-degree", "2"], 1),

@@ -15,7 +15,6 @@ from oconf.irreps import (
     _spin_rep,
     build_irrep,
     omega_matrix,
-    tensor_with_natural,
     validate_irrep,
 )
 from oconf.linalg import EchelonBasis, SparseMat
@@ -31,7 +30,7 @@ from oconf.weights import (
     zero_weight,
 )
 import reference
-from reference import integral_fraction_ops, is_canonical, solve_row_combination
+from reference import integral_fraction_ops, is_canonical, kron_sum, solve_row_combination, tensor_with_natural
 
 F = Fraction
 
@@ -307,7 +306,7 @@ def test_act_equals_the_materialized_tensor(series, mus):
     mu = parse_weight(mus, series)
     cyc, V = _cyclic_and_inner(mu)
     factor = (_spin_rep if mu.twice[-1] % 2 else irreps._natural_rep)(cyc.ob)
-    tensor = irreps._kron_sum(factor, V.rep)
+    tensor = kron_sum(factor, V.rep)
     width = len(cyc.cols[0][0]) * V.dim
     vecs = [vec for found in cyc.vecs.values() for vec in found] + [{k: 1} for k in range(width)]
     for i, el in enumerate(cyc.ob.elements):
@@ -324,7 +323,6 @@ def test_cold_builds_form_no_tensor_matrix(monkeypatch):
         raise AssertionError("a tensor-space matrix was formed")
 
     mus = [parse_weight(w, s) for s, w in FACTORED]
-    monkeypatch.setattr(irreps, "_kron_sum", forbidden)
     monkeypatch.setattr(SparseMat, "kron", forbidden)
     build_irrep.cache_clear()
     irreps._build.cache_clear()
@@ -368,7 +366,7 @@ def test_representation_matrices_are_canonical(series, mus):
 
 def test_kron_sum_entries_are_canonical():
     half = {"h": SparseMat(2, 2, {(0, 0): F(1, 2), (1, 1): F(-1, 2)})}
-    got = irreps._kron_sum(half, half)["h"]
+    got = kron_sum(half, half)["h"]
     assert got.data == {(0, 0): 1, (3, 3): -1} and all(type(v) is int for v in got.data.values())
 
 
@@ -411,7 +409,7 @@ def test_commutant_matches_the_full_system(series, mus, naturals, want):
     V = build_irrep(parse_weight(mus, series))
     rep, dim = V.rep, V.dim
     for _ in range(naturals):
-        rep, dim = irreps._kron_sum(irreps._natural_rep(V.basis), rep), V.basis.m * dim
+        rep, dim = kron_sum(irreps._natural_rep(V.basis), rep), V.basis.m * dim
     mats = list(rep.values())
     assert irreps._commutant_dimension(V.basis, rep, dim) == reference.commutant_dimension(mats, dim) == want
     conj = _conjugated(mats, dim)

@@ -13,9 +13,8 @@ from oconf.linalg import (
     exact_scalar,
     nullspace_of_rows,
     rank_of_rows,
-    rational_roots,
 )
-from reference import integral_fraction_ops, is_canonical, poly_eval, solve_row_combination, transpose
+from reference import integral_fraction_ops, is_canonical, poly_eval, rational_roots, solve_row_combination, transpose
 
 
 def dense_random(rng, n, m, density=0.6, span=6):

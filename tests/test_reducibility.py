@@ -554,11 +554,9 @@ def test_scan_json_round_trip():
 
 def test_every_cap_raises_cap_exceeded(monkeypatch):
     from oconf import mixed, spectral
-    from oconf.irreps import CapExceeded, build_irrep, tensor_with_natural
+    from oconf.irreps import CapExceeded
 
     mu = parse_weight("1,0", "D")
-    with pytest.raises(CapExceeded, match="tensor dimension 16 exceeds cap 15"):
-        tensor_with_natural(build_irrep(mu), 15)
     monkeypatch.setattr(spectral, "TENSOR_CAP", 15)
     with pytest.raises(CapExceeded, match="tensor dimension 16 exceeds cap 15"):
         omega_tilde_matrix(mu)

@@ -1,24 +1,28 @@
 """Casimir matrices, split-Casimir spectra, and the invariant T operator."""
 
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from oconf import spectral
-from oconf.irreps import build_irrep, omega_matrix, tensor_with_natural
+from oconf.irreps import IrrepData, build_irrep, casimir_matrix, omega_matrix
 from oconf.linalg import SparseMat, charpoly
 from oconf.mixed import ConformalModule
+from oconf.ortho import casimir_terms
 from oconf.poly import DiffOp, Poly
 from oconf.spectral import (
     closed_form_charpoly,
     omega_tilde_matrix,
     t_identity,
     t_scalar,
+    tensor_casimir,
     verify_charpoly_lemma,
     verify_t_operator,
 )
 from oconf.weights import Spectrum, omega_tilde_spectrum, parse_weight, weyl_dim, zero_weight
 import reference
+from reference import tensor_with_natural
 
 F = Fraction
 
@@ -70,6 +74,63 @@ def test_charpoly_lemma_battery(series, mus):
     assert r["match"], r["charpoly_computed"]
     assert r["half_difference_consistency"]
     assert r["eigenspace_dims_match_pieri"], r["eigenspace_dims"]
+
+
+# the suite's eight charpoly weights, the trivial modules and spin weights
+FACTOR_WEIGHTS = [("D", "1,0"), ("D", "1,1"), ("D", "1,-1"), ("D", "2,0"), ("B", "1,0"), ("B", "1/2,1/2"),
+                  ("D", "1,1,0"), ("B", "1,1"), ("D", "0,0"), ("B", "0"), ("D", "1/2,1/2"), ("D", "1/2,-1/2"),
+                  ("B", "1/2,1/2,1/2")]
+
+
+@pytest.mark.parametrize("series,mus", FACTOR_WEIGHTS)
+def test_tensor_casimir_equals_the_casimir_of_the_tensor_matrices(series, mus):
+    # assembled from the two factors against the Casimir of one tensor-space
+    # matrix per generator: the same entries, each of the same type
+    mu = parse_weight(mus, series)
+    V = build_irrep(mu)
+    tm = tensor_with_natural(V)
+    want = casimir_matrix(V.basis, tm.rep, tm.dim)
+    got = tensor_casimir(V, omega_tilde_matrix(mu))
+    assert (got.rows, got.cols) == (want.rows, want.cols) and got.data == want.data
+    assert {k: type(v) for k, v in got.data.items()} == {k: type(v) for k, v in want.data.items()}
+    assert verify_charpoly_lemma(mu)["half_difference_consistency"]
+
+
+@pytest.mark.parametrize("series,mus,label", [("D", "1,0", "E_{1,1}-E_{3,3}"), ("B", "1/2,1/2", "E_{0,3}-E_{1,0}"),
+                                              ("D", "1,1,0", "E_{1,2}-E_{5,4}")])
+def test_a_bent_factor_matrix_breaks_the_half_difference_identity(monkeypatch, series, mus, label):
+    # one entry of one generator of V(mu) moved by 1: the tensor Casimir is
+    # assembled from the bent matrices and no longer differs from twice the
+    # split Casimir by the two scalars
+    mu = parse_weight(mus, series)
+    V = build_irrep(mu)
+    M = V.rep[label]
+    key = next(iter(M.data)) if M.data else (0, 0)
+    bent = dict(V.rep, **{label: M + SparseMat(M.rows, M.cols, {key: 1})})
+    monkeypatch.setattr(spectral, "build_irrep", lambda w: IrrepData(w, V.dim, V.weights, bent, V.highest, V.basis))
+    assert verify_charpoly_lemma(mu)["half_difference_consistency"] is False
+
+
+@pytest.mark.parametrize("series,mus", [("D", "1,0"), ("B", "1/2,1/2"), ("D", "1,1,0")])
+def test_the_mirror_cross_terms_are_computed(monkeypatch, series, mus):
+    # casimir_terms is symmetric, so the mirror sum of W(b) (x) V(a) equals
+    # the split Casimir; it is still formed as products of its own, each
+    # (W matrix, V(mu) matrix) pair twice in all
+    mu = parse_weight(mus, series)
+    V = build_irrep(mu)
+    w_ids = {id(V.basis.matrix(i)): el.label for i, el in enumerate(V.basis.elements)}
+    v_ids = {id(M): label for label, M in V.rep.items()}
+    seen, kron = Counter(), SparseMat.kron
+
+    def spy(left, right):
+        if id(left) in w_ids and id(right) in v_ids:
+            seen[w_ids[id(left)], v_ids[id(right)]] += 1
+        return kron(left, right)
+
+    monkeypatch.setattr(SparseMat, "kron", spy)
+    assert verify_charpoly_lemma(mu)["ok"]
+    terms = casimir_terms(V.basis.m)
+    assert seen == Counter((a, b) for a, b, _ in terms) + Counter((b, a) for a, b, _ in terms)
 
 
 @pytest.mark.parametrize("series,mus", CHARPOLY_BATTERY + [("D", "2,1,0"), ("B", "1,1,1")])
