@@ -69,7 +69,9 @@ class ExtendedOp:
 
     def bracket(self, other: "ExtendedOp") -> "ExtendedOp":
         """[d1+A1, d2+A2] = [d1,d2] + [A1,A2] + d1(A2) - d2(A1), the gl
-        entries listed per exponent and each matrix built once from them."""
+        entries listed per exponent and each matrix built once from them.
+        The gl matrices hold a few entries each, so [M1, M2] goes into the
+        lists entry by entry: M1[i,k] M2[k,j] at (i, j), minus M2 M1."""
         nv = self.num_vars
         fld = dbracket(self.field, other.field)
         gl: Dict[Exps, List[Tuple[Tuple[int, int], Fraction]]] = {}
@@ -79,7 +81,10 @@ class ExtendedOp:
 
         for e1, M1 in self.gl.items():
             for e2, M2 in other.gl.items():
-                acc(tuple(map(add, e1, e2)), M1.bracket(M2), 1)
+                entries = gl.setdefault(tuple(map(add, e1, e2)), [])
+                for left, right, sign in ((M1.data, M2.data, 1), (M2.data, M1.data, -1)):
+                    for (i, k), a in left.items():
+                        entries.extend(((i, j), canon(sign * a * b)) for (r, j), b in right.items() if r == k)
         for e2, M2 in other.gl.items():
             for de, c in self._field_image(e2).terms.items():
                 acc(de, M2, c)
@@ -114,12 +119,13 @@ def shen_embed(xi: DiffOp) -> ExtendedOp:
     nv = xi.num_vars
     gl: Dict[Exps, Dict[Tuple[int, int], Fraction]] = {}
     for j in range(nv):
-        fj = xi.coefficient_of_partial(j)
-        if fj.is_zero():
+        fj = xi.terms.get(_unit(nv, j))  # the coefficient of d_j, nonzero if present
+        if fj is None:
             continue
         for i in range(nv):
-            for e, c in fj.diff(i).terms.items():
-                gl.setdefault(e, {})[(i, j)] = c
+            for e, c in fj.terms.items():
+                if e[i]:  # x^e has x_i: d_i x^e = e_i x^(e - u_i)
+                    gl.setdefault(e[:i] + (e[i] - 1,) + e[i + 1:], {})[(i, j)] = canon(c * e[i])
     # the entries are nonzero canonical Poly coefficients inside nv x nv
     return ExtendedOp(nv, xi, {e: SparseMat._trusted(nv, nv, data) for e, data in gl.items()})
 

@@ -360,26 +360,54 @@ def verify_submodule_closure(witness: SubmoduleWitness) -> Dict[str, bool]:
 
     A target slice that the witness fills (the exact rank of its basis
     there is the slice dimension) contains every image, so no (label, k)
-    landing in it computes an image or builds a matrix; every other image
-    is tested against the exact span of its target slice.
+    landing in it asks for a matrix.  Every other target slice t is tested
+    through its annihilators: F_t = `nullspace_of_rows`(basis of W_t), the
+    functionals that vanish on W_t.  Under the standard pairing
+    (W_t^perp)^perp = W_t, so W_t is the common kernel of F_t, and X W_k
+    lies in W_t iff (f X) . w = 0 for every f in F_t and every basis vector
+    w of W_k.  Each f is pulled back through the rows of X once, f X =
+    sum_i f_i X[i, :], and only dot products follow, all of them at once
+    from the basis of W_k indexed by column, so a w that f X does not meet
+    costs nothing: no image is formed and nothing is reduced.
     """
     mod = witness.module
-    spans = {}  # the slices the witness does not fill
+    annihilators = {}  # F_t of each slice t the witness does not fill
+    columns = {}  # per slice k: column j -> [(a, w_a[j])] over the basis w_a of W_k
     for k, vecs in witness.basis.items():
-        span = EchelonBasis(vecs)
-        if span.rank < mod.slice_dim(k):
-            spans[k] = span
+        fs = nullspace_of_rows(vecs, mod.slice_dim(k))  # dim - rank functionals
+        if fs:
+            annihilators[k] = fs
+        cols = columns[k] = {}
+        for a, w in enumerate(vecs):
+            for j, c in w.items():
+                cols.setdefault(j, []).append((a, c))
     results = {}
     for lbl in mod.conf.labels():
         shift = mod.degree_shift(lbl)
         ok = True
         for k, vecs in witness.basis.items():
             kt = k + shift
-            if kt not in spans or kt > witness.max_degree or not vecs:
+            if kt not in annihilators or kt > witness.max_degree or not vecs:
                 continue  # outside the truncation, or a full target slice
-            images = mod.action_matrix(lbl, k).apply_all(vecs)
-            if not all(spans[kt].contains(v) for v in images):
-                ok = False
+            cols = columns[k]
+            by_row: Dict[int, List[Tuple[int, Fraction]]] = {}
+            for (i, j), v in mod.action_matrix(lbl, k).data.items():
+                by_row.setdefault(i, []).append((j, v))
+            for f in annihilators[kt]:
+                fx: Dict[int, Fraction] = {}  # the row vector f X
+                for i, fi in f.items():
+                    for j, v in by_row.get(i, ()):
+                        fx[j] = fx.get(j, 0) + fi * v
+                dots: Dict[int, Fraction] = {}  # (f X) . w, for the w that meet f X
+                for j, v in fx.items():
+                    if v:
+                        for a, c in cols.get(j, ()):
+                            dots[a] = dots.get(a, 0) + v * c
+                if any(dots.values()):
+                    ok = False
+                    break
+            if not ok:
+                break
         results[lbl] = ok
     results["ok"] = all(results.values())
     return results

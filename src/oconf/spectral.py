@@ -94,7 +94,12 @@ def verify_charpoly_lemma(mu: WeightVec) -> Dict[str, object]:
     """Exact comparison of the computed split-Casimir charpoly against the
     closed form, plus the half-difference consistency identity and the
     eigenspace-dimension cross-check against the Pieri multiplicities."""
-    otm = omega_tilde_matrix(mu)
+    return charpoly_lemma_report(mu, omega_tilde_matrix(mu))
+
+
+def charpoly_lemma_report(mu: WeightVec, otm: SparseMat) -> Dict[str, object]:
+    """`verify_charpoly_lemma` of mu, given otm = `omega_tilde_matrix(mu)`
+    from a caller that reads the matrix too."""
     computed = charpoly(otm)
     spec = omega_tilde_spectrum(mu)
     closed = closed_form_charpoly(spec)

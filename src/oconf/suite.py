@@ -10,11 +10,15 @@ mu=0 classification, which misses the special conformal weights; their
 corrected companions must pass.
 
 Checks that read the same exact object compute it once, through the
-module-level `lru_cache`s `_charpoly_report`, `_mu_zero_witness` and
-`_mu_zero_quotient`.  What these return is shared and read-only: a check
-reads a report or witness and never alters it (a module only fills its
-own memos of exact matrices), so the checks give the same results in any
-order.  Every module is built at its own b, where the check needs it.
+module-level `lru_cache`s: `_split_casimir` (the split Casimirs that the
+charpoly reports and the phi check read), `_charpoly_report` and
+`_mu_zero_scan` (the mu=0 scan records, from which the two mu=0 checks
+read generation, reducibility and the b=0 quotient).  What these return
+is shared and read-only: a check reads a matrix, a report or a record and
+never alters it, so the checks give the same results in any order.  Only
+the three special-weight witnesses of `check_mu_zero_true_classification`
+are built by `detect_submodule`, each in a module built at its own b,
+because their closure is verified.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from types import MappingProxyType
-from typing import Callable, List, Mapping, Optional, Tuple
+from typing import Callable, List, Mapping, Tuple
 
 from . import mixed, reducibility, spectral
 from .irreps import build_irrep, omega_matrix
@@ -104,10 +108,17 @@ def check_casimir_scalar() -> Tuple[bool, str]:
 
 
 @lru_cache(maxsize=None)
+def _split_casimir(mu: WeightVec) -> SparseMat:
+    """`omega_tilde_matrix(mu)`, built once for the charpoly-lemma report
+    and the phi check that both read it (read-only: they share it)."""
+    return spectral.omega_tilde_matrix(mu)
+
+
+@lru_cache(maxsize=None)
 def _charpoly_report(mu: WeightVec) -> Mapping[str, object]:
     """The charpoly-lemma report of mu, computed once for the checks that
     read it (read-only: the checks share it)."""
-    return MappingProxyType(spectral.verify_charpoly_lemma(mu))
+    return MappingProxyType(spectral.charpoly_lemma_report(mu, _split_casimir(mu)))
 
 
 def check_charpoly_lemma() -> Tuple[bool, str]:
@@ -125,7 +136,7 @@ def check_phi_degree_one() -> Tuple[bool, str]:
     bits = []
     ok = True
     for mu in [parse_weight("1,0", "D"), parse_weight("1/2,1/2", "B")]:
-        otm = spectral.omega_tilde_matrix(mu)
+        otm = _split_casimir(mu)
         for b in [Fraction(0), Fraction(1, 3), Fraction(-2)]:
             lhs = mixed.ConformalModule(mu, b).phi_matrix(1)
             rhs = SparseMat.identity(otm.rows).scale(b) + otm
@@ -169,26 +180,28 @@ def check_scan_sufficiency() -> Tuple[bool, str]:
 
 
 @lru_cache(maxsize=None)
-def _mu_zero_witness(series: str, b: Fraction) -> Optional[reducibility.SubmoduleWitness]:
-    """`detect_submodule` to degree 3 in the mu=0 module at b, computed once
-    for the two mu=0 checks that both read it (read-only: they share it)."""
-    return reducibility.detect_submodule(mixed.ConformalModule(zero_weight(series, 2), b), 3)
+def _mu_zero_scan(series: str, b: Fraction) -> Mapping[int, Tuple[int, int]]:
+    """{k: (rank, dim)}, k = 1..4, the records of `surjectivity_scan` in the
+    mu=0 module at n=2 and b, computed once for the two mu=0 checks that
+    read it (read-only: they share it).
+
+    U(J)(1 (x) V(mu)) fills the degrees up to K iff records 1..K are full
+    (see `reducibility`), so a deficient record among them is a proper
+    submodule, and at b = 0 the records are also those of the quotient by
+    the constants: U(g) = U(J) U(l) U(d) by PBW, and slice 1 is l-stable,
+    the d's take it onto the constants and J kills them, so the submodule
+    that slice 1 generates is U(J)(slice 1).  While it fills every slice
+    below k, its degree-k part is J(slice k-1), whose rank is record k.  So
+    every record up to the first deficient one is exact there, and the
+    checks read no other."""
+    scan = reducibility.surjectivity_scan(zero_weight(series, 2), b, 4)
+    return MappingProxyType({r.k: (r.rank, r.dim) for r in scan.records})
 
 
-@lru_cache(maxsize=None)
-def _mu_zero_quotient(series: str) -> Mapping[int, Tuple[int, int]]:
-    """{k: (rank, dim)}, k = 2..4, of the submodule that slice 1 generates
-    in the mu=0, b=0 quotient by the constants at n=2, computed once for the
-    two mu=0 checks that read it (read-only: they share it).
-
-    These are the scan's records 2..4, exactly, by PBW (U(g) = U(J) U(l)
-    U(d), and slice 1 is l-stable): at b = 0 the d's take slice 1 onto the
-    constants, and J kills them, so the submodule is U(J)(slice 1).  While
-    it fills every slice below k, its degree-k part is J(slice k-1), whose
-    rank is record k.  So every record up to the first deficient one is
-    exact, and the checks read no other."""
-    scan = reducibility.surjectivity_scan(zero_weight(series, 2), 0, 4)
-    return MappingProxyType({r.k: (r.rank, r.dim) for r in scan.records if r.k >= 2})
+def _fills(series: str, b: Fraction, first: int, last: int) -> bool:
+    """True iff the mu=0 scan at b is full at every degree first..last."""
+    scan = _mu_zero_scan(series, b)
+    return all(scan[k][0] == scan[k][1] for k in range(first, last + 1))
 
 
 def check_mu_zero_classification() -> Tuple[bool, str]:
@@ -199,19 +212,16 @@ def check_mu_zero_classification() -> Tuple[bool, str]:
     ok = True
     for series in ["D", "B"]:
         for b in [Fraction(1, 2), Fraction(1), Fraction(5, 2)]:
-            r = reducibility.surjectivity_scan(zero_weight(series, 2), b, 4)
-            good = all(rec.full for rec in r.records)
+            good = _fills(series, b, 1, 4)
             ok &= good
             bits.append(f"{series} mu=0 b={b}: full rank {'ok' if good else 'FAIL'}")
         for b in [Fraction(0), Fraction(-1), Fraction(-2)]:
-            w = _mu_zero_witness(series, b)
-            good = w is not None and w.is_proper()
-            if b == 0 and w is not None:
-                # exactly the constants line, quotient generated above it
-                good &= w.dims[0] == (1, 1) and all(w.dims[k][0] == 0 for k in range(1, 4))
-                quot = _mu_zero_quotient(series)
-                good &= all(r == d for r, d in quot.values())
-            ok &= bool(good)
+            good = not _fills(series, b, 1, 3)
+            if b == 0 and good:
+                # exactly the constants line: part 1 = J(constants) = 0, so
+                # every higher part is 0; the quotient is generated above it
+                good = _mu_zero_scan(series, b)[1][0] == 0 and _fills(series, b, 2, 4)
+            ok &= good
             bits.append(f"{series} mu=0 b={b}: proper submodule {'ok' if good else 'FAIL'}")
     return ok, "; ".join(bits)
 
@@ -228,8 +238,7 @@ def check_mu_zero_true_classification() -> Tuple[bool, str]:
     ]:
         mu0 = zero_weight(series, 2)
         for b in good_bs:
-            w = reducibility.detect_submodule(mixed.ConformalModule(mu0, b), 3)
-            good = w is None
+            good = _fills(series, b, 1, 3)
             ok &= good
             bits.append(f"{series} b={b}: generated to degree 3 {'ok' if good else 'FAIL'}")
         for b, deg in bad_extra:
@@ -243,13 +252,12 @@ def check_mu_zero_true_classification() -> Tuple[bool, str]:
                 f"{'ok' if good else 'FAIL'} (refutes the stated sharp classification)"
             )
         for b in [Fraction(0), Fraction(-1), Fraction(-2)]:
-            w = _mu_zero_witness(series, b)
-            good = w is not None and w.is_proper()
-            ok &= bool(good)
+            good = not _fills(series, b, 1, 3)
+            ok &= good
             bits.append(f"{series} b={b}: reducible {'ok' if good else 'FAIL'}")
     # the D b=0 quotient stalls at the eta^2 line (34/35 at degree 4)
-    quot = _mu_zero_quotient("D")
-    good = quot[4] == (34, 35) and all(quot[k][0] == quot[k][1] for k in range(2, 4))
+    quot = _mu_zero_scan("D", Fraction(0))
+    good = quot[4] == (34, 35) and _fills("D", Fraction(0), 2, 3)
     ok &= good
     bits.append(f"D b=0 quotient degree-4 component: {quot[4][0]}/{quot[4][1]} {'ok' if good else 'FAIL'}")
     return ok, "; ".join(bits)

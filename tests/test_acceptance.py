@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import pytest
 
-from oconf import mixed, reducibility, spectral, suite
+from oconf import reducibility, spectral, suite
 from oconf.weights import parse_weight, pieri_decompose, weyl_dim, zero_weight
 
 F = Fraction
@@ -160,31 +160,49 @@ def test_charpoly_reports_are_shared_read_only():
 
 
 def test_mu_zero_quotient_is_shared_read_only():
-    # both mu=0 checks read one degree-4 quotient scan; neither can alter it
-    q = suite._mu_zero_quotient("D")
-    assert suite._mu_zero_quotient("D") is q
+    # both mu=0 checks read one degree-4 scan per (series, b), the b = 0
+    # quotient's among them; neither can alter it
+    q = suite._mu_zero_scan("D", Fraction(0))
+    assert suite._mu_zero_scan("D", Fraction(0)) is q
     with pytest.raises(TypeError):
         q[4] = (35, 35)
     fresh = reducibility.surjectivity_scan(zero_weight("D", 2), 0, 4).records
-    assert dict(q) == {r.k: (r.rank, r.dim) for r in fresh[1:]} and q[4] == (34, 35)
+    assert dict(q) == {r.k: (r.rank, r.dim) for r in fresh} and q[1] == (0, 4) and q[4] == (34, 35)
 
 
-def _clear_mu_zero_caches():
-    for cached in (suite._mu_zero_witness, suite._mu_zero_quotient):
+def test_charpoly_report_and_phi_check_share_the_split_casimirs(monkeypatch):
+    # the phi check reads the split Casimirs that the charpoly reports were
+    # built from: one omega_tilde_matrix per charpoly weight in the battery
+    calls = []
+    built = spectral.omega_tilde_matrix
+
+    def spy(mu):
+        calls.append(mu)
+        return built(mu)
+
+    monkeypatch.setattr(spectral, "omega_tilde_matrix", spy)
+    for cached in (suite._split_casimir, suite._charpoly_report):
         cached.cache_clear()
+    try:
+        oks = {name: check()[0] for name, check in suite.ALL_CHECKS}
+    finally:
+        for cached in (suite._split_casimir, suite._charpoly_report):
+            cached.cache_clear()
+    assert oks == {name: name not in suite.EXPECTED_FAILURES for name, _ in suite.ALL_CHECKS}
+    assert len(calls) == len(set(calls)) == 8
 
 
 def test_mu_zero_checks_agree_in_either_order():
-    # the two checks share the b in {0, -1, -2} witnesses and the b = 0
-    # quotients; neither changes what the other reads
+    # the two checks share the mu=0 scans (the b in {0, -1, -2} ones, the
+    # b = 0 quotient's and the generic b both check); neither changes what
+    # the other reads
     checks = [suite.check_mu_zero_classification, suite.check_mu_zero_true_classification]
-    _clear_mu_zero_caches()
+    suite._mu_zero_scan.cache_clear()
     forward = [check() for check in checks]
-    _clear_mu_zero_caches()
+    suite._mu_zero_scan.cache_clear()
     backward = [check() for check in reversed(checks)][::-1]
     assert forward == backward
     assert [ok for ok, _ in forward] == [False, True]
-    w = suite._mu_zero_witness("D", Fraction(-1))
-    assert w.module.b == -1 and w.module.mu == zero_weight("D", 2)
-    fresh = reducibility.detect_submodule(mixed.ConformalModule(zero_weight("D", 2), -1), 3)
-    assert (w.dims, w.basis) == (fresh.dims, fresh.basis)
+    scan = suite._mu_zero_scan("D", Fraction(-1))
+    fresh = reducibility.surjectivity_scan(zero_weight("D", 2), -1, 4).records
+    assert dict(scan) == {r.k: (r.rank, r.dim) for r in fresh}

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from oconf import reducibility
-from oconf.linalg import EchelonBasis, SparseMat, rank_of_rows, vectors_contained_in_span
+from oconf.linalg import EchelonBasis, SparseMat, nullspace_of_rows, rank_of_rows, vectors_contained_in_span
 from oconf.mixed import ConformalModule
 from oconf.ortho import build_conformal
 from oconf.poly import Poly
@@ -375,6 +375,81 @@ def test_closure_check_matches_the_reference_on_a_broken_witness(degree):
     assert failing and len(failing) < len(w.module.conf.labels())
 
 
+def _closure_witness(series, mus, b, deg):
+    """detect_submodule's witness, or, where the submodule fills every slice,
+    the whole truncation (one unit vector per basis index)."""
+    mod = ConformalModule(parse_weight(mus, series), b)
+    w = detect_submodule(mod, deg)
+    if w is None:
+        dims = {k: (mod.slice_dim(k),) * 2 for k in range(deg + 1)}
+        w = SubmoduleWitness(mod, deg, dims, {k: [{i: 1} for i in range(d)] for k, (d, _) in dims.items()})
+    return w
+
+
+def _broken_bases(w):
+    """The witness's basis broken three ways, by name: the top nonempty
+    slice without its last vector; the top slice the witness does not fill
+    with the first unit vector outside it added; the top slice of
+    codimension one swapped for another hyperplane."""
+    top = max(k for k, vecs in w.basis.items() if vecs)
+    out = {"dropped": {**w.basis, top: w.basis[top][:-1]}}
+    short = [k for k, (r, d) in w.dims.items() if r < d]
+    if short:
+        t = short[-1]
+        span = EchelonBasis(w.basis[t])
+        foreign = next({i: 1} for i in range(w.dims[t][1]) if not span.contains({i: 1}))
+        out["foreign"] = {**w.basis, t: w.basis[t] + [foreign]}
+    planes = [k for k, (r, d) in w.dims.items() if r == d - 1]
+    if planes:
+        t = planes[-1]
+        (f,) = nullspace_of_rows(w.basis[t], w.dims[t][1])  # W_t = ker f
+        j = 1 if set(f) == {0} else 0  # f + e_j^* is no multiple of f
+        g = {**f, j: f.get(j, 0) + 1}
+        out["swapped"] = {**w.basis, t: nullspace_of_rows([g], w.dims[t][1])}
+    return out
+
+
+ALL_BREAKS = {"dropped", "foreign", "swapped"}
+
+
+@pytest.mark.parametrize("series,mus,b,deg,breaks", [
+    ("D", "1,0", F(3), 2, ALL_BREAKS), ("D", "0,0,0", F(1), 4, ALL_BREAKS),
+    ("B", "1/2,1/2", F(-1), 2, {"dropped"}), ("D", "0,0", F(0), 3, {"dropped", "foreign"}),
+])
+def test_closure_check_matches_the_reference_on_broken_witnesses(series, mus, b, deg, breaks):
+    # label by label, the annihilator test agrees with a fresh span per
+    # (label, degree): on the witness (D(1,0) at b=3, D mu=0 at b=1 and n=3,
+    # the whole truncation of B(1/2,1/2) at b=-1, the constants line of D
+    # mu=0 at b=0, whose top slice is empty) and on each broken copy
+    w = _closure_witness(series, mus, b, deg)
+    broken = _broken_bases(w)
+    assert set(broken) == breaks
+    labels = w.module.conf.labels()
+    closed = {}
+    for name, basis in [("witness", w.basis), *broken.items()]:
+        bw = SubmoduleWitness(w.module, deg, w.dims, basis)
+        failing = reference.submodule_closure_failures(bw)
+        assert verify_submodule_closure(bw) == {**{lbl: lbl not in failing for lbl in labels}, "ok": not failing}, name
+        closed[name] = not failing
+    assert closed["witness"] and not all(closed.values())
+
+
+@pytest.mark.parametrize("series,mus", [("D", "0,0"), ("B", "0,0"), ("D", "1,0"), ("B", "1/2,1/2")])
+def test_detection_finds_nothing_iff_the_scan_is_full(series, mus):
+    # U(J)(1 (x) V(mu)) fills the degrees up to K iff J(slice k-1) = slice k
+    # for every k <= K, at every half-integral b in [-3, 3]
+    mu = parse_weight(mus, series)
+    deficient = 0
+    for b in [F(p, 2) for p in range(-6, 7)]:
+        mod = ConformalModule(mu, b)
+        records = surjectivity_scan(mu, b, 4).records
+        for K in range(1, 5):
+            full = all(rec.full for rec in records[:K])
+            assert (detect_submodule(mod, K) is None) == full, (b, K)
+            deficient += not full
+    assert deficient  # both sides of the equivalence are met
+
+
 class _SpyModule:
     """A module that records every action matrix asked of it."""
 
@@ -392,28 +467,36 @@ class _SpyModule:
 
 def test_closure_check_computes_no_image_into_a_full_slice(monkeypatch):
     # the suite's three closure witnesses: a target slice the witness fills
-    # gets no image and no matrix
-    calls, images = [], []
-    right = SparseMat.apply_all
+    # asks for no matrix; into the others, each annihilating functional is
+    # pulled back through the matrix once and no image is formed
+    functionals = []
+    nullspace = reducibility.nullspace_of_rows
 
-    def counted(self, vecs):
-        out = right(self, vecs)
-        calls.append(1)
-        images.extend(out)
+    def counted(rows, ncols):
+        out = nullspace(rows, ncols)
+        functionals.append(len(out))
         return out
+
+    def no_image(self, vecs):
+        raise AssertionError("formed an image")
 
     witnesses = [detect_submodule(ConformalModule(zero_weight(series, 2), b), deg)
                  for series, b, deg in [("D", F(1), 2), ("B", F(3, 2), 2), ("B", F(1, 2), 4)]]
-    monkeypatch.setattr(SparseMat, "apply_all", counted)
+    monkeypatch.setattr(reducibility, "nullspace_of_rows", counted)
+    monkeypatch.setattr(SparseMat, "apply_all", no_image)
+    asked = pullbacks = 0
     for w in witnesses:
         spy = _SpyModule(w.module)
-        before = len(calls)
         assert verify_submodule_closure(SubmoduleWitness(spy, w.max_degree, w.dims, w.basis))["ok"]
-        assert len(spy.asked) == len(calls) - before
+        assert len(set(spy.asked)) == len(spy.asked)
         for label, k in spy.asked:
             kt = k + spy.degree_shift(label)
             assert w.dims[kt][0] < w.dims[kt][1], (w.module.b, label, k)
-    assert (len(calls), len(images)) == (43, 1192)  # every (label, k): 185 and 2,790
+            pullbacks += w.dims[kt][1] - w.dims[kt][0]  # |F_kt|, one pull-back each
+        asked += len(spy.asked)
+    # one hyperplane per witness, at its top degree: 3 functionals, and one
+    # pull-back per matrix (the images of the witness vectors number 1,192)
+    assert (asked, sum(functionals), pullbacks) == (43, 3, 43)
 
 
 @pytest.mark.parametrize("series,mus,b,deg", [
